@@ -50,12 +50,6 @@ def mul(ring, f, g):
     return trim(out)
 
 
-def shift(ring, f, n):
-    if not f:
-        return []
-    return [ring.zero] * n + list(f)
-
-
 def divmod_monic(ring, f, g):
     """Quotient and remainder by a monic divisor; valid over any ring."""
     g = trim(g)

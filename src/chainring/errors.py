@@ -99,3 +99,7 @@ class ParseError(ChainRingError):
 
 class DomainError(ChainRingError):
     """Rings/arity of the inputs do not match."""
+
+
+class InternalInvariant(ChainRingError):
+    """A result failed the library's own re-check; signals a bug, not bad input."""

@@ -14,13 +14,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError, Inconclusive, ParseError, ResourceExceeded
-from .groebner import buchberger, elimination_subbasis
-from .linalg import RingMatrix, rank, reduced_row_echelon
+from .linalg import RingMatrix, rank, reduced_row_echelon, split_matrix
 from .polys import MultiPoly, PolyRing
 from .rings import ProductRing, Ring, RingElement, ring_from_json
-from .solve import enumeration_budget, ring_vanishing_polynomial, solve_system
-
-FIELD_EQUATION_RING_CAP = 512
+from .solve import auto_field_equations, crt_join, enumeration_budget, x_block_solutions
 
 
 @dataclass(frozen=True)
@@ -129,6 +126,16 @@ def _x_names(k: int) -> list[str]:
     return [f"x{l + 1}" for l in range(k)]
 
 
+def _mx_entry(inst: MinRankInstance, ring: PolyRing, x_vars, i: int, t: int) -> MultiPoly:
+    """Entry (i, t) of M_x as a polynomial in the x variables of ring."""
+    acc = ring.constant(inst.m0.rows[i][t]) if inst.m0 is not None else ring.zero
+    for l, M in enumerate(inst.matrices):
+        c = M.rows[i][t]
+        if not c.is_zero():
+            acc = acc + ring.gen(x_vars[l]).scale(c)
+    return acc
+
+
 def ks_model(inst: MinRankInstance, zprime_rows: Sequence[int] | None = None) -> KSModel:
     """Bilinear system M_x @ Z = 0 with Z = P (I; Z'); zprime_rows are the
     rows of Z holding Z' (default: the bottom r rows, the identity placement)."""
@@ -163,21 +170,9 @@ def ks_model(inst: MinRankInstance, zprime_rows: Sequence[int] | None = None) ->
         for j in range(n - r):
             zmat[i][j] = zvar(pos, j)
 
-    def mx_entry(i, t):
-        acc = (
-            ring.constant(inst.m0.rows[i][t])
-            if inst.m0 is not None
-            else ring.zero
-        )
-        for l, M in enumerate(inst.matrices):
-            c = M.rows[i][t]
-            if not c.is_zero():
-                acc = acc + ring.gen(x_vars[l]).scale(c)
-        return acc
-
     equations = []
     for i in range(m):
-        row_entries = [mx_entry(i, t) for t in range(n)]
+        row_entries = [_mx_entry(inst, ring, x_vars, i, t) for t in range(n)]
         for j in range(n - r):
             eq = ring.zero
             for t in range(n):
@@ -225,23 +220,13 @@ def sm_model(inst: MinRankInstance) -> SMModel:
     z_vars = tuple(range(len(subsets)))
     x_vars = tuple(range(len(subsets), len(subsets) + k))
 
-    def mx_entry(i, t):
-        acc = (
-            ring.constant(inst.m0.rows[i][t]) if inst.m0 is not None else ring.zero
-        )
-        for l, M in enumerate(inst.matrices):
-            c = M.rows[i][t]
-            if not c.is_zero():
-                acc = acc + ring.gen(x_vars[l]).scale(c)
-        return acc
-
     equations = []
     for i in range(m):
         for bigset in itertools.combinations(range(n), r + 1):
             eq = ring.zero
             for s, j in enumerate(bigset):
                 rest = tuple(c for c in bigset if c != j)
-                term = mx_entry(i, j) * ring.gen(z_index[rest])
+                term = _mx_entry(inst, ring, x_vars, i, j) * ring.gen(z_index[rest])
                 eq = eq + (term if s % 2 == 0 else -term)
             equations.append(eq)
     return SMModel(ring, tuple(equations), subsets, x_vars, z_vars)
@@ -285,51 +270,15 @@ def sm_linearization_matrix(inst: MinRankInstance):
 # -- solvers ---------------------------------------------------------------------
 
 
-def _x_only_candidates(model_ring: PolyRing, equations, x_vars, field_equations: bool):
-    """Lex GB, x-elimination subbasis, and the exact solution set of that
-    subsystem as explicit x tuples."""
-    work = list(equations)
-    R = model_ring.ring
-    if field_equations:
-        for v in range(model_ring.nvars):
-            work.append(ring_vanishing_polynomial(R, model_ring, v))
-    G = buchberger(work, model_ring)
-    sub = elimination_subbasis(G, len(model_ring.variables) - len(x_vars))
-    x_ring = PolyRing(R, [model_ring.variables[v] for v in x_vars], "lex")
-    var_map = {v: i for i, v in enumerate(x_vars)}
-    polys = []
-    for g in sub.generators:
-        polys.append(g.map_to(x_ring, [var_map.get(i, 0) for i in range(model_ring.nvars)]))
-    if not polys:
-        if R.size ** len(x_vars) > enumeration_budget():
-            raise ResourceExceeded("unconstrained x block exceeds the budget")
-        return [tuple(c) for c in itertools.product(list(R.elements()), repeat=len(x_vars))]
-    sol = solve_system(polys)
-    return [tuple(s) for s in sol.explicit()]
-
-
-def _auto_field_equations(ring: Ring, flag: bool | None) -> bool:
-    if flag is None:
-        return ring.size <= FIELD_EQUATION_RING_CAP
-    return flag
-
-
 def split_instance(inst: MinRankInstance) -> list[MinRankInstance]:
     """CRT components of a product-ring instance."""
-    ring: ProductRing = inst.ring
-    out = []
-    for idx, comp in enumerate(ring.components):
-        mats = tuple(
-            RingMatrix(comp, [[v.data[idx] for v in row] for row in M.rows])
-            for M in inst.matrices
-        )
-        m0 = None
-        if inst.m0 is not None:
-            m0 = RingMatrix(
-                comp, [[v.data[idx] for v in row] for row in inst.m0.rows]
-            )
-        out.append(MinRankInstance(comp, mats, inst.r, m0))
-    return out
+    comps = inst.ring.components
+    mats = zip(*(split_matrix(M) for M in inst.matrices))
+    m0s = split_matrix(inst.m0) if inst.m0 is not None else [None] * len(comps)
+    return [
+        MinRankInstance(comp, comp_mats, inst.r, m0)
+        for comp, comp_mats, m0 in zip(comps, mats, m0s)
+    ]
 
 
 def solve_minrank(
@@ -346,51 +295,35 @@ def solve_minrank(
         from .oracles import brute_minrank
 
         return brute_minrank(inst)
-    if isinstance(inst.ring, ProductRing):
-        ring: ProductRing = inst.ring
-        comp_solutions = [
-            solve_minrank(ci, strategy, field_equations, schedule)
-            for ci in split_instance(inst)
-        ]
-        combined = []
-        for combo in itertools.product(*comp_solutions):
-            combined.append(
-                tuple(
-                    RingElement(ring, tuple(sol[i] for sol in combo))
-                    for i in range(inst.k)
-                )
-            )
-        return sorted(
-            combined, key=lambda x: tuple(ring.sort_key(v) for v in x)
+    R = inst.ring
+    if isinstance(R, ProductRing):
+        found = crt_join(
+            R,
+            [
+                solve_minrank(ci, strategy, field_equations, schedule)
+                for ci in split_instance(inst)
+            ],
         )
-    use_fm = _auto_field_equations(inst.ring, field_equations)
-    found: set = set()
+        return sorted(found, key=lambda x: tuple(R.sort_key(v) for v in x))
     if strategy == "ks":
-        n = inst.shape[1]
         subsets = (
             [tuple(s) for s in schedule]
             if schedule is not None
-            else ks_permutation_schedule(n, inst.r)
+            else ks_permutation_schedule(inst.shape[1], inst.r)
         )
-        for sub in subsets:
-            model = ks_model(inst, sub)
-            for x in _x_only_candidates(
-                model.poly_ring, model.equations, model.x_vars, use_fm
-            ):
-                if x not in found and inst.is_solution(x):
-                    found.add(x)
+        models = (ks_model(inst, sub) for sub in subsets)
     elif strategy == "sm-groebner":
-        model = sm_model(inst)
-        for x in _x_only_candidates(
-            model.poly_ring, model.equations, model.x_vars, use_fm
-        ):
-            if x not in found and inst.is_solution(x):
-                found.add(x)
+        models = (sm_model(inst),)
     elif strategy == "sm-linearization":
-        found = set(solve_sm_linearization(inst))
+        return solve_sm_linearization(inst)
     else:
         raise DomainError(f"unknown strategy {strategy!r}")
-    R = inst.ring
+    use_fm = auto_field_equations(R, field_equations)
+    found = set()
+    for model in models:
+        for x in x_block_solutions(model.poly_ring, model.equations, model.x_vars, use_fm):
+            if x not in found and inst.is_solution(x):
+                found.add(x)
     return sorted(found, key=lambda x: tuple(R.sort_key(v) for v in x))
 
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import BudgetExceeded, DomainError
 from .linalg import RingMatrix
 from .minrank import MinRankInstance
@@ -81,9 +79,10 @@ def brute_rank(A: RingMatrix, budget: OracleBudget = DEFAULT_BUDGET) -> int:
     """Minimal generating-subset search over row(A), per the definition."""
     ring = A.ring
     if isinstance(ring, ProductRing):
-        from .linalg import split_matrix
-
-        return max(brute_rank(c, budget) for c in split_matrix(A))
+        return max(
+            brute_rank(_component_matrix(A, idx, comp), budget)
+            for idx, comp in enumerate(ring.components)
+        )
     rows = [tuple(r) for r in A.rows]
     module = module_elements(ring, rows, budget)
     if len(module) == 1:
@@ -95,6 +94,11 @@ def brute_rank(A: RingMatrix, budget: OracleBudget = DEFAULT_BUDGET) -> int:
             if len(module_elements(ring, list(subset), budget)) == len(module):
                 return t
     return A.m
+
+
+def _component_matrix(A: RingMatrix, idx: int, comp) -> RingMatrix:
+    """A's image in CRT component idx (oracle-local projection)."""
+    return RingMatrix(comp, [[x.data[idx] for x in row] for row in A.rows])
 
 
 def _ncr(n, r):
@@ -192,9 +196,11 @@ def brute_minrank(
     if isinstance(R, Zpk):
         return _brute_minrank_zpk(inst, budget)
     if isinstance(R, ProductRing):
-        from .minrank import split_instance
-
-        comp_sols = [brute_minrank(ci, budget) for ci in split_instance(inst)]
+        comp_sols = []
+        for idx, comp in enumerate(R.components):
+            mats = tuple(_component_matrix(M, idx, comp) for M in inst.matrices)
+            m0 = _component_matrix(inst.m0, idx, comp) if inst.m0 is not None else None
+            comp_sols.append(brute_minrank(MinRankInstance(comp, mats, inst.r, m0), budget))
         out = []
         for combo in itertools.product(*comp_sols):
             out.append(
@@ -213,6 +219,8 @@ def brute_minrank(
 
 
 def _brute_minrank_zpk(inst: MinRankInstance, budget: OracleBudget):
+    import numpy as np
+
     R: Zpk = inst.ring
     M = R.modulus
     k = inst.k
@@ -297,6 +305,8 @@ def _eval_unipoly(ring, coeffs, x):
 
 
 def _brute_vanishing_zpk(ring: Zpk, budget: OracleBudget, chunk: int = 1 << 15):
+    import numpy as np
+
     M = ring.modulus
     pts = np.arange(M, dtype=np.int64)
     d = 1
@@ -320,6 +330,8 @@ def _brute_vanishing_zpk(ring: Zpk, budget: OracleBudget, chunk: int = 1 << 15):
 
 
 def pow_mod_vec(xs, e: int, M: int):
+    import numpy as np
+
     out = np.ones_like(xs)
     base = xs % M
     while e:

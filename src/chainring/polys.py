@@ -153,17 +153,6 @@ class PolyRing:
         except ValueError:
             raise DomainError(f"unknown variable {name!r}") from None
 
-    def with_order(self, order: MonomialOrder | str) -> PolyRing:
-        return PolyRing(self.ring, self.variables, order)
-
-    def restricted(self, var_indices: Sequence[int]) -> PolyRing:
-        """Sub-ring on a subset of variables, order priorities induced."""
-        var_indices = list(var_indices)
-        names = [self.variables[i] for i in var_indices]
-        prio = [p for p in self.order.priority if p in var_indices]
-        new_prio = [names.index(self.variables[p]) for p in prio]
-        return PolyRing(self.ring, names, MonomialOrder(self.order.kind, new_prio))
-
     # -- parsing and serialization --------------------------------------------
 
     _token = re.compile(r"\s*([+-]|\*|\^|\d+|[A-Za-z_][A-Za-z_0-9]*)")
@@ -301,13 +290,6 @@ class MultiPoly:
 
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e, _ in self.terms)
-
-    def constant_value(self) -> RingElement:
-        zero_exp = (0,) * self.ring.nvars
-        for e, c in self.terms:
-            if e == zero_exp:
-                return c
-        return self.ring.ring.zero
 
     # -- arithmetic --------------------------------------------------------------
 

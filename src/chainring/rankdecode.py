@@ -27,14 +27,11 @@ from .extension import (
     matrix_representation,
     vector_rank,
 )
-from .groebner import buchberger, elimination_subbasis
 from .linalg import RingMatrix, hermite_form
 from .minrank import MinRankInstance, solve_minrank
 from .polys import MultiPoly, PolyRing
 from .rings import RingElement
-from .solve import enumeration_budget, ring_vanishing_polynomial, solve_system
-
-FIELD_EQUATION_RING_CAP = 512
+from .solve import auto_field_equations, crt_join, enumeration_budget, x_block_solutions
 
 
 @dataclass(frozen=True)
@@ -269,62 +266,31 @@ def solve_sm_rd(
     rd: RankDecodingInstance, field_equations: bool | None = None
 ) -> list[tuple[RingElement, ...]]:
     """All x recovered from the SM model, one unit-z_J case at a time."""
-    S: GaloisExtension = rd.ext
-    base = S.base
-    use_fm = (
-        base.size <= FIELD_EQUATION_RING_CAP if field_equations is None else field_equations
+    use_fm = auto_field_equations(rd.ext.base, field_equations)
+    models = (
+        sm_rd_model(rd, subset)
+        for subset in itertools.combinations(range(rd.n), rd.radius)
     )
-    found = {}
-    for subset in itertools.combinations(range(rd.n), rd.radius):
-        model = sm_rd_model(rd, subset)
-        for x_flat in _x_block_solutions(
-            model.r_ring, model.r_equations, model.x_vars, use_fm
-        ):
-            x = _coords_to_x(rd, x_flat)
-            key = tuple(S.sort_key(v) for v in x)
-            if key not in found and rd.check(x):
-                found[key] = x
-    return [found[k] for k in sorted(found)]
+    return _verified_xs(
+        rd,
+        itertools.chain.from_iterable(
+            x_block_solutions(model.r_ring, model.r_equations, model.x_vars, use_fm)
+            for model in models
+        ),
+    )
 
 
-def _coords_to_x(rd: RankDecodingInstance, x_flat) -> tuple[RingElement, ...]:
+def _verified_xs(rd: RankDecodingInstance, x_flats) -> list[tuple[RingElement, ...]]:
+    """The distinct x (from base-ring coordinates) within the rank bound,
+    in canonical order."""
     S = rd.ext
-    m = S.degree
-    out = []
-    for i in range(rd.k):
-        acc = S.zero
-        for u in range(m):
-            acc = S.add(acc, S.scalar_mul(x_flat[i * m + u], S.pow(S.alpha, u)))
-        out.append(acc)
-    return tuple(out)
-
-
-def _x_block_solutions(r_ring: PolyRing, equations, x_vars, use_fm: bool):
-    """Exact solutions of the x-only elimination subsystem (explicit tuples)."""
-    base = r_ring.ring
-    work = list(equations)
-    if use_fm:
-        for v in range(r_ring.nvars):
-            work.append(ring_vanishing_polynomial(base, r_ring, v))
-    work = [w for w in work if not w.is_zero()]
-    if any(w.is_constant() for w in work):
-        return []
-    G = buchberger(work, r_ring)
-    sub = elimination_subbasis(G, r_ring.nvars - len(x_vars))
-    x_ring = PolyRing(base, [r_ring.variables[v] for v in x_vars], "lex")
-    var_map = {v: i for i, v in enumerate(x_vars)}
-    polys = [
-        g.map_to(x_ring, [var_map.get(i, 0) for i in range(r_ring.nvars)])
-        for g in sub.generators
-    ]
-    if not polys:
-        if base.size ** len(x_vars) > enumeration_budget():
-            raise ResourceExceeded("unconstrained x block exceeds the budget")
-        return [
-            tuple(c)
-            for c in itertools.product(list(base.elements()), repeat=len(x_vars))
-        ]
-    return [tuple(s) for s in solve_system(polys).explicit()]
+    found = {}
+    for x_flat in x_flats:
+        x = minrank_x_to_codeword_x(rd, x_flat)
+        key = tuple(S.sort_key(v) for v in x)
+        if key not in found and rd.check(x):
+            found[key] = x
+    return [found[k] for k in sorted(found)]
 
 
 # -- skew key equation --------------------------------------------------------------
@@ -488,17 +454,10 @@ def solve_key_groebner(
     elimination ideal pins x.  MultipleSolutions carries the verified set when
     the instance is ambiguous; NoSolution when the (complete) search is empty."""
     model = key_equation_model(rd)
-    S: GaloisExtension = rd.ext
-    candidates = _x_block_solutions(
-        model.r_ring, model.r_equations, model.x_vars, field_equations
+    solutions = _verified_xs(
+        rd,
+        x_block_solutions(model.r_ring, model.r_equations, model.x_vars, field_equations),
     )
-    verified = {}
-    for x_flat in candidates:
-        x = _coords_to_x(rd, x_flat)
-        key = tuple(S.sort_key(v) for v in x)
-        if key not in verified and rd.check(x):
-            verified[key] = x
-    solutions = [verified[k] for k in sorted(verified)]
     if not solutions:
         raise NoSolution("no x satisfies the key equation within the rank bound")
     if len(solutions) > 1:
@@ -565,7 +524,6 @@ def decode(rd: RankDecodingInstance, strategy: str = "auto") -> DecodeResult:
 
 
 def _decode_single_strategy(rd: RankDecodingInstance, strat: str):
-    S = rd.ext
     if strat == "linearization":
         return [solve_key_linearization(rd)]
     if strat == "sm":
@@ -576,16 +534,8 @@ def _decode_single_strategy(rd: RankDecodingInstance, strat: str):
         except MultipleSolutions as exc:
             return list(exc.solutions)
     if strat == "minrank-ks":
-        inst = to_minrank(rd)
-        xs = []
-        seen = set()
-        for flat in solve_minrank(inst, "ks"):
-            x = minrank_x_to_codeword_x(rd, flat)
-            key = tuple(S.sort_key(v) for v in x)
-            if key not in seen and rd.check(x):
-                seen.add(key)
-                xs.append(x)
-        return xs
+        # x ordered by S.sort_key is the MinRank order of its coordinates
+        return _verified_xs(rd, solve_minrank(to_minrank(rd), "ks"))
     raise DomainError(f"unknown strategy {strat!r}")
 
 
@@ -602,7 +552,6 @@ def _confirm_empty(rd: RankDecodingInstance):
 
 def _decode_product(rd: RankDecodingInstance, strategy: str) -> DecodeResult:
     ext: ProductExtension = rd.ext
-    ring = ext.ring
     results = []
     for idx, comp in enumerate(ext.components):
         gen = tuple(
@@ -611,12 +560,7 @@ def _decode_product(rd: RankDecodingInstance, strategy: str) -> DecodeResult:
         rec = tuple(v.data[idx] for v in rd.received)
         sub = RankDecodingInstance(comp, gen, rec, rd.radius)
         results.append(decode(sub, strategy))
-    combined = []
-    for combo in itertools.product(*[res.solutions for res in results]):
-        x = tuple(
-            RingElement(ring, tuple(sol[0][i] for sol in combo))
-            for i in range(rd.k)
-        )
-        combined.append((x, rd.codeword(x), rd.error_of(x)))
+    xs = crt_join(ext.ring, [[sol[0] for sol in res.solutions] for res in results])
+    combined = tuple((x, rd.codeword(x), rd.error_of(x)) for x in xs)
     strategies = ",".join(sorted({res.strategy_used for res in results}))
-    return DecodeResult(tuple(combined), strategies)
+    return DecodeResult(combined, strategies)

@@ -272,11 +272,6 @@ class ChainRing(Ring):
             power = self.mul(power, pi_choice)
         return acc
 
-    def gamma_digit_index(self, a: RingElement) -> int:
-        """Index of the digit of a in the sorted Teichmüller set."""
-        gamma = self.teichmuller_set()
-        return gamma.index(self.teichmuller_digit(a))
-
     def residue_lifts(self) -> Iterator[RingElement]:
         """Canonical lifts of the residue field (digit-0 representatives)."""
         raise NotImplementedError

@@ -11,17 +11,18 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import _unipoly as up
 from .errors import (
     DomainError,
+    InternalInvariant,
     ResourceExceeded,
     TooLarge,
     WrongOrder,
     ZeroIdeal,
 )
-from .groebner import buchberger, minimal_univariate_basis
+from .groebner import buchberger, elimination_subbasis, minimal_univariate_basis
 from .polys import MultiPoly, PolyRing
 from .rings import ChainRing, ProductRing, Ring, RingElement
 
@@ -44,6 +45,7 @@ ALL_OF_RING = _AllOfRing()
 
 DEFAULT_SOLUTION_CAP = 1 << 16
 DESK_SCALE_RING_CAP = 1 << 16
+FIELD_EQUATION_RING_CAP = 512
 
 
 def enumeration_budget() -> int:
@@ -168,7 +170,8 @@ def vanishing_coefficients(R: ChainRing) -> list[RingElement]:
             b = R.add(b, R.mul(gamma[dig], R.pow(R.pi_element, t + 1)))
         factor = up.sub(R, e_poly, [b])
         result = up.mul(R, result, factor)
-    assert all(up.evaluate(R, result, x).is_zero() for x in R.elements())
+    if not all(up.evaluate(R, result, x).is_zero() for x in R.elements()):
+        raise InternalInvariant("vanishing polynomial does not vanish on the ring")
     R._vanishing = tuple(result)
     return list(result)
 
@@ -347,17 +350,13 @@ def solve_system(
         for i in range(ring.nvars):
             work.append(ring_vanishing_polynomial(R, ring, i))
     found: list[tuple] = []
+    emitted = [0]  # solutions the entries of found stand for
     truncated = [False]
 
-    def emitted_count() -> int:
-        total = 0
-        for sol in found:
-            n = 1
-            for x in sol:
-                if x is ALL_OF_RING:
-                    n *= R.size
-            total += n
-        return total
+    def emit(assignment: dict):
+        sol = tuple(assignment[i] for i in range(ring.nvars))
+        found.append(sol)
+        emitted[0] += R.size ** sum(x is ALL_OF_RING for x in sol)
 
     def rec(system: list[MultiPoly], remaining: list[int], assignment: dict):
         if truncated[0]:
@@ -367,30 +366,25 @@ def solve_system(
             if p.is_constant():
                 return  # nonzero constant: dead branch
         if not remaining:
-            found.append(_assemble(ring, assignment))
+            emit(assignment)
             return
         if not system:
             for v in remaining:
                 assignment[v] = ALL_OF_RING
-            found.append(_assemble(ring, assignment))
+            emit(assignment)
             for v in remaining:
                 del assignment[v]
-            if emitted_count() > max_solutions:
+            if emitted[0] > max_solutions:
                 truncated[0] = True
             return
         last = remaining[-1]
         if len(remaining) == 1:
             roots = univariate_roots(system, last)
-            if roots is ALL_OF_RING:
-                assignment[last] = ALL_OF_RING
-                found.append(_assemble(ring, assignment))
+            for rt in [ALL_OF_RING] if roots is ALL_OF_RING else roots:
+                assignment[last] = rt
+                emit(assignment)
                 del assignment[last]
-            else:
-                for rt in roots:
-                    assignment[last] = rt
-                    found.append(_assemble(ring, assignment))
-                    del assignment[last]
-            if emitted_count() > max_solutions:
+            if emitted[0] > max_solutions:
                 truncated[0] = True
             return
         G = buchberger(system, ring)
@@ -418,73 +412,119 @@ def solve_system(
     return SolutionSet(R, ring.variables, solutions, truncated[0], max_solutions)
 
 
-def _assemble(ring: PolyRing, assignment: dict) -> tuple:
-    return tuple(assignment[i] for i in range(ring.nvars))
-
-
 def _verify_solutions(ring: PolyRing, original: list[MultiPoly], solutions):
     R = ring.ring
     for sol in solutions:
         fixed = [(i, x) for i, x in enumerate(sol) if x is not ALL_OF_RING]
         if len(fixed) == len(sol):
             for p in original:
-                assert p.evaluate(list(sol)).is_zero(), "solver emitted a non-solution"
+                if not p.evaluate(list(sol)).is_zero():
+                    raise InternalInvariant("solver emitted a non-solution")
         else:
             for p in original:
                 q = p
                 for i, x in fixed:
                     q = q.substitute(i, x)
-                assert q.is_zero(), "free coordinates must satisfy the system identically"
+                if not q.is_zero():
+                    raise InternalInvariant(
+                        "free coordinates must satisfy the system identically"
+                    )
 
 
 def _solve_product(polys, ring: PolyRing, field_equations, max_solutions) -> SolutionSet:
-    """CRT split, solve per chain component, cartesian recombination.
-
-    A coordinate stays symbolic only when it is free in every component;
-    mixed free/fixed coordinates are expanded.
-    """
+    """CRT split, solve per chain component, cartesian recombination."""
     product: ProductRing = ring.ring
-    comp_sets = []
-    for idx, comp in enumerate(product.components):
-        comp_ring = PolyRing(comp, ring.variables, ring.order)
-        comp_polys = [
-            comp_ring.poly([(e, c.data[idx]) for e, c in p.terms]) for p in polys
-        ]
-        comp_sets.append(solve_system(comp_polys, field_equations, max_solutions))
-    sols = set()
-    truncated = any(s.truncated for s in comp_sets)
-    count = 0
+    comp_sets = [
+        solve_system(part, field_equations, max_solutions)
+        for part in _split_polys(polys)
+    ]
     ordered = [
         sorted(s.solutions, key=lambda t: tuple(repr(x) for x in t)) for s in comp_sets
     ]
-    for combo in itertools.product(*ordered):
+    sols = list(itertools.islice(crt_join(product, ordered), max_solutions + 1))
+    truncated = len(sols) > max_solutions or any(s.truncated for s in comp_sets)
+    return SolutionSet(product, ring.variables, frozenset(sols), truncated, max_solutions)
+
+
+def _split_polys(polys: Sequence[MultiPoly]) -> list[list[MultiPoly]]:
+    """The system's image in each CRT component of its product ring."""
+    ring = polys[0].ring
+    out = []
+    for idx, comp in enumerate(ring.ring.components):
+        comp_ring = PolyRing(comp, ring.variables, ring.order)
+        out.append(
+            [comp_ring.poly([(e, c.data[idx]) for e, c in p.terms]) for p in polys]
+        )
+    return out
+
+
+def crt_join(
+    product: ProductRing, parts: Sequence[Iterable[tuple]]
+) -> Iterator[tuple]:
+    """Cartesian recombination of per-component solution tuples, lazily and
+    in the order of parts.
+
+    A coordinate stays ALL_OF_RING only when it is free in every component;
+    a coordinate free in some components and fixed in others is expanded.
+    """
+    for combo in itertools.product(*parts):
         slots = []
-        for coord in range(ring.nvars):
-            parts = [sol[coord] for sol in combo]
-            if all(p is ALL_OF_RING for p in parts):
+        for coord in zip(*combo):
+            if all(x is ALL_OF_RING for x in coord):
                 slots.append([ALL_OF_RING])
-            elif any(p is ALL_OF_RING for p in parts):
+            elif any(x is ALL_OF_RING for x in coord):
                 per_comp = [
-                    list(comp.elements()) if p is ALL_OF_RING else [p]
-                    for p, comp in zip(parts, product.components)
+                    list(comp.elements()) if x is ALL_OF_RING else [x]
+                    for x, comp in zip(coord, product.components)
                 ]
                 slots.append(
-                    [
-                        RingElement(product, tuple(vals))
-                        for vals in itertools.product(*per_comp)
-                    ]
+                    [RingElement(product, vals) for vals in itertools.product(*per_comp)]
                 )
             else:
-                slots.append([RingElement(product, tuple(parts))])
-        for entry in itertools.product(*slots):
-            sols.add(tuple(entry))
-            count += 1
-            if count > max_solutions:
-                truncated = True
-                break
-        if truncated:
-            break
-    return SolutionSet(product, ring.variables, frozenset(sols), truncated, max_solutions)
+                slots.append([RingElement(product, coord)])
+        yield from itertools.product(*slots)
+
+
+# -- the x block of a lex elimination ideal ------------------------------------
+
+
+def auto_field_equations(ring: Ring, flag: bool | None) -> bool:
+    """Field equations are added by default only over small rings."""
+    if flag is None:
+        return ring.size <= FIELD_EQUATION_RING_CAP
+    return flag
+
+
+def x_block_solutions(
+    ring: PolyRing, equations: Sequence[MultiPoly], x_vars: Sequence[int], field_equations: bool
+) -> list[tuple]:
+    """Explicit solutions of the elimination ideal in the trailing x_vars.
+
+    Lex Gröbner basis of the equations (plus F_m in every variable with
+    field_equations), its x-only subbasis mapped to a ring in x_vars alone
+    and solved exactly; an unconstrained x block is enumerated within the
+    budget.  The x tuples of the system's solutions are among the results.
+    """
+    R = ring.ring
+    work = list(equations)
+    if field_equations:
+        work.extend(ring_vanishing_polynomial(R, ring, v) for v in range(ring.nvars))
+    work = [w for w in work if not w.is_zero()]
+    if any(w.is_constant() for w in work):
+        return []  # a nonzero constant equation has no solution
+    G = buchberger(work, ring)
+    sub = elimination_subbasis(G, ring.nvars - len(x_vars))
+    x_ring = PolyRing(R, [ring.variables[v] for v in x_vars], "lex")
+    var_map = {v: i for i, v in enumerate(x_vars)}
+    polys = [
+        g.map_to(x_ring, [var_map.get(i, 0) for i in range(ring.nvars)])
+        for g in sub.generators
+    ]
+    if not polys:
+        if R.size ** len(x_vars) > enumeration_budget():
+            raise ResourceExceeded("unconstrained x block exceeds the budget")
+        return list(itertools.product(list(R.elements()), repeat=len(x_vars)))
+    return list(solve_system(polys).explicit())
 
 
 # -- multivariate lifting solver (independent second route) --------------------
@@ -501,23 +541,11 @@ def solve_system_lifting(
         raise DomainError("empty system")
     ring = polys[0].ring
     if isinstance(ring.ring, ProductRing):
-        product = ring.ring
-        comp_sets = []
-        for idx, comp in enumerate(product.components):
-            comp_ring = PolyRing(comp, ring.variables, ring.order)
-            comp_polys = [
-                comp_ring.poly([(e, c.data[idx]) for e, c in p.terms]) for p in polys
-            ]
-            comp_sets.append(solve_system_lifting(comp_polys, max_solutions))
-        merged = set()
-        for combo in itertools.product(*[s.explicit() for s in comp_sets]):
-            merged.add(
-                tuple(
-                    RingElement(product, tuple(sol[c] for sol in combo))
-                    for c in range(ring.nvars)
-                )
-            )
-        return SolutionSet(product, ring.variables, frozenset(merged))
+        parts = [
+            solve_system_lifting(part, max_solutions).explicit()
+            for part in _split_polys(polys)
+        ]
+        return SolutionSet(ring.ring, ring.variables, frozenset(crt_join(ring.ring, parts)))
     R: ChainRing = ring.ring
     k = ring.nvars
     work = [p for p in polys if not p.is_zero()]

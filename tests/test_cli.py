@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chainring
 from chainring.cli import main
 
 
@@ -221,3 +226,27 @@ def test_order_flag(capsys, tmp_path):
     assert code == 0
     texts = json.loads(out)["result"]["basis_text"]
     assert "y^2 + 4" in texts and "2*y + 4" in texts
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def run_python(*argv):
+    src = str(Path(chainring.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *argv], cwd=REPO, env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
+def test_solve_output_same_under_optimize_flag():
+    args = ("-m", "chainring.cli", "solve", "instances/eq7.json", "--text")
+    plain = run_python(*args)
+    assert json.loads(plain)["result"]["solutions"] == [[18]]
+    assert run_python("-O", *args) == plain
+
+
+def test_cli_import_does_not_load_numpy():
+    out = run_python("-c", "import sys, chainring.cli; print('numpy' in sys.modules)")
+    assert out.strip() == "False"

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from chainring.errors import Inconclusive
 from chainring.linalg import RingMatrix, rank, reduced_row_echelon
 from chainring.minrank import (
@@ -219,3 +221,20 @@ def test_minrank_json_roundtrip(affine_minrank_z8):
     assert clone.matrices == affine_minrank_z8.matrices
     assert clone.m0 == affine_minrank_z8.m0
     assert clone.r == affine_minrank_z8.r
+
+
+@pytest.mark.parametrize("strategy", ["ks", "sm-groebner"])
+def test_product_ring_z12_groebner_strategies_match_brute(strategy):
+    z12 = integer_ring(12)
+    counts = []
+    for seed in range(70, 80):
+        rng = random.Random(seed)
+        mats = tuple(
+            RingMatrix(z12, [[z12.from_int(rng.randrange(12)) for _ in range(2)] for _ in range(2)])
+            for _ in range(2)
+        )
+        inst = MinRankInstance(z12, mats, 1)
+        found = solve_minrank(inst, strategy)
+        assert found == brute_minrank(inst)
+        counts.append(len(found))
+    assert counts == [30, 60, 2, 8, 6, 6, 63, 30, 7, 18]

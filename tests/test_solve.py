@@ -2,12 +2,14 @@ import random
 
 import pytest
 
-from chainring.errors import TooLarge
+from chainring.errors import InternalInvariant, TooLarge
 from chainring.oracles import brute_solve, brute_vanishing_poly
 from chainring.polys import MonomialOrder, PolyRing
 from chainring.rings import Zpk, integer_ring
 from chainring.solve import (
     ALL_OF_RING,
+    SolutionSet,
+    _verify_solutions,
     ring_vanishing_polynomial,
     solve_system,
     solve_system_lifting,
@@ -199,6 +201,76 @@ def test_product_ring_solving():
     assert values == brute
 
 
+PRODUCT_SOLVE_GOLDENS = {
+    (6, ("y^2 - y",)): (
+        [["*", [0, 0]], ["*", [0, 1]], ["*", [1, 0]], ["*", [1, 1]]],
+        24,
+    ),
+    (12, ("y^2 - y",)): (
+        [["*", [0, 0]], ["*", [0, 1]], ["*", [1, 0]], ["*", [1, 1]]],
+        48,
+    ),
+    # x is free in one component and fixed in the other: expanded
+    (6, ("y^2 - y", "3*x")): (
+        [[[0, a], [b, c]] for a in range(3) for b in range(2) for c in range(2)],
+        12,
+    ),
+    (12, ("y^2 - y", "3*x")): (
+        [[[0, a], [b, c]] for a in range(3) for b in range(2) for c in range(2)],
+        12,
+    ),
+}
+
+
+@pytest.mark.parametrize("n, system", sorted(PRODUCT_SOLVE_GOLDENS))
+def test_product_ring_two_variables_all_routes(n, system):
+    ring = integer_ring(n)
+    P = PolyRing(ring, ("x", "y"), "lex")
+    polys = [P.parse(t) for t in system]
+    solutions, count = PRODUCT_SOLVE_GOLDENS[(n, system)]
+    elim = solve_system(polys)
+    lifting = solve_system_lifting(polys)
+    brute = brute_solve(polys)
+    assert elim.to_json() == {
+        "variables": ["x", "y"],
+        "solutions": solutions,
+        "truncated": False,
+        "count": count,
+    }
+    assert lifting.to_json() == brute.to_json()
+    assert brute.to_json()["count"] == count
+    assert elim.explicit() == lifting.explicit() == brute.explicit()
+
+
+def test_product_ring_truncation_lists_cap_plus_one():
+    z6 = integer_ring(6)
+    P = PolyRing(z6, ("x", "y"), "lex")
+    # neither component exceeds the cap; the joined set (15 points) does
+    sol = solve_system([P.parse("x*y")], max_solutions=5)
+    assert sol.truncated
+    assert sol.to_json()["solutions"] == [
+        ["*", [0, 0]],
+        [[0, 0], [0, 1]],
+        [[0, 0], [0, 2]],
+        [[0, 0], [1, 0]],
+        [[1, 0], [0, 1]],
+        [[1, 0], [0, 2]],
+    ]
+
+
+@pytest.mark.parametrize("cap, listed", [(1, 1), (10, 7), (100, 55)])
+def test_solution_cap_trips_on_running_total(z8, cap, listed):
+    P = PolyRing(z8, ("x", "y", "z"), "lex")
+    system = [P.parse("2*x*y")]
+    sol = solve_system(system, max_solutions=cap)
+    assert sol.truncated
+    assert len(sol.solutions) == listed
+    full = solve_system(system, max_solutions=1000)
+    assert not full.truncated
+    assert full.count() == 256
+    assert SolutionSet(z8, sol.variables, sol.solutions).explicit() <= full.explicit()
+
+
 def test_solution_set_cap(z8):
     P = PolyRing(z8, ("x", "y"), "lex")
     sol = solve_system([P.zero, P.parse("8*x")], max_solutions=10)
@@ -213,3 +285,12 @@ def test_solutions_reverify_on_emission(z8):
     sol = solve_system(system)
     for point in sol.explicit():
         assert all(p.evaluate(list(point)).is_zero() for p in system)
+
+
+def test_failed_reverification_raises(z8):
+    # an explicit error, not an assert, so it holds under python -O
+    P = PolyRing(z8, ("x", "y"), "lex")
+    with pytest.raises(InternalInvariant):
+        _verify_solutions(P, [P.parse("x")], frozenset({(z8.one, z8.zero)}))
+    with pytest.raises(InternalInvariant):
+        _verify_solutions(P, [P.parse("x")], frozenset({(ALL_OF_RING, z8.zero)}))
