@@ -26,7 +26,6 @@ from .errors import (
     ZeroElement,
     ZeroIdeal,
     ZeroPolynomial,
-    ZeroProjection,
 )
 from .rings import (
     ChainRing,

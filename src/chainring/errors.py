@@ -41,10 +41,6 @@ class ZeroIdeal(ChainRingError):
     """The ideal is {0}: every ring element is a solution."""
 
 
-class ZeroProjection(ChainRingError):
-    """All residue-field projections vanish; level-0 lifting is unconstrained."""
-
-
 class ResourceExceeded(ChainRingError):
     """A safety cap was hit; carries partial diagnostics in args."""
 

@@ -126,18 +126,14 @@ def interreduce(polys: Iterable[MultiPoly], ring: PolyRing) -> tuple[MultiPoly, 
 _MAX_PAIRS = 200_000
 
 
-def buchberger(
-    polys: Sequence[MultiPoly],
-    ring: PolyRing | None = None,
-    use_criteria: bool = False,
-    max_steps: int = _MAX_PAIRS,
-) -> GroebnerBasis:
+def buchberger(polys: Sequence[MultiPoly], ring: PolyRing | None = None) -> GroebnerBasis:
     """Gröbner basis of the ideal generated by polys, interreduced.
 
     The pending queue holds both S-pairs and A-polynomials, processed in
-    normal-selection order (minimal lcm).  use_criteria enables the coprime
-    product criterion, applied only when both heads have unit coefficients
-    (the coefficient-blind field version is unsound over rings).
+    normal-selection order (minimal lcm).  A pair whose heads are coprime
+    monomials with unit coefficients is skipped: its S-polynomial reduces to
+    zero (the coefficient-blind field version of this criterion is unsound
+    over rings).
     """
     if ring is None:
         if not polys:
@@ -155,15 +151,13 @@ def buchberger(
         nonlocal counter
         g = basis[new_index]
         eg = g.leading_monomial()
+        g_unit = R.valuation(g.leading_coefficient()) == 0
         for j in range(new_index):
             h = basis[j]
             eh = h.leading_monomial()
             lcm = mono_lcm(eg, eh)
-            if use_criteria and lcm == mono_mul(eg, eh):
-                cg = R.valuation(g.leading_coefficient())
-                ch = R.valuation(h.leading_coefficient())
-                if cg == 0 and ch == 0:
-                    continue  # coprime monic heads: Spoly reduces to 0
+            if g_unit and lcm == mono_mul(eg, eh) and R.valuation(h.leading_coefficient()) == 0:
+                continue
             heapq.heappush(queue, (ring.order.key(lcm), counter, ("s", j, new_index)))
             counter += 1
         heapq.heappush(queue, (ring.order.key(eg), counter, ("a", new_index, -1)))
@@ -183,9 +177,9 @@ def buchberger(
     steps = 0
     while queue:
         steps += 1
-        if steps > max_steps:
+        if steps > _MAX_PAIRS:
             raise ResourceExceeded(
-                f"buchberger exceeded {max_steps} pair reductions", tuple(basis)
+                f"buchberger exceeded {_MAX_PAIRS} pair reductions", tuple(basis)
             )
         _, _, (kind, i, j) = heapq.heappop(queue)
         if kind == "s":
@@ -243,12 +237,6 @@ class UnivariateLadder:
     h: tuple[MultiPoly, ...]
     ring: PolyRing
     var: int
-
-    def members(self) -> tuple[MultiPoly, ...]:
-        R = self.ring.ring
-        return tuple(
-            g.scale(R.pow(R.pi_element, a)) for a, g in self.levels
-        )
 
 
 def minimal_univariate_basis(

@@ -13,6 +13,7 @@ from typing import Sequence
 
 from .errors import (
     DomainError,
+    InternalInvariant,
     NotChainRing,
     NotFree,
     NotInvertible,
@@ -111,19 +112,9 @@ class RingMatrix:
     def row(self, i) -> tuple[RingElement, ...]:
         return self.rows[i]
 
-    def col(self, j) -> tuple[RingElement, ...]:
-        return tuple(r[j] for r in self.rows)
-
     def submatrix(self, rows, cols) -> "RingMatrix":
         return RingMatrix(
             self.ring, [[self.rows[i][j] for j in cols] for i in rows]
-        )
-
-    def hstack(self, other: "RingMatrix") -> "RingMatrix":
-        if other.m != self.m:
-            raise DomainError("hstack height mismatch")
-        return RingMatrix(
-            self.ring, [r1 + r2 for r1, r2 in zip(self.rows, other.rows)]
         )
 
     def vstack(self, other: "RingMatrix") -> "RingMatrix":
@@ -205,7 +196,6 @@ class HermiteDecomposition:
     p: RingMatrix
     t: RingMatrix
     p_inv: RingMatrix
-    pivots: tuple[tuple[int, int], ...]  # (row, col) of each pivot
 
 
 class _Eliminator:
@@ -393,19 +383,16 @@ def hermite_form(A: RingMatrix) -> HermiteDecomposition:
     if isinstance(A.ring, ProductRing):
         comps = [hermite_form(c) for c in split_matrix(A)]
         ring = A.ring
-        pivots = comps[0].pivots
         return HermiteDecomposition(
             join_matrices(ring, [c.p for c in comps]),
             join_matrices(ring, [c.t for c in comps]),
             join_matrices(ring, [c.p_inv for c in comps]),
-            pivots,
         )
     R = A.ring
     if not isinstance(R, ChainRing):
         raise NotChainRing("Hermite form requires a chain ring or product of them")
     st = _Eliminator(A)
     t = 0
-    pivots = []
     for c in range(A.n):
         found = _min_valuation_entry(R, st.d, range(t, A.m), [c])
         if found is None:
@@ -423,12 +410,11 @@ def hermite_form(A: RingMatrix) -> HermiteDecomposition:
             q = R.exact_div_pi_power(R.sub(x, rem), v)
             if not q.is_zero():
                 st.row_addmul(i2, t, R.neg(q))
-        pivots.append((t, c))
         t += 1
         if t == A.m:
             break
     u, d, _, u_inv, _ = st.matrices()
-    return HermiteDecomposition(u, d, u_inv, tuple(pivots))
+    return HermiteDecomposition(u, d, u_inv)
 
 
 def reduced_row_echelon(A: RingMatrix) -> RingMatrix:
@@ -519,7 +505,8 @@ def free_envelope(A: RingMatrix, r: int) -> RingMatrix:
     dec = smith_normal_form(A)
     B = RingMatrix(R, dec.v.rows[:r])
     B = reduced_row_echelon(B)
-    assert B.m == r and all(row_membership(B, row) for row in A.rows)
+    if not (B.m == r and all(row_membership(B, row) for row in A.rows)):
+        raise InternalInvariant("free envelope does not contain row(A)")
     return B
 
 

@@ -34,7 +34,6 @@ class LocalRingPresentation(Ring):
         ann_exponents: Sequence[int],
         structure_constants,
         unity: Sequence,
-        validate: bool = True,
     ):
         self.base = base
         self.gamma_count = len(ann_exponents)
@@ -61,10 +60,9 @@ class LocalRingPresentation(Ring):
         self.zero = RingElement(self, (base.zero,) * g)
         self._zero_data = self.zero.data
         self.one = self.element(unity)
-        if validate:
-            problem = self.first_violation()
-            if problem is not None:
-                raise NotARing(problem)
+        problem = self.first_violation()
+        if problem is not None:
+            raise NotARing(problem)
 
     # -- ring protocol --------------------------------------------------------
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceeded, DomainError
+from .errors import BudgetExceeded, DomainError, InternalInvariant
 from .linalg import RingMatrix
 from .minrank import MinRankInstance
 from .polys import MultiPoly
@@ -71,7 +71,8 @@ def _module_log_size(ring: ChainRing, generators, budget: OracleBudget) -> int:
     while q > 1:
         q //= ring.p
         q_log += 1
-    assert logp % q_log == 0
+    if logp % q_log:
+        raise InternalInvariant("module size is not a power of q")
     return logp // q_log
 
 
@@ -304,7 +305,7 @@ def _eval_unipoly(ring, coeffs, x):
     return acc
 
 
-def _brute_vanishing_zpk(ring: Zpk, budget: OracleBudget, chunk: int = 1 << 15):
+def _brute_vanishing_zpk(ring: Zpk, budget: OracleBudget):
     import numpy as np
 
     M = ring.modulus
@@ -316,7 +317,7 @@ def _brute_vanishing_zpk(ring: Zpk, budget: OracleBudget, chunk: int = 1 << 15):
         top = pow_mod_vec(pts, d, M)
         tails = itertools.product(range(M), repeat=d)
         while True:
-            block = list(itertools.islice(tails, chunk))
+            block = list(itertools.islice(tails, 1 << 15))
             if not block:
                 break
             C = np.array(block, dtype=np.int64)  # (B, d)

@@ -11,7 +11,13 @@ from __future__ import annotations
 import re
 from typing import Iterable, Sequence
 
-from .errors import DomainError, ParseError, ResourceExceeded, ZeroPolynomial
+from .errors import (
+    DomainError,
+    InternalInvariant,
+    ParseError,
+    ResourceExceeded,
+    ZeroPolynomial,
+)
 from .rings import ChainRing, Ring, RingElement
 
 
@@ -559,7 +565,8 @@ def _reduce_core(f: MultiPoly, basis, full: bool, record):
             raise ResourceExceeded("reduction did not terminate within the step cap")
         if work.terms:
             k = key(work.terms[0][0])
-            assert last_key is None or k < last_key, "reduction must descend"
+            if last_key is not None and k >= last_key:
+                raise InternalInvariant("reduction must descend")
             last_key = k
     return MultiPoly(ring, tuple(rem))
 

@@ -14,6 +14,7 @@ from .errors import (
     BadGenerator,
     ComponentMismatch,
     DomainError,
+    InternalInvariant,
     NotAUnit,
     NotChainRing,
     ParseError,
@@ -211,7 +212,8 @@ class ChainRing(Ring):
         steps = max(1, (self.nu - 1).bit_length())
         for _ in range(steps):
             x = self.mul(x, self.sub(two, self.mul(a, x)))
-        assert self.mul(a, x) == self.one
+        if self.mul(a, x) != self.one:
+            raise InternalInvariant("Newton iteration did not invert a unit")
         return x
 
     # -- Teichmüller set and π-adic digits ------------------------------------
@@ -228,9 +230,10 @@ class ChainRing(Ring):
                     for _ in range(self.nu):
                         a = self.pow(a, self.q)
                     gamma.append(a)
+            if len(gamma) != self.q:
+                raise InternalInvariant("Teichmüller set does not have q elements")
             gamma.sort(key=self.sort_key)
             self._gamma = tuple(gamma)
-            assert len(self._gamma) == self.q
         return self._gamma
 
     def teichmuller_digit(self, a: RingElement) -> RingElement:
@@ -389,7 +392,7 @@ class ExtensionChainRing(ChainRing):
 
     kind = "gr"
 
-    def __init__(self, base: ChainRing, modulus: Sequence[RingElement], validate: bool = True):
+    def __init__(self, base: ChainRing, modulus: Sequence[RingElement]):
         if not isinstance(base, ChainRing):
             raise NotChainRing("extension base must be a chain ring")
         super().__init__()
@@ -417,7 +420,7 @@ class ExtensionChainRing(ChainRing):
         pi[0] = base.pi_element
         self.pi_element = RingElement(self, tuple(pi))
         self._alpha_powers = self._reduction_table()
-        if validate and not _residue_irreducible(base, self.modulus_poly):
+        if not _residue_irreducible(base, self.modulus_poly):
             raise DomainError("modulus is not irreducible modulo pi")
 
     def _reduction_table(self):
@@ -532,10 +535,6 @@ class ExtensionChainRing(ChainRing):
         for x in a.data:
             key += self.base.sort_key(x)
         return key
-
-    def coordinates(self, a: RingElement) -> tuple[RingElement, ...]:
-        """Coordinates over the base ring in the (1, alpha, ...) basis."""
-        return a.data
 
     def format_element(self, a):
         parts = []

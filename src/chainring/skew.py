@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from .errors import DomainError, ParseError, RankExceeds
+from .errors import DomainError, InternalInvariant, ParseError, RankExceeds
 from .extension import GaloisExtension, matrix_representation, vector_rank
 from .linalg import free_envelope
 from .rings import RingElement
@@ -170,7 +170,9 @@ def annihilator(ext: GaloisExtension, u: Sequence[RingElement], r: int) -> SkewP
             w = ext.mul(ext.frobenius(v), ext.invert(v))
             f = SkewPoly(ext, [ext.neg(w), ext.one]) * f
         if ok:
-            assert f.is_monic() and f.degree() == r
-            assert all(f.evaluate(x).is_zero() for x in u)
+            if not (f.is_monic() and f.degree() == r):
+                raise InternalInvariant("annihilator is not monic of degree r")
+            if not all(f.evaluate(x).is_zero() for x in u):
+                raise InternalInvariant("annihilator does not vanish on its inputs")
             return f
     raise DomainError(f"annihilator construction failed: {last_error}")

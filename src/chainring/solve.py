@@ -359,52 +359,30 @@ def solve_system(
         emitted[0] += R.size ** sum(x is ALL_OF_RING for x in sol)
 
     def rec(system: list[MultiPoly], remaining: list[int], assignment: dict):
-        if truncated[0]:
-            return
         system = [p for p in system if not p.is_zero()]
-        for p in system:
-            if p.is_constant():
-                return  # nonzero constant: dead branch
+        if any(p.is_constant() for p in system):
+            return  # nonzero constant: dead branch
         if not remaining:
             emit(assignment)
             return
-        if not system:
-            for v in remaining:
-                assignment[v] = ALL_OF_RING
-            emit(assignment)
-            for v in remaining:
-                del assignment[v]
-            if emitted[0] > max_solutions:
-                truncated[0] = True
-            return
         last = remaining[-1]
-        if len(remaining) == 1:
-            roots = univariate_roots(system, last)
-            for rt in [ALL_OF_RING] if roots is ALL_OF_RING else roots:
-                assignment[last] = rt
-                emit(assignment)
-                del assignment[last]
-            if emitted[0] > max_solutions:
-                truncated[0] = True
-            return
-        G = buchberger(system, ring)
-        gens = list(G.generators)
-        for g in gens:
-            if g.is_constant() and not g.is_zero():
-                return
-        univ = [g for g in gens if g.vars_used() <= {last}]
-        if univ:
-            roots = univariate_roots(univ, last)
+        if len(remaining) > 1 and system:
+            system = list(buchberger(system, ring).generators)
+        if any(last in g.vars_used() for g in system):
+            roots = univariate_roots([g for g in system if g.vars_used() <= {last}], last)
             candidates = list(R.elements()) if roots is ALL_OF_RING else roots
         else:
-            candidates = list(R.elements())
+            # last is free: the basis holds for every value of it
+            candidates = [ALL_OF_RING]
         for c in candidates:
-            specialized = [g.substitute(last, c) for g in gens]
             assignment[last] = c
+            specialized = system if c is ALL_OF_RING else [g.substitute(last, c) for g in system]
             rec(specialized, remaining[:-1], assignment)
             del assignment[last]
             if truncated[0]:
                 return
+        if len(remaining) == 1 and emitted[0] > max_solutions:
+            truncated[0] = True
 
     rec(work, list(ring.order.priority), {})
     solutions = frozenset(found)
@@ -559,8 +537,8 @@ def solve_system_lifting(
     if R.q**k > enumeration_budget():
         raise ResourceExceeded("residue enumeration exceeds the budget")
 
-    # an identically-zero projection makes the level-0 congruence vacuous:
-    # every Γ^k point seeds the lifting (the ZeroProjection fallback)
+    # level 0 tests every point of Γ^k, so a system whose residue-field
+    # projection vanishes identically needs no special case
     level0 = []
     for combo in itertools.product(gamma, repeat=k):
         if all(R.valuation(p.evaluate(list(combo))) >= 1 for p in work):

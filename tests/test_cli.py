@@ -250,3 +250,64 @@ def test_solve_output_same_under_optimize_flag():
 def test_cli_import_does_not_load_numpy():
     out = run_python("-c", "import sys, chainring.cli; print('numpy' in sys.modules)")
     assert out.strip() == "False"
+
+
+# Each golden under tests/goldens/ is the stdout of one CLI invocation run from
+# the repository root.  Regenerate a golden only for an intended change of
+# output, and say why in the change log.
+GOLDENS = REPO / "tests" / "goldens"
+
+_DECODE = (
+    "rank-decode",
+    "--extension", "instances/extension_z8_m3.json",
+    "--generator", "instances/decode_generator.json",
+    "--received", "instances/decode_received.json",
+    "--radius", "1",
+)
+_MINRANK = ("minrank", "--instance", "instances/minrank_rank1.json", "--strategy")
+
+# golden name -> argv; rank-decode's sm and minrank-ks strategies take seconds
+# each and are left out
+CASES = {
+    "gb_exgb": ("gb", "instances/exgb.json", "--text"),
+    "gb_exgb_lex_yx_field": (
+        "gb", "instances/exgb.json", "--text", "--order", "lex:y,x", "--field-equations",
+    ),
+    "solve_eq7": ("solve", "instances/eq7.json", "--text"),
+    "solve_eq7_lifting": ("solve", "instances/eq7.json", "--text", "--method", "lifting"),
+    "rank_example": ("rank", "instances/rank_example.json"),
+    "minrank_ks": _MINRANK + ("ks",),
+    "minrank_sm_groebner": _MINRANK + ("sm-groebner",),
+    "minrank_sm_linearization": _MINRANK + ("sm-linearization",),
+    "minrank_brute": _MINRANK + ("brute",),
+    "rank_decode": _DECODE,
+    "rank_decode_linearization": _DECODE + ("--strategy", "linearization"),
+    "rank_decode_groebner": _DECODE + ("--strategy", "groebner"),
+    "solve_local_cubic": ("solve-local", "instances/local_cubic.json"),
+    "verify_gb_exgb": ("verify", "tests/goldens/gb_exgb.json"),
+}
+
+# one case per subcommand not covered under -O above (solve is)
+OPTIMIZED = (
+    "gb_exgb",
+    "rank_example",
+    "minrank_ks",
+    "rank_decode_linearization",
+    "solve_local_cubic",
+    "verify_gb_exgb",
+)
+
+
+def golden(name: str) -> str:
+    return (GOLDENS / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_matches_golden(name, capsys, monkeypatch):
+    monkeypatch.chdir(REPO)
+    assert run_cli(capsys, *CASES[name]) == (0, golden(name))
+
+
+@pytest.mark.parametrize("name", OPTIMIZED)
+def test_cli_matches_golden_under_optimize_flag(name):
+    assert run_python("-O", "-m", "chainring.cli", *CASES[name]) == golden(name)

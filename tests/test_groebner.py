@@ -1,6 +1,11 @@
+import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainring.errors import EqualInputs, WrongOrder, ZeroIdeal
 from chainring.groebner import (
@@ -14,6 +19,7 @@ from chainring.groebner import (
 )
 from chainring.oracles import brute_ideal_slice
 from chainring.polys import MonomialOrder, PolyRing, strong_reduce
+from chainring.rings import Zpk, galois_ring
 from chainring.solve import ring_vanishing_polynomial
 
 
@@ -250,20 +256,41 @@ def test_every_buchberger_output_verifies(z4, z8, z9):
             assert verify_groebner(G)
 
 
-def test_optional_criteria_match_baseline(z8):
-    random.seed(41)
-    P = PolyRing(z8, ("x", "y"), "lex")
-    elems = list(z8.elements())
-    for _ in range(10):
-        F = [
-            P.poly(
-                {
-                    (random.randrange(3), random.randrange(3)): random.choice(elems)
-                    for _ in range(3)
-                }
-            )
-            for _ in range(2)
-        ]
-        base = buchberger(F, P, use_criteria=False)
-        fast = buchberger(F, P, use_criteria=True)
-        assert tuple(base.generators) == tuple(fast.generators)
+GOLDEN_BASES = Path(__file__).resolve().parent / "goldens" / "buchberger_bases.json"
+RINGS = {"z4": Zpk(2, 2), "z8": Zpk(2, 3), "z9": Zpk(3, 2), "z25": Zpk(5, 2), "gr42": galois_ring(2, 2, 2)}
+
+
+def test_buchberger_matches_golden_bases():
+    # seeded systems over each ring, in lex and degrevlex, with 2 and 3
+    # variables; the bases were computed without the coprime criterion
+    cases = json.loads(GOLDEN_BASES.read_text())
+    assert len(cases) == 80
+    for case in cases:
+        P = PolyRing(RINGS[case["ring"]], tuple(case["vars"]), case["order"])
+        F = [P.poly_from_json(f) for f in case["input"]]
+        G = buchberger(F, P)
+        assert [P.poly_to_json(g) for g in G.generators] == case["basis"], case
+
+
+@st.composite
+def random_systems(draw):
+    R = RINGS[draw(st.sampled_from(sorted(RINGS)))]
+    nvars = draw(st.sampled_from((2, 3)))
+    P = PolyRing(R, ("x", "y", "z")[:nvars], draw(st.sampled_from(("lex", "degrevlex"))))
+    max_degree = 4 if nvars == 2 else 2
+    monomials = [e for e in itertools.product(range(3), repeat=nvars) if sum(e) <= max_degree]
+    elems = list(R.elements())
+    term = st.tuples(st.sampled_from(monomials), st.sampled_from(elems))
+    polys = draw(
+        st.lists(st.lists(term, min_size=1, max_size=3), min_size=1, max_size=3)
+    )
+    return P, [P.poly(dict(terms)) for terms in polys]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(random_systems())
+def test_buchberger_property(system):
+    P, F = system
+    G = buchberger(F, P)
+    assert verify_groebner(G)
+    assert all(G.contains(f) for f in F)

@@ -6,6 +6,7 @@ import pytest
 from chainring.errors import (
     BadGenerator,
     ComponentMismatch,
+    InternalInvariant,
     NotAUnit,
     ZeroElement,
 )
@@ -209,3 +210,11 @@ def test_frobenius_lifting_path_matches_enumeration(z9):
             a = z9.pow(a, z9.q)
         lifted.append(a)
     assert sorted(lifted, key=z9.sort_key) == list(by_filter)
+
+
+def test_broken_teichmuller_set_raises_internal_invariant(monkeypatch):
+    # an explicit error, not an assert, so it holds under python -O
+    R = Zpk(2, 3)
+    monkeypatch.setattr(R, "pow", lambda a, e: R.one)
+    with pytest.raises(InternalInvariant):
+        R.teichmuller_set()

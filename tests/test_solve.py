@@ -258,7 +258,8 @@ def test_product_ring_truncation_lists_cap_plus_one():
     ]
 
 
-@pytest.mark.parametrize("cap, listed", [(1, 1), (10, 7), (100, 55)])
+# z does not occur in 2*x*y, so every listed entry leaves it free
+@pytest.mark.parametrize("cap, listed", [(1, 1), (10, 1), (100, 7)])
 def test_solution_cap_trips_on_running_total(z8, cap, listed):
     P = PolyRing(z8, ("x", "y", "z"), "lex")
     system = [P.parse("2*x*y")]
@@ -267,8 +268,19 @@ def test_solution_cap_trips_on_running_total(z8, cap, listed):
     assert len(sol.solutions) == listed
     full = solve_system(system, max_solutions=1000)
     assert not full.truncated
+    assert len(full.solutions) == 18
     assert full.count() == 256
     assert SolutionSet(z8, sol.variables, sol.solutions).explicit() <= full.explicit()
+
+
+def test_coordinate_absent_from_basis_stays_free(z8):
+    # x is eliminated last, after the three coordinates the system leaves free
+    P = PolyRing(z8, ("x", "y", "z", "u"), "lex")
+    system = [P.parse("x^2 - x")]
+    sol = solve_system(system)
+    assert sol.to_json()["solutions"] == [[0, "*", "*", "*"], [1, "*", "*", "*"]]
+    assert sol.count() == 1024
+    assert sol.explicit() == brute_solve(system).explicit()
 
 
 def test_solution_set_cap(z8):
