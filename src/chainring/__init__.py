@@ -78,20 +78,18 @@ from .localring import (
     expand_system,
     quotient_presentation,
     solve_local_system,
-    validate_presentation,
 )
 from .extension import (
     GaloisExtension,
     PluckerCoordinates,
     ProductExtension,
     build_extension,
-    frobenius_apply,
     matrix_representation,
     plucker_coordinates,
     vector_rank,
     vector_support,
 )
-from .skew import SkewPoly, annihilator, skew_multiply
+from .skew import SkewPoly, annihilator
 from .minrank import (
     MinRankInstance,
     ks_model,
@@ -105,7 +103,6 @@ from .rankdecode import (
     RankDecodingInstance,
     decode,
     key_equation_model,
-    sm_rd_model,
     solve_key_groebner,
     solve_key_linearization,
     to_minrank,

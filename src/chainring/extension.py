@@ -187,10 +187,6 @@ def build_extension(base: ChainRing, m: int) -> GaloisExtension:
     raise DomainError("no primitive polynomial found")
 
 
-def frobenius_apply(ext: GaloisExtension, x: RingElement, l: int = 1) -> RingElement:
-    return ext.frobenius(x, l)
-
-
 # -- vectors over the extension -------------------------------------------------
 
 

@@ -246,13 +246,6 @@ def _residue_degree(base: ChainRing) -> int:
     return d
 
 
-def validate_presentation(pres: LocalRingPresentation):
-    """Raise NotARing with the failing axiom, or return None when consistent."""
-    problem = pres.first_violation()
-    if problem is not None:
-        raise NotARing(problem)
-
-
 def quotient_presentation(p: int, k: int, f_coeffs: Sequence[int], t: int) -> LocalRingPresentation:
     """Presentation of Z_{p^k}[X]/(f(X), p^t * X) with theta = X.
 

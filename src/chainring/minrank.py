@@ -205,11 +205,19 @@ def _z_subset_name(subset: tuple[int, ...]) -> str:
     return "z" + "_".join(str(j + 1) for j in subset)
 
 
-def sm_model(inst: MinRankInstance) -> SMModel:
-    """For every row i and (r+1)-subset J', the alternating-sign relation
-    between M_x entries and the Plücker variables z_J."""
+def sm_model(inst: MinRankInstance, unit_subset: Sequence[int]) -> SMModel:
+    """For every (r+1)-subset J' and row i, the alternating-sign relation
+    between M_x entries and the Plücker variables z_J, with z_J := 1 for
+    J = unit_subset (the unit case split).
+
+    When rank(M_x) <= r, row(M_x) lies in a free rank-r module, which has a
+    unit maximal minor; scaled by its inverse, that module's Plücker
+    coordinates solve the model for J = that minor's columns.  Looping J over
+    every r-subset therefore loses no solution.  The unit coordinate's
+    variable stays in the ring.  A target rank above n is read as n.
+    """
     m, n = inst.shape
-    r = inst.r
+    r = min(inst.r, n)
     k = inst.k
     R = inst.ring
     subsets = tuple(itertools.combinations(range(n), r))
@@ -219,14 +227,18 @@ def sm_model(inst: MinRankInstance) -> SMModel:
     z_index = {s: i for i, s in enumerate(subsets)}
     z_vars = tuple(range(len(subsets)))
     x_vars = tuple(range(len(subsets), len(subsets) + k))
+    unit_subset = tuple(unit_subset)
+    if unit_subset not in z_index:
+        raise DomainError("unit_subset must be r increasing column indices")
+    z = {s: ring.one if s == unit_subset else ring.gen(i) for s, i in z_index.items()}
+    entries = [[_mx_entry(inst, ring, x_vars, i, j) for j in range(n)] for i in range(m)]
 
     equations = []
-    for i in range(m):
-        for bigset in itertools.combinations(range(n), r + 1):
+    for bigset in itertools.combinations(range(n), r + 1):
+        for row in entries:
             eq = ring.zero
             for s, j in enumerate(bigset):
-                rest = tuple(c for c in bigset if c != j)
-                term = _mx_entry(inst, ring, x_vars, i, j) * ring.gen(z_index[rest])
+                term = row[j] * z[tuple(c for c in bigset if c != j)]
                 eq = eq + (term if s % 2 == 0 else -term)
             equations.append(eq)
     return SMModel(ring, tuple(equations), subsets, x_vars, z_vars)
@@ -313,7 +325,9 @@ def solve_minrank(
         )
         models = (ks_model(inst, sub) for sub in subsets)
     elif strategy == "sm-groebner":
-        models = (sm_model(inst),)
+        n = inst.shape[1]
+        subsets = itertools.combinations(range(n), min(inst.r, n))
+        models = (sm_model(inst, sub) for sub in subsets)
     elif strategy == "sm-linearization":
         return solve_sm_linearization(inst)
     else:

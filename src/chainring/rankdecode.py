@@ -2,8 +2,10 @@
 
 Four solver routes, all re-verified against the rank bound: the skew
 key-equation solved by linearization (Hermite form) or by Gröbner expansion
-over the base ring, the Support-Minors modeling with Plücker variables, and
-the reduction to MinRank.  Product extensions split through the CRT.
+over the base ring, and the reduction to MinRank solved by Kipnis-Shamir or
+by Support-Minors.  Support-Minors has one model, minrank.sm_model: decoding
+reduces to MinRank and splits on a unit Plücker coordinate there.  Product
+extensions split through the CRT.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .linalg import RingMatrix, hermite_form
 from .minrank import MinRankInstance, solve_minrank
 from .polys import MultiPoly, PolyRing
 from .rings import RingElement
-from .solve import auto_field_equations, crt_join, enumeration_budget, x_block_solutions
+from .solve import crt_join, enumeration_budget, x_block_solutions
 
 
 @dataclass(frozen=True)
@@ -145,7 +147,7 @@ def minrank_x_to_codeword_x(
     return tuple(out)
 
 
-# -- shared expansion helpers ------------------------------------------------------
+# -- key-equation expansion helpers ------------------------------------------------
 
 
 def _x_names(k: int, m: int) -> list[str]:
@@ -174,110 +176,15 @@ def expand_to_base(poly: MultiPoly, target: PolyRing) -> list[MultiPoly]:
     return [target.poly(terms) for terms in coords]
 
 
-# -- Support-Minors modeling -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SMRDModel:
-    s_ring: PolyRing
-    s_equations: tuple[MultiPoly, ...]
-    r_ring: PolyRing
-    r_equations: tuple[MultiPoly, ...]
-    subsets: tuple[tuple[int, ...], ...]
-    z_vars: tuple[int, ...]
-    x_vars: tuple[int, ...]
-    unit_subset: tuple[int, ...] | None
-
-
-def sm_rd_model(
-    rd: RankDecodingInstance, unit_subset: Sequence[int] | None = None
-) -> SMRDModel:
-    """Alternating relations between (xG - y) entries and Plücker variables,
-    expanded over R in the alpha basis.
-
-    The z_J are single R-valued unknowns; x_i splits into m coordinates.
-    With unit_subset = J the coordinate z_J is normalized to 1 (the unit
-    case split; Plücker coordinates are unique up to a unit factor).
-    """
-    if isinstance(rd.ext, ProductExtension):
-        raise DomainError("split product instances before modeling")
-    S: GaloisExtension = rd.ext
-    base = S.base
-    m = S.degree
-    r = rd.radius
-    n = rd.n
-    k = rd.k
-    subsets = tuple(itertools.combinations(range(n), r))
-    z_names = ["z" + "_".join(str(j + 1) for j in s) if s else "z0" for s in subsets]
-    x_names = _x_names(k, m)
-    names = z_names + x_names
-    s_ring = PolyRing(S, names, "lex")
-    r_ring = PolyRing(base, names, "lex")
-    z_vars = tuple(range(len(subsets)))
-    x_vars = tuple(range(len(subsets), len(names)))
-    z_index = {s: i for i, s in enumerate(subsets)}
-    unit_idx = None
-    if unit_subset is not None:
-        unit_idx = z_index[tuple(unit_subset)]
-
-    def zvar_poly(subset):
-        idx = z_index[subset]
-        if idx == unit_idx:
-            return s_ring.one
-        return s_ring.gen(idx)
-
-    # (xG - y)_j as an S-coefficient polynomial in the x-coordinates
-    alpha_pows = [S.pow(S.alpha, u) for u in range(m)]
-    xg_minus_y = []
-    for j in range(n):
-        acc = s_ring.constant(S.neg(rd.received[j]))
-        for i in range(k):
-            gij = rd.generator[i][j]
-            for u in range(m):
-                c = S.mul(alpha_pows[u], gij)
-                if not c.is_zero():
-                    acc = acc + s_ring.gen(x_vars[i * m + u]).scale(c)
-        xg_minus_y.append(acc)
-
-    s_equations = []
-    for bigset in itertools.combinations(range(n), r + 1):
-        eq = s_ring.zero
-        for s_pos, j in enumerate(bigset):
-            rest = tuple(c for c in bigset if c != j)
-            term = xg_minus_y[j] * zvar_poly(rest)
-            eq = eq + (term if s_pos % 2 == 0 else -term)
-        s_equations.append(eq)
-    r_equations = []
-    for eq in s_equations:
-        r_equations.extend(expand_to_base(eq, r_ring))
-    return SMRDModel(
-        s_ring,
-        tuple(s_equations),
-        r_ring,
-        tuple(r_equations),
-        subsets,
-        z_vars,
-        x_vars,
-        tuple(unit_subset) if unit_subset is not None else None,
-    )
+# -- Support-Minors through the MinRank reduction ----------------------------------
 
 
 def solve_sm_rd(
     rd: RankDecodingInstance, field_equations: bool | None = None
 ) -> list[tuple[RingElement, ...]]:
-    """All x recovered from the SM model, one unit-z_J case at a time."""
-    use_fm = auto_field_equations(rd.ext.base, field_equations)
-    models = (
-        sm_rd_model(rd, subset)
-        for subset in itertools.combinations(range(rd.n), rd.radius)
-    )
-    return _verified_xs(
-        rd,
-        itertools.chain.from_iterable(
-            x_block_solutions(model.r_ring, model.r_equations, model.x_vars, use_fm)
-            for model in models
-        ),
-    )
+    """All x recovered from the Support-Minors model of to_minrank(rd), one
+    unit Plücker coordinate at a time."""
+    return _verified_xs(rd, solve_minrank(to_minrank(rd), "sm-groebner", field_equations))
 
 
 def _verified_xs(rd: RankDecodingInstance, x_flats) -> list[tuple[RingElement, ...]]:
@@ -299,8 +206,8 @@ def _verified_xs(rd: RankDecodingInstance, x_flats) -> list[tuple[RingElement, .
 @dataclass(frozen=True)
 class KeyEquationSystem:
     """sum_l z_l sigma^l(y) = sum_l z_l sigma^l(xG) with z_r = 1, plus its
-    R-expansion (x~ (x) z~) A + x~ B + z~ C + D = 0 in the Kronecker layout
-    x~ = (x_{1,1}..x_{k,m}), z~ = (z_{0,1}..z_{r-1,m})."""
+    coordinates over R in the alpha basis, bilinear in
+    x~ = (x_{1,1}..x_{k,m}) and z~ = (z_{0,1}..z_{r-1,m})."""
 
     rd: RankDecodingInstance
     s_ring: PolyRing
@@ -309,10 +216,6 @@ class KeyEquationSystem:
     r_equations: tuple[MultiPoly, ...]
     z_vars: tuple[int, ...]
     x_vars: tuple[int, ...]
-    a: RingMatrix
-    b: RingMatrix
-    c: RingMatrix
-    d: RingMatrix
 
 
 def key_equation_model(rd: RankDecodingInstance) -> KeyEquationSystem:
@@ -363,29 +266,6 @@ def key_equation_model(rd: RankDecodingInstance) -> KeyEquationSystem:
     for eq in s_equations:
         r_equations.extend(expand_to_base(eq, r_ring))
 
-    # coefficient matrices of the expansion, mn columns
-    km, rm = k * m, r * m
-    cols = n * m
-    a_rows = [[base.zero] * cols for _ in range(km * rm)]
-    b_rows = [[base.zero] * cols for _ in range(km)]
-    c_rows = [[base.zero] * cols for _ in range(rm)]
-    d_row = [base.zero] * cols
-    for e_idx, eq in enumerate(r_equations):
-        for exps, coeff in eq.terms:
-            zs = [(i, exps[v]) for i, v in enumerate(z_vars) if exps[v]]
-            xs = [(i, exps[v]) for i, v in enumerate(x_vars) if exps[v]]
-            deg = sum(e for _, e in zs) + sum(e for _, e in xs)
-            if deg == 0:
-                d_row[e_idx] = base.add(d_row[e_idx], coeff)
-            elif deg == 1 and xs:
-                b_rows[xs[0][0]][e_idx] = base.add(b_rows[xs[0][0]][e_idx], coeff)
-            elif deg == 1 and zs:
-                c_rows[zs[0][0]][e_idx] = base.add(c_rows[zs[0][0]][e_idx], coeff)
-            elif deg == 2 and len(xs) == 1 and len(zs) == 1:
-                row = xs[0][0] * rm + zs[0][0]
-                a_rows[row][e_idx] = base.add(a_rows[row][e_idx], coeff)
-            else:
-                raise DomainError("key equation expansion is not bilinear")
     return KeyEquationSystem(
         rd,
         s_ring,
@@ -394,10 +274,6 @@ def key_equation_model(rd: RankDecodingInstance) -> KeyEquationSystem:
         tuple(r_equations),
         z_vars,
         x_vars,
-        RingMatrix(base, a_rows) if a_rows else RingMatrix.zeros(base, 0, cols),
-        RingMatrix(base, b_rows),
-        RingMatrix(base, c_rows) if c_rows else RingMatrix.zeros(base, 0, cols),
-        RingMatrix(base, [d_row]),
     )
 
 

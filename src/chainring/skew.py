@@ -132,10 +132,6 @@ class SkewPoly:
         return cls(ext, [ext.element_from_json(c) for c in obj["coeffs"]])
 
 
-def skew_multiply(f: SkewPoly, g: SkewPoly) -> SkewPoly:
-    return f * g
-
-
 def annihilator(ext: GaloisExtension, u: Sequence[RingElement], r: int) -> SkewPoly:
     """The canonical monic degree-r skew polynomial with f(u) = 0.
 

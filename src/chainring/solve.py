@@ -358,7 +358,7 @@ def solve_system(
         found.append(sol)
         emitted[0] += R.size ** sum(x is ALL_OF_RING for x in sol)
 
-    def rec(system: list[MultiPoly], remaining: list[int], assignment: dict):
+    def rec(system: list[MultiPoly], remaining: list[int], assignment: dict, is_basis: bool):
         system = [p for p in system if not p.is_zero()]
         if any(p.is_constant() for p in system):
             return  # nonzero constant: dead branch
@@ -366,8 +366,9 @@ def solve_system(
             emit(assignment)
             return
         last = remaining[-1]
-        if len(remaining) > 1 and system:
+        if len(remaining) > 1 and system and not is_basis:
             system = list(buchberger(system, ring).generators)
+            is_basis = True
         if any(last in g.vars_used() for g in system):
             roots = univariate_roots([g for g in system if g.vars_used() <= {last}], last)
             candidates = list(R.elements()) if roots is ALL_OF_RING else roots
@@ -376,15 +377,17 @@ def solve_system(
             candidates = [ALL_OF_RING]
         for c in candidates:
             assignment[last] = c
-            specialized = system if c is ALL_OF_RING else [g.substitute(last, c) for g in system]
-            rec(specialized, remaining[:-1], assignment)
+            if c is ALL_OF_RING:  # the basis is unchanged
+                rec(system, remaining[:-1], assignment, is_basis)
+            else:
+                rec([g.substitute(last, c) for g in system], remaining[:-1], assignment, False)
             del assignment[last]
             if truncated[0]:
                 return
         if len(remaining) == 1 and emitted[0] > max_solutions:
             truncated[0] = True
 
-    rec(work, list(ring.order.priority), {})
+    rec(work, list(ring.order.priority), {}, False)
     solutions = frozenset(found)
     _verify_solutions(ring, original, solutions)
     return SolutionSet(R, ring.variables, solutions, truncated[0], max_solutions)

@@ -266,8 +266,7 @@ _DECODE = (
 )
 _MINRANK = ("minrank", "--instance", "instances/minrank_rank1.json", "--strategy")
 
-# golden name -> argv; rank-decode's sm and minrank-ks strategies take seconds
-# each and are left out
+# golden name -> argv
 CASES = {
     "gb_exgb": ("gb", "instances/exgb.json", "--text"),
     "gb_exgb_lex_yx_field": (
@@ -283,6 +282,8 @@ CASES = {
     "rank_decode": _DECODE,
     "rank_decode_linearization": _DECODE + ("--strategy", "linearization"),
     "rank_decode_groebner": _DECODE + ("--strategy", "groebner"),
+    "rank_decode_sm": _DECODE + ("--strategy", "sm"),
+    "rank_decode_minrank_ks": _DECODE + ("--strategy", "minrank-ks"),
     "solve_local_cubic": ("solve-local", "instances/local_cubic.json"),
     "verify_gb_exgb": ("verify", "tests/goldens/gb_exgb.json"),
 }

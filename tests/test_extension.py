@@ -7,7 +7,6 @@ from chainring.extension import (
     ProductExtension,
     build_extension,
     extension_from_json,
-    frobenius_apply,
     matrix_representation,
     plucker_coordinates,
     vector_rank,
@@ -39,7 +38,7 @@ def test_degree_one_extension(z8):
     S = build_extension(z8, 1)
     assert S.size == 8
     x = S.from_int(5)
-    assert frobenius_apply(S, x) == x
+    assert S.frobenius(x) == x
 
 
 def test_extension_of_z4(z4, ext42):
@@ -55,21 +54,21 @@ def test_extension_of_z4(z4, ext42):
 def test_frobenius_properties(ext83, z8):
     S = ext83
     a = S.alpha
-    assert frobenius_apply(S, a) == S.pow(a, 2)
-    assert frobenius_apply(S, S.from_int(5)) == S.from_int(5)
+    assert S.frobenius(a) == S.pow(a, 2)
+    assert S.frobenius(S.from_int(5)) == S.from_int(5)
     rng = random.Random(1)
     elems = list(S.elements())
     for _ in range(50):
         x = rng.choice(elems)
-        assert frobenius_apply(S, x, 3) == x
-        assert frobenius_apply(S, frobenius_apply(S, x, -1)) == x
+        assert S.frobenius(x, 3) == x
+        assert S.frobenius(S.frobenius(x, -1)) == x
     for _ in range(30):
         x, y = rng.choice(elems), rng.choice(elems)
-        assert frobenius_apply(S, S.add(x, y)) == S.add(
-            frobenius_apply(S, x), frobenius_apply(S, y)
+        assert S.frobenius(S.add(x, y)) == S.add(
+            S.frobenius(x), S.frobenius(y)
         )
-        assert frobenius_apply(S, S.mul(x, y)) == S.mul(
-            frobenius_apply(S, x), frobenius_apply(S, y)
+        assert S.frobenius(S.mul(x, y)) == S.mul(
+            S.frobenius(x), S.frobenius(y)
         )
 
 

@@ -10,7 +10,6 @@ from chainring.localring import (
     presentation_from_json,
     quotient_presentation,
     solve_local_system,
-    validate_presentation,
 )
 from chainring.polys import PolyRing
 from chainring.rings import Zpk
@@ -23,7 +22,7 @@ def paper_ring():
 
 
 def test_quotient_presentation_valid(paper_ring):
-    validate_presentation(paper_ring)
+    assert paper_ring.first_violation() is None
     assert paper_ring.size == 16
     assert paper_ring.ann_exponents == (3, 1)
     theta = paper_ring.basis_element(1)
@@ -33,7 +32,7 @@ def test_quotient_presentation_valid(paper_ring):
 
 def test_degenerate_chain_case():
     pres = quotient_presentation(2, 3, [1, 1], 3)  # f = X + 1, R = Z8
-    validate_presentation(pres)
+    assert pres.first_violation() is None
     assert pres.size == 8
     assert pres.gamma_count == 1
 

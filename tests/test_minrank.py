@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from chainring.errors import Inconclusive
+from chainring.errors import DomainError, Inconclusive
 from chainring.linalg import RingMatrix, rank, reduced_row_echelon
 from chainring.minrank import (
     MinRankInstance,
@@ -14,7 +14,7 @@ from chainring.minrank import (
     transpose_instance,
 )
 from chainring.oracles import brute_minrank
-from chainring.rings import integer_ring
+from chainring.rings import Zpk, integer_ring
 
 
 def as_ints(solutions):
@@ -93,11 +93,21 @@ def test_sm_model_trivial_cases(z8, homogeneous_minrank_z8):
     # r = n leaves no (r+1)-subsets
     M = RingMatrix.identity(z8, 2)
     inst = MinRankInstance(z8, (M,), 2)
-    model = sm_model(inst)
+    model = sm_model(inst, (0, 1))
     assert model.equations == ()
+    # a target rank above n is n: every x qualifies
+    above = MinRankInstance(z8, (M,), 3)
+    assert sm_model(above, (0, 1)).equations == ()
+    assert len(solve_minrank(above, "sm-groebner")) == 8
 
-    model2 = sm_model(homogeneous_minrank_z8)
+    model2 = sm_model(homogeneous_minrank_z8, (0,))
     assert len(model2.equations) == 4 * 6  # m rows x C(4,2) subsets
+    # the unit coordinate is 1: its variable stays in the ring but is unused
+    assert model2.poly_ring.variables[0] == "z1"
+    assert all(0 not in eq.vars_used() for eq in model2.equations)
+
+    with pytest.raises(DomainError):
+        sm_model(homogeneous_minrank_z8, (0, 1))
 
 
 def test_all_zero_matrices(z8):
@@ -185,14 +195,13 @@ def test_ks_model_solutions_respect_rank_bound(homogeneous_minrank_z8, z8):
 
 def test_sm_model_unit_solutions_respect_rank_bound(homogeneous_minrank_z8, z8):
     # SM zeros certify the rank bound once some z_J is a unit (over a chain
-    # ring every genuine Plücker tuple has a unit coordinate)
-    model = sm_model(homogeneous_minrank_z8)
+    # ring every genuine Plücker tuple has a unit coordinate); the unit case
+    # split sets z_J = 1 for J = (1,)
+    model = sm_model(homogeneous_minrank_z8, (1,))
     rng = random.Random(13)
     found = 0
     while found < 5:
         point = [z8.element(rng.randrange(8)) for _ in range(7)]
-        if not any(z.is_unit() for z in point[:4]):
-            continue
         if all(eq.evaluate(point).is_zero() for eq in model.equations):
             x = point[4:]
             assert rank(homogeneous_minrank_z8.mx(x)) <= 1
@@ -238,3 +247,31 @@ def test_product_ring_z12_groebner_strategies_match_brute(strategy):
         assert found == brute_minrank(inst)
         counts.append(len(found))
     assert counts == [30, 60, 2, 8, 6, 6, 63, 30, 7, 18]
+
+
+def planted_rank_one(rng, R, m=3, n=3, k=2):
+    """M0 = u v^T - sum x_l M_l with random M_l, so x is a solution."""
+    def el():
+        return R.element(rng.randrange(R.size))
+
+    mats = tuple(RingMatrix(R, [[el() for _ in range(n)] for _ in range(m)]) for _ in range(k))
+    x = tuple(el() for _ in range(k))
+    u = [el() for _ in range(m)]
+    v = [el() for _ in range(n)]
+    m0 = RingMatrix(R, [[R.mul(a, b) for b in v] for a in u])
+    for xl, M in zip(x, mats):
+        m0 = m0 - M.scale(xl)
+    return MinRankInstance(R, mats, 1, m0), x
+
+
+@pytest.mark.parametrize("p, e", [(3, 2), (2, 3)])
+def test_sm_groebner_matches_brute_on_planted_instances(p, e):
+    # the unit case split keeps the model from being solved by z = 0, so the
+    # elimination ideal pins x; checked against the brute-force oracle
+    R = Zpk(p, e)
+    rng = random.Random(500 + p)
+    for _ in range(3):
+        inst, x = planted_rank_one(rng, R)
+        found = solve_minrank(inst, "sm-groebner")
+        assert found == brute_minrank(inst)
+        assert x in found

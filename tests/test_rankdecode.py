@@ -7,7 +7,7 @@ from chainring.errors import Inconclusive, MultipleSolutions, NoSolution
 from chainring.extension import ProductExtension, build_extension, vector_rank
 from chainring.groebner import buchberger
 from chainring.linalg import hermite_form
-from chainring.minrank import solve_minrank
+from chainring.minrank import sm_model, solve_minrank
 from chainring.oracles import brute_decode_set
 from chainring.rankdecode import (
     RankDecodingInstance,
@@ -15,7 +15,6 @@ from chainring.rankdecode import (
     key_equation_model,
     linearization_matrix,
     minrank_x_to_codeword_x,
-    sm_rd_model,
     solve_key_groebner,
     solve_key_linearization,
     solve_sm_rd,
@@ -158,24 +157,24 @@ def test_key_equation_groebner_golden(decoding_instance, decoded_x):
 
 
 PRINTED_SM_SYSTEM = [
-    "-z2*x0+3*z2+2*x0+2*x1+5*x2+2",
-    "-z2*x1+3*z2+x0+x2+1",
-    "-z2*x2+4*z2+2*x0+5*x1+2*x2+3",
-    "-z3*x0+3*z3+x1+5*x2+3",
-    "-z3*x1+3*z3+3*x0+3*x1+4",
-    "-z3*x2+4*z3+x0+5*x1+5*x2+6",
-    "z2*x1+5*z2*x2+3*z2+6*z3*x0+6*z3*x1+3*z3*x2+6*z3",
-    "3*z2*x0+3*z2*x1+4*z2-z3*x0-z3*x2-z3",
-    "z2*x0+5*z2*x1+5*z2*x2+6*z2+6*z3*x0+3*z3*x1+6*z3*x2+5*z3",
+    "-z2*x1+3*z2+2*x1+2*x2+5*x3+2",
+    "-z2*x2+3*z2+x1+x3+1",
+    "-z2*x3+4*z2+2*x1+5*x2+2*x3+3",
+    "-z3*x1+3*z3+x2+5*x3+3",
+    "-z3*x2+3*z3+3*x1+3*x2+4",
+    "-z3*x3+4*z3+x1+5*x2+5*x3+6",
+    "z2*x2+5*z2*x3+3*z2+6*z3*x1+6*z3*x2+3*z3*x3+6*z3",
+    "3*z2*x1+3*z2*x2+4*z2-z3*x1-z3*x3-z3",
+    "z2*x1+5*z2*x2+5*z2*x3+6*z2+6*z3*x1+3*z3*x2+6*z3*x3+5*z3",
 ]
 
 
-def test_sm_rd_model_matches_printed_system(decoding_instance):
-    model = sm_rd_model(decoding_instance, unit_subset=(0,))
-    assert len(model.r_equations) == 9
-    assert model.r_ring.variables == ("z1", "z2", "z3", "x0", "x1", "x2")
-    printed = {canonical(model.r_ring.parse(t)) for t in PRINTED_SM_SYSTEM}
-    mine = {canonical(eq) for eq in model.r_equations}
+def test_sm_model_of_the_reduction_matches_printed_system(decoding_instance):
+    model = sm_model(to_minrank(decoding_instance), (0,))
+    assert len(model.equations) == 9
+    assert model.poly_ring.variables == ("z1", "z2", "z3", "x1", "x2", "x3")
+    printed = {canonical(model.poly_ring.parse(t)) for t in PRINTED_SM_SYSTEM}
+    mine = {canonical(eq) for eq in model.equations}
     assert mine == printed
 
 
@@ -184,8 +183,7 @@ def test_sm_rd_empty_for_radius_n(ext83):
     g = (S.one, S.alpha)
     y = (S.zero, S.one)
     rd = RankDecodingInstance(S, (g,), y, 2)
-    model = sm_rd_model(rd)
-    assert model.s_equations == ()
+    assert sm_model(to_minrank(rd), (0, 1)).equations == ()
 
 
 def test_sm_rd_solver(decoding_instance, decoded_x):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from chainring.errors import InternalInvariant, TooLarge
+from chainring.groebner import buchberger
 from chainring.oracles import brute_solve, brute_vanishing_poly
 from chainring.polys import MonomialOrder, PolyRing
 from chainring.rings import Zpk, integer_ring
@@ -273,11 +274,22 @@ def test_solution_cap_trips_on_running_total(z8, cap, listed):
     assert SolutionSet(z8, sol.variables, sol.solutions).explicit() <= full.explicit()
 
 
-def test_coordinate_absent_from_basis_stays_free(z8):
-    # x is eliminated last, after the three coordinates the system leaves free
+def test_coordinate_absent_from_basis_stays_free(z8, monkeypatch):
+    # x is eliminated last, after the three coordinates the system leaves free;
+    # they leave the lex basis unchanged, so it is computed once
+    import chainring.solve as solve_module
+
+    calls = []
+
+    def counting(polys, ring=None):
+        calls.append(len(polys))
+        return buchberger(polys, ring)
+
+    monkeypatch.setattr(solve_module, "buchberger", counting)
     P = PolyRing(z8, ("x", "y", "z", "u"), "lex")
     system = [P.parse("x^2 - x")]
     sol = solve_system(system)
+    assert len(calls) == 1
     assert sol.to_json()["solutions"] == [[0, "*", "*", "*"], [1, "*", "*", "*"]]
     assert sol.count() == 1024
     assert sol.explicit() == brute_solve(system).explicit()
