@@ -181,7 +181,10 @@ def _cmd_minrank(args) -> int:
         fe = True
     elif args.no_field_equations:
         fe = False
-    sols = solve_minrank(inst, strategy=args.strategy, field_equations=fe)
+    if args.strategy == "brute":
+        sols = brute_minrank(inst)
+    else:
+        sols = solve_minrank(inst, strategy=args.strategy, field_equations=fe)
     result = {
         "solutions": [[inst.ring.element_to_json(v) for v in x] for x in sols],
         "strategy": args.strategy,

@@ -1,23 +1,27 @@
 """MinRank instances over chain rings/PIRs with Kipnis-Shamir and
 Support-Minors modelings and solvers.
 
-Every solver re-verifies each candidate with an actual rank computation, so
-the permutation schedule / unit case split can only lose completeness, never
-soundness; completeness is certified against the brute-force oracle in the
-tests (the paper leaves a selection rule open).
+All three strategies share one loop over models: ks over its Z'
+placements, sm-groebner and sm-linearization over the unit Plücker
+coordinate of sm_model.  Only the step that solves a model's x block
+differs: lex elimination, or the x-only rows of the Macaulay matrix.  Every
+candidate is re-verified with an actual rank computation, so a modeling can
+lose completeness but never soundness.  The unit split loses no solution;
+the ks schedule's completeness is checked against the brute-force oracle in
+the tests (the paper leaves a selection rule open).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .errors import DomainError, Inconclusive, ParseError, ResourceExceeded
+from .errors import DomainError, Inconclusive, ParseError
 from .linalg import RingMatrix, rank, reduced_row_echelon, split_matrix
 from .polys import MultiPoly, PolyRing
 from .rings import ProductRing, Ring, RingElement, ring_from_json
-from .solve import auto_field_equations, crt_join, enumeration_budget, x_block_solutions
+from .solve import auto_field_equations, crt_join, solve_system, x_block_solutions
 
 
 @dataclass(frozen=True)
@@ -303,101 +307,79 @@ def solve_minrank(
     tuple is rank-verified.  Product-ring instances split through the CRT and
     the component solutions recombine by cartesian product (rank over a PIR
     is the max over components)."""
-    if strategy == "brute":
-        from .oracles import brute_minrank
-
-        return brute_minrank(inst)
     R = inst.ring
     if isinstance(R, ProductRing):
-        found = crt_join(
-            R,
-            [
-                solve_minrank(ci, strategy, field_equations, schedule)
-                for ci in split_instance(inst)
-            ],
-        )
-        return sorted(found, key=lambda x: tuple(R.sort_key(v) for v in x))
+        parts = split_instance(inst)
+        found = crt_join(R, [solve_minrank(c, strategy, field_equations, schedule) for c in parts])
+    else:
+        candidates = minrank_candidates(inst, strategy, field_equations, schedule)
+        found = filter(inst.is_solution, candidates)
+    return sorted(found, key=lambda x: tuple(R.sort_key(v) for v in x))
+
+
+def minrank_candidates(
+    inst: MinRankInstance,
+    strategy: str = "ks",
+    field_equations: bool | None = None,
+    schedule: Sequence[Sequence[int]] | None = None,
+) -> Iterator[tuple[RingElement, ...]]:
+    """The distinct x-block solutions of every model of a chain-ring
+    instance, unverified: a superset of the solutions the strategy finds."""
+    n = inst.shape[1]
     if strategy == "ks":
-        subsets = (
-            [tuple(s) for s in schedule]
-            if schedule is not None
-            else ks_permutation_schedule(inst.shape[1], inst.r)
-        )
+        subsets = schedule if schedule is not None else ks_permutation_schedule(n, inst.r)
         models = (ks_model(inst, sub) for sub in subsets)
-    elif strategy == "sm-groebner":
-        n = inst.shape[1]
+    elif strategy in ("sm-groebner", "sm-linearization"):
         subsets = itertools.combinations(range(n), min(inst.r, n))
         models = (sm_model(inst, sub) for sub in subsets)
-    elif strategy == "sm-linearization":
-        return solve_sm_linearization(inst)
     else:
         raise DomainError(f"unknown strategy {strategy!r}")
-    use_fm = auto_field_equations(R, field_equations)
-    found = set()
+    if strategy == "sm-linearization":
+        solve_x = macaulay_x_block
+    else:
+        use_fm = auto_field_equations(inst.ring, field_equations)
+
+        def solve_x(model):
+            return x_block_solutions(model.poly_ring, model.equations, model.x_vars, use_fm)
+
+    seen = set()
     for model in models:
-        for x in x_block_solutions(model.poly_ring, model.equations, model.x_vars, use_fm):
-            if x not in found and inst.is_solution(x):
-                found.add(x)
-    return sorted(found, key=lambda x: tuple(R.sort_key(v) for v in x))
+        for x in solve_x(model):
+            if x not in seen:
+                seen.add(x)
+                yield x
 
 
-def solve_sm_linearization(inst: MinRankInstance) -> list[tuple[RingElement, ...]]:
-    """Echelonize the linearized SM system; rows supported in a single z_J
-    block become linear conditions on x after the unit-z_J case split.
+def macaulay_x_block(model: SMModel) -> list[tuple[RingElement, ...]]:
+    """Explicit solutions of the x-only rows of the model's Macaulay matrix.
 
-    Every returned x is rank-verified, so the union over isolating blocks is
-    always sound.  When every block is isolated the union is provably
-    complete (each solution has a unit Plücker coordinate somewhere).  When
-    some blocks carry no isolating rows, a solution whose witnesses live
-    only there could be missed, so the result is certified against the
-    brute-force oracle before being reported; Inconclusive is raised when
-    nothing isolates, when certification fails, or when the instance is too
-    large to certify (the caller falls back to a Gröbner strategy).
+    The matrix holds the equations times every x-monomial of degree < b,
+    with columns in the ring's lex order, so every monomial with a z
+    variable comes before the x-only ones; its Hermite form's rows that are
+    zero on every z column are polynomials in x alone.  Each such row is an
+    R-combination of the equations, so the x block of every zero of the
+    model solves it (Bardet et al., ASIACRYPT 2020).  b = 2 is tried only
+    when b = 1 gives no x-only row.
     """
-    R = inst.ring
-    k = inst.k
-    A, subsets = sm_linearization_matrix(inst)
-    echelon = reduced_row_echelon(A)
-    bil_cols = len(subsets) * k
-    if R.size**k > enumeration_budget():
-        raise ResourceExceeded("x enumeration exceeds the budget")
-    all_x = [tuple(c) for c in itertools.product(list(R.elements()), repeat=k)]
-    found = set()
-    silent = False
-    isolated_any = False
-    for jidx in range(len(subsets)):
-        block = set(range(jidx * k, (jidx + 1) * k))
-        if not inst.homogeneous:
-            block.add(bil_cols + jidx)
-        linear_rows = []
-        for row in echelon.rows:
-            support = {c for c, v in enumerate(row) if not v.is_zero()}
-            if support and support <= block:
-                coeffs = [row[jidx * k + l] for l in range(k)]
-                const = row[bil_cols + jidx] if not inst.homogeneous else R.zero
-                linear_rows.append((coeffs, const))
-        if not linear_rows:
-            silent = True
-            continue
-        isolated_any = True
-        for x in all_x:
-            ok = True
-            for coeffs, const in linear_rows:
-                acc = const
-                for c, v in zip(coeffs, x):
-                    acc = R.add(acc, R.mul(c, v))
-                if not acc.is_zero():
-                    ok = False
-                    break
-            if ok and x not in found and inst.is_solution(x):
-                found.add(x)
-    if not isolated_any:
-        raise Inconclusive("no echelon row is supported in a single z block")
-    if silent:
-        from .oracles import brute_minrank
-
-        if set(found) != set(brute_minrank(inst)):
-            raise Inconclusive(
-                "isolated blocks do not determine the full solution set"
-            )
-    return sorted(found, key=lambda x: tuple(R.sort_key(v) for v in x))
+    ring = model.poly_ring
+    R = ring.ring
+    x_ring = PolyRing(R, [ring.variables[v] for v in model.x_vars], "lex")
+    shifts = [(0,) * ring.nvars]
+    for b in (1, 2):
+        if b == 2:
+            shifts += [tuple(int(i == v) for i in range(ring.nvars)) for v in model.x_vars]
+        rows = [eq.term_mul(s, R.one) for s in shifts for eq in model.equations]
+        monos = sorted({e for p in rows for e, _ in p.terms}, key=ring.order.key, reverse=True)
+        col = {e: c for c, e in enumerate(monos)}
+        nz = sum(1 for e in monos if any(e[v] for v in model.z_vars))
+        matrix = [[R.zero] * len(monos) for _ in rows]
+        for i, p in enumerate(rows):
+            for e, c in p.terms:
+                matrix[i][col[e]] = c
+        echelon = reduced_row_echelon(RingMatrix(R, matrix))
+        x_rows = [row[nz:] for row in echelon.rows if all(v.is_zero() for v in row[:nz])]
+        if x_rows:
+            x_monos = [tuple(e[v] for v in model.x_vars) for e in monos[nz:]]
+            polys = [x_ring.poly(zip(x_monos, row)) for row in x_rows]
+            return list(solve_system(polys).explicit())
+    raise Inconclusive("the Macaulay matrix has no x-only row at degree 2")

@@ -30,7 +30,7 @@ from .extension import (
     vector_rank,
 )
 from .linalg import RingMatrix, hermite_form
-from .minrank import MinRankInstance, solve_minrank
+from .minrank import MinRankInstance, minrank_candidates
 from .polys import MultiPoly, PolyRing
 from .rings import RingElement
 from .solve import crt_join, enumeration_budget, x_block_solutions
@@ -184,12 +184,12 @@ def solve_sm_rd(
 ) -> list[tuple[RingElement, ...]]:
     """All x recovered from the Support-Minors model of to_minrank(rd), one
     unit Plücker coordinate at a time."""
-    return _verified_xs(rd, solve_minrank(to_minrank(rd), "sm-groebner", field_equations))
+    return _verified_xs(rd, minrank_candidates(to_minrank(rd), "sm-groebner", field_equations))
 
 
 def _verified_xs(rd: RankDecodingInstance, x_flats) -> list[tuple[RingElement, ...]]:
     """The distinct x (from base-ring coordinates) within the rank bound,
-    in canonical order."""
+    in canonical order; rd.check is the only rank test each candidate gets."""
     S = rd.ext
     found = {}
     for x_flat in x_flats:
@@ -410,8 +410,7 @@ def _decode_single_strategy(rd: RankDecodingInstance, strat: str):
         except MultipleSolutions as exc:
             return list(exc.solutions)
     if strat == "minrank-ks":
-        # x ordered by S.sort_key is the MinRank order of its coordinates
-        return _verified_xs(rd, solve_minrank(to_minrank(rd), "ks"))
+        return _verified_xs(rd, minrank_candidates(to_minrank(rd), "ks"))
     raise DomainError(f"unknown strategy {strat!r}")
 
 

@@ -9,6 +9,7 @@ the tests.  Product rings split through the CRT and recombine.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -522,11 +523,11 @@ def solve_system_lifting(
         raise DomainError("empty system")
     ring = polys[0].ring
     if isinstance(ring.ring, ProductRing):
-        parts = [
-            solve_system_lifting(part, max_solutions).explicit()
-            for part in _split_polys(polys)
-        ]
-        return SolutionSet(ring.ring, ring.variables, frozenset(crt_join(ring.ring, parts)))
+        parts = [solve_system_lifting(part, max_solutions) for part in _split_polys(polys)]
+        if math.prod(s.count() for s in parts) > max_solutions:
+            raise ResourceExceeded(f"product solution set larger than cap {max_solutions}")
+        joined = crt_join(ring.ring, [s.explicit() for s in parts])
+        return SolutionSet(ring.ring, ring.variables, frozenset(joined))
     R: ChainRing = ring.ring
     k = ring.nvars
     work = [p for p in polys if not p.is_zero()]

@@ -252,6 +252,18 @@ def test_cli_import_does_not_load_numpy():
     assert out.strip() == "False"
 
 
+def test_sm_linearization_loads_neither_oracles_nor_numpy():
+    script = (
+        "import json, sys, chainring\n"
+        "from chainring.minrank import MinRankInstance, solve_minrank\n"
+        "with open('instances/minrank_rank1.json') as f:\n"
+        "    inst = MinRankInstance.from_json(json.load(f))\n"
+        "assert len(solve_minrank(inst, 'sm-linearization')) == 4\n"
+        "print('chainring.oracles' in sys.modules, 'numpy' in sys.modules)\n"
+    )
+    assert run_python("-c", script).strip() == "False False"
+
+
 # Each golden under tests/goldens/ is the stdout of one CLI invocation run from
 # the repository root.  Regenerate a golden only for an intended change of
 # output, and say why in the change log.
@@ -288,11 +300,13 @@ CASES = {
     "verify_gb_exgb": ("verify", "tests/goldens/gb_exgb.json"),
 }
 
-# one case per subcommand not covered under -O above (solve is)
+# one case per subcommand not covered under -O above (solve is), plus the
+# sm-linearization path
 OPTIMIZED = (
     "gb_exgb",
     "rank_example",
     "minrank_ks",
+    "minrank_sm_linearization",
     "rank_decode_linearization",
     "solve_local_cubic",
     "verify_gb_exgb",

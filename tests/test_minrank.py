@@ -159,10 +159,9 @@ def test_random_instances_match_brute(z4):
 
 
 def test_sm_linearization_success_implies_brute_equality(z4):
-    """Whenever the linearization strategy reports success its output is the
-    full solution set; incomplete shapes must surface as Inconclusive."""
+    """The linearization strategy settles every one of these instances, and
+    its output is the full solution set."""
     rng = random.Random(61)
-    successes = 0
     for _ in range(12):
         mats = tuple(
             RingMatrix(z4, [[rng.randrange(4) for _ in range(3)] for _ in range(2)])
@@ -170,13 +169,20 @@ def test_sm_linearization_success_implies_brute_equality(z4):
         )
         m0 = RingMatrix(z4, [[rng.randrange(4) for _ in range(3)] for _ in range(2)])
         inst = MinRankInstance(z4, mats, 1, m0)
-        try:
-            got = solve_minrank(inst, "sm-linearization")
-        except Inconclusive:
-            continue
-        successes += 1
-        assert as_ints(got) == as_ints(brute_minrank(inst))
-    assert successes >= 2
+        assert as_ints(solve_minrank(inst, "sm-linearization")) == as_ints(brute_minrank(inst))
+
+
+def test_affine_instance_sm_linearization(affine_minrank_z8):
+    # degree 1 leaves two of the three J without an x-only row; degree 2
+    # settles them
+    assert as_ints(solve_minrank(affine_minrank_z8, "sm-linearization")) == [[1, 3, 6]]
+
+
+def test_sm_linearization_without_x_only_rows_is_inconclusive(z8):
+    # r = n leaves no equations, so no Macaulay row involves x alone
+    inst = MinRankInstance(z8, (RingMatrix.identity(z8, 2),), 2)
+    with pytest.raises(Inconclusive):
+        solve_minrank(inst, "sm-linearization")
 
 
 def test_ks_model_solutions_respect_rank_bound(homogeneous_minrank_z8, z8):
@@ -275,3 +281,14 @@ def test_sm_groebner_matches_brute_on_planted_instances(p, e):
         found = solve_minrank(inst, "sm-groebner")
         assert found == brute_minrank(inst)
         assert x in found
+
+
+def test_sm_linearization_matches_brute_on_planted_instances():
+    # 40 planted instances per ring; every one is settled at degree b <= 2
+    for R in (Zpk(2, 2), Zpk(2, 3), Zpk(3, 2)):
+        rng = random.Random(900 + R.size)
+        for _ in range(40):
+            inst, x = planted_rank_one(rng, R)
+            found = solve_minrank(inst, "sm-linearization")
+            assert found == brute_minrank(inst)
+            assert x in found

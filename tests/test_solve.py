@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from chainring.errors import InternalInvariant, TooLarge
+from chainring.errors import InternalInvariant, ResourceExceeded, TooLarge
 from chainring.groebner import buchberger
 from chainring.oracles import brute_solve, brute_vanishing_poly
 from chainring.polys import MonomialOrder, PolyRing
@@ -241,6 +241,18 @@ def test_product_ring_two_variables_all_routes(n, system):
     assert lifting.to_json() == brute.to_json()
     assert brute.to_json()["count"] == count
     assert elim.explicit() == lifting.explicit() == brute.explicit()
+
+
+def test_product_ring_lifting_respects_the_cap():
+    z6 = integer_ring(6)
+    P = PolyRing(z6, ("x", "y", "z", "u"), "lex")
+    polys = [P.parse("3*x")]
+    # 8 solutions mod 2 times 81 mod 3: the join is refused before it is built
+    with pytest.raises(ResourceExceeded):
+        solve_system_lifting(polys, max_solutions=100)
+    lifting = solve_system_lifting(polys)
+    assert lifting.count() == 648
+    assert lifting.explicit() == brute_solve(polys).explicit()
 
 
 def test_product_ring_truncation_lists_cap_plus_one():
