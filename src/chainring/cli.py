@@ -17,7 +17,14 @@ from .extension import ProductExtension, extension_from_json
 from .groebner import buchberger, verify_groebner
 from .linalg import RingMatrix, rank, rank_profile, smith_normal_form
 from .minrank import MinRankInstance, solve_minrank, transpose_instance
-from .oracles import DEFAULT_BUDGET, OracleBudget, brute_minrank, brute_rank, brute_solve
+from .oracles import (
+    DEFAULT_BUDGET,
+    OracleBudget,
+    brute_decode_set,
+    brute_minrank,
+    brute_rank,
+    brute_solve,
+)
 from .polys import MonomialOrder, PolyRing
 from .rankdecode import RankDecodingInstance, decode
 from .rings import ring_from_json, parse_ring_spec
@@ -296,6 +303,7 @@ def _verify_dispatch(command: str, inp, res, budget: OracleBudget) -> list[str]:
     elif command == "rank-decode":
         rd = RankDecodingInstance.from_json(inp)
         S = rd._ring()
+        xs = []
         for sol in res["solutions"]:
             x = tuple(S.element_from_json(v) for v in sol["x"])
             c = tuple(S.element_from_json(v) for v in sol["c"])
@@ -303,7 +311,15 @@ def _verify_dispatch(command: str, inp, res, budget: OracleBudget) -> list[str]:
                 raise ChainRingError("c is not x*G")
             if not rd.check(x):
                 raise ChainRingError("error word exceeds the radius")
+            xs.append(x)
         checks.append("codewords-verified")
+        if S.size**rd.k <= budget.max_enumeration:
+            reference = brute_decode_set(rd, budget)
+            if set(xs) != set(reference):
+                raise ChainRingError("solution set differs from brute force")
+            if res["unique"] != (len(reference) == 1):
+                raise ChainRingError("the unique flag disagrees with brute force")
+            checks.append("brute-force-equality")
     elif command == "solve-local":
         pres = localring_mod.presentation_from_json(inp["ring"])
         pring = PolyRing(pres, inp["vars"], "lex")

@@ -8,8 +8,9 @@ rings are handled componentwise through the CRT and recombined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Sequence
 
 from .errors import (
     DomainError,
@@ -193,39 +194,44 @@ class SmithDecomposition:
 
 @dataclass(frozen=True)
 class HermiteDecomposition:
-    p: RingMatrix
+    """A = P @ T.  P and its inverse are built on first use from the row
+    operations that produced T, so a caller that reads only T never pays
+    for them."""
+
     t: RingMatrix
-    p_inv: RingMatrix
+    transforms: Callable[[], tuple[RingMatrix, RingMatrix]] = field(repr=False, compare=False)
+
+    @cached_property
+    def _p_pair(self) -> tuple[RingMatrix, RingMatrix]:
+        return self.transforms()
+
+    @property
+    def p(self) -> RingMatrix:
+        return self._p_pair[0]
+
+    @property
+    def p_inv(self) -> RingMatrix:
+        return self._p_pair[1]
 
 
-class _Eliminator:
-    """Mutable elimination state tracking the transform and its inverse."""
+class _RowEliminator:
+    """Mutable row-elimination state.  The row operations are logged rather
+    than applied to a transform; row_transforms replays them when asked."""
 
     def __init__(self, A: RingMatrix):
         self.R: ChainRing = A.ring
         self.d = [list(row) for row in A.rows]
         self.m = A.m
         self.n = A.n
-        self.left = [
-            [self.R.one if i == j else self.R.zero for j in range(A.m)]
-            for i in range(A.m)
-        ]  # accumulated row ops: left @ A = d (so far)
-        self.left_out = [row[:] for row in self.left]  # inverse accumulation
-        self.right = [
-            [self.R.one if i == j else self.R.zero for j in range(A.n)]
-            for i in range(A.n)
-        ]  # d = A-so-far @ right^{-1}... maintained as: A = left_out @ d @ right_out
-        self.right_out = [row[:] for row in self.right]
-
-    # row ops (applied to d and left; inverse column op on left_out)
+        # (i, j, None) swaps rows i and j, (i, j, c) adds c * row j to row i,
+        # (i, None, u) scales row i by the unit u
+        self.ops: list[tuple] = []
 
     def row_swap(self, i, j):
         if i == j:
             return
         self.d[i], self.d[j] = self.d[j], self.d[i]
-        self.left[i], self.left[j] = self.left[j], self.left[i]
-        for row in self.left_out:
-            row[i], row[j] = row[j], row[i]
+        self.ops.append((i, j, None))
 
     def row_addmul(self, i, j, c):
         """row i += c * row j."""
@@ -233,17 +239,46 @@ class _Eliminator:
         if c.is_zero():
             return
         self.d[i] = [R.add(a, R.mul(c, b)) for a, b in zip(self.d[i], self.d[j])]
-        self.left[i] = [R.add(a, R.mul(c, b)) for a, b in zip(self.left[i], self.left[j])]
-        for row in self.left_out:
-            row[j] = R.sub(row[j], R.mul(c, row[i]))
+        self.ops.append((i, j, c))
 
     def row_scale(self, i, u):
         R = self.R
-        u_inv = R.invert(u)
         self.d[i] = [R.mul(u, a) for a in self.d[i]]
-        self.left[i] = [R.mul(u, a) for a in self.left[i]]
-        for row in self.left_out:
-            row[i] = R.mul(row[i], u_inv)
+        self.ops.append((i, None, u))
+
+    def row_transforms(self) -> tuple[RingMatrix, RingMatrix]:
+        """(P, P^-1) with A = P @ d: the logged operations applied to the
+        identity as row ops (P^-1) and as inverse column ops (P)."""
+        R = self.R
+        left = [[R.one if i == j else R.zero for j in range(self.m)] for i in range(self.m)]
+        left_out = [row[:] for row in left]
+        for i, j, c in self.ops:
+            if c is None:
+                left[i], left[j] = left[j], left[i]
+                for row in left_out:
+                    row[i], row[j] = row[j], row[i]
+            elif j is None:
+                c_inv = R.invert(c)
+                left[i] = [R.mul(c, a) for a in left[i]]
+                for row in left_out:
+                    row[i] = R.mul(row[i], c_inv)
+            else:
+                left[i] = [R.add(a, R.mul(c, b)) for a, b in zip(left[i], left[j])]
+                for row in left_out:
+                    row[j] = R.sub(row[j], R.mul(c, row[i]))
+        return RingMatrix(R, left_out), RingMatrix(R, left)
+
+
+class _Eliminator(_RowEliminator):
+    """Row and column elimination state tracking both transforms."""
+
+    def __init__(self, A: RingMatrix):
+        super().__init__(A)
+        self.right = [
+            [self.R.one if i == j else self.R.zero for j in range(A.n)]
+            for i in range(A.n)
+        ]  # d = A-so-far @ right^{-1}... maintained as: A = left_out @ d @ right_out
+        self.right_out = [row[:] for row in self.right]
 
     # column ops (applied to d and right_out tracking; inverse row op on right)
 
@@ -268,11 +303,12 @@ class _Eliminator:
         self.right[i] = [R.sub(a, R.mul(c, b)) for a, b in zip(self.right[i], self.right[j])]
 
     def matrices(self):
+        left_out, left = self.row_transforms()
         return (
-            RingMatrix(self.R, self.left_out),
+            left_out,
             RingMatrix(self.R, self.d),
             RingMatrix(self.R, self.right),
-            RingMatrix(self.R, self.left),
+            left,
             RingMatrix(self.R, self.right_out),
         )
 
@@ -383,15 +419,18 @@ def hermite_form(A: RingMatrix) -> HermiteDecomposition:
     if isinstance(A.ring, ProductRing):
         comps = [hermite_form(c) for c in split_matrix(A)]
         ring = A.ring
-        return HermiteDecomposition(
-            join_matrices(ring, [c.p for c in comps]),
-            join_matrices(ring, [c.t for c in comps]),
-            join_matrices(ring, [c.p_inv for c in comps]),
-        )
+
+        def transforms():
+            return (
+                join_matrices(ring, [c.p for c in comps]),
+                join_matrices(ring, [c.p_inv for c in comps]),
+            )
+
+        return HermiteDecomposition(join_matrices(ring, [c.t for c in comps]), transforms)
     R = A.ring
     if not isinstance(R, ChainRing):
         raise NotChainRing("Hermite form requires a chain ring or product of them")
-    st = _Eliminator(A)
+    st = _RowEliminator(A)
     t = 0
     for c in range(A.n):
         found = _min_valuation_entry(R, st.d, range(t, A.m), [c])
@@ -413,8 +452,7 @@ def hermite_form(A: RingMatrix) -> HermiteDecomposition:
         t += 1
         if t == A.m:
             break
-    u, d, _, u_inv, _ = st.matrices()
-    return HermiteDecomposition(u, d, u_inv)
+    return HermiteDecomposition(RingMatrix(R, st.d), st.row_transforms)
 
 
 def reduced_row_echelon(A: RingMatrix) -> RingMatrix:

@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, DomainError, InternalInvariant
+from .extension import ProductExtension
 from .linalg import RingMatrix
 from .minrank import MinRankInstance
 from .polys import MultiPoly
@@ -39,22 +40,22 @@ DEFAULT_BUDGET = OracleBudget()
 
 
 def module_elements(ring, generators, budget: OracleBudget = DEFAULT_BUDGET):
-    """All elements of the module generated by the given vectors."""
-    gens = []
-    for g in generators:
-        for c in ring.elements():
-            gens.append(tuple(ring.mul(c, v) for v in g))
+    """All elements of the module generated by the given vectors: the sumset
+    R*g_1 + ... + R*g_t, built one generator at a time.  The budget is checked
+    on every insertion, so memory never exceeds it by more than one entry."""
     zero = tuple(ring.zero for _ in (generators[0] if generators else ()))
+    elems = list(ring.elements())
     seen = {zero}
-    frontier = [zero]
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = tuple(ring.add(a, b) for a, b in zip(cur, g))
-            if nxt not in seen:
-                budget.check(len(seen) + 1, "module closure")
-                seen.add(nxt)
-                frontier.append(nxt)
+    for g in generators:
+        multiples = {tuple(ring.mul(c, v) for v in g) for c in elems}
+        nxt = set()
+        for u in seen:
+            for w in multiples:
+                s = tuple(ring.add(a, b) for a, b in zip(u, w))
+                if s not in nxt:
+                    budget.check(len(nxt) + 1, "module closure")
+                    nxt.add(s)
+        seen = nxt
     return seen
 
 
@@ -414,13 +415,25 @@ def brute_vector_rank(ext, u, budget: OracleBudget = DEFAULT_BUDGET) -> int:
 
 def brute_decode_set(rd, budget: OracleBudget = DEFAULT_BUDGET):
     """All x in S^k whose error has rank weight <= r (independent of the
-    decoding strategies)."""
-    S = rd.ext
+    decoding strategies); over a product extension the weight is the
+    largest of the components'."""
+    ext = rd.ext
+    S = rd._ring()
     budget.check(S.size**rd.k, "decoding enumeration")
+    if isinstance(ext, ProductExtension):
+        comps = list(enumerate(ext.components))
+
+        def weight(e):
+            return max(brute_vector_rank(c, [v.data[i] for v in e], budget) for i, c in comps)
+
+    else:
+
+        def weight(e):
+            return brute_vector_rank(ext, e, budget)
+
     out = []
     elems = sorted(S.elements(), key=S.sort_key)
     for x in itertools.product(elems, repeat=rd.k):
-        e = rd.error_of(x)
-        if brute_vector_rank(S, e, budget) <= rd.radius:
+        if weight(rd.error_of(x)) <= rd.radius:
             out.append(tuple(x))
     return out

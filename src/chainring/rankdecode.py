@@ -4,8 +4,9 @@ Four solver routes, all re-verified against the rank bound: the skew
 key-equation solved by linearization (Hermite form) or by Gröbner expansion
 over the base ring, and the reduction to MinRank solved by Kipnis-Shamir or
 by Support-Minors.  Support-Minors has one model, minrank.sm_model: decoding
-reduces to MinRank and splits on a unit Plücker coordinate there.  Product
-extensions split through the CRT.
+reduces to MinRank, splits on a unit Plücker coordinate there and solves
+each split by the x-only rows of its Macaulay matrix (sm-linearization).
+Product extensions split through the CRT.
 """
 
 from __future__ import annotations
@@ -179,12 +180,20 @@ def expand_to_base(poly: MultiPoly, target: PolyRing) -> list[MultiPoly]:
 # -- Support-Minors through the MinRank reduction ----------------------------------
 
 
-def solve_sm_rd(
-    rd: RankDecodingInstance, field_equations: bool | None = None
-) -> list[tuple[RingElement, ...]]:
-    """All x recovered from the Support-Minors model of to_minrank(rd), one
-    unit Plücker coordinate at a time."""
-    return _verified_xs(rd, minrank_candidates(to_minrank(rd), "sm-groebner", field_equations))
+def solve_sm_rd(rd: RankDecodingInstance) -> list[tuple[RingElement, ...]]:
+    """All x within the radius, from the x-only rows of the degree-b
+    Macaulay matrix of the Support-Minors model of to_minrank(rd), one unit
+    Plücker coordinate at a time (minrank.macaulay_x_block).
+
+    Complete: if x is within the radius, rank(M_x) <= r, so row(M_x) lies in
+    a free rank-r module with a unit maximal minor at some r-subset J, and
+    the scaled Plücker coordinates of that module extend x to a zero of
+    sm_model(inst, J); the unit split therefore loses no solution.  Every
+    x-only row is an R-combination of the model's equations times
+    x-monomials, so every zero's x block satisfies it.  Sound: each candidate
+    passes rd.check.  Inconclusive when some J leaves no x-only row at b = 2.
+    """
+    return _verified_xs(rd, minrank_candidates(to_minrank(rd), "sm-linearization"))
 
 
 def _verified_xs(rd: RankDecodingInstance, x_flats) -> list[tuple[RingElement, ...]]:

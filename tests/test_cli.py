@@ -173,8 +173,46 @@ def test_rank_decode_subcommand(capsys, tmp_path, decoding_instance, ext83):
     assert data["result"]["verified"] is True
     envelope = tmp_path / "rd_env.json"
     envelope.write_text(out)
-    code, _ = run_cli(capsys, "verify", str(envelope))
+    code, vout = run_cli(capsys, "verify", str(envelope))
     assert code == 0
+    assert json.loads(vout)["checks"] == ["codewords-verified", "brute-force-equality"]
+
+
+def test_verify_rank_decode_compares_with_brute_force(capsys, tmp_path):
+    """An ambiguous word over GR(4,2): the envelope lists both x within the
+    radius and verifies against brute force; an envelope that drops one of
+    them, or that claims the answer unique, is rejected."""
+    ext = {"base": {"kind": "zpk", "p": 2, "k": 2}, "m": 2, "modulus": [1, 1, 1]}
+    code, out = run_cli(
+        capsys,
+        "rank-decode",
+        "--extension", write(tmp_path, "ext.json", ext),
+        "--generator", write(tmp_path, "gen.json", [[[1, 0], [0, 1], [1, 2]]]),
+        "--received", write(tmp_path, "rec.json", [[1, 1], [0, 1], [3, 1]]),
+        "--radius", "1",
+    )
+    assert code == 0
+    envelope = json.loads(out)
+    assert [sol["x"] for sol in envelope["result"]["solutions"]] == [[[1, 1]], [[3, 3]]]
+    assert envelope["result"]["unique"] is False
+
+    def verify(env):
+        return run_cli(capsys, "verify", write(tmp_path, "envelope.json", env))
+
+    code, vout = verify(envelope)
+    assert code == 0
+    assert json.loads(vout)["checks"] == ["codewords-verified", "brute-force-equality"]
+    dropped = json.loads(out)
+    del dropped["result"]["solutions"][1]
+    claimed = json.loads(out)
+    claimed["result"]["unique"] = True
+    for tampered, message in (
+        (dropped, "solution set differs from brute force"),
+        (claimed, "the unique flag disagrees with brute force"),
+    ):
+        code, vout = verify(tampered)
+        assert code == 1
+        assert json.loads(vout)["error"]["message"] == message
 
 
 def test_solve_local_subcommand(capsys, tmp_path):
@@ -301,13 +339,14 @@ CASES = {
 }
 
 # one case per subcommand not covered under -O above (solve is), plus the
-# sm-linearization path
+# sm-linearization path in minrank and in decoding
 OPTIMIZED = (
     "gb_exgb",
     "rank_example",
     "minrank_ks",
     "minrank_sm_linearization",
     "rank_decode_linearization",
+    "rank_decode_sm",
     "solve_local_cubic",
     "verify_gb_exgb",
 )

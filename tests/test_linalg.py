@@ -93,6 +93,38 @@ def test_hermite_exact_and_identity(z8):
     assert dec.p == I and dec.t == I
 
 
+def test_echelon_is_built_without_its_transforms(z8, z9, gr42, monkeypatch):
+    """Reading T never builds P: with the transforms refused, hermite_form(A).t
+    and reduced_row_echelon(A) still come out, the latter being T's nonzero
+    rows, which come first; the transforms replayed afterwards satisfy
+    P^-1 @ A == T, P @ T == A and P @ P^-1 == I."""
+    import chainring.linalg as linalg
+
+    rng = random.Random(31)
+    cases = []
+    for ring in (z8, z9, gr42, integer_ring(12)):
+        for m, n in ((3, 4), (4, 3), (1, 5), (5, 1), (2, 2)):
+            A = rand_matrix(ring, m, n, rng)
+            rows = [list(row) for row in A.rows]
+            rows[rng.randrange(m)] = [ring.zero] * n
+            cases += [A, RingMatrix(ring, rows), RingMatrix.zeros(ring, m, n)]
+
+    def refuse(self):
+        raise AssertionError("transforms built for a caller that reads only T")
+
+    monkeypatch.setattr(linalg._RowEliminator, "row_transforms", refuse)
+    echelons = [(A, hermite_form(A).t, reduced_row_echelon(A)) for A in cases]
+    monkeypatch.undo()
+    for A, T, E in echelons:
+        nonzero = tuple(row for row in T.rows if any(not x.is_zero() for x in row))
+        assert E.rows == nonzero == T.rows[: len(nonzero)]
+        dec = hermite_form(A)
+        assert dec.t == T
+        assert dec.p_inv @ A == T
+        assert dec.p @ T == A
+        assert dec.p @ dec.p_inv == RingMatrix.identity(A.ring, A.m)
+
+
 def test_kernel_examples(z8):
     gens = kernel(RingMatrix(z8, [[2]]))
     assert [[x.data for x in g] for g in gens] == [[4]]

@@ -104,3 +104,21 @@ def test_module_elements_closure(z4):
     gens = [(z4.element(2), z4.element(0))]
     mod = module_elements(z4, gens)
     assert {(a.data, b.data) for a, b in mod} == {(0, 0), (2, 0)}
+
+
+def test_module_elements_refuses_at_insertion(z8):
+    # Z8^3 has 512 elements; after the first generator the sumset has 8, so
+    # the budget of 20 is crossed inside the second generator's step.  The
+    # refusal must come on the insertion that crosses it, not after the whole
+    # step has been built.
+    sizes = []
+
+    class Recording(OracleBudget):
+        def check(self, n, what="enumeration"):
+            sizes.append(n)
+            super().check(n, what)
+
+    gens = [tuple(z8.element(int(i == j)) for j in range(3)) for i in range(3)]
+    with pytest.raises(BudgetExceeded):
+        module_elements(z8, gens, Recording(20))
+    assert max(sizes) == 21

@@ -20,7 +20,7 @@ from chainring.rankdecode import (
     solve_sm_rd,
     to_minrank,
 )
-from chainring.rings import integer_ring
+from chainring.rings import Zpk, integer_ring
 from chainring.skew import annihilator
 
 
@@ -191,6 +191,41 @@ def test_sm_rd_solver(decoding_instance, decoded_x):
     assert xs == [(decoded_x,)]
 
 
+def _rank_one_word(rng, S, g):
+    """y = x*g + s*b with x in S, s in S nonzero and b in R^n, e != 0, so
+    the planted error has rank weight 1."""
+    R = S.base
+    elems = sorted(S.elements(), key=S.sort_key)
+    while True:
+        x, s = rng.choice(elems), rng.choice(elems[1:])
+        e = tuple(S.scalar_mul(R.element(rng.randrange(R.modulus)), s) for _ in g)
+        if any(not v.is_zero() for v in e):
+            break
+    y = tuple(S.add(S.mul(x, gj), ej) for gj, ej in zip(g, e))
+    return RankDecodingInstance(S, (g,), y, 1)
+
+
+@pytest.mark.parametrize("p, k, draws", [(2, 2, 40), (2, 3, 20), (3, 2, 15)])
+def test_sm_route_matches_brute_on_ambiguous_words(p, k, draws):
+    """Over GR(p^k, 2) with g = (1, a, 1 + 2a), n = 3 and radius 1, the sm
+    route lists exactly brute_decode_set on every ambiguous word, and the
+    auto chain settles each of those words there, not in a later strategy."""
+    S = build_extension(Zpk(p, k), 2)
+    a = S.alpha
+    g = (S.one, a, S.add(S.one, S.add(a, a)))
+    rng = random.Random(0)
+    ambiguous = 0
+    for _ in range(draws):
+        rd = _rank_one_word(rng, S, g)
+        truth = brute_decode_set(rd)
+        if len(truth) < 2:
+            continue
+        ambiguous += 1
+        assert solve_sm_rd(rd) == truth
+        assert decode(rd).strategy_used == "sm"
+    assert ambiguous >= 4
+
+
 def test_decode_every_strategy(decoding_instance, ext83, decoded_x):
     S = ext83
     g = decoding_instance.generator[0]
@@ -302,6 +337,7 @@ def test_decode_product_extension():
     res = decode(rd)
     assert any(sol[0] == (x,) or sol[0][0] == x for sol in res.solutions)
     assert all(rd.check(sol[0]) for sol in res.solutions)
+    assert {sol[0] for sol in res.solutions} == set(brute_decode_set(rd))
 
 
 def test_lemma_rank_decomposition_property(ext83):
