@@ -10,7 +10,6 @@ from .errors import (
     DomainError,
     EqualInputs,
     Inconclusive,
-    MultipleSolutions,
     NoSolution,
     NotARing,
     NotAUnit,

@@ -77,14 +77,6 @@ class Inconclusive(ChainRingError):
     """Linearization did not isolate the unknowns; caller should fall back."""
 
 
-class MultipleSolutions(ChainRingError):
-    """Instance is ambiguous; .solutions carries the full verified set."""
-
-    def __init__(self, message, solutions):
-        super().__init__(message)
-        self.solutions = solutions
-
-
 class NoSolution(ChainRingError):
     """Emptiness certified (brute-force confirmed at desk scale)."""
 

@@ -20,22 +20,9 @@ from .rings import (
     ExtensionChainRing,
     ProductRing,
     RingElement,
+    _factor,
     ring_from_json,
 )
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _residue_xgcd(R: ChainRing, f, g):
@@ -71,7 +58,7 @@ def _is_primitive(R: ChainRing, g) -> bool:
     x_poly = [R.zero, R.one]
     if up.residue_poly_powmod(R, x_poly, order, g) != [R.one]:
         return False
-    for ell in _prime_factors(order):
+    for ell, _ in _factor(order):
         if up.residue_poly_powmod(R, x_poly, order // ell, g) == [R.one]:
             return False
     # order q^m - 1 forces irreducibility for degree m: any proper factor

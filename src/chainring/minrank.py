@@ -21,7 +21,7 @@ from .errors import DomainError, Inconclusive, ParseError
 from .linalg import RingMatrix, rank, reduced_row_echelon, split_matrix
 from .polys import MultiPoly, PolyRing
 from .rings import ProductRing, Ring, RingElement, ring_from_json
-from .solve import auto_field_equations, crt_join, solve_system, x_block_solutions
+from .solve import FIELD_EQUATION_RING_CAP, crt_join, solve_system, x_block_solutions
 
 
 @dataclass(frozen=True)
@@ -297,12 +297,7 @@ def split_instance(inst: MinRankInstance) -> list[MinRankInstance]:
     ]
 
 
-def solve_minrank(
-    inst: MinRankInstance,
-    strategy: str = "ks",
-    field_equations: bool | None = None,
-    schedule: Sequence[Sequence[int]] | None = None,
-) -> list[tuple[RingElement, ...]]:
+def solve_minrank(inst: MinRankInstance, strategy: str = "ks") -> list[tuple[RingElement, ...]]:
     """All x with rank(M_x) <= r found by the chosen modeling; every returned
     tuple is rank-verified.  Product-ring instances split through the CRT and
     the component solutions recombine by cartesian product (rank over a PIR
@@ -310,25 +305,22 @@ def solve_minrank(
     R = inst.ring
     if isinstance(R, ProductRing):
         parts = split_instance(inst)
-        found = crt_join(R, [solve_minrank(c, strategy, field_equations, schedule) for c in parts])
+        found = crt_join(R, [solve_minrank(c, strategy) for c in parts])
     else:
-        candidates = minrank_candidates(inst, strategy, field_equations, schedule)
-        found = filter(inst.is_solution, candidates)
+        found = filter(inst.is_solution, minrank_candidates(inst, strategy))
     return sorted(found, key=lambda x: tuple(R.sort_key(v) for v in x))
 
 
 def minrank_candidates(
-    inst: MinRankInstance,
-    strategy: str = "ks",
-    field_equations: bool | None = None,
-    schedule: Sequence[Sequence[int]] | None = None,
+    inst: MinRankInstance, strategy: str = "ks"
 ) -> Iterator[tuple[RingElement, ...]]:
     """The distinct x-block solutions of every model of a chain-ring
-    instance, unverified: a superset of the solutions the strategy finds."""
+    instance, unverified: a superset of the solutions the strategy finds.
+    The Gröbner strategies add the field equations F_m when |R| is at most
+    FIELD_EQUATION_RING_CAP."""
     n = inst.shape[1]
     if strategy == "ks":
-        subsets = schedule if schedule is not None else ks_permutation_schedule(n, inst.r)
-        models = (ks_model(inst, sub) for sub in subsets)
+        models = (ks_model(inst, sub) for sub in ks_permutation_schedule(n, inst.r))
     elif strategy in ("sm-groebner", "sm-linearization"):
         subsets = itertools.combinations(range(n), min(inst.r, n))
         models = (sm_model(inst, sub) for sub in subsets)
@@ -337,7 +329,7 @@ def minrank_candidates(
     if strategy == "sm-linearization":
         solve_x = macaulay_x_block
     else:
-        use_fm = auto_field_equations(inst.ring, field_equations)
+        use_fm = inst.ring.size <= FIELD_EQUATION_RING_CAP
 
         def solve_x(model):
             return x_block_solutions(model.poly_ring, model.equations, model.x_vars, use_fm)

@@ -10,6 +10,7 @@ degrading.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, DomainError, InternalInvariant
@@ -91,7 +92,7 @@ def brute_rank(A: RingMatrix, budget: OracleBudget = DEFAULT_BUDGET) -> int:
         return 0
     elems = sorted(module, key=lambda v: tuple(ring.sort_key(x) for x in v))
     for t in range(1, A.m + 1):
-        budget.check(_ncr(len(elems), t), "subset search")
+        budget.check(math.comb(len(elems), t), "subset search")
         for subset in itertools.combinations(elems, t):
             if len(module_elements(ring, list(subset), budget)) == len(module):
                 return t
@@ -101,13 +102,6 @@ def brute_rank(A: RingMatrix, budget: OracleBudget = DEFAULT_BUDGET) -> int:
 def _component_matrix(A: RingMatrix, idx: int, comp) -> RingMatrix:
     """A's image in CRT component idx (oracle-local projection)."""
     return RingMatrix(comp, [[x.data[idx] for x in row] for row in A.rows])
-
-
-def _ncr(n, r):
-    out = 1
-    for i in range(r):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def rank_leq_by_cardinality(

@@ -7,6 +7,12 @@ by Support-Minors.  Support-Minors has one model, minrank.sm_model: decoding
 reduces to MinRank, splits on a unit Plücker coordinate there and solves
 each split by the x-only rows of its Macaulay matrix (sm-linearization).
 Product extensions split through the CRT.
+
+Every route returns the sorted list of rank-verified x.  The complete
+routes (sm, groebner, minrank-ks) return an empty list when no x lies within
+the radius; linearization, which is not complete, never returns an empty
+list.  A route that cannot settle the word raises Inconclusive or
+ResourceExceeded, and decode falls through to the next one.
 """
 
 from __future__ import annotations
@@ -15,14 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import (
-    DomainError,
-    Inconclusive,
-    MultipleSolutions,
-    NoSolution,
-    ParseError,
-    ResourceExceeded,
-)
+from .errors import DomainError, Inconclusive, NoSolution, ParseError, ResourceExceeded
 from .extension import (
     GaloisExtension,
     ProductExtension,
@@ -47,7 +46,6 @@ class RankDecodingInstance:
     radius: int
 
     def __post_init__(self):
-        S = self._ring()
         if not self.generator or not self.received:
             raise DomainError("empty generator or received word")
         n = len(self.received)
@@ -332,22 +330,19 @@ def solve_key_linearization(rd: RankDecodingInstance) -> tuple[RingElement, ...]
     return x
 
 
-def solve_key_groebner(
-    rd: RankDecodingInstance, field_equations: bool = False
-) -> tuple[RingElement, ...]:
-    """Gröbner basis of the R-expansion under lex z~ > x~; the x-part of the
-    elimination ideal pins x.  MultipleSolutions carries the verified set when
-    the instance is ambiguous; NoSolution when the (complete) search is empty."""
+def solve_key_groebner(rd: RankDecodingInstance) -> list[tuple[RingElement, ...]]:
+    """All x within the radius, from the Gröbner basis of the R-expansion
+    under lex z~ > x~: the x-part of the elimination ideal pins x.
+
+    Complete: if x is within the radius, its error's support lies in a free
+    rank-r module (linalg.free_envelope), whose monic annihilator of q-degree
+    r vanishes on the error; its coefficients extend x to a zero of the
+    key-equation model with z_r = 1, so the x block of the elimination keeps
+    x.  Sound: each candidate passes rd.check.  Empty when no x qualifies."""
     model = key_equation_model(rd)
-    solutions = _verified_xs(
-        rd,
-        x_block_solutions(model.r_ring, model.r_equations, model.x_vars, field_equations),
+    return _verified_xs(
+        rd, x_block_solutions(model.r_ring, model.r_equations, model.x_vars, False)
     )
-    if not solutions:
-        raise NoSolution("no x satisfies the key equation within the rank bound")
-    if len(solutions) > 1:
-        raise MultipleSolutions("instance is ambiguous", solutions)
-    return solutions[0]
 
 
 # -- the decoding pipeline ------------------------------------------------------------
@@ -375,6 +370,15 @@ class DecodeResult:
         return self.solutions[0][2]
 
 
+# strategy -> route; each entry looks its solver up when called, so a
+# wrapper installed on the module attribute (tracing) is seen
+ROUTES = {
+    "linearization": lambda rd: [solve_key_linearization(rd)],
+    "sm": lambda rd: solve_sm_rd(rd),
+    "groebner": lambda rd: solve_key_groebner(rd),
+    "minrank-ks": lambda rd: _verified_xs(rd, minrank_candidates(to_minrank(rd), "ks")),
+}
+
 _AUTO_ORDER = ("linearization", "sm", "groebner", "minrank-ks")
 
 
@@ -382,45 +386,26 @@ def decode(rd: RankDecodingInstance, strategy: str = "auto") -> DecodeResult:
     """Decoding pipeline: CRT split, per-component strategy chain
     (linearization, Support-Minors, Gröbner expansion, MinRank-KS), exact
     recombination; NoSolution only after brute-force confirmation."""
+    if strategy != "auto" and strategy not in ROUTES:
+        raise DomainError(f"unknown strategy {strategy!r}")
     if isinstance(rd.ext, ProductExtension):
         return _decode_product(rd, strategy)
     order = _AUTO_ORDER if strategy == "auto" else (strategy,)
     last_error: Exception | None = None
     for strat in order:
         try:
-            xs = _decode_single_strategy(rd, strat)
+            xs = ROUTES[strat](rd)
         except (Inconclusive, ResourceExceeded) as exc:
             last_error = exc
             continue
-        except NoSolution:
-            xs = []
-        if xs:
-            sols = tuple((x, rd.codeword(x), rd.error_of(x)) for x in xs)
-            return DecodeResult(sols, strat)
-        # an empty but complete search certifies emptiness; confirm by brute
-        # force within the budget before giving up
-        if strat in ("sm", "groebner", "minrank-ks"):
+        if not xs:
+            # only a complete route returns an empty list; confirm by brute
+            # force within the budget before giving up
             _confirm_empty(rd)
             raise NoSolution("no codeword within the radius (brute-confirmed)")
-    if last_error is not None:
-        raise Inconclusive(f"all strategies inconclusive: {last_error}")
-    _confirm_empty(rd)
-    raise NoSolution("no codeword within the radius (brute-confirmed)")
-
-
-def _decode_single_strategy(rd: RankDecodingInstance, strat: str):
-    if strat == "linearization":
-        return [solve_key_linearization(rd)]
-    if strat == "sm":
-        return solve_sm_rd(rd)
-    if strat == "groebner":
-        try:
-            return [solve_key_groebner(rd)]
-        except MultipleSolutions as exc:
-            return list(exc.solutions)
-    if strat == "minrank-ks":
-        return _verified_xs(rd, minrank_candidates(to_minrank(rd), "ks"))
-    raise DomainError(f"unknown strategy {strat!r}")
+        sols = tuple((x, rd.codeword(x), rd.error_of(x)) for x in xs)
+        return DecodeResult(sols, strat)
+    raise Inconclusive(f"all strategies inconclusive: {last_error}")
 
 
 def _confirm_empty(rd: RankDecodingInstance):

@@ -8,6 +8,7 @@ product rings only have componentwise arithmetic plus crt_split/crt_join.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -617,7 +618,7 @@ class ProductRing(Ring):
             self.size *= c.size
         self.char = 1
         for c in self.components:
-            self.char = _lcm(self.char, c.char)
+            self.char = math.lcm(self.char, c.char)
         self.zero = RingElement(self, tuple(c.zero for c in self.components))
         self._zero_data = self.zero.data
         self.one = RingElement(self, tuple(c.one for c in self.components))
@@ -714,12 +715,6 @@ class ProductRing(Ring):
 
     def to_json(self):
         return {"kind": "product", "components": [c.to_json() for c in self.components]}
-
-
-def _lcm(a, b):
-    from math import gcd
-
-    return a * b // gcd(a, b)
 
 
 # -- constructors and CRT ----------------------------------------------------

@@ -470,13 +470,6 @@ def crt_join(
 # -- the x block of a lex elimination ideal ------------------------------------
 
 
-def auto_field_equations(ring: Ring, flag: bool | None) -> bool:
-    """Field equations are added by default only over small rings."""
-    if flag is None:
-        return ring.size <= FIELD_EQUATION_RING_CAP
-    return flag
-
-
 def x_block_solutions(
     ring: PolyRing, equations: Sequence[MultiPoly], x_vars: Sequence[int], field_equations: bool
 ) -> list[tuple]:

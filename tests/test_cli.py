@@ -215,6 +215,27 @@ def test_verify_rank_decode_compares_with_brute_force(capsys, tmp_path):
         assert json.loads(vout)["error"]["message"] == message
 
 
+def test_rank_decode_solver_error(capsys, tmp_path, ext42):
+    """A certified-empty word: rank-decode exits 1 with the solver's error
+    envelope."""
+    S = ext42
+    g = [S.element_to_json(v) for v in (S.one, S.zero, S.zero)]
+    y = [S.element_to_json(v) for v in (S.zero, S.one, S.alpha)]
+    code, out = run_cli(
+        capsys,
+        "rank-decode",
+        "--extension", write(tmp_path, "ext.json", S.to_json()),
+        "--generator", write(tmp_path, "gen.json", [g]),
+        "--received", write(tmp_path, "rec.json", y),
+        "--radius", "0",
+    )
+    assert code == 1
+    assert out == (
+        '{"error":{"message":"no codeword within the radius (brute-confirmed)",'
+        '"type":"NoSolution"}}\n'
+    )
+
+
 def test_solve_local_subcommand(capsys, tmp_path):
     from chainring.localring import quotient_presentation
     from chainring.polys import PolyRing
@@ -237,8 +258,17 @@ def test_solve_local_subcommand(capsys, tmp_path):
     )
     envelope = tmp_path / "local_env.json"
     envelope.write_text(out)
-    code, _ = run_cli(capsys, "verify", str(envelope))
+    code, vout = run_cli(capsys, "verify", str(envelope))
     assert code == 0
+    assert json.loads(vout)["checks"] == ["solutions-satisfy-system", "brute-force-equality"]
+    dropped = json.loads(out)
+    del dropped["result"]["solutions"][0]
+    code, vout = run_cli(capsys, "verify", write(tmp_path, "dropped.json", dropped))
+    assert code == 1
+    assert (
+        json.loads(vout)["error"]["message"]
+        == "solution set differs from brute-force enumeration"
+    )
 
 
 def test_ring_shorthand_spec(capsys, tmp_path):

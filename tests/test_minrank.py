@@ -15,6 +15,7 @@ from chainring.minrank import (
 )
 from chainring.oracles import brute_minrank
 from chainring.rings import Zpk, integer_ring
+from chainring.solve import x_block_solutions
 
 
 def as_ints(solutions):
@@ -77,8 +78,9 @@ def test_sm_linearization_echelon_golden(homogeneous_minrank_z8):
 
 def test_affine_instance_identity_placement_fails(affine_minrank_z8):
     # the bottom-block Z' misses the solution; the sweep finds it anyway
-    missing = solve_minrank(affine_minrank_z8, "ks", schedule=[(2,)])
-    assert missing == []
+    model = ks_model(affine_minrank_z8, (2,))
+    xs = x_block_solutions(model.poly_ring, model.equations, model.x_vars, True)
+    assert [x for x in xs if affine_minrank_z8.is_solution(x)] == []
 
 
 def test_affine_instance_ks_sweep(affine_minrank_z8):

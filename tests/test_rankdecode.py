@@ -3,13 +3,15 @@ import random
 
 import pytest
 
-from chainring.errors import Inconclusive, MultipleSolutions, NoSolution
+from chainring.errors import DomainError, Inconclusive, NoSolution
 from chainring.extension import ProductExtension, build_extension, vector_rank
 from chainring.groebner import buchberger
 from chainring.linalg import hermite_form
 from chainring.minrank import sm_model, solve_minrank
 from chainring.oracles import brute_decode_set
 from chainring.rankdecode import (
+    _AUTO_ORDER,
+    ROUTES,
     RankDecodingInstance,
     decode,
     key_equation_model,
@@ -152,8 +154,7 @@ def test_key_equation_groebner_golden(decoding_instance, decoded_x):
         "x1 + 5",
         "x2 + 2",
     }
-    x = solve_key_groebner(decoding_instance)
-    assert x == (decoded_x,)
+    assert solve_key_groebner(decoding_instance) == [(decoded_x,)]
 
 
 PRINTED_SM_SYSTEM = [
@@ -226,6 +227,46 @@ def test_sm_route_matches_brute_on_ambiguous_words(p, k, draws):
     assert ambiguous >= 4
 
 
+@pytest.mark.parametrize("p, k", [(2, 2), (2, 3), (3, 2)])
+def test_groebner_route_matches_brute(p, k):
+    """Over GR(p^k, 2) with g = (1, a, 1 + 2a), n = 3 and radius 1, the
+    groebner route lists exactly brute_decode_set on every seeded word,
+    ambiguous or not: the route is complete as well as sound."""
+    S = build_extension(Zpk(p, k), 2)
+    a = S.alpha
+    g = (S.one, a, S.add(S.one, S.add(a, a)))
+    rng = random.Random(1)
+    ambiguous = 0
+    for _ in range(20):
+        rd = _rank_one_word(rng, S, g)
+        truth = brute_decode_set(rd)
+        ambiguous += len(truth) > 1
+        assert solve_key_groebner(rd) == truth
+    assert ambiguous >= 4
+
+
+def test_groebner_route_matches_brute_for_two_unknowns(ext42):
+    """k = 2, n = 4, radius 1 over GR(4,2): the groebner route lists exactly
+    brute_decode_set on ten planted rank-one errors."""
+    S = ext42
+    R = S.base
+    a = S.alpha
+    G = ((S.one, S.zero, a, S.one), (S.zero, S.one, S.one, a))
+    elems = sorted(S.elements(), key=S.sort_key)
+    rng = random.Random(3)
+    for _ in range(10):
+        x = (rng.choice(elems), rng.choice(elems))
+        s = rng.choice(elems[1:])
+        e = tuple(S.scalar_mul(R.element(rng.randrange(4)), s) for _ in range(4))
+        y = tuple(
+            S.add(S.add(S.mul(x[0], G[0][j]), S.mul(x[1], G[1][j])), e[j]) for j in range(4)
+        )
+        rd = RankDecodingInstance(S, G, y, 1)
+        truth = brute_decode_set(rd)
+        assert x in truth
+        assert solve_key_groebner(rd) == truth
+
+
 def test_decode_every_strategy(decoding_instance, ext83, decoded_x):
     S = ext83
     g = decoding_instance.generator[0]
@@ -236,6 +277,15 @@ def test_decode_every_strategy(decoding_instance, ext83, decoded_x):
         assert res.x == (decoded_x,)
         assert res.c == expected_c
         assert vector_rank(S, res.e) <= 1
+
+
+def test_decode_rejects_an_unknown_strategy(decoding_instance):
+    with pytest.raises(DomainError, match="unknown strategy 'nope'"):
+        decode(decoding_instance, "nope")
+
+
+def test_auto_order_names_only_routes():
+    assert set(_AUTO_ORDER) <= set(ROUTES)
 
 
 def test_decode_output_always_verifies(decoding_instance, ext83):
@@ -301,15 +351,16 @@ def test_planted_instances(ext42):
             answers["linearization"] = [solve_key_linearization(rd)]
         except Inconclusive:
             pass
-        try:
-            answers["groebner"] = [solve_key_groebner(rd)]
-        except MultipleSolutions as exc:
-            answers["groebner"] = list(exc.solutions)
+        # the Gröbner route is complete: it lists every x within the radius,
+        # the planted one among them
+        truth = brute_decode_set(rd)
+        answers["groebner"] = solve_key_groebner(rd)
+        assert (x,) in answers["groebner"]
+        assert answers["groebner"] == truth
         # every answer decodes within the radius
         for sols in answers.values():
             for sol in sols:
                 assert rd.check(sol)
-        truth = brute_decode_set(rd)
         if len(truth) == 1:
             for sols in answers.values():
                 assert truth[0] in sols
