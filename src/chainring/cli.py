@@ -41,12 +41,19 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+class _Fields(dict):
+    """A JSON object; reading a field it lacks is malformed input."""
+
+    def __missing__(self, key):
+        raise ParseError(f"missing field '{key}'")
+
+
 def _load_json(path: str):
     try:
         if path == "-":
-            return json.load(sys.stdin)
+            return json.load(sys.stdin, object_hook=_Fields)
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_hook=_Fields)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read JSON from {path}: {exc}") from exc
 

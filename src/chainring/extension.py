@@ -35,19 +35,9 @@ def _residue_xgcd(R: ChainRing, f, g):
         r0, r1 = r1, r
         qa = up.residue_poly_mul(R, q, a1)
         qb = up.residue_poly_mul(R, q, b1)
-        a0, a1 = a1, _residue_poly_sub(R, a0, qa)
-        b0, b1 = b1, _residue_poly_sub(R, b0, qb)
+        a0, a1 = a1, up.residue_poly_add(R, a0, up.neg(R, qa))
+        b0, b1 = b1, up.residue_poly_add(R, b0, up.neg(R, qb))
     return r0, a0, b0
-
-
-def _residue_poly_sub(R, f, g):
-    n = max(len(f), len(g))
-    out = []
-    for i in range(n):
-        x = f[i] if i < len(f) else R.zero
-        y = g[i] if i < len(g) else R.zero
-        out.append(up.residue_sub(R, x, y))
-    return up.trim(out)
 
 
 def _is_primitive(R: ChainRing, g) -> bool:

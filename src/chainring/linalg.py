@@ -110,9 +110,6 @@ class RingMatrix:
     def transpose(self) -> "RingMatrix":
         return RingMatrix(self.ring, list(zip(*self.rows)) if self.rows else [])
 
-    def row(self, i) -> tuple[RingElement, ...]:
-        return self.rows[i]
-
     def submatrix(self, rows, cols) -> "RingMatrix":
         return RingMatrix(
             self.ring, [[self.rows[i][j] for j in cols] for i in rows]

@@ -1,9 +1,10 @@
 """Solution sets of polynomial systems over chain rings and PIRs.
 
-Two independent routes: lexicographic elimination with digit-by-digit
-univariate lifting (the canonical-generating-system method), and direct
-multivariate lifting from the residue field.  They cross-check each other in
-the tests.  Product rings split through the CRT and recombine.
+Two routes that differ in elimination and share one residue-field lift:
+lexicographic elimination with back-substitution, whose univariate roots are
+lifted from the residue field, and direct multivariate lifting of the whole
+system.  The independent reference is oracles.brute_solve.  Product rings
+split through the CRT and recombine.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from .errors import (
     ResourceExceeded,
     TooLarge,
     WrongOrder,
-    ZeroIdeal,
 )
-from .groebner import buchberger, elimination_subbasis, minimal_univariate_basis
+from .groebner import buchberger, elimination_subbasis
 from .polys import MultiPoly, PolyRing
 from .rings import ChainRing, ProductRing, Ring, RingElement
 
@@ -244,67 +244,30 @@ def residue_linear_solutions(
         yield tuple(z)
 
 
-# -- univariate solving (canonical generating system route) --------------------
+# -- univariate solving --------------------------------------------------------
 
 
 def univariate_roots(polys: Sequence[MultiPoly], var: int | None = None):
-    """All roots in R of a univariate system; ALL_OF_RING for the zero ideal."""
+    """All roots in R of a univariate system; ALL_OF_RING for the zero ideal.
+
+    The system is mapped to a ring in var alone and lifted from the residue
+    field by the same loop as solve_system_lifting.
+    """
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
         return ALL_OF_RING
     ring = polys[0].ring
-    R: ChainRing = ring.ring
-    if var is None:
-        used = set()
-        for p in polys:
-            used |= p.vars_used()
-        var = next(iter(used)) if used else ring.order.priority[-1]
+    used = set()
     for p in polys:
-        if p.is_constant() and not p.is_zero():
-            return []
-    try:
-        ladder = minimal_univariate_basis(polys, var)
-    except ZeroIdeal:
-        return ALL_OF_RING
-    h = ladder.h
-    nu = R.nu
-    gamma = R.teichmuller_set()
-    derivs = [hj.derivative(var) for hj in h]
-
-    def eval_at(g: MultiPoly, x: RingElement) -> RingElement:
-        point = [R.zero] * ring.nvars
-        point[var] = x
-        return g.evaluate(point)
-
-    top = h[nu - 1]
-    branches = []
-    for g0 in gamma:
-        if R.valuation(eval_at(top, g0)) >= 1:
-            branches.append([g0])
-    for j in range(1, nu):
-        hj = h[nu - j - 1]
-        dh = derivs[nu - j - 1]
-        new_branches = []
-        for digits in branches:
-            g0 = digits[0]
-            prefix = R.pi_adic_compose(digits)
-            a = R.teichmuller_digit(eval_at(dh, g0))
-            value = eval_at(hj, prefix)
-            rhs = R.teichmuller_digit(R.neg(R.pi_adic_digits(value)[j]))
-            if a.is_zero():
-                if rhs.is_zero():
-                    for g in gamma:
-                        new_branches.append(digits + [g])
-            else:
-                sol = R.mul(up.residue_inv(R, a), rhs)
-                new_branches.append(digits + [sol])
-        branches = new_branches
-    roots = []
-    for digits in branches:
-        c = R.pi_adic_compose(digits)
-        if all(eval_at(p, c).is_zero() for p in polys):
-            roots.append(c)
-    roots.sort(key=R.sort_key)
+        used |= p.vars_used()
+    if var is None:
+        var = next(iter(used)) if used else ring.order.priority[-1]
+    if not used <= {var}:
+        raise DomainError("system is not univariate")
+    x_ring = PolyRing(ring.ring, (ring.variables[var],), "lex")
+    mapped = [p.map_to(x_ring, [0] * ring.nvars) for p in polys]
+    roots = [c for (c,) in _lift_roots(ring.ring, mapped, DEFAULT_SOLUTION_CAP)]
+    roots.sort(key=ring.ring.sort_key)
     return roots
 
 
@@ -502,15 +465,16 @@ def x_block_solutions(
     return list(solve_system(polys).explicit())
 
 
-# -- multivariate lifting solver (independent second route) --------------------
+# -- multivariate lifting solver ------------------------------------------------
 
 
 def solve_system_lifting(
     polys: Sequence[MultiPoly], max_solutions: int = DEFAULT_SOLUTION_CAP
 ) -> SolutionSet:
     """Residue-field solutions lifted level by level through the linear
-    congruences D f(γ0) z = -γ_j(f(c^[j])); exact and independent of the
-    elimination route."""
+    congruences D f(γ0) z = -γ_j(f(c^[j])); exact.  It skips elimination but
+    shares the lift with univariate_roots, so brute_solve, not the
+    elimination route, is its independent check."""
     polys = list(polys)
     if not polys:
         raise DomainError("empty system")
@@ -530,23 +494,36 @@ def solve_system_lifting(
         return SolutionSet(
             R, ring.variables, frozenset({(ALL_OF_RING,) * k})
         )
-    gamma = R.teichmuller_set()
     if R.q**k > enumeration_budget():
         raise ResourceExceeded("residue enumeration exceeds the budget")
+    return SolutionSet(R, ring.variables, frozenset(_lift_roots(R, work, max_solutions)))
 
+
+def _lift_roots(
+    R: ChainRing, polys: Sequence[MultiPoly], max_solutions: int
+) -> set[tuple]:
+    """Common zeros in R^k of nonzero polys in k variables, lifted from Γ^k.
+
+    A branch at level j is a point mod π^{j+1} where every polynomial
+    vanishes mod π^{j+1}; it extends by the residue solutions z of
+    D f(γ0) z = -γ_j(f(c^[j])).  Every root's truncations are branches, and
+    each final candidate is re-evaluated, so the result is exact.
+    """
+    k = polys[0].ring.nvars
+    gamma = R.teichmuller_set()
     # level 0 tests every point of Γ^k, so a system whose residue-field
     # projection vanishes identically needs no special case
     level0 = []
     for combo in itertools.product(gamma, repeat=k):
-        if all(R.valuation(p.evaluate(list(combo))) >= 1 for p in work):
+        if all(R.valuation(p.evaluate(list(combo))) >= 1 for p in polys):
             level0.append(combo)
 
-    jac = [[p.derivative(s) for s in range(k)] for p in work]
+    jac = [[p.derivative(s) for s in range(k)] for p in polys]
     solutions = set()
     for g0 in level0:
         rows = [
             [R.teichmuller_digit(jac[i][s].evaluate(list(g0))) for s in range(k)]
-            for i in range(len(work))
+            for i in range(len(polys))
         ]
         branches = [[list(g0)]]
         for j in range(1, R.nu):
@@ -560,7 +537,7 @@ def solve_system_lifting(
                     R.teichmuller_digit(
                         R.neg(R.pi_adic_digits(p.evaluate(list(prefix)))[j])
                     )
-                    for p in work
+                    for p in polys
                 ]
                 for z in residue_linear_solutions(R, rows, rhs):
                     next_branches.append(digit_seq + [list(z)])
@@ -572,6 +549,6 @@ def solve_system_lifting(
                 R.pi_adic_compose([digit_seq[t][s] for t in range(len(digit_seq))])
                 for s in range(k)
             )
-            if all(p.evaluate(list(c)).is_zero() for p in work):
+            if all(p.evaluate(list(c)).is_zero() for p in polys):
                 solutions.add(c)
-    return SolutionSet(R, ring.variables, frozenset(solutions))
+    return solutions

@@ -8,6 +8,7 @@ import pytest
 
 import chainring
 from chainring.cli import main
+from chainring.localring import quotient_presentation
 
 
 def run_cli(capsys, *argv):
@@ -95,6 +96,27 @@ def test_empty_system_usage_error(capsys, tmp_path):
     code, out = run_cli(capsys, "solve", path)
     assert code == 2
     assert json.loads(out)["error"]["type"] == "ParseError"
+
+
+Z8 = {"kind": "zpk", "p": 2, "k": 3}
+LOCAL = quotient_presentation(2, 3, [4, 0, 1], 1).to_json()
+
+
+@pytest.mark.parametrize(
+    "command, obj, key",
+    [
+        (["minrank", "--instance"], {"ring": Z8, "rank": 1}, "matrices"),
+        (["rank"], {"rows": 1, "cols": 1, "data": [[2]]}, "ring"),
+        (["solve-local"], {"ring": LOCAL, "vars": ["x"]}, "polys"),
+    ],
+)
+def test_missing_field_is_a_parse_error(capsys, tmp_path, command, obj, key):
+    path = write(tmp_path, "input.json", obj)
+    code, out = run_cli(capsys, *command, path)
+    assert code == 2
+    assert out == (
+        '{"error":{"message":"missing field \'%s\'","type":"ParseError"}}\n' % key
+    )
 
 
 def test_text_needs_flag(capsys, tmp_path):

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from chainring.errors import InternalInvariant, ResourceExceeded, TooLarge
+from chainring.errors import DomainError, InternalInvariant, ResourceExceeded, TooLarge
 from chainring.groebner import buchberger
 from chainring.oracles import brute_solve, brute_vanishing_poly
 from chainring.polys import MonomialOrder, PolyRing
-from chainring.rings import Zpk, integer_ring
+from chainring.rings import Zpk, galois_ring, integer_ring
 from chainring.solve import (
     ALL_OF_RING,
     SolutionSet,
@@ -15,6 +15,7 @@ from chainring.solve import (
     solve_system,
     solve_system_lifting,
     solve_univariate,
+    univariate_roots,
 )
 
 
@@ -41,6 +42,60 @@ def test_univariate_zero_ideal_gives_everything(z8):
     sol = solve_univariate([P.zero])
     assert sol.is_everything()
     assert sol.count() == 8
+
+
+def test_univariate_rejects_a_multivariate_system(z8):
+    P = PolyRing(z8, ("x", "y"), "lex")
+    with pytest.raises(DomainError):
+        solve_univariate([P.parse("x*y")])
+
+
+def test_univariate_roots_need_no_groebner_basis(z8, monkeypatch):
+    import chainring.groebner as groebner_module
+    import chainring.solve as solve_module
+
+    calls = []
+
+    def counting(polys, ring=None):
+        calls.append(len(polys))
+        return buchberger(polys, ring)
+
+    monkeypatch.setattr(groebner_module, "buchberger", counting)
+    monkeypatch.setattr(solve_module, "buchberger", counting)
+    P = PolyRing(z8, ("x",), "lex")
+    sol = solve_system([P.parse("x^2 - x")])
+    assert {x.data for (x,) in sol.solutions} == {0, 1}
+    assert calls == []
+
+
+def test_univariate_roots_beyond_the_vanishing_polynomial_cap():
+    # no head is a unit, and F_m is out of reach for rings above 2^16
+    R = Zpk(2, 17)
+    P = PolyRing(R, ("x",), "lex")
+    for text in ("2*x", "65536*x^2 + 2*x"):
+        assert [r.data for r in univariate_roots([P.parse(text)])] == [0, 65536]
+    P3 = PolyRing(Zpk(3, 11), ("x",), "lex")
+    assert len(univariate_roots([P3.parse("3*x")])) == 3
+
+
+def test_univariate_roots_equal_enumeration():
+    rng = random.Random(9)
+    rings = [Zpk(2, 2), Zpk(2, 3), Zpk(2, 4), Zpk(3, 2), Zpk(3, 3), Zpk(5, 2)]
+    rings += [galois_ring(2, 2, 2), galois_ring(2, 3, 2), galois_ring(3, 2, 2)]
+    for R in rings:
+        P = PolyRing(R, ("x",), "lex")
+        elems = list(R.elements())
+        for _ in range(60):
+            system = [
+                P.poly({(rng.randrange(5),): rng.choice(elems) for _ in range(3)})
+                for _ in range(rng.randrange(1, 3))
+            ]
+            if all(p.is_zero() for p in system):
+                continue
+            expected = [
+                x for x in elems if all(p.evaluate([x]).is_zero() for p in system)
+            ]
+            assert univariate_roots(system) == sorted(expected, key=R.sort_key)
 
 
 def test_bivariate_golden(z8):
@@ -144,9 +199,10 @@ def test_lifting_agrees_with_elimination(z4, z8):
             system = [p for p in system if not p.is_zero()]
             if not system:
                 continue
+            # the routes share the lift, so brute force is the independent check
             a = solve_system(system).explicit()
             b = solve_system_lifting(system).explicit()
-            assert a == b
+            assert a == b == brute_solve(system).explicit()
 
 
 def test_vanishing_polynomial_golden(z8):
