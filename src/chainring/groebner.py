@@ -2,8 +2,13 @@
 
 Buchberger's loop with the two completeness obligations rings add: for every
 pair the S-polynomial, and for every generator the A-polynomial (annihilator
-multiple of its head).  Output is fully interreduced with leading
-coefficients normalized to pi^val, so golden tests are byte-stable.
+multiple of its head).  Two criteria drop S-pairs that Buchberger's
+criterion does not need: the coprime criterion for unit heads, and the chain
+criterion in its valuation-aware form (a third head term-divides the pair's
+lcm and its pairs with both members are already treated); a unit head's
+A-polynomial is zero and is never queued.  Output is fully
+interreduced with leading coefficients normalized to pi^val, so golden tests
+are byte-stable.
 """
 
 from __future__ import annotations
@@ -88,39 +93,40 @@ def _normalize_head(g: MultiPoly) -> MultiPoly:
 
 def interreduce(polys: Iterable[MultiPoly], ring: PolyRing) -> tuple[MultiPoly, ...]:
     """Canonical form: heads normalized, every element fully reduced by the
-    others, sorted by (leading monomial desc, valuation asc)."""
+    others, sorted by (leading monomial desc, valuation asc).
+
+    One ascending pass reduces each member by all the others.  Whether a
+    term is reducible depends only on the divisors' head terms, so a member
+    that vanishes (the earlier ones lose a divisor) or keeps its head term
+    (the heads are the same) leaves the earlier members fully reduced, and
+    the pass goes on; only a changed head re-sorts and starts again.
+    """
     R = ring.ring
+
+    def sort_key(f):
+        return (ring.order.key(f.leading_monomial()), -R.valuation(f.leading_coefficient()))
+
     current = [_normalize_head(p) for p in polys if not p.is_zero()]
-    changed = True
-    rounds = 0
-    while changed:
-        changed = False
-        rounds += 1
-        if rounds > 1000:
-            raise ResourceExceeded("interreduction did not stabilize")
-        current.sort(key=lambda f: (ring.order.key(f.leading_monomial()), -R.valuation(f.leading_coefficient())))
-        nxt: list[MultiPoly] = []
-        for i, f in enumerate(current):
-            others = current[:i] + current[i + 1 :]
-            h = strong_reduce(f, others, full=True)
+    for _ in range(1000):
+        current.sort(key=sort_key)
+        i = 0
+        while i < len(current):
+            f = current[i]
+            h = strong_reduce(f, current[:i] + current[i + 1 :], full=True)
             if h.is_zero():
-                changed = True
-                current = others
-                break
+                del current[i]
+                continue
             h = _normalize_head(h)
             if h != f:
-                changed = True
-                current = others[:i] + [h] + others[i:]
-                break
-            nxt.append(f)
+                current[i] = h
+                if h.leading_term() != f.leading_term():
+                    break  # a new head: re-sort and start again
+            i += 1
         else:
-            current = nxt
-    # descending lm; among equal lm the smaller valuation first
-    current.sort(
-        key=lambda f: (ring.order.key(f.leading_monomial()), -R.valuation(f.leading_coefficient())),
-        reverse=True,
-    )
-    return tuple(current)
+            # descending lm; among equal lm the smaller valuation first
+            current.sort(key=sort_key, reverse=True)
+            return tuple(current)
+    raise ResourceExceeded("interreduction did not stabilize")
 
 
 _MAX_PAIRS = 200_000
@@ -130,10 +136,31 @@ def buchberger(polys: Sequence[MultiPoly], ring: PolyRing | None = None) -> Groe
     """Gröbner basis of the ideal generated by polys, interreduced.
 
     The pending queue holds both S-pairs and A-polynomials, processed in
-    normal-selection order (minimal lcm).  A pair whose heads are coprime
-    monomials with unit coefficients is skipped: its S-polynomial reduces to
-    zero (the coefficient-blind field version of this criterion is unsound
-    over rings).
+    normal-selection order (minimal lcm).  Two criteria drop S-pairs whose
+    S-polynomial has a representation by the basis with every term below
+    its lcm, which is all Buchberger's criterion asks of a pair:
+
+    - Coprime: both heads have unit coefficients and coprime monomials (the
+      coefficient-blind field version of this criterion is unsound over
+      rings).  The pair is never queued.
+    - Chain, checked when the pair (i, j) is popped: some other member g_k
+      has a head that term-divides the head term pi^l * T of the pair, where
+      T = lcm(lm g_i, lm g_j) and l = max(val lc g_i, val lc g_j) (lm g_k
+      divides T and val lc g_k <= l), and neither (i, k) nor (j, k) is
+      pending.  With L_ik = lcm(lm g_i, lm g_k), l_ik = max(val lc g_i,
+      val lc g_k) and likewise for (j, k),
+
+          S_ij = pi^(l - l_ik) (T / L_ik) S_ik - pi^(l - l_jk) (T / L_jk) S_jk
+
+      exactly: both sides carry the same multiples of g_i and g_j, and the
+      multiples of g_k, u_k^-1 pi^(l - val lc g_k) (T / lm g_k) g_k, cancel
+      (u_k is the unit part of lc g_k).  S_ik and S_jk were treated, so each
+      has a representation below its lcm, and scaling them puts every term
+      of S_ij's representation below T.  A pair is skipped only against
+      pairs already treated, so the argument never runs in a circle.
+
+    A-polynomials are queued only for heads with a non-unit coefficient: a
+    unit head's A-polynomial is pi^nu * g = 0.
     """
     if ring is None:
         if not polys:
@@ -144,32 +171,47 @@ def buchberger(polys: Sequence[MultiPoly], ring: PolyRing | None = None) -> Groe
         raise DomainError("Gröbner bases require a chain ring; split PIRs first")
 
     basis: list[MultiPoly] = []
+    heads: list[tuple[tuple[int, ...], int]] = []  # (lm, val lc) of each member
     queue: list = []  # (order key of lcm, tiebreak, payload)
+    pending: set[tuple[int, int]] = set()  # queued S-pairs (j, i) with j < i
     counter = 0
 
-    def push_pairs(new_index: int):
+    def add(h: MultiPoly):
         nonlocal counter
-        g = basis[new_index]
-        eg = g.leading_monomial()
-        g_unit = R.valuation(g.leading_coefficient()) == 0
-        for j in range(new_index):
-            h = basis[j]
-            eh = h.leading_monomial()
+        new = len(basis)
+        eg, vg = h.leading_monomial(), R.valuation(h.leading_coefficient())
+        basis.append(h)
+        heads.append((eg, vg))
+        for j, (eh, vh) in enumerate(heads[:new]):
             lcm = mono_lcm(eg, eh)
-            if g_unit and lcm == mono_mul(eg, eh) and R.valuation(h.leading_coefficient()) == 0:
+            if vg == 0 and vh == 0 and lcm == mono_mul(eg, eh):
                 continue
-            heapq.heappush(queue, (ring.order.key(lcm), counter, ("s", j, new_index)))
+            heapq.heappush(queue, (ring.order.key(lcm), counter, ("s", j, new)))
+            pending.add((j, new))
             counter += 1
-        heapq.heappush(queue, (ring.order.key(eg), counter, ("a", new_index, -1)))
-        counter += 1
+        if vg > 0:
+            heapq.heappush(queue, (ring.order.key(eg), counter, ("a", new, -1)))
+            counter += 1
+
+    def chain_skips(i: int, j: int) -> bool:
+        (ei, vi), (ej, vj) = heads[i], heads[j]
+        lcm = mono_lcm(ei, ej)
+        l = max(vi, vj)
+        return any(
+            vk <= l
+            and k not in (i, j)
+            and all(a <= b for a, b in zip(ek, lcm))
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            for k, (ek, vk) in enumerate(heads)
+        )
 
     for f in polys:
         if f.is_zero():
             continue
         h = strong_reduce(f, basis)
         if not h.is_zero():
-            basis.append(h)
-            push_pairs(len(basis) - 1)
+            add(h)
 
     if not basis:
         return GroebnerBasis((), ring, minimal=True)
@@ -183,6 +225,9 @@ def buchberger(polys: Sequence[MultiPoly], ring: PolyRing | None = None) -> Groe
             )
         _, _, (kind, i, j) = heapq.heappop(queue)
         if kind == "s":
+            pending.remove((i, j))
+            if chain_skips(i, j):
+                continue
             candidate = s_polynomial(basis[i], basis[j])
         else:
             candidate = a_polynomial(basis[i])
@@ -191,8 +236,7 @@ def buchberger(polys: Sequence[MultiPoly], ring: PolyRing | None = None) -> Groe
         h = strong_reduce(candidate, basis)
         if h.is_zero():
             continue
-        basis.append(h)
-        push_pairs(len(basis) - 1)
+        add(h)
 
     generators = interreduce(basis, ring)
     return GroebnerBasis(generators, ring, minimal=True)

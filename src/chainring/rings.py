@@ -802,7 +802,14 @@ def parse_ring_spec(spec: str) -> Ring:
     if spec.startswith("{"):
         import json
 
-        return ring_from_json(json.loads(spec))
+        try:
+            obj = json.loads(spec)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"bad ring spec {spec!r}: {exc}") from exc
+        try:
+            return ring_from_json(obj)
+        except KeyError as exc:
+            raise ParseError(f"missing field {exc}") from exc
     parts = spec.split(":")
     try:
         if parts[0] == "zpk":

@@ -119,6 +119,22 @@ def test_missing_field_is_a_parse_error(capsys, tmp_path, command, obj, key):
     )
 
 
+def test_inline_ring_spec_missing_field_is_a_parse_error(capsys, tmp_path):
+    path = write(tmp_path, "sys.json", {"vars": ["x"], "polys": ["x"]})
+    code, out = run_cli(capsys, "solve", "--text", "--ring", '{"kind":"zpk","p":2}', path)
+    assert code == 2
+    assert out == '{"error":{"message":"missing field \'k\'","type":"ParseError"}}\n'
+
+
+def test_malformed_inline_ring_spec_is_a_parse_error(capsys, tmp_path):
+    path = write(tmp_path, "sys.json", {"vars": ["x"], "polys": ["x"]})
+    code, out = run_cli(capsys, "solve", "--text", "--ring", '{"kind":"zpk","p":2', path)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"].startswith("bad ring spec ")
+
+
 def test_text_needs_flag(capsys, tmp_path):
     path = write(
         tmp_path,

@@ -272,6 +272,24 @@ def test_buchberger_matches_golden_bases():
         assert [P.poly_to_json(g) for g in G.generators] == case["basis"], case
 
 
+KS_GOLDEN_BASES = Path(__file__).resolve().parent / "goldens" / "ks_model_bases.json"
+
+
+def test_buchberger_matches_ks_model_golden_bases():
+    # lex bases of ks_model(inst, placement) plus F_m in every variable, for
+    # planted rank-1 3x3, K = 2 MinRank instances over Z4, Z8, Z9 and Z25
+    # (seed 2024), in every Z' placement; six variables each, so tails are
+    # reduced by several divisors and depend on which one comes first
+    cases = json.loads(KS_GOLDEN_BASES.read_text())
+    assert len(cases) == 114
+    assert {case["ring"] for case in cases} == {"z4", "z8", "z9", "z25"}
+    for case in cases:
+        P = PolyRing(RINGS[case["ring"]], tuple(case["vars"]), case["order"])
+        F = [P.poly_from_json(f) for f in case["input"]]
+        G = buchberger(F, P)
+        assert [P.poly_to_json(g) for g in G.generators] == case["basis"], case
+
+
 @st.composite
 def random_systems(draw):
     R = RINGS[draw(st.sampled_from(sorted(RINGS)))]
@@ -294,3 +312,18 @@ def test_buchberger_property(system):
     G = buchberger(F, P)
     assert verify_groebner(G)
     assert all(G.contains(f) for f in F)
+    # interreduced: no term of a generator is term-divisible by another
+    # generator's head (so heads are pairwise not term-divisible either),
+    # and every head coefficient is pi^val
+    R = P.ring
+    heads = [(g.leading_monomial(), R.valuation(g.leading_coefficient())) for g in G]
+
+    def term_divides(head, exps, coeff):
+        e, v = head
+        return v <= R.valuation(coeff) and all(a <= b for a, b in zip(e, exps))
+
+    for i, g in enumerate(G):
+        others = heads[:i] + heads[i + 1 :]
+        assert not any(term_divides(h, *g.leading_term()) for h in others)
+        assert not any(term_divides(h, e, c) for e, c in g.terms for h in others)
+        assert g.leading_coefficient() == R.pow(R.pi_element, heads[i][1])

@@ -169,6 +169,23 @@ def test_solver_equals_brute_force(z4, z8, z9):
             assert solve_system(system).explicit() == brute_solve(system).explicit()
 
 
+@pytest.mark.parametrize(
+    "texts, count",
+    [
+        (["3*x*y*z + 7*x + 3*y^2", "x^2*y + 4*x + 2", "3*x^2 + 5*y^3 + y^2 + 7*y*z"], 0),
+        (["5*x^2*y + 6*x*z + z^2", "x^2 + 2*x*z^2 + y^2*z + 5*y^2"], 16),
+    ],
+)
+def test_degree_three_tail_systems(z8, texts, count):
+    # two seeded degree-3 systems in three variables whose lex bases took
+    # 12-40 s without the chain criterion and take under a second with it
+    P = PolyRing(z8, ("x", "y", "z"), "lex")
+    system = [P.parse(t) for t in texts]
+    solutions = solve_system(system).explicit()
+    assert len(solutions) == count
+    assert solutions == brute_solve(system).explicit()
+
+
 def test_lifting_solver_examples(z25, z8):
     P = PolyRing(z25, ("x",), "lex")
     sol = solve_system_lifting([P.parse("x^5 - x"), P.parse("5*x + 10")])
