@@ -63,14 +63,13 @@ def s_polynomial(g1: MultiPoly, g2: MultiPoly) -> MultiPoly:
         raise EqualInputs("S-polynomial needs distinct inputs")
     ring = g1.ring
     R = ring.ring
-    (e1, c1) = g1.leading_term()
-    (e2, c2) = g2.leading_term()
+    e1, l1, inv1 = g1.head_data()
+    e2, l2, inv2 = g2.head_data()
     lcm = mono_lcm(e1, e2)
-    l1, l2 = R.valuation(c1), R.valuation(c2)
     l = max(l1, l2)
     # c_i = b_i^{-1} pi^{l-l_i} where lc(g_i) = b_i pi^{l_i}
-    k1 = R.mul(R.invert(R.unit_part(c1)), R.pow(R.pi_element, l - l1))
-    k2 = R.mul(R.invert(R.unit_part(c2)), R.pow(R.pi_element, l - l2))
+    k1 = R.mul(inv1, R.pow(R.pi_element, l - l1))
+    k2 = R.mul(inv2, R.pow(R.pi_element, l - l2))
     return g1.term_mul(mono_div(lcm, e1), k1) - g2.term_mul(mono_div(lcm, e2), k2)
 
 
@@ -85,10 +84,9 @@ def a_polynomial(g: MultiPoly) -> MultiPoly:
 
 def _normalize_head(g: MultiPoly) -> MultiPoly:
     """Scale by a unit so the leading coefficient becomes pi^val."""
-    R = g.ring.ring
     if g.is_zero():
         return g
-    return g.scale(R.invert(R.unit_part(g.leading_coefficient())))
+    return g.scale(g.head_data()[2])
 
 
 def interreduce(polys: Iterable[MultiPoly], ring: PolyRing) -> tuple[MultiPoly, ...]:
@@ -101,10 +99,9 @@ def interreduce(polys: Iterable[MultiPoly], ring: PolyRing) -> tuple[MultiPoly, 
     (the heads are the same) leaves the earlier members fully reduced, and
     the pass goes on; only a changed head re-sorts and starts again.
     """
-    R = ring.ring
-
     def sort_key(f):
-        return (ring.order.key(f.leading_monomial()), -R.valuation(f.leading_coefficient()))
+        e, v, _ = f.head_data()
+        return (ring.order.key(e), -v)
 
     current = [_normalize_head(p) for p in polys if not p.is_zero()]
     for _ in range(1000):
@@ -172,6 +169,7 @@ def buchberger(polys: Sequence[MultiPoly], ring: PolyRing | None = None) -> Groe
 
     basis: list[MultiPoly] = []
     heads: list[tuple[tuple[int, ...], int]] = []  # (lm, val lc) of each member
+    masks: list[int] = []  # the variables of each member's lm, as a bitmask
     queue: list = []  # (order key of lcm, tiebreak, payload)
     pending: set[tuple[int, int]] = set()  # queued S-pairs (j, i) with j < i
     counter = 0
@@ -179,9 +177,10 @@ def buchberger(polys: Sequence[MultiPoly], ring: PolyRing | None = None) -> Groe
     def add(h: MultiPoly):
         nonlocal counter
         new = len(basis)
-        eg, vg = h.leading_monomial(), R.valuation(h.leading_coefficient())
+        eg, vg, _ = h.head_data()
         basis.append(h)
         heads.append((eg, vg))
+        masks.append(sum(1 << v for v, a in enumerate(eg) if a))
         for j, (eh, vh) in enumerate(heads[:new]):
             lcm = mono_lcm(eg, eh)
             if vg == 0 and vh == 0 and lcm == mono_mul(eg, eh):
@@ -197,13 +196,15 @@ def buchberger(polys: Sequence[MultiPoly], ring: PolyRing | None = None) -> Groe
         (ei, vi), (ej, vj) = heads[i], heads[j]
         lcm = mono_lcm(ei, ej)
         l = max(vi, vj)
+        outside = ~(masks[i] | masks[j])  # lm g_k cannot divide lcm if it uses these
         return any(
             vk <= l
+            and not mk & outside
             and k not in (i, j)
             and all(a <= b for a, b in zip(ek, lcm))
             and (min(i, k), max(i, k)) not in pending
             and (min(j, k), max(j, k)) not in pending
-            for k, (ek, vk) in enumerate(heads)
+            for k, ((ek, vk), mk) in enumerate(zip(heads, masks))
         )
 
     for f in polys:

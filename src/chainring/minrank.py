@@ -21,7 +21,7 @@ from .errors import DomainError, Inconclusive, ParseError
 from .linalg import RingMatrix, rank, reduced_row_echelon, split_matrix
 from .polys import MultiPoly, PolyRing
 from .rings import ProductRing, Ring, RingElement, ring_from_json
-from .solve import FIELD_EQUATION_RING_CAP, crt_join, solve_system, x_block_solutions
+from .solve import crt_join, solve_system, x_block_solutions
 
 
 @dataclass(frozen=True)
@@ -316,8 +316,12 @@ def minrank_candidates(
 ) -> Iterator[tuple[RingElement, ...]]:
     """The distinct x-block solutions of every model of a chain-ring
     instance, unverified: a superset of the solutions the strategy finds.
-    The Gröbner strategies add the field equations F_m when |R| is at most
-    FIELD_EQUATION_RING_CAP."""
+
+    The Gröbner strategies solve each model's x block from the lex basis of
+    the model's own equations.  The field equations F_m would add nothing:
+    F_m vanishes at every point of R, so V_R(I) = V_R(I + F_m), and every
+    x-only member of I already vanishes on the x block of each solution.
+    """
     n = inst.shape[1]
     if strategy == "ks":
         models = (ks_model(inst, sub) for sub in ks_permutation_schedule(n, inst.r))
@@ -326,14 +330,11 @@ def minrank_candidates(
         models = (sm_model(inst, sub) for sub in subsets)
     else:
         raise DomainError(f"unknown strategy {strategy!r}")
-    if strategy == "sm-linearization":
-        solve_x = macaulay_x_block
-    else:
-        use_fm = inst.ring.size <= FIELD_EQUATION_RING_CAP
 
-        def solve_x(model):
-            return x_block_solutions(model.poly_ring, model.equations, model.x_vars, use_fm)
+    def groebner_x_block(model):
+        return x_block_solutions(model.poly_ring, model.equations, model.x_vars)
 
+    solve_x = macaulay_x_block if strategy == "sm-linearization" else groebner_x_block
     seen = set()
     for model in models:
         for x in solve_x(model):

@@ -214,6 +214,11 @@ def brute_minrank(
     return sols
 
 
+# x rows per kernel chunk are sized so that one chunk's products hold about
+# this many int64 entries (16 MB), whatever |R|^k is
+_KERNEL_CHUNK_ENTRIES = 1 << 21
+
+
 def _brute_minrank_zpk(inst: MinRankInstance, budget: OracleBudget):
     import numpy as np
 
@@ -236,8 +241,11 @@ def _brute_minrank_zpk(inst: MinRankInstance, budget: OracleBudget):
     cs = np.array(list(itertools.product(range(M), repeat=m)), dtype=np.int64)
 
     def log_row_size(mats_all):
-        prod = np.einsum("cm,xmn->xcn", cs, mats_all) % M
-        ker = (prod == 0).all(axis=2).sum(axis=1)  # |kernel| per x
+        ker = np.empty(len(mats_all), dtype=np.int64)  # |left kernel| per x
+        step = max(1, _KERNEL_CHUNK_ENTRIES // (len(cs) * n))
+        for lo in range(0, len(mats_all), step):
+            prod = np.einsum("cm,xmn->xcn", cs, mats_all[lo : lo + step]) % M
+            ker[lo : lo + step] = (prod == 0).all(axis=2).sum(axis=1)
         sizes = (M**m) // ker
         logs = np.zeros(len(sizes), dtype=np.int64)
         s = sizes.copy()

@@ -238,11 +238,12 @@ class PolyRing:
 class MultiPoly:
     """Immutable polynomial; terms strictly descending under the ring order."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_head")
 
     def __init__(self, ring: PolyRing, terms: tuple):
         self.ring = ring
         self.terms = terms
+        self._head = None
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -270,6 +271,16 @@ class MultiPoly:
 
     def leading_coefficient(self) -> RingElement:
         return self.leading_term()[1]
+
+    def head_data(self):
+        """(lm, val lc, inverse of the unit part of lc) over a chain ring,
+        computed on first use and kept: the polynomial never changes."""
+        head = self._head
+        if head is None:
+            e, c = self.leading_term()
+            R = self.ring.ring
+            head = self._head = (e, R.valuation(c), R.invert(R.unit_part(c)))
+        return head
 
     def leading_data(self):
         """(lt, lm, lc) of the first term under the active order."""
@@ -530,11 +541,7 @@ def _reduce_core(f: MultiPoly, basis, full: bool, record):
     R = ring.ring
     key = ring._key
     pi = R.pi_element
-    # per-divisor head data: monomial, valuation, inverse of the unit part
-    heads = []
-    for gi, g in enumerate(basis):
-        e1, c1 = g.terms[0]
-        heads.append((e1, R.valuation(c1), R.invert(R.unit_part(c1)), gi))
+    heads = [g.head_data() + (gi,) for gi, g in enumerate(basis)]
     rem: list = []
     work = f
     steps = 0

@@ -340,9 +340,7 @@ def solve_key_groebner(rd: RankDecodingInstance) -> list[tuple[RingElement, ...]
     key-equation model with z_r = 1, so the x block of the elimination keeps
     x.  Sound: each candidate passes rd.check.  Empty when no x qualifies."""
     model = key_equation_model(rd)
-    return _verified_xs(
-        rd, x_block_solutions(model.r_ring, model.r_equations, model.x_vars, False)
-    )
+    return _verified_xs(rd, x_block_solutions(model.r_ring, model.r_equations, model.x_vars))
 
 
 # -- the decoding pipeline ------------------------------------------------------------

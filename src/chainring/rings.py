@@ -770,6 +770,15 @@ def crt_join(parts: Sequence[RingElement], ring: Ring) -> RingElement:
     return parts[0]
 
 
+def _int_field(obj: dict, key: str) -> int:
+    """An integer field of a ring descriptor; a JSON bool, float or string
+    is malformed input, not a number to round."""
+    value = obj[key]
+    if type(value) is not int:  # bool is a subclass of int
+        raise ParseError(f"ring field '{key}' must be an integer, got {value!r}")
+    return value
+
+
 def ring_from_json(obj) -> Ring:
     if isinstance(obj, dict) and "kind" not in obj and "base" in obj and "modulus" in obj:
         # extension descriptor used as a plain ring
@@ -781,7 +790,7 @@ def ring_from_json(obj) -> Ring:
         raise ParseError(f"bad ring descriptor: {obj!r}")
     kind = obj["kind"]
     if kind == "zpk":
-        return Zpk(int(obj["p"]), int(obj["k"]))
+        return Zpk(_int_field(obj, "p"), _int_field(obj, "k"))
     if kind == "gr":
         if "base" in obj:
             base = ring_from_json(obj["base"])
@@ -789,7 +798,8 @@ def ring_from_json(obj) -> Ring:
                 raise ParseError("gr base must be a chain ring")
             mod = [base.element_from_json(c) for c in obj["modulus"]]
             return ExtensionChainRing(base, mod)
-        return galois_ring(int(obj["p"]), int(obj["k"]), int(obj["r"]), obj.get("modulus"))
+        p, k, r = (_int_field(obj, key) for key in ("p", "k", "r"))
+        return galois_ring(p, k, r, obj.get("modulus"))
     if kind == "product":
         comps = [ring_from_json(c) for c in obj["components"]]
         return ProductRing(comps)

@@ -46,7 +46,6 @@ ALL_OF_RING = _AllOfRing()
 
 DEFAULT_SOLUTION_CAP = 1 << 16
 DESK_SCALE_RING_CAP = 1 << 16
-FIELD_EQUATION_RING_CAP = 512
 
 
 def enumeration_budget() -> int:
@@ -434,20 +433,21 @@ def crt_join(
 
 
 def x_block_solutions(
-    ring: PolyRing, equations: Sequence[MultiPoly], x_vars: Sequence[int], field_equations: bool
+    ring: PolyRing, equations: Sequence[MultiPoly], x_vars: Sequence[int]
 ) -> list[tuple]:
     """Explicit solutions of the elimination ideal in the trailing x_vars.
 
-    Lex Gröbner basis of the equations (plus F_m in every variable with
-    field_equations), its x-only subbasis mapped to a ring in x_vars alone
-    and solved exactly; an unconstrained x block is enumerated within the
-    budget.  The x tuples of the system's solutions are among the results.
+    Lex Gröbner basis of the equations, its x-only subbasis mapped to a ring
+    in x_vars alone and solved exactly; an unconstrained x block (an empty
+    x-only subbasis) is enumerated within the budget.  Every x-only member
+    of the ideal vanishes on the x block of every solution, so the x tuples
+    of the system's solutions are among the results.  The field equations
+    F_m are not needed for that: F_m vanishes at every point of R, so
+    adjoining it leaves the solutions over R unchanged and only makes the
+    basis larger.
     """
     R = ring.ring
-    work = list(equations)
-    if field_equations:
-        work.extend(ring_vanishing_polynomial(R, ring, v) for v in range(ring.nvars))
-    work = [w for w in work if not w.is_zero()]
+    work = [w for w in equations if not w.is_zero()]
     if any(w.is_constant() for w in work):
         return []  # a nonzero constant equation has no solution
     G = buchberger(work, ring)

@@ -135,6 +135,26 @@ def test_malformed_inline_ring_spec_is_a_parse_error(capsys, tmp_path):
     assert error["message"].startswith("bad ring spec ")
 
 
+@pytest.mark.parametrize(
+    "field, value, shown",
+    [("p", "x", "'x'"), ("p", [2], "[2]"), ("p", 2.9, "2.9"), ("k", True, "True")],
+)
+@pytest.mark.parametrize("inline", [True, False], ids=["inline", "file"])
+def test_non_integer_ring_field_is_a_parse_error(capsys, tmp_path, field, value, shown, inline):
+    # strings and lists used to crash in int(), floats and bools were rounded
+    ring = {"kind": "zpk", "p": 2, "k": 2, field: value}
+    system = {"vars": ["x"], "polys": ["x"]}
+    if inline:
+        path = write(tmp_path, "sys.json", system)
+        code, out = run_cli(capsys, "solve", "--text", "--ring", json.dumps(ring), path)
+    else:
+        path = write(tmp_path, "sys.json", dict(system, ring=ring))
+        code, out = run_cli(capsys, "solve", "--text", path)
+    assert code == 2
+    message = f"ring field '{field}' must be an integer, got {shown}"
+    assert json.loads(out) == {"error": {"message": message, "type": "ParseError"}}
+
+
 def test_text_needs_flag(capsys, tmp_path):
     path = write(
         tmp_path,

@@ -79,7 +79,7 @@ def test_sm_linearization_echelon_golden(homogeneous_minrank_z8):
 def test_affine_instance_identity_placement_fails(affine_minrank_z8):
     # the bottom-block Z' misses the solution; the sweep finds it anyway
     model = ks_model(affine_minrank_z8, (2,))
-    xs = x_block_solutions(model.poly_ring, model.equations, model.x_vars, True)
+    xs = x_block_solutions(model.poly_ring, model.equations, model.x_vars)
     assert [x for x in xs if affine_minrank_z8.is_solution(x)] == []
 
 
@@ -294,3 +294,14 @@ def test_sm_linearization_matches_brute_on_planted_instances():
             found = solve_minrank(inst, "sm-linearization")
             assert found == brute_minrank(inst)
             assert x in found
+
+
+def test_groebner_strategies_match_brute_on_a_z16_k3_instance():
+    # planted rank-1 3x3, K = 3 over Z16: with the field equations adjoined to
+    # every model, instances of this shape took 6-149 s; both Gröbner
+    # strategies must still find exactly the brute-force solutions
+    inst, x = planted_rank_one(random.Random(6), Zpk(2, 4), k=3)
+    expected = brute_minrank(inst)
+    assert x in expected
+    for strategy in ("ks", "sm-groebner"):
+        assert solve_minrank(inst, strategy) == expected
