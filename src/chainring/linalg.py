@@ -32,7 +32,14 @@ class RingMatrix:
 
     def __init__(self, ring: Ring, rows: Sequence[Sequence[RingElement]]):
         self.ring = ring
-        self.rows = tuple(tuple(ring.coerce(x) for x in row) for row in rows)
+        # an element of this very ring object needs no coercion
+        self.rows = tuple(
+            tuple(
+                x if isinstance(x, RingElement) and x.ring is ring else ring.coerce(x)
+                for x in row
+            )
+            for row in rows
+        )
         self.m = len(self.rows)
         self.n = len(self.rows[0]) if self.rows else 0
         if any(len(r) != self.n for r in self.rows):
@@ -211,118 +218,85 @@ class HermiteDecomposition:
         return self._p_pair[1]
 
 
-class _RowEliminator:
-    """Mutable row-elimination state.  The row operations are logged rather
-    than applied to a transform; row_transforms replays them when asked."""
-
-    def __init__(self, A: RingMatrix):
-        self.R: ChainRing = A.ring
-        self.d = [list(row) for row in A.rows]
-        self.m = A.m
-        self.n = A.n
-        # (i, j, None) swaps rows i and j, (i, j, c) adds c * row j to row i,
-        # (i, None, u) scales row i by the unit u
-        self.ops: list[tuple] = []
-
-    def row_swap(self, i, j):
-        if i == j:
-            return
-        self.d[i], self.d[j] = self.d[j], self.d[i]
-        self.ops.append((i, j, None))
-
-    def row_addmul(self, i, j, c):
-        """row i += c * row j."""
-        R = self.R
-        if c.is_zero():
-            return
-        self.d[i] = [R.add(a, R.mul(c, b)) for a, b in zip(self.d[i], self.d[j])]
-        self.ops.append((i, j, c))
-
-    def row_scale(self, i, u):
-        R = self.R
-        self.d[i] = [R.mul(u, a) for a in self.d[i]]
-        self.ops.append((i, None, u))
-
-    def row_transforms(self) -> tuple[RingMatrix, RingMatrix]:
-        """(P, P^-1) with A = P @ d: the logged operations applied to the
-        identity as row ops (P^-1) and as inverse column ops (P)."""
-        R = self.R
-        left = [[R.one if i == j else R.zero for j in range(self.m)] for i in range(self.m)]
-        left_out = [row[:] for row in left]
-        for i, j, c in self.ops:
-            if c is None:
-                left[i], left[j] = left[j], left[i]
-                for row in left_out:
-                    row[i], row[j] = row[j], row[i]
-            elif j is None:
-                c_inv = R.invert(c)
-                left[i] = [R.mul(c, a) for a in left[i]]
-                for row in left_out:
-                    row[i] = R.mul(row[i], c_inv)
-            else:
-                left[i] = [R.add(a, R.mul(c, b)) for a, b in zip(left[i], left[j])]
-                for row in left_out:
-                    row[j] = R.sub(row[j], R.mul(c, row[i]))
-        return RingMatrix(R, left_out), RingMatrix(R, left)
+def _payloads(A: RingMatrix) -> list[list]:
+    return [[x.data for x in row] for row in A.rows]
 
 
-class _Eliminator(_RowEliminator):
-    """Row and column elimination state tracking both transforms."""
+def _boxed(R: ChainRing, rows) -> RingMatrix:
+    return RingMatrix(R, [[RingElement(R, x) for x in row] for row in rows])
 
-    def __init__(self, A: RingMatrix):
-        super().__init__(A)
-        self.right = [
-            [self.R.one if i == j else self.R.zero for j in range(A.n)]
-            for i in range(A.n)
-        ]  # d = A-so-far @ right^{-1}... maintained as: A = left_out @ d @ right_out
-        self.right_out = [row[:] for row in self.right]
 
-    # column ops (applied to d and right_out tracking; inverse row op on right)
+def _transposed(rows: list[list]) -> list[list]:
+    return [list(col) for col in zip(*rows)]
 
-    def col_swap(self, i, j):
-        if i == j:
-            return
-        for row in self.d:
-            row[i], row[j] = row[j], row[i]
-        self.right[i], self.right[j] = self.right[j], self.right[i]
-        for row in self.right_out:
-            row[i], row[j] = row[j], row[i]
 
-    def col_addmul(self, j, i, c):
-        """col j += c * col i."""
-        R = self.R
-        if c.is_zero():
-            return
-        for row in self.d:
-            row[j] = R.add(row[j], R.mul(c, row[i]))
-        for row in self.right_out:
-            row[j] = R.add(row[j], R.mul(c, row[i]))
-        self.right[i] = [R.sub(a, R.mul(c, b)) for a, b in zip(self.right[i], self.right[j])]
+def _row_transforms(R: ChainRing, ops: list[tuple], m: int) -> tuple[list[list], list[list]]:
+    """(P^T, P^-1) as payload rows, with A = P @ E for E the matrix the
+    logged row operations made of A: the operations applied to the identity
+    as row operations give P^-1, and their inverses applied as column
+    operations give P, kept transposed so that they too act on rows.
 
-    def matrices(self):
-        left_out, left = self.row_transforms()
-        return (
-            left_out,
-            RingMatrix(self.R, self.d),
-            RingMatrix(self.R, self.right),
-            left,
-            RingMatrix(self.R, self.right_out),
-        )
+    ops holds (i, j, None) for swapping rows i and j, (i, j, c) for adding
+    c * row j to row i, and (i, None, u) for scaling row i by the unit u.
+    """
+    one, zero = R.one.data, R._zero_data
+    left = [[one if i == j else zero for j in range(m)] for i in range(m)]
+    left_out_t = [row[:] for row in left]
+    for i, j, c in ops:
+        if c is None:
+            left[i], left[j] = left[j], left[i]
+            left_out_t[i], left_out_t[j] = left_out_t[j], left_out_t[i]
+        elif j is None:
+            left[i] = R._payload_scale(c, left[i])
+            left_out_t[i] = R._payload_scale(R._payload_invert(c), left_out_t[i])
+        else:
+            left[i] = R._payload_addmul(left[i], c, left[j])
+            left_out_t[j] = R._payload_addmul(left_out_t[j], R._payload_neg(c), left_out_t[i])
+    return left_out_t, left
 
 
 def _min_valuation_entry(R, d, rows, cols):
+    """(v, i, j) minimal over the nonzero d[i][j], or None if all are zero."""
+    zero = R._zero_data
     best = None
     for i in rows:
         for j in cols:
             x = d[i][j]
-            if x.is_zero():
+            if x == zero:
                 continue
-            v = R.valuation(x)
+            v = R._payload_valuation(x)
             if v == 0:
-                return ((0, i, j), x)  # scan order makes this the (v,i,j)-minimum
-            if best is None or (v, i, j) < best[0]:
-                best = ((v, i, j), x)
+                return (0, i, j)  # scan order makes this the (v,i,j)-minimum
+            if best is None or (v, i, j) < best:
+                best = (v, i, j)
     return best
+
+
+def _swap(rows, ops, i, j):
+    if i != j:
+        rows[i], rows[j] = rows[j], rows[i]
+        ops.append((i, j, None))
+
+
+def _make_pivot(R, d, ops, t, c, v):
+    """Scale row t so that d[t][c], of valuation v, becomes pi^v, and clear
+    the entries below it; every entry of those rows has valuation >= v."""
+    u = R._payload_invert(R._payload_quo_pi(d[t][c], v))
+    d[t] = R._payload_scale(u, d[t])
+    ops.append((t, None, u))
+    for i in range(t + 1, len(d)):
+        _reduce_row(R, d, ops, i, t, c, v)
+
+
+def _reduce_row(R, d, ops, i, t, c, v):
+    """Subtract from row i the multiple of the pivot row t (pivot pi^v in
+    column c) that leaves d[i][c] at its canonical residue mod pi^v, which
+    is zero when d[i][c] has valuation >= v."""
+    q = R._payload_quo_pi(d[i][c], v)
+    if q != R._zero_data:
+        coeff = R._payload_neg(q)
+        d[i] = R._payload_addmul(d[i], coeff, d[t])
+        ops.append((i, t, coeff))
 
 
 def smith_normal_form(A: RingMatrix) -> SmithDecomposition:
@@ -333,27 +307,39 @@ def smith_normal_form(A: RingMatrix) -> SmithDecomposition:
     R = A.ring
     if not isinstance(R, ChainRing):
         raise NotChainRing("Smith form requires a chain ring or product of them")
-    st = _Eliminator(A)
-    k = min(A.m, A.n)
-    for t in range(k):
-        found = _min_valuation_entry(R, st.d, range(t, A.m), range(t, A.n))
+    d = _payloads(A)
+    zero = R._zero_data
+    # a column operation on d is logged as the row operation it is on d's
+    # transpose, so replaying col_ops gives V and the transpose of V^-1
+    row_ops: list[tuple] = []
+    col_ops: list[tuple] = []
+    for t in range(min(A.m, A.n)):
+        found = _min_valuation_entry(R, d, range(t, A.m), range(t, A.n))
         if found is None:
             break
-        (v, i, j), _ = found
-        st.row_swap(t, i)
-        st.col_swap(t, j)
-        st.row_scale(t, R.invert(R.unit_part(st.d[t][t])))
-        # pivot is now pi^v; everything in the submatrix has valuation >= v
-        for i2 in range(t + 1, A.m):
-            x = st.d[i2][t]
-            if not x.is_zero():
-                st.row_addmul(i2, t, R.neg(R.exact_div_pi_power(x, v)))
+        v, i, j = found
+        _swap(d, row_ops, t, i)
+        if t != j:
+            for row in d:
+                row[t], row[j] = row[j], row[t]
+            col_ops.append((t, j, None))
+        _make_pivot(R, d, row_ops, t, t, v)
+        # column t is now pi^v at row t and zero elsewhere, so adding
+        # c * column t to column j only clears d[t][j]
         for j2 in range(t + 1, A.n):
-            x = st.d[t][j2]
-            if not x.is_zero():
-                st.col_addmul(j2, t, R.neg(R.exact_div_pi_power(x, v)))
-    u, d, v_mat, u_inv, v_inv = st.matrices()
-    return SmithDecomposition(u, d, v_mat, u_inv, v_inv)
+            x = d[t][j2]
+            if x != zero:
+                col_ops.append((j2, t, R._payload_neg(R._payload_quo_pi(x, v))))
+                d[t][j2] = zero
+    u_t, u_inv = _row_transforms(R, row_ops, A.m)
+    v_mat, v_inv_t = _row_transforms(R, col_ops, A.n)
+    return SmithDecomposition(
+        _boxed(R, _transposed(u_t)),
+        _boxed(R, d),
+        _boxed(R, v_mat),
+        _boxed(R, u_inv),
+        _boxed(R, _transposed(v_inv_t)),
+    )
 
 
 def _recombine_smith(A: RingMatrix) -> SmithDecomposition:
@@ -427,38 +413,33 @@ def hermite_form(A: RingMatrix) -> HermiteDecomposition:
     R = A.ring
     if not isinstance(R, ChainRing):
         raise NotChainRing("Hermite form requires a chain ring or product of them")
-    st = _RowEliminator(A)
+    d = _payloads(A)
+    ops: list[tuple] = []
     t = 0
     for c in range(A.n):
-        found = _min_valuation_entry(R, st.d, range(t, A.m), [c])
+        found = _min_valuation_entry(R, d, range(t, A.m), (c,))
         if found is None:
             continue
-        (v, i, _), _ = found
-        st.row_swap(t, i)
-        st.row_scale(t, R.invert(R.unit_part(st.d[t][c])))
-        for i2 in range(t + 1, A.m):
-            x = st.d[i2][c]
-            if not x.is_zero():
-                st.row_addmul(i2, t, R.neg(R.exact_div_pi_power(x, v)))
+        v, i, _ = found
+        _swap(d, ops, t, i)
+        _make_pivot(R, d, ops, t, c, v)
         for i2 in range(t):
-            x = st.d[i2][c]
-            rem = R.reduce_mod_pi_power(x, v)
-            q = R.exact_div_pi_power(R.sub(x, rem), v)
-            if not q.is_zero():
-                st.row_addmul(i2, t, R.neg(q))
+            _reduce_row(R, d, ops, i2, t, c, v)
         t += 1
         if t == A.m:
             break
-    return HermiteDecomposition(RingMatrix(R, st.d), st.row_transforms)
+
+    def transforms():
+        p_t, p_inv = _row_transforms(R, ops, A.m)
+        return _boxed(R, _transposed(p_t)), _boxed(R, p_inv)
+
+    return HermiteDecomposition(_boxed(R, d), transforms)
 
 
 def reduced_row_echelon(A: RingMatrix) -> RingMatrix:
     """The echelon matrix with zero rows trimmed."""
     T = hermite_form(A).t
-    rows = [row for row in T.rows if any(not x.is_zero() for x in row)]
-    if not rows:
-        return RingMatrix(A.ring, [])
-    return RingMatrix(A.ring, rows)
+    return RingMatrix(A.ring, [row for row in T.rows if any(not x.is_zero() for x in row)])
 
 
 def kernel(A: RingMatrix) -> list[tuple[RingElement, ...]]:

@@ -389,12 +389,12 @@ def decode(rd: RankDecodingInstance, strategy: str = "auto") -> DecodeResult:
     if isinstance(rd.ext, ProductExtension):
         return _decode_product(rd, strategy)
     order = _AUTO_ORDER if strategy == "auto" else (strategy,)
-    last_error: Exception | None = None
+    errors = []
     for strat in order:
         try:
             xs = ROUTES[strat](rd)
         except (Inconclusive, ResourceExceeded) as exc:
-            last_error = exc
+            errors.append(f"{strat}: {exc}")
             continue
         if not xs:
             # only a complete route returns an empty list; confirm by brute
@@ -403,7 +403,7 @@ def decode(rd: RankDecodingInstance, strategy: str = "auto") -> DecodeResult:
             raise NoSolution("no codeword within the radius (brute-confirmed)")
         sols = tuple((x, rd.codeword(x), rd.error_of(x)) for x in xs)
         return DecodeResult(sols, strat)
-    raise Inconclusive(f"all strategies inconclusive: {last_error}")
+    raise Inconclusive(f"all strategies inconclusive: {'; '.join(errors)}")
 
 
 def _confirm_empty(rd: RankDecodingInstance):

@@ -280,6 +280,39 @@ class ChainRing(Ring):
         """Canonical lifts of the residue field (digit-0 representatives)."""
         raise NotImplementedError
 
+    # -- payload arithmetic ---------------------------------------------------
+    # linalg eliminates on RingElement.data and boxes only at a matrix's
+    # boundary.  These defaults box each payload and call the ring's element
+    # methods; Zpk overrides them on plain ints.  Zero is _zero_data.
+
+    def _payload_valuation(self, x) -> int:
+        return self.valuation(RingElement(self, x))
+
+    def _payload_invert(self, x):
+        """The inverse of a unit."""
+        return self.invert(RingElement(self, x)).data
+
+    def _payload_quo_pi(self, x, v: int):
+        """q with x = q * pi^v + reduce_mod_pi_power(x, v); for valuation(x)
+        >= v this is exact_div_pi_power(x, v)."""
+        a = RingElement(self, x)
+        return self.exact_div_pi_power(self.sub(a, self.reduce_mod_pi_power(a, v)), v).data
+
+    def _payload_neg(self, x):
+        return self.neg(RingElement(self, x)).data
+
+    def _payload_scale(self, u, row: list) -> list:
+        u = RingElement(self, u)
+        return [self.mul(u, RingElement(self, a)).data for a in row]
+
+    def _payload_addmul(self, row_i: list, c, row_j: list) -> list:
+        """row_i + c * row_j."""
+        c = RingElement(self, c)
+        return [
+            self.add(RingElement(self, a), self.mul(c, RingElement(self, b))).data
+            for a, b in zip(row_i, row_j)
+        ]
+
 
 class Zpk(ChainRing):
     """The ring of integers modulo p^k.  Element payload: int in [0, p^k)."""
@@ -329,12 +362,12 @@ class Zpk(ChainRing):
         return RingElement(self, (a.data * b.data) % self.modulus)
 
     def invert(self, a):
-        if a.data % self.p == 0:
-            raise NotAUnit(f"{a.data} is not a unit mod {self.modulus}")
-        return RingElement(self, pow(a.data, -1, self.modulus))
+        return RingElement(self, self._payload_invert(a.data))
 
     def valuation(self, a) -> int:
-        x = a.data
+        return self._payload_valuation(a.data)
+
+    def _payload_valuation(self, x):
         if x == 0:
             return self.nu
         v = 0
@@ -342,6 +375,25 @@ class Zpk(ChainRing):
             x //= self.p
             v += 1
         return v
+
+    def _payload_invert(self, x):
+        if x % self.p == 0:
+            raise NotAUnit(f"{x} is not a unit mod {self.modulus}")
+        return pow(x, -1, self.modulus)
+
+    def _payload_quo_pi(self, x, v):
+        return x // self.p**v
+
+    def _payload_neg(self, x):
+        return -x % self.modulus
+
+    def _payload_scale(self, u, row):
+        M = self.modulus
+        return [u * a % M for a in row]
+
+    def _payload_addmul(self, row_i, c, row_j):
+        M = self.modulus
+        return [(a + c * b) % M for a, b in zip(row_i, row_j)]
 
     def exact_div_pi_power(self, a, l):
         if l == 0:

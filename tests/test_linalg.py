@@ -1,9 +1,11 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
-from chainring.errors import NotChainRing, NotFree, NotInvertible, RankTooLarge
+from chainring.errors import DomainError, NotChainRing, NotFree, NotInvertible, RankTooLarge
 from chainring.linalg import (
     RingMatrix,
     determinant,
@@ -22,7 +24,7 @@ from chainring.linalg import (
     standard_form,
 )
 from chainring.oracles import brute_rank, module_elements
-from chainring.rings import integer_ring
+from chainring.rings import Zpk, galois_ring, integer_ring
 
 
 def rand_matrix(ring, m, n, rng):
@@ -109,10 +111,10 @@ def test_echelon_is_built_without_its_transforms(z8, z9, gr42, monkeypatch):
             rows[rng.randrange(m)] = [ring.zero] * n
             cases += [A, RingMatrix(ring, rows), RingMatrix.zeros(ring, m, n)]
 
-    def refuse(self):
+    def refuse(*args):
         raise AssertionError("transforms built for a caller that reads only T")
 
-    monkeypatch.setattr(linalg._RowEliminator, "row_transforms", refuse)
+    monkeypatch.setattr(linalg, "_row_transforms", refuse)
     echelons = [(A, hermite_form(A).t, reduced_row_echelon(A)) for A in cases]
     monkeypatch.undo()
     for A, T, E in echelons:
@@ -315,6 +317,18 @@ def test_product_ring_componentwise(z8):
     assert len(rank_profile(A)) == 2
 
 
+def test_matrix_entries_are_checked_and_coerced(z8, z9):
+    own = z8.from_int(3)
+    twin = Zpk(2, 3).from_int(5)  # a structurally equal ring
+    A = RingMatrix(z8, [[1, -1], [own, twin]])
+    assert [[x.data for x in row] for row in A.rows] == [[1, 7], [3, 5]]
+    assert A.rows[1][0] is own and A.rows[0][0].ring is z8
+    with pytest.raises(DomainError, match="used in"):
+        RingMatrix(z8, [[1, z9.one]])
+    with pytest.raises(DomainError, match="cannot coerce"):
+        RingMatrix(z8, [[1.0]])
+
+
 def test_matrix_json_roundtrip(z8):
     A = RingMatrix(z8, [[1, 2], [3, 4]])
     assert RingMatrix.from_json(A.to_json()) == A
@@ -327,3 +341,70 @@ def test_rre_trims_zero_rows(z8):
     # same row module
     for y in itertools.product(list(z8.elements()), repeat=2):
         assert row_membership(A, y) == row_membership(E, y)
+
+
+ECHELON_GOLDEN = Path(__file__).resolve().parent / "goldens" / "echelon_forms.json"
+ECHELON_RINGS = {
+    "z4": Zpk(2, 2),
+    "z8": Zpk(2, 3),
+    "z9": Zpk(3, 2),
+    "z25": Zpk(5, 2),
+    "gr42": galois_ring(2, 2, 2),
+    "z12": integer_ring(12),
+}
+
+
+def echelon_inputs():
+    """Seeded matrices over each ring: random ones of several shapes, one
+    of non-units only (non-unit pivots, entries above them to reduce), one
+    with a zero row and a zero column, all-zero, identity, 1x1 and empty."""
+    rng = random.Random(2026)
+    for name, ring in ECHELON_RINGS.items():
+        elems = list(ring.elements())
+        non_units = [x for x in elems if not ring.is_unit(x)]
+
+        def rand(m, n, pool=elems):
+            return [[rng.choice(pool) for _ in range(n)] for _ in range(m)]
+
+        for m, n in ((3, 4), (4, 3), (4, 4), (2, 6), (6, 2)):
+            yield name, rand(m, n)
+        yield name, rand(4, 5, non_units)
+        holed = rand(4, 5)
+        holed[1] = [ring.zero] * 5
+        for row in holed:
+            row[2] = ring.zero
+        yield name, holed
+        yield name, [[ring.zero] * 3 for _ in range(2)]
+        yield name, [[ring.one if i == j else ring.zero for j in range(3)] for i in range(3)]
+        yield name, rand(1, 1)
+        yield name, []
+
+
+def echelon_record(name, rows):
+    ring = ECHELON_RINGS[name]
+    A = RingMatrix(ring, rows)
+    h = hermite_form(A)
+    s = smith_normal_form(A)
+
+    def data(M):
+        return M.to_json()["data"]
+
+    return {
+        "ring": name,
+        "input": data(A),
+        "hermite": {"t": data(h.t), "p": data(h.p), "p_inv": data(h.p_inv)},
+        "smith": {k: data(getattr(s, k)) for k in ("u", "d", "v", "u_inv", "v_inv")},
+        "rre": data(reduced_row_echelon(A)),
+    }
+
+
+def render_echelon_golden() -> str:
+    records = [echelon_record(name, rows) for name, rows in echelon_inputs()]
+    return "[\n" + ",\n".join(json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records) + "\n]\n"
+
+
+def test_echelon_forms_match_golden():
+    # Hermite (T, P, P^-1), Smith (U, D, V, U^-1, V^-1) and the trimmed
+    # echelon of seeded matrices over Z4, Z8, Z9, Z25, GR(4,2) and Z12,
+    # byte for byte as the boxed elimination produced them
+    assert render_echelon_golden() == ECHELON_GOLDEN.read_text()

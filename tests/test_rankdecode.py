@@ -288,6 +288,23 @@ def test_auto_order_names_only_routes():
     assert set(_AUTO_ORDER) <= set(ROUTES)
 
 
+def test_all_inconclusive_names_every_strategy(decoding_instance, monkeypatch):
+    import chainring.rankdecode as rankdecode
+
+    def give_up(name):
+        def route(rd):
+            raise Inconclusive(f"{name} gave up")
+
+        return route
+
+    monkeypatch.setattr(rankdecode, "ROUTES", {s: give_up(s) for s in ROUTES})
+    with pytest.raises(Inconclusive) as info:
+        decode(decoding_instance)
+    assert str(info.value) == "all strategies inconclusive: " + "; ".join(
+        f"{s}: {s} gave up" for s in _AUTO_ORDER
+    )
+
+
 def test_decode_output_always_verifies(decoding_instance, ext83):
     res = decode(decoding_instance)
     for x, c, e in res.solutions:
