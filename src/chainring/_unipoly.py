@@ -77,10 +77,6 @@ def evaluate(ring, f, x):
     return acc
 
 
-def derivative(ring, f):
-    return trim([ring.mul(ring.from_int(i), f[i]) for i in range(1, len(f))])
-
-
 def x_power_minus_one(ring, n):
     out = [ring.zero] * (n + 1)
     out[0] = ring.neg(ring.one)

@@ -138,17 +138,12 @@ def _cmd_gb(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    path = args.system_flag or args.system
-    if not path:
-        raise ParseError("no system file given")
-    obj = _load_json(path)
+    obj = _load_json(args.system)
     pring, polys = _system_from_json(obj, args.ring, args.order, args.text, args.vars)
     if args.method == "lifting":
         sol = solve_system_lifting(polys, max_solutions=args.max_solutions)
     else:
-        sol = solve_system(
-            polys, field_equations=args.field_equations, max_solutions=args.max_solutions
-        )
+        sol = solve_system(polys, max_solutions=args.max_solutions)
     return _emit("solve", _system_to_json(pring, polys), sol.to_json())
 
 
@@ -162,7 +157,7 @@ def _cmd_solve_local(args) -> int:
         raise ParseError("system file needs a 'vars' list")
     pring = PolyRing(pres, variables, "lex")
     polys = [pring.poly_from_json(e) for e in obj["polys"]]
-    roots = localring_mod.solve_local_system(polys, field_equations=args.field_equations)
+    roots = localring_mod.solve_local_system(polys)
     sols = sorted(
         [[pres.element_to_json(v) for v in sol] for sol in roots]
     )
@@ -371,20 +366,17 @@ def build_parser() -> argparse.ArgumentParser:
     gb.set_defaults(func=_cmd_gb)
 
     so = sub.add_parser("solve", help="solve a polynomial system")
-    so.add_argument("system", nargs="?", help="system JSON file (or use --system)")
-    so.add_argument("--system", dest="system_flag", help="system JSON file")
+    so.add_argument("system", help="system JSON file (or - for stdin)")
     so.add_argument("--ring")
     so.add_argument("--order")
     so.add_argument("--vars")
     so.add_argument("--method", choices=["elimination", "lifting"], default="elimination")
-    so.add_argument("--field-equations", action="store_true")
     so.add_argument("--max-solutions", type=int, default=DEFAULT_SOLUTION_CAP)
     so.add_argument("--text", action="store_true")
     so.set_defaults(func=_cmd_solve)
 
     sl = sub.add_parser("solve-local", help="solve over a finite local ring")
     sl.add_argument("system")
-    sl.add_argument("--field-equations", action="store_true")
     sl.set_defaults(func=_cmd_solve_local)
 
     rk = sub.add_parser("rank", help="rank and Smith diagonal of a matrix")

@@ -21,6 +21,7 @@ from .rings import (
     ProductRing,
     RingElement,
     _factor,
+    _int_field,
     ring_from_json,
 )
 
@@ -263,7 +264,7 @@ def extension_from_json(obj):
     if "base" not in obj or "m" not in obj:
         raise ParseError("extension descriptor needs base and m")
     base = ring_from_json(obj["base"])
-    m = int(obj["m"])
+    m = _int_field(obj, "m")
     if isinstance(base, ProductRing):
         mods = obj.get("modulus")
         comps = []

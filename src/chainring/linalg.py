@@ -183,13 +183,32 @@ class RingMatrix:
         return mat
 
 
+class _LazyTransforms:
+    """A decomposition whose transforms are built on first read from the
+    operations that produced its reduced matrix, so a caller that reads
+    only that matrix never pays for them."""
+
+    transforms: Callable[[], tuple[RingMatrix, ...]]
+
+    @cached_property
+    def _built(self) -> tuple[RingMatrix, ...]:
+        return self.transforms()
+
+
+def _transform(i: int) -> property:
+    return property(lambda self: self._built[i])
+
+
 @dataclass(frozen=True)
-class SmithDecomposition:
-    u: RingMatrix
+class SmithDecomposition(_LazyTransforms):
+    """A = U @ D @ V; transforms() returns (U, V, U^-1, V^-1)."""
+
     d: RingMatrix
-    v: RingMatrix
-    u_inv: RingMatrix
-    v_inv: RingMatrix
+    transforms: Callable[[], tuple[RingMatrix, ...]] = field(repr=False, compare=False)
+    u = _transform(0)
+    v = _transform(1)
+    u_inv = _transform(2)
+    v_inv = _transform(3)
 
     def diagonal(self) -> tuple[RingElement, ...]:
         k = min(self.d.m, self.d.n)
@@ -197,25 +216,13 @@ class SmithDecomposition:
 
 
 @dataclass(frozen=True)
-class HermiteDecomposition:
-    """A = P @ T.  P and its inverse are built on first use from the row
-    operations that produced T, so a caller that reads only T never pays
-    for them."""
+class HermiteDecomposition(_LazyTransforms):
+    """A = P @ T; transforms() returns (P, P^-1)."""
 
     t: RingMatrix
-    transforms: Callable[[], tuple[RingMatrix, RingMatrix]] = field(repr=False, compare=False)
-
-    @cached_property
-    def _p_pair(self) -> tuple[RingMatrix, RingMatrix]:
-        return self.transforms()
-
-    @property
-    def p(self) -> RingMatrix:
-        return self._p_pair[0]
-
-    @property
-    def p_inv(self) -> RingMatrix:
-        return self._p_pair[1]
+    transforms: Callable[[], tuple[RingMatrix, ...]] = field(repr=False, compare=False)
+    p = _transform(0)
+    p_inv = _transform(1)
 
 
 def _payloads(A: RingMatrix) -> list[list]:
@@ -331,28 +338,30 @@ def smith_normal_form(A: RingMatrix) -> SmithDecomposition:
             if x != zero:
                 col_ops.append((j2, t, R._payload_neg(R._payload_quo_pi(x, v))))
                 d[t][j2] = zero
-    u_t, u_inv = _row_transforms(R, row_ops, A.m)
-    v_mat, v_inv_t = _row_transforms(R, col_ops, A.n)
-    return SmithDecomposition(
-        _boxed(R, _transposed(u_t)),
-        _boxed(R, d),
-        _boxed(R, v_mat),
-        _boxed(R, u_inv),
-        _boxed(R, _transposed(v_inv_t)),
-    )
+
+    def transforms():
+        u_t, u_inv = _row_transforms(R, row_ops, A.m)
+        v_mat, v_inv_t = _row_transforms(R, col_ops, A.n)
+        return (
+            _boxed(R, _transposed(u_t)),
+            _boxed(R, v_mat),
+            _boxed(R, u_inv),
+            _boxed(R, _transposed(v_inv_t)),
+        )
+
+    return SmithDecomposition(_boxed(R, d), transforms)
 
 
 def _recombine_smith(A: RingMatrix) -> SmithDecomposition:
     ring: ProductRing = A.ring
-    comps = split_matrix(A)
-    decs = [smith_normal_form(c) for c in comps]
-    return SmithDecomposition(
-        join_matrices(ring, [dc.u for dc in decs]),
-        join_matrices(ring, [dc.d for dc in decs]),
-        join_matrices(ring, [dc.v for dc in decs]),
-        join_matrices(ring, [dc.u_inv for dc in decs]),
-        join_matrices(ring, [dc.v_inv for dc in decs]),
-    )
+    decs = [smith_normal_form(c) for c in split_matrix(A)]
+
+    def transforms():
+        return tuple(
+            join_matrices(ring, [dc._built[i] for dc in decs]) for i in range(4)
+        )
+
+    return SmithDecomposition(join_matrices(ring, [dc.d for dc in decs]), transforms)
 
 
 def split_matrix(A: RingMatrix) -> list[RingMatrix]:

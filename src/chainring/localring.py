@@ -381,10 +381,10 @@ def contract_solutions(expanded: ExpandedSystem, solutions) -> frozenset:
     return frozenset(out)
 
 
-def solve_local_system(system: Sequence[MultiPoly], field_equations: bool = False):
+def solve_local_system(system: Sequence[MultiPoly]):
     """Expand to the Galois subring, solve there, contract back; exact."""
     from .solve import solve_system
 
     expanded = expand_system(system)
-    inner = solve_system(list(expanded.equations), field_equations=field_equations)
+    inner = solve_system(list(expanded.equations))
     return contract_solutions(expanded, inner.explicit())

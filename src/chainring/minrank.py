@@ -20,8 +20,8 @@ from typing import Iterator, Sequence
 from .errors import DomainError, Inconclusive, ParseError
 from .linalg import RingMatrix, rank, reduced_row_echelon, split_matrix
 from .polys import MultiPoly, PolyRing
-from .rings import ProductRing, Ring, RingElement, ring_from_json
-from .solve import crt_join, solve_system, x_block_solutions
+from .rings import ProductRing, Ring, RingElement, _int_field, ring_from_json
+from .solve import join_solutions, solve_system, x_block_solutions
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ class MinRankInstance:
             )
         if "r" not in obj:
             raise ParseError("instance needs the target rank r")
-        return cls(ring, mats, int(obj["r"]), m0)
+        return cls(ring, mats, _int_field(obj, "r"), m0)
 
 
 def transpose_instance(inst: MinRankInstance) -> MinRankInstance:
@@ -305,7 +305,7 @@ def solve_minrank(inst: MinRankInstance, strategy: str = "ks") -> list[tuple[Rin
     R = inst.ring
     if isinstance(R, ProductRing):
         parts = split_instance(inst)
-        found = crt_join(R, [solve_minrank(c, strategy) for c in parts])
+        found = join_solutions(R, [solve_minrank(c, strategy) for c in parts])
     else:
         found = filter(inst.is_solution, minrank_candidates(inst, strategy))
     return sorted(found, key=lambda x: tuple(R.sort_key(v) for v in x))

@@ -122,18 +122,29 @@ class PolyRing:
             items = terms.items()
         else:
             items = terms
-        acc: dict[tuple, RingElement] = {}
+        checked = []
         for exps, coeff in items:
             exps = tuple(int(e) for e in exps)
             if len(exps) != self.nvars or any(e < 0 for e in exps):
                 raise DomainError(f"bad exponent vector {exps}")
-            coeff = self.ring.coerce(coeff)
-            if exps in acc:
-                coeff = self.ring.add(acc[exps], coeff)
-            acc[exps] = coeff
-        cleaned = [(e, c) for e, c in acc.items() if not c.is_zero()]
-        cleaned.sort(key=lambda t: self._key(t[0]), reverse=True)
-        return MultiPoly(self, tuple(cleaned))
+            checked.append((exps, self.ring.coerce(coeff)))
+        return self._collect(checked)
+
+    def _collect(self, terms: Iterable[tuple]) -> MultiPoly:
+        """The canonical polynomial of (exps, coeff) terms: like terms
+        summed, zeros dropped, monomials in descending order."""
+        R = self.ring
+        acc: dict = {}
+        for e, c in terms:
+            if c.is_zero():
+                continue
+            if e in acc:
+                c = R.add(acc[e], c)
+            acc[e] = c
+        key = self._key
+        items = [(e, c) for e, c in acc.items() if not c.is_zero()]
+        items.sort(key=lambda t: key(t[0]), reverse=True)
+        return MultiPoly(self, tuple(items))
 
     def constant(self, c) -> MultiPoly:
         c = self.ring.coerce(c)
@@ -356,18 +367,11 @@ class MultiPoly:
     def __mul__(self, other):
         other = self._coerce(other)
         R = self.ring.ring
-        acc: dict = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = mono_mul(e1, e2)
-                c = R.mul(c1, c2)
-                if e in acc:
-                    c = R.add(acc[e], c)
-                if c.is_zero():
-                    acc.pop(e, None)
-                else:
-                    acc[e] = c
-        return self._from_acc(acc)
+        return self.ring._collect(
+            (mono_mul(e1, e2), R.mul(c1, c2))
+            for e1, c1 in self.terms
+            for e2, c2 in other.terms
+        )
 
     __rmul__ = __mul__
 
@@ -384,14 +388,15 @@ class MultiPoly:
         return result
 
     def scale(self, c: RingElement) -> MultiPoly:
+        # scaling leaves the monomials, and so their order, unchanged
         R = self.ring.ring
         c = R.coerce(c)
-        acc = {}
+        out = []
         for e, old in self.terms:
             v = R.mul(c, old)
             if not v.is_zero():
-                acc[e] = v
-        return self._from_acc(acc)
+                out.append((e, v))
+        return MultiPoly(self.ring, tuple(out))
 
     def term_mul(self, exps: tuple[int, ...], coeff: RingElement) -> MultiPoly:
         # multiplying every monomial by a fixed one preserves the sort order
@@ -409,12 +414,6 @@ class MultiPoly:
                 raise DomainError("polynomials from different rings")
             return other
         return self.ring.constant(other)
-
-    def _from_acc(self, acc: dict) -> MultiPoly:
-        key = self.ring._key
-        items = [(e, c) for e, c in acc.items() if not c.is_zero()]
-        items.sort(key=lambda t: key(t[0]), reverse=True)
-        return MultiPoly(self.ring, tuple(items))
 
     # -- evaluation and substitution ----------------------------------------------
 
@@ -436,40 +435,25 @@ class MultiPoly:
         """Specialize one variable to a ring constant."""
         R = self.ring.ring
         value = R.coerce(value)
-        acc: dict = {}
+        return self.ring._collect(
+            (e[:var] + (0,) + e[var + 1 :], R.mul(c, R.pow(value, e[var])))
+            if e[var]
+            else (e, c)
+            for e, c in self.terms
+        )
+
+    def derivative(self, var: int) -> MultiPoly:
+        # dividing the monomials that contain var by var keeps them distinct
+        # and in order, since both orders are compatible with multiplication
+        R = self.ring.ring
+        out = []
         for e, c in self.terms:
             exp = e[var]
             if exp:
-                c = R.mul(c, R.pow(value, exp))
-                e = e[:var] + (0,) + e[var + 1 :]
-            if c.is_zero():
-                continue
-            if e in acc:
-                c = R.add(acc[e], c)
-            if c.is_zero():
-                acc.pop(e, None)
-            else:
-                acc[e] = c
-        return self._from_acc(acc)
-
-    def derivative(self, var: int) -> MultiPoly:
-        R = self.ring.ring
-        acc = {}
-        for e, c in self.terms:
-            exp = e[var]
-            if exp == 0:
-                continue
-            v = R.mul(R.from_int(exp), c)
-            if v.is_zero():
-                continue
-            ne = e[:var] + (exp - 1,) + e[var + 1 :]
-            if ne in acc:
-                v = R.add(acc[ne], v)
-            if v.is_zero():
-                acc.pop(ne, None)
-            else:
-                acc[ne] = v
-        return self._from_acc(acc)
+                v = R.mul(R.from_int(exp), c)
+                if not v.is_zero():
+                    out.append((e[:var] + (exp - 1,) + e[var + 1 :], v))
+        return MultiPoly(self.ring, tuple(out))
 
     def map_to(self, target: PolyRing, var_map: Sequence[int]) -> MultiPoly:
         """Reinterpret in another PolyRing; var_map[i] = target index of var i."""

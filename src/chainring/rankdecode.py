@@ -32,8 +32,8 @@ from .extension import (
 from .linalg import RingMatrix, hermite_form
 from .minrank import MinRankInstance, minrank_candidates
 from .polys import MultiPoly, PolyRing
-from .rings import RingElement
-from .solve import crt_join, enumeration_budget, x_block_solutions
+from .rings import RingElement, _int_field
+from .solve import enumeration_budget, join_solutions, x_block_solutions
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ class RankDecodingInstance:
         rec = tuple(S.element_from_json(v) for v in obj["received"])
         if "radius" not in obj:
             raise ParseError("instance needs the radius")
-        return cls(ext, gen, rec, int(obj["radius"]))
+        return cls(ext, gen, rec, _int_field(obj, "radius"))
 
 
 # -- reduction to MinRank ---------------------------------------------------------
@@ -427,7 +427,7 @@ def _decode_product(rd: RankDecodingInstance, strategy: str) -> DecodeResult:
         rec = tuple(v.data[idx] for v in rd.received)
         sub = RankDecodingInstance(comp, gen, rec, rd.radius)
         results.append(decode(sub, strategy))
-    xs = crt_join(ext.ring, [[sol[0] for sol in res.solutions] for res in results])
+    xs = join_solutions(ext.ring, [[sol[0] for sol in res.solutions] for res in results])
     combined = tuple((x, rd.codeword(x), rd.error_of(x)) for x in xs)
     strategies = ",".join(sorted({res.strategy_used for res in results}))
     return DecodeResult(combined, strategies)

@@ -823,11 +823,11 @@ def crt_join(parts: Sequence[RingElement], ring: Ring) -> RingElement:
 
 
 def _int_field(obj: dict, key: str) -> int:
-    """An integer field of a ring descriptor; a JSON bool, float or string
-    is malformed input, not a number to round."""
+    """An integer field of a JSON object; a JSON bool, float or string is
+    malformed input, not a number to round."""
     value = obj[key]
     if type(value) is not int:  # bool is a subclass of int
-        raise ParseError(f"ring field '{key}' must be an integer, got {value!r}")
+        raise ParseError(f"field '{key}' must be an integer, got {value!r}")
     return value
 
 

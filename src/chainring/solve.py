@@ -3,8 +3,12 @@
 Two routes that differ in elimination and share one residue-field lift:
 lexicographic elimination with back-substitution, whose univariate roots are
 lifted from the residue field, and direct multivariate lifting of the whole
-system.  The independent reference is oracles.brute_solve.  Product rings
-split through the CRT and recombine.
+system.  The lift carries each branch as a point c of R^k and extends it one
+π-adic level at a time by a residue-field linear solve.  The system is
+solved as given: adjoining the field equations F_m, which vanish at every
+point of R, never changes a solution set.  The independent reference is
+oracles.brute_solve.  Product rings split through the CRT and recombine
+with join_solutions.
 """
 
 from __future__ import annotations
@@ -163,11 +167,9 @@ def vanishing_coefficients(R: ChainRing) -> list[RingElement]:
         digits = []
         ii = i
         while ii:
-            digits.append(ii % q)
+            digits.append(gamma[ii % q])
             ii //= q
-        b = R.zero
-        for t, dig in enumerate(digits):
-            b = R.add(b, R.mul(gamma[dig], R.pow(R.pi_element, t + 1)))
+        b = R.mul(R.pi_element, R.pi_adic_compose(digits))
         factor = up.sub(R, e_poly, [b])
         result = up.mul(R, result, factor)
     if not all(up.evaluate(R, result, x).is_zero() for x in R.elements()):
@@ -291,9 +293,7 @@ def solve_univariate(polys: Sequence[MultiPoly], var: int | None = None) -> Solu
 
 
 def solve_system(
-    polys: Sequence[MultiPoly],
-    field_equations: bool = False,
-    max_solutions: int = DEFAULT_SOLUTION_CAP,
+    polys: Sequence[MultiPoly], max_solutions: int = DEFAULT_SOLUTION_CAP
 ) -> SolutionSet:
     """Exact solution set via lex Gröbner elimination and back-substitution."""
     polys = list(polys)
@@ -303,15 +303,11 @@ def solve_system(
     if any(p.ring != ring for p in polys):
         raise DomainError("mixed polynomial rings")
     if isinstance(ring.ring, ProductRing):
-        return _solve_product(polys, ring, field_equations, max_solutions)
+        return _solve_product(polys, ring, max_solutions)
     if ring.order.kind != "lex":
         raise WrongOrder("solve_system requires a lex order")
     R: ChainRing = ring.ring
     original = [p for p in polys if not p.is_zero()]
-    work = list(original)
-    if field_equations:
-        for i in range(ring.nvars):
-            work.append(ring_vanishing_polynomial(R, ring, i))
     found: list[tuple] = []
     emitted = [0]  # solutions the entries of found stand for
     truncated = [False]
@@ -350,7 +346,7 @@ def solve_system(
         if len(remaining) == 1 and emitted[0] > max_solutions:
             truncated[0] = True
 
-    rec(work, list(ring.order.priority), {}, False)
+    rec(original, list(ring.order.priority), {}, False)
     solutions = frozenset(found)
     _verify_solutions(ring, original, solutions)
     return SolutionSet(R, ring.variables, solutions, truncated[0], max_solutions)
@@ -375,17 +371,14 @@ def _verify_solutions(ring: PolyRing, original: list[MultiPoly], solutions):
                     )
 
 
-def _solve_product(polys, ring: PolyRing, field_equations, max_solutions) -> SolutionSet:
+def _solve_product(polys, ring: PolyRing, max_solutions) -> SolutionSet:
     """CRT split, solve per chain component, cartesian recombination."""
     product: ProductRing = ring.ring
-    comp_sets = [
-        solve_system(part, field_equations, max_solutions)
-        for part in _split_polys(polys)
-    ]
+    comp_sets = [solve_system(part, max_solutions) for part in _split_polys(polys)]
     ordered = [
         sorted(s.solutions, key=lambda t: tuple(repr(x) for x in t)) for s in comp_sets
     ]
-    sols = list(itertools.islice(crt_join(product, ordered), max_solutions + 1))
+    sols = list(itertools.islice(join_solutions(product, ordered), max_solutions + 1))
     truncated = len(sols) > max_solutions or any(s.truncated for s in comp_sets)
     return SolutionSet(product, ring.variables, frozenset(sols), truncated, max_solutions)
 
@@ -402,7 +395,7 @@ def _split_polys(polys: Sequence[MultiPoly]) -> list[list[MultiPoly]]:
     return out
 
 
-def crt_join(
+def join_solutions(
     product: ProductRing, parts: Sequence[Iterable[tuple]]
 ) -> Iterator[tuple]:
     """Cartesian recombination of per-component solution tuples, lazily and
@@ -472,8 +465,8 @@ def solve_system_lifting(
     polys: Sequence[MultiPoly], max_solutions: int = DEFAULT_SOLUTION_CAP
 ) -> SolutionSet:
     """Residue-field solutions lifted level by level through the linear
-    congruences D f(γ0) z = -γ_j(f(c^[j])); exact.  It skips elimination but
-    shares the lift with univariate_roots, so brute_solve, not the
+    congruences D f(γ0) z = -(f(c)/π^j mod π); exact.  It skips elimination
+    but shares the lift with univariate_roots, so brute_solve, not the
     elimination route, is its independent check."""
     polys = list(polys)
     if not polys:
@@ -483,7 +476,7 @@ def solve_system_lifting(
         parts = [solve_system_lifting(part, max_solutions) for part in _split_polys(polys)]
         if math.prod(s.count() for s in parts) > max_solutions:
             raise ResourceExceeded(f"product solution set larger than cap {max_solutions}")
-        joined = crt_join(ring.ring, [s.explicit() for s in parts])
+        joined = join_solutions(ring.ring, [s.explicit() for s in parts])
         return SolutionSet(ring.ring, ring.variables, frozenset(joined))
     R: ChainRing = ring.ring
     k = ring.nvars
@@ -504,51 +497,43 @@ def _lift_roots(
 ) -> set[tuple]:
     """Common zeros in R^k of nonzero polys in k variables, lifted from Γ^k.
 
-    A branch at level j is a point mod π^{j+1} where every polynomial
-    vanishes mod π^{j+1}; it extends by the residue solutions z of
-    D f(γ0) z = -γ_j(f(c^[j])).  Every root's truncations are branches, and
-    each final candidate is re-evaluated, so the result is exact.
+    A branch at level j is a point c at which every polynomial f vanishes
+    mod π^j; it extends to c + π^j z for the residue solutions z of
+    D f(γ0) z = -(f(c)/π^j mod π), which makes f vanish mod π^{j+1}.  Every
+    root's truncations are branches, and each final candidate is
+    re-evaluated, so the result is exact.
     """
     k = polys[0].ring.nvars
-    gamma = R.teichmuller_set()
+    jac = [[p.derivative(s) for s in range(k)] for p in polys]
+    pi_powers = [R.pow(R.pi_element, j) for j in range(R.nu)]
+    solutions = set()
     # level 0 tests every point of Γ^k, so a system whose residue-field
     # projection vanishes identically needs no special case
-    level0 = []
-    for combo in itertools.product(gamma, repeat=k):
-        if all(R.valuation(p.evaluate(list(combo))) >= 1 for p in polys):
-            level0.append(combo)
-
-    jac = [[p.derivative(s) for s in range(k)] for p in polys]
-    solutions = set()
-    for g0 in level0:
+    for g0 in itertools.product(R.teichmuller_set(), repeat=k):
+        if any(R.valuation(p.evaluate(list(g0))) < 1 for p in polys):
+            continue
         rows = [
             [R.teichmuller_digit(jac[i][s].evaluate(list(g0))) for s in range(k)]
             for i in range(len(polys))
         ]
-        branches = [[list(g0)]]
+        branches = [g0]
         for j in range(1, R.nu):
             next_branches = []
-            for digit_seq in branches:
-                prefix = tuple(
-                    R.pi_adic_compose([digit_seq[t][s] for t in range(len(digit_seq))])
-                    for s in range(k)
-                )
+            for c in branches:
                 rhs = [
                     R.teichmuller_digit(
-                        R.neg(R.pi_adic_digits(p.evaluate(list(prefix)))[j])
+                        R.neg(R.exact_div_pi_power(p.evaluate(list(c)), j))
                     )
                     for p in polys
                 ]
                 for z in residue_linear_solutions(R, rows, rhs):
-                    next_branches.append(digit_seq + [list(z)])
+                    next_branches.append(
+                        tuple(R.add(x, R.mul(pi_powers[j], y)) for x, y in zip(c, z))
+                    )
                     if len(next_branches) > max_solutions:
                         raise ResourceExceeded("lifting branch count exceeds cap")
             branches = next_branches
-        for digit_seq in branches:
-            c = tuple(
-                R.pi_adic_compose([digit_seq[t][s] for t in range(len(digit_seq))])
-                for s in range(k)
-            )
+        for c in branches:
             if all(p.evaluate(list(c)).is_zero() for p in polys):
                 solutions.add(c)
     return solutions

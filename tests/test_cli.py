@@ -151,8 +151,51 @@ def test_non_integer_ring_field_is_a_parse_error(capsys, tmp_path, field, value,
         path = write(tmp_path, "sys.json", dict(system, ring=ring))
         code, out = run_cli(capsys, "solve", "--text", path)
     assert code == 2
-    message = f"ring field '{field}' must be an integer, got {shown}"
+    message = f"field '{field}' must be an integer, got {shown}"
     assert json.loads(out) == {"error": {"message": message, "type": "ParseError"}}
+
+
+@pytest.mark.parametrize("value, shown", [("1", "'1'"), (2.9, "2.9"), (True, "True")])
+@pytest.mark.parametrize("field", ["m", "r", "radius"])
+def test_non_integer_instance_field_is_a_parse_error(capsys, tmp_path, field, value, shown):
+    # int() crashed on strings and rounded floats and bools to an answerable size
+    ext = {"base": {"kind": "zpk", "p": 2, "k": 2}, "m": 2, "modulus": [1, 1, 1]}
+    decode_args = [
+        "--generator", write(tmp_path, "gen.json", [[[1, 0], [0, 1], [1, 2]]]),
+        "--received", write(tmp_path, "rec.json", [[1, 1], [0, 1], [3, 1]]),
+        "--radius", "1",
+    ]
+    if field == "m":
+        bad = write(tmp_path, "ext.json", dict(ext, m=value))
+        code, out = run_cli(capsys, "rank-decode", "--extension", bad, *decode_args)
+    elif field == "r":
+        instance = {"ring": Z8, "r": value, "matrices": [[[1, 0], [0, 1]]]}
+        code, out = run_cli(capsys, "minrank", "--instance", write(tmp_path, "mr.json", instance))
+    else:
+        ext_path = write(tmp_path, "ext.json", ext)
+        code, out = run_cli(capsys, "rank-decode", "--extension", ext_path, *decode_args)
+        assert code == 0
+        envelope = json.loads(out)
+        envelope["input"]["radius"] = value
+        code, out = run_cli(capsys, "verify", write(tmp_path, "envelope.json", envelope))
+    assert code == 2
+    message = f"field '{field}' must be an integer, got {shown}"
+    assert json.loads(out) == {"error": {"message": message, "type": "ParseError"}}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve"],
+        ["solve", "--system", "instances/eq7.json"],
+        ["solve", "instances/eq7.json", "--text", "--field-equations"],
+        ["solve-local", "instances/local_cubic.json", "--field-equations"],
+    ],
+)
+def test_solve_takes_its_file_and_no_field_equations(capsys, argv):
+    # F_m never changes a solution set, so only gb offers --field-equations
+    code, _ = run_cli(capsys, *argv)
+    assert code == 2
 
 
 def test_text_needs_flag(capsys, tmp_path):

@@ -127,6 +127,35 @@ def test_echelon_is_built_without_its_transforms(z8, z9, gr42, monkeypatch):
         assert dec.p @ dec.p_inv == RingMatrix.identity(A.ring, A.m)
 
 
+def test_rank_is_read_without_smith_transforms(z8, gr42, monkeypatch):
+    """rank, rank_profile, is_free_rows and the Smith diagonal never build U,
+    V or their inverses; read afterwards, they satisfy A = U @ D @ V with
+    U @ U^-1 and V @ V^-1 the identity, over chain rings and over Z12."""
+    import chainring.linalg as linalg
+
+    rng = random.Random(17)
+    cases = [
+        rand_matrix(ring, m, n, rng)
+        for ring in (z8, gr42, integer_ring(12))
+        for m, n in ((2, 3), (3, 2), (3, 3))
+    ]
+
+    def refuse(*args):
+        raise AssertionError("transforms built for a caller that reads only D")
+
+    monkeypatch.setattr(linalg, "_row_transforms", refuse)
+    read = [
+        (rank(A), rank_profile(A), is_free_rows(A), smith_normal_form(A)) for A in cases
+    ]
+    monkeypatch.undo()
+    for A, (r, profile, free, dec) in zip(cases, read):
+        assert r == max(profile)
+        assert free == (len(module_elements(A.ring, A.rows)) == A.ring.size**A.m)
+        assert dec.u @ dec.d @ dec.v == A
+        assert dec.u @ dec.u_inv == RingMatrix.identity(A.ring, A.m)
+        assert dec.v @ dec.v_inv == RingMatrix.identity(A.ring, A.n)
+
+
 def test_kernel_examples(z8):
     gens = kernel(RingMatrix(z8, [[2]]))
     assert [[x.data for x in g] for g in gens] == [[4]]

@@ -159,6 +159,52 @@ def test_substitute_and_derivative(pxy, z8):
     assert dy == pxy.parse("4*x^2 + 3*y^2 + 2")
 
 
+@pytest.mark.parametrize(
+    "order",
+    [MonomialOrder("degrevlex", (0, 1, 2)), MonomialOrder("lex", (2, 0, 1))],
+    ids=["degrevlex", "lex-zxy"],
+)
+def test_operations_keep_canonical_form(z8, gr42, order):
+    # scale and derivative keep the input's term order instead of sorting,
+    # which holds only because the orders are compatible with multiplication
+    rng = random.Random(21)
+    for ring in (z8, gr42):
+        P = PolyRing(ring, ("x", "y", "z"), order)
+        elems = list(ring.elements())
+
+        def rand_poly():
+            return P.poly(
+                {tuple(rng.randrange(4) for _ in range(3)): rng.choice(elems) for _ in range(5)}
+            )
+
+        def check(result, value_at):
+            keys = [P._key(e) for e, _ in result.terms]
+            assert all(a > b for a, b in zip(keys, keys[1:]))
+            assert not any(c.is_zero() for _, c in result.terms)
+            for _ in range(4):
+                point = [rng.choice(elems) for _ in range(3)]
+                assert result.evaluate(point) == value_at(point)
+
+        for _ in range(10):
+            f, g = rand_poly(), rand_poly()
+            c, value, var = rng.choice(elems), rng.choice(elems), rng.randrange(3)
+            check(f.scale(c), lambda pt: ring.mul(c, f.evaluate(pt)))
+            check(f * g, lambda pt: ring.mul(f.evaluate(pt), g.evaluate(pt)))
+            check(
+                f.substitute(var, value),
+                lambda pt: f.evaluate(pt[:var] + [value] + pt[var + 1 :]),
+            )
+            formal = P.poly(
+                [
+                    (e[:var] + (e[var] - 1,) + e[var + 1 :], ring.mul(ring.from_int(e[var]), a))
+                    for e, a in f.terms
+                    if e[var]
+                ]
+            )
+            check(f.derivative(var), formal.evaluate)
+            assert f.derivative(var) == formal
+
+
 def test_evaluate(pxy, z8):
     f = pxy.parse("4*x^2*y + y^3 + 2*y + 4")
     assert f.evaluate([z8.element(1), z8.element(2)]).data == (4 * 2 + 8 + 4 + 4) % 8

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -113,7 +114,8 @@ def test_bivariate_field_equations_other_order(z8):
     order = MonomialOrder("lex", (1, 0))
     P = PolyRing(z8, ("x", "y"), order)
     system = [P.parse("4*x^2*y + y^3 + 2*y + 4"), P.parse("4*x*y^2")]
-    with_fm = solve_system(system, field_equations=True)
+    system += [ring_vanishing_polynomial(z8, P, i) for i in range(P.nvars)]
+    with_fm = solve_system(system)
     assert {(a.data, b.data) for a, b in with_fm.explicit()} == {
         (t, y) for t in range(8) for y in (2, 6)
     }
@@ -144,7 +146,8 @@ def test_field_equations_never_change_solutions(z4, z8, z9):
             if not system:
                 continue
             plain = solve_system(system).explicit()
-            augmented = solve_system(system, field_equations=True).explicit()
+            fm = [ring_vanishing_polynomial(ring, P, i) for i in range(P.nvars)]
+            augmented = solve_system(system + fm).explicit()
             assert plain == augmented
 
 
@@ -220,6 +223,42 @@ def test_lifting_agrees_with_elimination(z4, z8):
             a = solve_system(system).explicit()
             b = solve_system_lifting(system).explicit()
             assert a == b == brute_solve(system).explicit()
+
+
+@pytest.mark.parametrize(
+    "ring", [Zpk(2, 4), Zpk(3, 3), galois_ring(2, 3, 2)], ids=["Z16", "Z27", "GR(8,2)"]
+)
+def test_lifting_at_depth_equals_brute_force(ring):
+    P = PolyRing(ring, ("x", "y"), "lex")
+    x, y = P.gens()
+    p = ring.p
+    # each Jacobian vanishes mod π at the residue points, so a branch splits
+    # into q^2 at every level and the final re-evaluation does the pruning
+    systems = [
+        [x**p, y**p],
+        [(x - y) ** p + x * p, x * y**p],
+        [x**p - y * p, y**2 * p],
+    ]
+    rng = random.Random(31)
+    elems = list(ring.elements())
+    for _ in range(4):
+        systems.append(
+            [
+                P.poly({(rng.randrange(3), rng.randrange(3)): rng.choice(elems) for _ in range(3)})
+                for _ in range(2)
+            ]
+        )
+    for system in systems:
+        system = [f for f in system if not f.is_zero()]
+        if not system:
+            continue
+        lifted = solve_system_lifting(system)
+        assert lifted.explicit() == solve_system(system).explicit()
+        assert lifted.explicit() == brute_solve(system).explicit()
+    # x^p = 0 exactly when val(x) >= ⌈ν/p⌉: q^(ν - ⌈ν/p⌉) values in each
+    # coordinate, all of them lifts of the single residue point (0, 0)
+    per_coordinate = ring.q ** (ring.nu - math.ceil(ring.nu / p))
+    assert solve_system_lifting(systems[0]).count() == per_coordinate**2
 
 
 def test_vanishing_polynomial_golden(z8):
