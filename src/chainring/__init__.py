@@ -9,6 +9,7 @@ from .errors import (
     ComponentMismatch,
     DomainError,
     EqualInputs,
+    ExponentOverflow,
     Inconclusive,
     NoSolution,
     NotARing,

@@ -45,6 +45,10 @@ class ResourceExceeded(ChainRingError):
     """A safety cap was hit; carries partial diagnostics in args."""
 
 
+class ExponentOverflow(ResourceExceeded):
+    """A monomial's exponent does not fit the packed exponent field."""
+
+
 class BudgetExceeded(ChainRingError):
     """A brute-force oracle refused an input larger than its budget."""
 

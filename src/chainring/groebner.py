@@ -22,17 +22,11 @@ from .errors import (
     EqualInputs,
     ResourceExceeded,
     WrongOrder,
+    ZeroElement,
     ZeroIdeal,
     ZeroPolynomial,
 )
-from .polys import (
-    MultiPoly,
-    PolyRing,
-    mono_div,
-    mono_lcm,
-    mono_mul,
-    strong_reduce,
-)
+from .polys import MultiPoly, PolyRing, strong_reduce
 from .rings import ChainRing
 
 
@@ -65,12 +59,12 @@ def s_polynomial(g1: MultiPoly, g2: MultiPoly) -> MultiPoly:
     R = ring.ring
     e1, l1, inv1 = g1.head_data()
     e2, l2, inv2 = g2.head_data()
-    lcm = mono_lcm(e1, e2)
+    lcm = ring._lcm(e1, e2)
     l = max(l1, l2)
     # c_i = b_i^{-1} pi^{l-l_i} where lc(g_i) = b_i pi^{l_i}
-    k1 = R.mul(inv1, R.pow(R.pi_element, l - l1))
-    k2 = R.mul(inv2, R.pow(R.pi_element, l - l2))
-    return g1.term_mul(mono_div(lcm, e1), k1) - g2.term_mul(mono_div(lcm, e2), k2)
+    k1 = R._payload_mul(inv1, R._payload_pi_power(l - l1))
+    k2 = R._payload_mul(inv2, R._payload_pi_power(l - l2))
+    return ring.zero._plus_multiple(g1, lcm - e1, k1)._plus_multiple(g2, lcm - e2, R._payload_neg(k2))
 
 
 def a_polynomial(g: MultiPoly) -> MultiPoly:
@@ -78,15 +72,14 @@ def a_polynomial(g: MultiPoly) -> MultiPoly:
     if g.is_zero():
         raise ZeroPolynomial("A-polynomial of zero polynomial")
     R = g.ring.ring
-    a = R.pow(R.pi_element, R.nu - R.valuation(g.leading_coefficient()))
-    return g.scale(a)
+    return MultiPoly(g.ring, g._scaled(R._payload_pi_power(R.nu - g.head_data()[1])))
 
 
 def _normalize_head(g: MultiPoly) -> MultiPoly:
     """Scale by a unit so the leading coefficient becomes pi^val."""
     if g.is_zero():
         return g
-    return g.scale(g.head_data()[2])
+    return MultiPoly(g.ring, g._scaled(g.head_data()[2]))
 
 
 def interreduce(polys: Iterable[MultiPoly], ring: PolyRing) -> tuple[MultiPoly, ...]:
@@ -100,8 +93,8 @@ def interreduce(polys: Iterable[MultiPoly], ring: PolyRing) -> tuple[MultiPoly, 
     the pass goes on; only a changed head re-sorts and starts again.
     """
     def sort_key(f):
-        e, v, _ = f.head_data()
-        return (ring.order.key(e), -v)
+        m, v, _ = f.head_data()
+        return (m, -v)  # a packed monomial is its own order key
 
     current = [_normalize_head(p) for p in polys if not p.is_zero()]
     for _ in range(1000):
@@ -116,7 +109,7 @@ def interreduce(polys: Iterable[MultiPoly], ring: PolyRing) -> tuple[MultiPoly, 
             h = _normalize_head(h)
             if h != f:
                 current[i] = h
-                if h.leading_term() != f.leading_term():
+                if h._terms[0] != f._terms[0]:
                     break  # a new head: re-sort and start again
             i += 1
         else:
@@ -167,10 +160,11 @@ def buchberger(polys: Sequence[MultiPoly], ring: PolyRing | None = None) -> Groe
     if not isinstance(R, ChainRing):
         raise DomainError("Gröbner bases require a chain ring; split PIRs first")
 
+    guard = ring._guard
     basis: list[MultiPoly] = []
-    heads: list[tuple[tuple[int, ...], int]] = []  # (lm, val lc) of each member
-    masks: list[int] = []  # the variables of each member's lm, as a bitmask
-    queue: list = []  # (order key of lcm, tiebreak, payload)
+    # (packed lm, val lc, the variables of lm as guard bits) of each member
+    heads: list[tuple[int, int, int]] = []
+    queue: list = []  # (packed lcm, which is its order key; tiebreak; payload)
     pending: set[tuple[int, int]] = set()  # queued S-pairs (j, i) with j < i
     counter = 0
 
@@ -179,33 +173,36 @@ def buchberger(polys: Sequence[MultiPoly], ring: PolyRing | None = None) -> Groe
         new = len(basis)
         eg, vg, _ = h.head_data()
         basis.append(h)
-        heads.append((eg, vg))
-        masks.append(sum(1 << v for v, a in enumerate(eg) if a))
-        for j, (eh, vh) in enumerate(heads[:new]):
-            lcm = mono_lcm(eg, eh)
-            if vg == 0 and vh == 0 and lcm == mono_mul(eg, eh):
+        for j, (eh, vh, _) in enumerate(heads):
+            lcm = ring._lcm(eg, eh)
+            if vg == 0 and vh == 0 and lcm == eg + eh:
                 continue
-            heapq.heappush(queue, (ring.order.key(lcm), counter, ("s", j, new)))
+            heapq.heappush(queue, (lcm, counter, ("s", j, new)))
             pending.add((j, new))
             counter += 1
+        heads.append((eg, vg, ring._support(eg)))
         if vg > 0:
-            heapq.heappush(queue, (ring.order.key(eg), counter, ("a", new, -1)))
+            heapq.heappush(queue, (eg, counter, ("a", new, -1)))
             counter += 1
 
-    def chain_skips(i: int, j: int) -> bool:
-        (ei, vi), (ej, vj) = heads[i], heads[j]
-        lcm = mono_lcm(ei, ej)
+    def chain_skips(i: int, j: int, lcm: int) -> bool:
+        _, vi, si = heads[i]
+        _, vj, sj = heads[j]
+        top = lcm | guard
         l = max(vi, vj)
-        outside = ~(masks[i] | masks[j])  # lm g_k cannot divide lcm if it uses these
-        return any(
-            vk <= l
-            and not mk & outside
-            and k not in (i, j)
-            and all(a <= b for a, b in zip(ek, lcm))
-            and (min(i, k), max(i, k)) not in pending
-            and (min(j, k), max(j, k)) not in pending
-            for k, ((ek, vk), mk) in enumerate(zip(heads, masks))
-        )
+        outside = ~(si | sj)  # lm g_k cannot divide lcm if it uses these
+        for k, (ek, vk, sk) in enumerate(heads):
+            if (
+                vk <= l
+                and not sk & outside
+                and k != i
+                and k != j
+                and (top - ek) & guard == guard
+                and (min(i, k), max(i, k)) not in pending
+                and (min(j, k), max(j, k)) not in pending
+            ):
+                return True
+        return False
 
     for f in polys:
         if f.is_zero():
@@ -224,10 +221,10 @@ def buchberger(polys: Sequence[MultiPoly], ring: PolyRing | None = None) -> Groe
             raise ResourceExceeded(
                 f"buchberger exceeded {_MAX_PAIRS} pair reductions", tuple(basis)
             )
-        _, _, (kind, i, j) = heapq.heappop(queue)
+        lcm, _, (kind, i, j) = heapq.heappop(queue)
         if kind == "s":
             pending.remove((i, j))
-            if chain_skips(i, j):
+            if chain_skips(i, j, lcm):
                 continue
             candidate = s_polynomial(basis[i], basis[j])
         else:
@@ -343,7 +340,9 @@ def _exact_poly_div_pi(g: MultiPoly, l: int) -> MultiPoly:
     if l == 0:
         return g
     R = g.ring.ring
-    return g.ring.poly([(e, R.exact_div_pi_power(c, l)) for e, c in g.terms])
+    if any(R._payload_valuation(c) < l for _, c in g._terms):
+        raise ZeroElement(f"a coefficient is not divisible by pi^{l}")
+    return MultiPoly(g.ring, tuple((m, R._payload_quo_pi(c, l)) for m, c in g._terms))
 
 
 def ladder_properties_hold(ladder: UnivariateLadder) -> bool:

@@ -142,9 +142,10 @@ def _mx_entry(inst: MinRankInstance, ring: PolyRing, x_vars, i: int, t: int) -> 
 
 def ks_model(inst: MinRankInstance, zprime_rows: Sequence[int] | None = None) -> KSModel:
     """Bilinear system M_x @ Z = 0 with Z = P (I; Z'); zprime_rows are the
-    rows of Z holding Z' (default: the bottom r rows, the identity placement)."""
+    rows of Z holding Z' (default: the bottom r rows, the identity placement).
+    A target rank above n is read as n."""
     m, n = inst.shape
-    r = inst.r
+    r = min(inst.r, n)
     k = inst.k
     R = inst.ring
     if zprime_rows is None:
@@ -324,7 +325,7 @@ def minrank_candidates(
     """
     n = inst.shape[1]
     if strategy == "ks":
-        models = (ks_model(inst, sub) for sub in ks_permutation_schedule(n, inst.r))
+        models = (ks_model(inst, sub) for sub in ks_permutation_schedule(n, min(inst.r, n)))
     elif strategy in ("sm-groebner", "sm-linearization"):
         subsets = itertools.combinations(range(n), min(inst.r, n))
         models = (sm_model(inst, sub) for sub in subsets)
@@ -362,17 +363,19 @@ def macaulay_x_block(model: SMModel) -> list[tuple[RingElement, ...]]:
         if b == 2:
             shifts += [tuple(int(i == v) for i in range(ring.nvars)) for v in model.x_vars]
         rows = [eq.term_mul(s, R.one) for s in shifts for eq in model.equations]
-        monos = sorted({e for p in rows for e, _ in p.terms}, key=ring.order.key, reverse=True)
-        col = {e: c for c, e in enumerate(monos)}
-        nz = sum(1 for e in monos if any(e[v] for v in model.z_vars))
+        # a packed monomial is its own order key
+        monos = sorted({m for p in rows for m, _ in p._terms}, reverse=True)
+        col = {m: c for c, m in enumerate(monos)}
+        exps = [ring._unpack(m) for m in monos]
+        nz = sum(1 for e in exps if any(e[v] for v in model.z_vars))
         matrix = [[R.zero] * len(monos) for _ in rows]
         for i, p in enumerate(rows):
-            for e, c in p.terms:
-                matrix[i][col[e]] = c
+            for m, c in p._terms:
+                matrix[i][col[m]] = RingElement(R, c)
         echelon = reduced_row_echelon(RingMatrix(R, matrix))
         x_rows = [row[nz:] for row in echelon.rows if all(v.is_zero() for v in row[:nz])]
         if x_rows:
-            x_monos = [tuple(e[v] for v in model.x_vars) for e in monos[nz:]]
+            x_monos = [tuple(e[v] for v in model.x_vars) for e in exps[nz:]]
             polys = [x_ring.poly(zip(x_monos, row)) for row in x_rows]
             return list(solve_system(polys).explicit())
     raise Inconclusive("the Macaulay matrix has no x-only row at degree 2")

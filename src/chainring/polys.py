@@ -1,18 +1,25 @@
 """Multivariate polynomials over chain rings and PIRs with admissible orders.
 
 A MultiPoly is a canonical term list: nonzero coefficients, strictly
-descending monomials under the ring's active order.  Strong reduction in the
-chain-ring sense (term division requires coefficient-valuation divisibility)
-lives here; Gröbner machinery builds on it in the groebner module.
+descending monomials under the ring's active order.  Each term is stored as
+(packed monomial, ring payload): the exponent vector packed into one int
+(see PolyRing) and the coefficient's RingElement.data, which the ring's
+_payload_* methods compute on.  Exponent tuples and RingElements appear
+only at the API boundary (terms, leading_term, evaluate, parse, JSON,
+format).  Strong reduction in the chain-ring sense (term division requires
+coefficient-valuation divisibility) lives here; Gröbner machinery builds on
+it in the groebner module.
 """
 
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import (
     DomainError,
+    ExponentOverflow,
     InternalInvariant,
     ParseError,
     ResourceExceeded,
@@ -54,28 +61,28 @@ class MonomialOrder:
         return f"{self.kind}{self.priority}"
 
 
-def _identity_key(exps):
-    return exps
+# A packed monomial gives each variable a field of _FIELD_BITS bits: the
+# exponent in the low bits and a guard bit on top, clear in every valid
+# monomial, which absorbs the borrow of a field-wise subtraction.
+_FIELD_BITS = 32
+MAX_EXPONENT = (1 << (_FIELD_BITS - 1)) - 1
 
-
-def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_divides(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def mono_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+_first = itemgetter(0)
 
 
 class PolyRing:
-    """Context for polynomials: coefficient ring, variable names, order."""
+    """Context for polynomials: coefficient ring, variable names, order.
+
+    Packing: the fields are laid out in the order's priority, highest
+    priority in the most significant field, so for lex the packed int
+    compares like the monomial.  For degrevlex the bits above the fields
+    hold the linear weight deg(e) * B^n - sum_j e[r_j] * B^(n-1-j) (B =
+    2^_FIELD_BITS, r the priority reversed), which orders monomials as
+    MonomialOrder.key does; so for both orders the packed int is its own
+    order key.  Packing is linear in the exponents: a product is a + b, a
+    quotient b - a, and a | b iff ((b | G) - a) & G == G with G the guard
+    bits.
+    """
 
     def __init__(self, ring: Ring, variables: Sequence[str], order: MonomialOrder | str = "lex"):
         self.ring = ring
@@ -89,18 +96,54 @@ class PolyRing:
         ):
             raise DomainError("order priority must permute the variables")
         self.order = order
-        self.nvars = len(self.variables)
-        self._key_cache: dict = {}
-        if order.kind == "lex" and order.priority == tuple(range(self.nvars)):
-            self._key = _identity_key  # natural lex: the exponent tuple is its own key
+        n = self.nvars = len(self.variables)
+        w = _FIELD_BITS
+        shifts = [0] * n
+        for rank, v in enumerate(order.priority):
+            shifts[v] = (n - 1 - rank) * w
+        weights = [0] * n
+        if order.kind == "degrevlex":
+            for j, v in enumerate(reversed(order.priority)):
+                weights[v] = (1 << (n * w)) - (1 << ((n - 1 - j) * w))
+        self._shifts = tuple(shifts)  # bit offset of each variable's field
+        self._weighted = order.kind == "degrevlex"
+        # the packed monomial of each variable
+        self._gens = tuple((1 << s) + (wt << (n * w)) for s, wt in zip(shifts, weights))
+        self._guard = sum(1 << (s + w - 1) for s in shifts)
+        self._ones = sum(1 << s for s in shifts)
         self.zero = MultiPoly(self, ())
 
-    def _key(self, exps):
-        k = self._key_cache.get(exps)
-        if k is None:
-            k = self.order.key(exps)
-            self._key_cache[exps] = k
-        return k
+    # -- packed monomials ----------------------------------------------------------
+
+    def _pack(self, exps: Sequence[int]) -> int:
+        m = 0
+        for e, g in zip(exps, self._gens):
+            if e:
+                if e < 0:
+                    raise DomainError(f"negative exponent in {tuple(exps)}")
+                if e > MAX_EXPONENT:
+                    raise ExponentOverflow(f"exponent {e} exceeds {MAX_EXPONENT}")
+                m += e * g
+        return m
+
+    def _unpack(self, m: int) -> tuple[int, ...]:
+        return tuple((m >> s) & MAX_EXPONENT for s in self._shifts)
+
+    def _lcm(self, a: int, b: int) -> int:
+        guard = self._guard
+        d = (b | guard) - a  # field v: guard + b_v - a_v, guard bit set iff b_v >= a_v
+        t = d & guard
+        excess = d & (t - (t >> (_FIELD_BITS - 1)))  # max(b_v - a_v, 0) per field
+        if self._weighted:
+            excess = self._pack(self._unpack(excess))
+        return a + excess
+
+    def _support(self, m: int) -> int:
+        """The guard bits of the variables m uses."""
+        guard = self._guard
+        return ((m | guard) - self._ones) & guard
+
+    # -- construction ------------------------------------------------------------
 
     def __eq__(self, other):
         return (
@@ -127,39 +170,37 @@ class PolyRing:
             exps = tuple(int(e) for e in exps)
             if len(exps) != self.nvars or any(e < 0 for e in exps):
                 raise DomainError(f"bad exponent vector {exps}")
-            checked.append((exps, self.ring.coerce(coeff)))
+            checked.append((self._pack(exps), self.ring.coerce(coeff).data))
         return self._collect(checked)
 
     def _collect(self, terms: Iterable[tuple]) -> MultiPoly:
-        """The canonical polynomial of (exps, coeff) terms: like terms
-        summed, zeros dropped, monomials in descending order."""
+        """The canonical polynomial of (packed monomial, payload) terms:
+        like terms summed, zeros dropped, monomials in descending order."""
         R = self.ring
+        add = R._payload_add
+        zero = R._zero_data
         acc: dict = {}
-        for e, c in terms:
-            if c.is_zero():
+        for m, c in terms:
+            if c == zero:
                 continue
-            if e in acc:
-                c = R.add(acc[e], c)
-            acc[e] = c
-        key = self._key
-        items = [(e, c) for e, c in acc.items() if not c.is_zero()]
-        items.sort(key=lambda t: key(t[0]), reverse=True)
+            old = acc.get(m)
+            acc[m] = c if old is None else add(old, c)
+        items = [t for t in acc.items() if t[1] != zero]
+        items.sort(key=_first, reverse=True)
         return MultiPoly(self, tuple(items))
 
     def constant(self, c) -> MultiPoly:
         c = self.ring.coerce(c)
         if c.is_zero():
             return self.zero
-        return MultiPoly(self, (((0,) * self.nvars, c),))
+        return MultiPoly(self, ((0, c.data),))
 
     @property
     def one(self) -> MultiPoly:
         return self.constant(self.ring.one)
 
     def gen(self, i: int) -> MultiPoly:
-        exps = [0] * self.nvars
-        exps[i] = 1
-        return MultiPoly(self, ((tuple(exps), self.ring.one),))
+        return MultiPoly(self, ((self._gens[i], self.ring.one.data),))
 
     def gens(self) -> tuple[MultiPoly, ...]:
         return tuple(self.gen(i) for i in range(self.nvars))
@@ -247,35 +288,50 @@ class PolyRing:
 
 
 class MultiPoly:
-    """Immutable polynomial; terms strictly descending under the ring order."""
+    """Immutable polynomial; terms strictly descending under the ring order.
 
-    __slots__ = ("ring", "terms", "_head")
+    _terms holds (packed monomial, ring payload) pairs; terms is their boxed
+    view, (exponent tuple, RingElement) pairs, built on first read.
+    """
+
+    __slots__ = ("ring", "_terms", "_head", "_boxed")
 
     def __init__(self, ring: PolyRing, terms: tuple):
         self.ring = ring
-        self.terms = terms
+        self._terms = terms
         self._head = None
+        self._boxed = None
+
+    @property
+    def terms(self) -> tuple[tuple[tuple[int, ...], RingElement], ...]:
+        boxed = self._boxed
+        if boxed is None:
+            R = self.ring.ring
+            unpack = self.ring._unpack
+            boxed = self._boxed = tuple((unpack(m), RingElement(R, c)) for m, c in self._terms)
+        return boxed
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return (self.ring is other.ring or self.ring == other.ring) and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.ring, self.terms))
+        return hash((self.ring, self._terms))
 
     # -- leading data ----------------------------------------------------------
 
     def leading_term(self) -> tuple[tuple[int, ...], RingElement]:
-        if not self.terms:
+        if not self._terms:
             raise ZeroPolynomial("zero polynomial has no leading term")
-        return self.terms[0]
+        m, c = self._terms[0]
+        return self.ring._unpack(m), RingElement(self.ring.ring, c)
 
     def leading_monomial(self) -> tuple[int, ...]:
         return self.leading_term()[0]
@@ -284,94 +340,76 @@ class MultiPoly:
         return self.leading_term()[1]
 
     def head_data(self):
-        """(lm, val lc, inverse of the unit part of lc) over a chain ring,
-        computed on first use and kept: the polynomial never changes."""
+        """(packed lm, val lc, payload of the inverse of the unit part of lc)
+        over a chain ring, computed on first use and kept: the polynomial
+        never changes."""
         head = self._head
         if head is None:
-            e, c = self.leading_term()
+            if not self._terms:
+                raise ZeroPolynomial("zero polynomial has no leading term")
+            m, c = self._terms[0]
             R = self.ring.ring
-            head = self._head = (e, R.valuation(c), R.invert(R.unit_part(c)))
+            v = R._payload_valuation(c)
+            head = self._head = (m, v, R._payload_invert(R._payload_quo_pi(c, v)))
         return head
 
     def leading_data(self):
         """(lt, lm, lc) of the first term under the active order."""
-        exps, coeff = self.leading_term()
-        return (exps, coeff), exps, coeff
+        exps, coeff = lt = self.leading_term()
+        return lt, exps, coeff
 
     def total_degree(self) -> int:
-        if not self.terms:
+        if not self._terms:
             return -1
-        return max(sum(e) for e, _ in self.terms)
+        unpack = self.ring._unpack
+        return max(sum(unpack(m)) for m, _ in self._terms)
 
     def degree_in(self, var: int) -> int:
-        if not self.terms:
+        if not self._terms:
             return -1
-        return max(e[var] for e, _ in self.terms)
+        s = self.ring._shifts[var]
+        return max((m >> s) & MAX_EXPONENT for m, _ in self._terms)
 
     def vars_used(self) -> set[int]:
-        used = set()
-        for e, _ in self.terms:
-            for i, x in enumerate(e):
-                if x:
-                    used.add(i)
-        return used
+        used = 0
+        for m, _ in self._terms:
+            used |= m  # a field of the union is nonzero iff some term's is
+        return {v for v, s in enumerate(self.ring._shifts) if (used >> s) & MAX_EXPONENT}
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e, _ in self.terms)
+        return all(m == 0 for m, _ in self._terms)
 
     # -- arithmetic --------------------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        return self._merge(other, False)
+        return self._plus_multiple(self._coerce(other), 0, None)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return self._merge(other, True)
-
-    def _merge(self, other: "MultiPoly", negate: bool) -> "MultiPoly":
-        """Linear merge of the two sorted term lists."""
         R = self.ring.ring
-        key = self.ring._key
-        ta, tb = self.terms, other.terms
-        na, nb = len(ta), len(tb)
-        out = []
-        i = j = 0
-        while i < na and j < nb:
-            ea, ca = ta[i]
-            eb, cb = tb[j]
-            if ea == eb:
-                c = R.sub(ca, cb) if negate else R.add(ca, cb)
-                if not c.is_zero():
-                    out.append((ea, c))
-                i += 1
-                j += 1
-            elif key(ea) > key(eb):
-                out.append(ta[i])
-                i += 1
-            else:
-                out.append((eb, R.neg(cb)) if negate else tb[j])
-                j += 1
-        if i < na:
-            out.extend(ta[i:])
-        while j < nb:
-            eb, cb = tb[j]
-            out.append((eb, R.neg(cb)) if negate else tb[j])
-            j += 1
-        return MultiPoly(self.ring, tuple(out))
+        return self._plus_multiple(self._coerce(other), 0, R._payload_neg(R.one.data))
+
+    def _plus_multiple(self, g: "MultiPoly", shift: int, coeff) -> "MultiPoly":
+        """self + coeff * x^shift * g for a packed monomial shift and a
+        payload coeff (None reads as 1)."""
+        return MultiPoly(self.ring, tuple(_add_terms(self.ring, self._terms, g._terms, shift, coeff)))
 
     def __neg__(self):
-        R = self.ring.ring
-        return MultiPoly(self.ring, tuple((e, R.neg(c)) for e, c in self.terms))
+        neg = self.ring.ring._payload_neg
+        return MultiPoly(self.ring, tuple((m, neg(c)) for m, c in self._terms))
 
     def __mul__(self, other):
         other = self._coerce(other)
-        R = self.ring.ring
-        return self.ring._collect(
-            (mono_mul(e1, e2), R.mul(c1, c2))
-            for e1, c1 in self.terms
-            for e2, c2 in other.terms
-        )
+        ring = self.ring
+        mul = ring.ring._payload_mul
+        guard = ring._guard
+        products = []
+        for ma, ca in self._terms:
+            for mb, cb in other._terms:
+                m = ma + mb
+                if m & guard:
+                    raise _overflow()
+                products.append((m, mul(ca, cb)))
+        return ring._collect(products)
 
     __rmul__ = __mul__
 
@@ -383,34 +421,29 @@ class MultiPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def scale(self, c: RingElement) -> MultiPoly:
+        return MultiPoly(self.ring, self._scaled(self.ring.ring.coerce(c).data))
+
+    def _scaled(self, c) -> tuple:
         # scaling leaves the monomials, and so their order, unchanged
         R = self.ring.ring
-        c = R.coerce(c)
-        out = []
-        for e, old in self.terms:
-            v = R.mul(c, old)
-            if not v.is_zero():
-                out.append((e, v))
-        return MultiPoly(self.ring, tuple(out))
+        mul = R._payload_mul
+        zero = R._zero_data
+        return tuple((m, v) for m, x in self._terms if (v := mul(c, x)) != zero)
 
     def term_mul(self, exps: tuple[int, ...], coeff: RingElement) -> MultiPoly:
-        # multiplying every monomial by a fixed one preserves the sort order
-        R = self.ring.ring
-        out = []
-        for e, c in self.terms:
-            v = R.mul(coeff, c)
-            if not v.is_zero():
-                out.append((mono_mul(e, exps), v))
-        return MultiPoly(self.ring, tuple(out))
+        ring = self.ring
+        shift = ring._pack(exps)
+        return ring.zero._plus_multiple(self, shift, ring.ring.coerce(coeff).data)
 
     def _coerce(self, other) -> MultiPoly:
         if isinstance(other, MultiPoly):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise DomainError("polynomials from different rings")
             return other
         return self.ring.constant(other)
@@ -421,56 +454,67 @@ class MultiPoly:
         R = self.ring.ring
         if len(point) != self.ring.nvars:
             raise DomainError("evaluation point has wrong arity")
-        point = [R.coerce(x) for x in point]
-        total = R.zero
+        xs = [R.coerce(x).data for x in point]
+        add, mul, power = R._payload_add, R._payload_mul, R._payload_pow
+        total = R._zero_data
         for e, c in self.terms:
-            v = c
-            for i, exp in enumerate(e):
+            v = c.data
+            for x, exp in zip(xs, e):
                 if exp:
-                    v = R.mul(v, R.pow(point[i], exp))
-            total = R.add(total, v)
-        return total
+                    v = mul(v, power(x, exp))
+            total = add(total, v)
+        return RingElement(R, total)
 
     def substitute(self, var: int, value: RingElement) -> MultiPoly:
         """Specialize one variable to a ring constant."""
-        R = self.ring.ring
-        value = R.coerce(value)
-        return self.ring._collect(
-            (e[:var] + (0,) + e[var + 1 :], R.mul(c, R.pow(value, e[var])))
-            if e[var]
-            else (e, c)
-            for e, c in self.terms
-        )
+        ring = self.ring
+        R = ring.ring
+        x = R.coerce(value).data
+        mul, power = R._payload_mul, R._payload_pow
+        s, g = ring._shifts[var], ring._gens[var]
+        out = []
+        for m, c in self._terms:
+            e = (m >> s) & MAX_EXPONENT
+            out.append((m - e * g, mul(c, power(x, e))) if e else (m, c))
+        return ring._collect(out)
 
     def derivative(self, var: int) -> MultiPoly:
         # dividing the monomials that contain var by var keeps them distinct
         # and in order, since both orders are compatible with multiplication
-        R = self.ring.ring
+        ring = self.ring
+        R = ring.ring
+        mul = R._payload_mul
+        zero = R._zero_data
+        s, g = ring._shifts[var], ring._gens[var]
         out = []
-        for e, c in self.terms:
-            exp = e[var]
-            if exp:
-                v = R.mul(R.from_int(exp), c)
-                if not v.is_zero():
-                    out.append((e[:var] + (exp - 1,) + e[var + 1 :], v))
-        return MultiPoly(self.ring, tuple(out))
+        for m, c in self._terms:
+            e = (m >> s) & MAX_EXPONENT
+            if e:
+                v = mul(R.from_int(e).data, c)
+                if v != zero:
+                    out.append((m - g, v))
+        return MultiPoly(ring, tuple(out))
 
     def map_to(self, target: PolyRing, var_map: Sequence[int]) -> MultiPoly:
         """Reinterpret in another PolyRing; var_map[i] = target index of var i."""
+        R = self.ring.ring
+        if self._terms and target.ring != R:
+            raise DomainError(f"element of {R} used in {target.ring}")
+        unpack = self.ring._unpack
         terms = []
-        for e, c in self.terms:
+        for m, c in self._terms:
             ne = [0] * target.nvars
-            for i, exp in enumerate(e):
+            for i, exp in enumerate(unpack(m)):
                 if exp:
                     ne[var_map[i]] = exp
-            terms.append((tuple(ne), target.ring.coerce(c)))
-        return target.poly(terms)
+            terms.append((target._pack(ne), c))
+        return target._collect(terms)
 
     def __repr__(self):
         return self.format()
 
     def format(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return "0"
         parts = []
         R = self.ring.ring
@@ -493,6 +537,49 @@ class MultiPoly:
         return " + ".join(parts)
 
 
+def _overflow() -> ExponentOverflow:
+    return ExponentOverflow(f"a product has an exponent above {MAX_EXPONENT}")
+
+
+def _add_terms(ring: PolyRing, ta, tb, shift: int, coeff) -> list:
+    """The term list of ta + coeff * x^shift * tb: both descending, shift a
+    packed monomial, coeff a payload (None reads as 1).  One linear merge;
+    multiplying by a monomial keeps tb's order."""
+    R = ring.ring
+    add = R._payload_add
+    mul = R._payload_mul
+    zero = R._zero_data
+    guard = ring._guard
+    out: list = []
+    append = out.append
+    i = 0
+    na = len(ta)
+    ma = ta[0][0] if na else -1  # packed monomials are >= 0; -1 marks the end
+    for mb, cb in tb:
+        if coeff is not None:
+            cb = mul(coeff, cb)
+            if cb == zero:
+                continue
+        if shift:
+            mb += shift
+            if mb & guard:
+                raise _overflow()
+        while ma > mb:
+            append(ta[i])
+            i += 1
+            ma = ta[i][0] if i < na else -1
+        if ma == mb:
+            c = add(ta[i][1], cb)
+            if c != zero:
+                append((mb, c))
+            i += 1
+            ma = ta[i][0] if i < na else -1
+        else:
+            append((mb, cb))
+    out.extend(ta[i:])
+    return out
+
+
 # -- strong reduction -----------------------------------------------------------
 
 
@@ -507,14 +594,14 @@ def term_divides(ring: PolyRing, t1, t2):
     if not isinstance(R, ChainRing):
         raise DomainError("term division requires a chain ring")
     (e1, c1), (e2, c2) = t1, t2
-    if not mono_divides(e1, e2):
+    if not all(a <= b for a, b in zip(e1, e2)):
         return None
     v1, v2 = R.valuation(c1), R.valuation(c2)
     if v1 > v2:
         return None
     u = R.mul(R.unit_part(c2), R.invert(R.unit_part(c1)))
     coeff = R.mul(u, R.pow(R.pi_element, v2 - v1))
-    return (mono_div(e2, e1), coeff)
+    return (tuple(b - a for a, b in zip(e1, e2)), coeff)
 
 
 _MAX_REDUCTION_STEPS = 200_000
@@ -523,42 +610,43 @@ _MAX_REDUCTION_STEPS = 200_000
 def _reduce_core(f: MultiPoly, basis, full: bool, record):
     ring = f.ring
     R = ring.ring
-    key = ring._key
-    pi = R.pi_element
-    heads = [g.head_data() + (gi,) for gi, g in enumerate(basis)]
+    guard = ring._guard
+    valuation = R._payload_valuation
+    quo_pi = R._payload_quo_pi
+    mul = R._payload_mul
+    neg = R._payload_neg
+    pi_power = R._payload_pi_power
+    heads = [(g._head or g.head_data()) + (g._terms, gi) for gi, g in enumerate(basis)]
     rem: list = []
-    work = f
+    work = f._terms
     steps = 0
-    last_key = None
-    while work.terms:
-        e2, c2 = work.terms[0]
-        v2 = R.valuation(c2)
-        hit = None
-        for e1, v1, inv1, gi in heads:
-            if v1 <= v2 and all(a <= b for a, b in zip(e1, e2)):
-                hit = (e1, v1, inv1, gi)
+    last = None
+    while work:
+        m2, c2 = work[0]
+        v2 = valuation(c2)
+        top = m2 | guard
+        for m1, v1, inv1, g_terms, gi in heads:
+            if v1 <= v2 and (top - m1) & guard == guard:
+                # lt(work) = coeff * x^(m2 - m1) * lt(g) exactly
+                coeff = mul(mul(quo_pi(c2, v2), inv1), pi_power(v2 - v1))
+                work = _add_terms(ring, work, g_terms, m2 - m1, neg(coeff))
+                if record is not None:
+                    record.append((gi, m2 - m1, coeff))
                 break
-        if hit is None:
-            if not full:
-                rem.extend(work.terms)
-                break
-            rem.append(work.terms[0])
-            work = MultiPoly(ring, work.terms[1:])
         else:
-            e1, v1, inv1, gi = hit
-            coeff = R.mul(R.mul(R.unit_part(c2), inv1), R.pow(pi, v2 - v1))
-            cof_exps = mono_div(e2, e1)
-            work = work - basis[gi].term_mul(cof_exps, coeff)
-            if record is not None:
-                record.append((gi, cof_exps, coeff))
+            if not full:
+                rem.extend(work)
+                break
+            rem.append(work[0])
+            work = work[1:]
         steps += 1
         if steps > _MAX_REDUCTION_STEPS:
             raise ResourceExceeded("reduction did not terminate within the step cap")
-        if work.terms:
-            k = key(work.terms[0][0])
-            if last_key is not None and k >= last_key:
+        if work:
+            m = work[0][0]
+            if last is not None and m >= last:
                 raise InternalInvariant("reduction must descend")
-            last_key = k
+            last = m
     return MultiPoly(ring, tuple(rem))
 
 
@@ -568,7 +656,7 @@ def strong_reduce(f: MultiPoly, basis: Iterable[MultiPoly], full: bool = False) 
     Head-only by default (no lt(g) divides lt(result)); with full=True the
     reduction continues into lower terms for canonical output.
     """
-    basis = [g for g in basis if not g.is_zero()]
+    basis = [g for g in basis if g._terms]
     return _reduce_core(f, basis, full, None)
 
 
@@ -579,6 +667,6 @@ def strong_reduce_with_witness(f: MultiPoly, basis, full: bool = False):
     record: list = []
     remainder = _reduce_core(f, basis, full, record)
     quotients = [f.ring.zero for _ in basis]
-    for gi, exps, coeff in record:
-        quotients[gi] = quotients[gi] + f.ring.poly([(exps, coeff)])
+    for gi, m, coeff in record:
+        quotients[gi] = quotients[gi] + f.ring._collect([(m, coeff)])
     return remainder, quotients

@@ -134,6 +134,31 @@ class Ring:
     def descriptor(self) -> tuple:
         raise NotImplementedError
 
+    # -- payload arithmetic ---------------------------------------------------
+    # polys and linalg compute on RingElement.data and box only at their
+    # boundary.  These defaults box each payload and call the ring's element
+    # methods; Zpk overrides them on plain ints.  Zero is _zero_data.
+
+    def _payload_add(self, x, y):
+        return self.add(RingElement(self, x), RingElement(self, y)).data
+
+    def _payload_mul(self, x, y):
+        return self.mul(RingElement(self, x), RingElement(self, y)).data
+
+    def _payload_neg(self, x):
+        return self.neg(RingElement(self, x)).data
+
+    def _payload_pow(self, x, e: int):
+        """x^e for e >= 0."""
+        result = self.one.data
+        while e:
+            if e & 1:
+                result = self._payload_mul(result, x)
+            e >>= 1
+            if e:
+                x = self._payload_mul(x, x)
+        return result
+
     def __eq__(self, other):
         # rings compare structurally (kind + descriptor), so a JSON round-trip
         # or a Frobenius-aware subclass still matches the plain ring
@@ -156,6 +181,10 @@ class Ring:
         return self.short_name()
 
 
+# rings with at most this many elements keep a table of unit inverses
+_INVERSE_TABLE_CAP = 1 << 10
+
+
 class ChainRing(Ring):
     """A finite chain ring with maximal ideal (pi) of nilpotency index nu.
 
@@ -175,6 +204,8 @@ class ChainRing(Ring):
         self._gamma = None
         self._digit_table = None
         self._vanishing = None  # coefficient cache for F_m, set by solve
+        self._inverses = None  # unit payload -> inverse, for rings up to _INVERSE_TABLE_CAP
+        self._pi_powers = None  # payloads of pi^0 .. pi^nu
 
     # -- chain-ring structure ------------------------------------------------
 
@@ -204,7 +235,30 @@ class ChainRing(Ring):
         return self.valuation(a) == 0
 
     def invert(self, a: RingElement) -> RingElement:
-        """Inverse of a unit: residue-field inverse lifted by Newton iteration."""
+        """Inverse of a unit.  A ring of at most _INVERSE_TABLE_CAP elements
+        builds a table of every unit's inverse on first use; a larger one
+        lifts each inverse by Newton iteration."""
+        table = self._inverses
+        if table is None and self.size <= _INVERSE_TABLE_CAP:
+            table = self._inverses = self._inverse_table()
+        if table is None:
+            return self._lift_inverse(a)
+        inv = table.get(a.data)
+        if inv is None:
+            raise NotAUnit(f"{a!r} has positive valuation")
+        return inv
+
+    def _inverse_table(self) -> dict:
+        table: dict = {}
+        for a in self.elements():
+            if a.data not in table and self.valuation(a) == 0:
+                inv = self._lift_inverse(a)
+                table[a.data] = inv
+                table[inv.data] = a
+        return table
+
+    def _lift_inverse(self, a: RingElement) -> RingElement:
+        """Residue-field inverse lifted by Newton iteration."""
         if self.valuation(a) != 0:
             raise NotAUnit(f"{a!r} has positive valuation")
         # a^(q-2) inverts a modulo pi; Newton doubles the precision per step
@@ -280,10 +334,16 @@ class ChainRing(Ring):
         """Canonical lifts of the residue field (digit-0 representatives)."""
         raise NotImplementedError
 
-    # -- payload arithmetic ---------------------------------------------------
-    # linalg eliminates on RingElement.data and boxes only at a matrix's
-    # boundary.  These defaults box each payload and call the ring's element
-    # methods; Zpk overrides them on plain ints.  Zero is _zero_data.
+    # -- payload arithmetic (see Ring) -----------------------------------------
+
+    def _payload_pi_power(self, v: int):
+        """The payload of pi^v for 0 <= v <= nu."""
+        powers = self._pi_powers
+        if powers is None:
+            powers = self._pi_powers = tuple(
+                self.pow(self.pi_element, v).data for v in range(self.nu + 1)
+            )
+        return powers[v]
 
     def _payload_valuation(self, x) -> int:
         return self.valuation(RingElement(self, x))
@@ -297,9 +357,6 @@ class ChainRing(Ring):
         >= v this is exact_div_pi_power(x, v)."""
         a = RingElement(self, x)
         return self.exact_div_pi_power(self.sub(a, self.reduce_mod_pi_power(a, v)), v).data
-
-    def _payload_neg(self, x):
-        return self.neg(RingElement(self, x)).data
 
     def _payload_scale(self, u, row: list) -> list:
         u = RingElement(self, u)
@@ -384,8 +441,17 @@ class Zpk(ChainRing):
     def _payload_quo_pi(self, x, v):
         return x // self.p**v
 
+    def _payload_add(self, x, y):
+        return (x + y) % self.modulus
+
+    def _payload_mul(self, x, y):
+        return x * y % self.modulus
+
     def _payload_neg(self, x):
         return -x % self.modulus
+
+    def _payload_pow(self, x, e):
+        return pow(x, e, self.modulus)
 
     def _payload_scale(self, u, row):
         M = self.modulus

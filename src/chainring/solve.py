@@ -389,8 +389,9 @@ def _split_polys(polys: Sequence[MultiPoly]) -> list[list[MultiPoly]]:
     out = []
     for idx, comp in enumerate(ring.ring.components):
         comp_ring = PolyRing(comp, ring.variables, ring.order)
+        # equal variables and order pack monomials alike
         out.append(
-            [comp_ring.poly([(e, c.data[idx]) for e, c in p.terms]) for p in polys]
+            [comp_ring._collect([(m, c[idx].data) for m, c in p._terms]) for p in polys]
         )
     return out
 

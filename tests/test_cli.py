@@ -496,3 +496,18 @@ def test_cli_matches_golden(name, capsys, monkeypatch):
 @pytest.mark.parametrize("name", OPTIMIZED)
 def test_cli_matches_golden_under_optimize_flag(name):
     assert run_python("-O", "-m", "chainring.cli", *CASES[name]) == golden(name)
+
+
+def test_minrank_ks_with_target_rank_above_n(capsys, tmp_path, z4):
+    inst = chainring.MinRankInstance(
+        z4,
+        (
+            chainring.RingMatrix(z4, [[1, 0], [0, 1]]),
+            chainring.RingMatrix(z4, [[0, 1], [1, 0]]),
+        ),
+        3,
+    )
+    path = write(tmp_path, "inst.json", inst.to_json())
+    code, out = run_cli(capsys, "minrank", "--instance", path, "--strategy", "ks")
+    assert code == 0
+    assert len(json.loads(out)["result"]["solutions"]) == 16

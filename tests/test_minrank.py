@@ -305,3 +305,16 @@ def test_groebner_strategies_match_brute_on_a_z16_k3_instance():
     assert x in expected
     for strategy in ("ks", "sm-groebner"):
         assert solve_minrank(inst, strategy) == expected
+
+
+def test_target_rank_above_n_reads_as_n(z4):
+    # rank(M_x) <= 3 holds for every x of a 2x2 pencil: every strategy
+    # returns all 16 x, as brute force does
+    I = RingMatrix(z4, [[1, 0], [0, 1]])
+    J = RingMatrix(z4, [[0, 1], [1, 0]])
+    inst = MinRankInstance(z4, (I, J), 3)
+    expected = brute_minrank(inst)
+    assert len(expected) == 16
+    for strategy in ("ks", "sm-groebner"):
+        assert solve_minrank(inst, strategy) == expected
+    assert ks_model(inst).equations == ()

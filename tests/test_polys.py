@@ -1,10 +1,25 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from chainring.errors import ZeroPolynomial
-from chainring.polys import MonomialOrder, PolyRing, strong_reduce, strong_reduce_with_witness, term_divides
-from chainring.groebner import s_polynomial
+import chainring
+from chainring.errors import ExponentOverflow, ResourceExceeded, ZeroPolynomial
+from chainring.groebner import a_polynomial, s_polynomial
+from chainring.localring import presentation_from_json
+from chainring.polys import (
+    MAX_EXPONENT,
+    MonomialOrder,
+    PolyRing,
+    strong_reduce,
+    strong_reduce_with_witness,
+    term_divides,
+)
+from chainring.rings import ChainRing, Zpk, galois_ring, integer_ring
 
 
 @pytest.fixture
@@ -178,7 +193,7 @@ def test_operations_keep_canonical_form(z8, gr42, order):
             )
 
         def check(result, value_at):
-            keys = [P._key(e) for e, _ in result.terms]
+            keys = [P.order.key(e) for e, _ in result.terms]
             assert all(a > b for a, b in zip(keys, keys[1:]))
             assert not any(c.is_zero() for _, c in result.terms)
             for _ in range(4):
@@ -208,3 +223,162 @@ def test_operations_keep_canonical_form(z8, gr42, order):
 def test_evaluate(pxy, z8):
     f = pxy.parse("4*x^2*y + y^3 + 2*y + 4")
     assert f.evaluate([z8.element(1), z8.element(2)]).data == (4 * 2 + 8 + 4 + 4) % 8
+
+
+POLY_GOLDEN = Path(__file__).resolve().parent / "goldens" / "poly_ops.json"
+LOCAL_CUBIC = Path(__file__).resolve().parents[1] / "instances" / "local_cubic.json"
+POLY_ORDERS = {
+    "lex": "lex",
+    "lex_zxy": MonomialOrder("lex", (2, 0, 1)),
+    "degrevlex": MonomialOrder("degrevlex", (0, 1, 2)),
+}
+
+
+def poly_golden_rings():
+    local = presentation_from_json(json.loads(LOCAL_CUBIC.read_text())["ring"])
+    return {
+        "z4": Zpk(2, 2),
+        "z9": Zpk(3, 2),
+        "z25": Zpk(5, 2),
+        "gr42": galois_ring(2, 2, 2),
+        "z12": integer_ring(12),
+        "local_cubic": local,
+    }
+
+
+def poly_ops_records():
+    """Seeded operands over each ring and order, and the polynomials that
+    *, -, scale, term_mul, substitute, derivative and map_to make of them;
+    over the chain rings also strong_reduce (head and full), s_polynomial
+    and a_polynomial against a small basis."""
+    rng = random.Random(2027)
+    for ring_name, ring in poly_golden_rings().items():
+        elems = list(ring.elements())
+        chain = isinstance(ring, ChainRing)
+        for order_name, order in POLY_ORDERS.items():
+            P = PolyRing(ring, ("x", "y", "z"), order)
+            target = PolyRing(ring, ("w", "x", "y", "z"), "degrevlex")
+
+            def rand_poly(terms=4, deg=3):
+                return P.poly(
+                    [(tuple(rng.randrange(deg + 1) for _ in range(3)), rng.choice(elems)) for _ in range(terms)]
+                )
+
+            def js(f):
+                return P.poly_to_json(f) if f.ring == P else f.ring.poly_to_json(f)
+
+            for _ in range(4):
+                f, g = rand_poly(), rand_poly()
+                c, value, var = rng.choice(elems), rng.choice(elems), rng.randrange(3)
+                mono = tuple(rng.randrange(3) for _ in range(3))
+                record = {
+                    "ring": ring_name,
+                    "order": order_name,
+                    "f": js(f),
+                    "g": js(g),
+                    "c": ring.element_to_json(c),
+                    "value": ring.element_to_json(value),
+                    "var": var,
+                    "mono": list(mono),
+                    "mul": js(f * g),
+                    "sub": js(f - g),
+                    "scale": js(f.scale(c)),
+                    "term_mul": js(f.term_mul(mono, c)),
+                    "substitute": js(f.substitute(var, value)),
+                    "derivative": js(f.derivative(var)),
+                    "map_to": js(f.map_to(target, (3, 1, 0))),
+                    "format": (f * g).format(),
+                }
+                if chain:
+                    basis = [rand_poly(3, 2) for _ in range(3)]
+                    basis = [b for b in basis if not b.is_zero()]
+                    h = rand_poly(3, 2)
+                    for b in basis:
+                        h = h + b * rand_poly(2, 1)
+                    record["basis"] = [js(b) for b in basis]
+                    record["h"] = js(h)
+                    record["reduce_head"] = js(strong_reduce(h, basis))
+                    record["reduce_full"] = js(strong_reduce(h, basis, full=True))
+                    record["s_polys"] = [
+                        js(s_polynomial(a, b)) for i, a in enumerate(basis) for b in basis[i + 1 :] if a != b
+                    ]
+                    record["a_polys"] = [js(a_polynomial(b)) for b in basis]
+                yield record
+
+
+def render_poly_golden() -> str:
+    records = list(poly_ops_records())
+    return "[\n" + ",\n".join(json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records) + "\n]\n"
+
+
+def test_poly_ops_match_golden():
+    # products, differences, scalings, shifts, substitutions, derivatives,
+    # ring maps and strong reductions of seeded polynomials over Z4, Z9,
+    # Z25, GR(4,2), Z12 and a local ring under three orders, byte for byte
+    # as the boxed term lists produced them
+    assert render_poly_golden() == POLY_GOLDEN.read_text()
+
+
+@pytest.mark.parametrize("order", ["lex", "degrevlex", MonomialOrder("lex", (1, 0))], ids=str)
+def test_exponents_at_the_limit_round_trip(z8, order):
+    top = MAX_EXPONENT
+    P = PolyRing(z8, ("x", "y"), order)
+    exps = [(top, 0), (0, top), (top, top), (top - 1, 1), (1, top - 1)]
+    f = P.poly({e: i + 1 for i, e in enumerate(exps)})
+    assert sorted(e for e, _ in f.terms) == sorted(exps)
+    keys = [P.order.key(e) for e, _ in f.terms]
+    assert keys == sorted(keys, reverse=True)
+    assert P.poly_from_json(P.poly_to_json(f)) == f
+    assert P.parse(f.format()) == f
+    assert f.degree_in(0) == top and f.total_degree() == 2 * top
+    assert (P.parse(f"x^{top - 1}") * P.gen(0)).terms == (((top, 0), z8.one),)
+
+
+# Each case makes a monomial with an exponent one past MAX_EXPONENT: by
+# parsing, from a term list or JSON, or as a product inside *, **, term_mul,
+# strong_reduce and s_polynomial.  Printed, not asserted, so that the same
+# script checks the library under python -O.
+EXPONENT_LIMIT_SCRIPT = """
+from chainring.groebner import s_polynomial
+from chainring.polys import MAX_EXPONENT as top, PolyRing, strong_reduce
+from chainring.rings import Zpk
+
+P = PolyRing(Zpk(2, 3), ("x", "y"), "lex")
+Q = PolyRing(Zpk(2, 3), ("x", "y"), "degrevlex")
+cases = {
+    "parse": lambda: P.parse(f"x^{top + 1}"),
+    "poly": lambda: P.poly({(0, top + 1): 1}),
+    "json": lambda: P.poly_from_json([[1, [top + 1, 0]]]),
+    "mul": lambda: P.parse(f"x^{top} + y") * P.gen(0),
+    "pow": lambda: P.parse(f"y^{top // 2 + 1}") ** 2,
+    "term_mul": lambda: P.parse(f"x*y^{top}").term_mul((0, 1), 1),
+    "strong_reduce": lambda: strong_reduce(P.parse("x*y"), [P.parse(f"x + y^{top}")]),
+    "s_polynomial": lambda: s_polynomial(P.parse(f"x + y^{top}"), P.gen(1)),
+    "degrevlex_mul": lambda: Q.parse(f"y^{top}") * Q.gen(1),
+}
+for name, make in cases.items():
+    try:
+        make()
+        print(name, "no error")
+    except Exception as exc:
+        print(name, type(exc).__name__)
+"""
+
+
+def test_exponent_past_the_limit_raises_a_typed_error(capsys):
+    exec(EXPONENT_LIMIT_SCRIPT, {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 9
+    assert all(line.endswith(" ExponentOverflow") for line in lines)
+    assert issubclass(ExponentOverflow, ResourceExceeded)
+
+
+def test_exponent_past_the_limit_raises_under_optimize_flag():
+    src = str(Path(chainring.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", EXPONENT_LIMIT_SCRIPT],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    assert len(out) == 9
+    assert all(line.endswith(" ExponentOverflow") for line in out)

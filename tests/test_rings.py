@@ -218,3 +218,27 @@ def test_broken_teichmuller_set_raises_internal_invariant(monkeypatch):
     monkeypatch.setattr(R, "pow", lambda a, e: R.one)
     with pytest.raises(InternalInvariant):
         R.teichmuller_set()
+
+
+@pytest.mark.parametrize("p,k,r", [(2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 3, 3)])
+def test_unit_inverse_table_matches_newton_lift(p, k, r):
+    # GR(4,2), GR(8,2), GR(9,2), GR(8,3): the table, built on the first
+    # inversion, holds every unit and agrees with the Newton lift on each
+    R = galois_ring(p, k, r)
+    assert R._inverses is None
+    units = [a for a in R.elements() if R.valuation(a) == 0]
+    assert len(units) == R.size - R.size // R.q
+    for a in units:
+        inv = R.invert(a)
+        assert inv == R._lift_inverse(a)
+        assert R.mul(a, inv) == R.one
+    assert len(R._inverses) == len(units)
+    with pytest.raises(NotAUnit):
+        R.invert(R.pi_element)
+
+
+def test_large_ring_inverts_without_a_table():
+    R = galois_ring(2, 3, 4)  # 4096 elements, above the table's cap
+    a = R.add(R.one, R.alpha)
+    assert R.mul(a, R.invert(a)) == R.one
+    assert R._inverses is None
