@@ -454,12 +454,12 @@ class MultiPoly:
         R = self.ring.ring
         if len(point) != self.ring.nvars:
             raise DomainError("evaluation point has wrong arity")
-        xs = [R.coerce(x).data for x in point]
+        fields = [(R.coerce(x).data, s) for x, s in zip(point, self.ring._shifts)]
         add, mul, power = R._payload_add, R._payload_mul, R._payload_pow
         total = R._zero_data
-        for e, c in self.terms:
-            v = c.data
-            for x, exp in zip(xs, e):
+        for m, v in self._terms:
+            for x, s in fields:
+                exp = (m >> s) & MAX_EXPONENT
                 if exp:
                     v = mul(v, power(x, exp))
             total = add(total, v)

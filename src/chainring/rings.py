@@ -348,6 +348,10 @@ class ChainRing(Ring):
     def _payload_valuation(self, x) -> int:
         return self.valuation(RingElement(self, x))
 
+    def _payload_digit(self, x):
+        """The payload of teichmuller_digit: the γ in Γ with x ≡ γ (mod pi)."""
+        return self.teichmuller_digit(RingElement(self, x)).data
+
     def _payload_invert(self, x):
         """The inverse of a unit."""
         return self.invert(RingElement(self, x)).data
@@ -393,6 +397,7 @@ class Zpk(ChainRing):
         self._zero_data = 0
         self.one = RingElement(self, 1 % self.modulus)
         self.pi_element = RingElement(self, p % self.modulus)
+        self._digit_payloads = None  # Teichmüller digit payload by residue x % p
 
     def descriptor(self):
         return (self.p, self.k)
@@ -440,6 +445,15 @@ class Zpk(ChainRing):
 
     def _payload_quo_pi(self, x, v):
         return x // self.p**v
+
+    def _payload_digit(self, x):
+        digits = self._digit_payloads
+        if digits is None:
+            digits = [0] * self.p
+            for g in self.teichmuller_set():
+                digits[g.data % self.p] = g.data
+            digits = self._digit_payloads = tuple(digits)
+        return digits[x % self.p]
 
     def _payload_add(self, x, y):
         return (x + y) % self.modulus

@@ -3,8 +3,11 @@
 Two routes that differ in elimination and share one residue-field lift:
 lexicographic elimination with back-substitution, whose univariate roots are
 lifted from the residue field, and direct multivariate lifting of the whole
-system.  The lift carries each branch as a point c of R^k and extends it one
-π-adic level at a time by a residue-field linear solve.  The system is
+system.  The lift carries each branch as a point c of R^k, a tuple of ring
+payloads, and extends it one π-adic level at a time by a residue-field
+linear solve on Teichmüller payloads; only the roots are boxed.  Within one
+call, back-substitution solves each distinct specialised system once and
+replays its partial solutions where it meets the system again.  The system is
 solved as given: adjoining the field equations F_m, which vanish at every
 point of R, never changes a solution set.  The independent reference is
 oracles.brute_solve.  Product rings split through the CRT and recombine
@@ -28,7 +31,7 @@ from .errors import (
     WrongOrder,
 )
 from .groebner import buchberger, elimination_subbasis
-from .polys import MultiPoly, PolyRing
+from .polys import MAX_EXPONENT, MultiPoly, PolyRing
 from .rings import ChainRing, ProductRing, Ring, RingElement
 
 
@@ -194,65 +197,15 @@ def ring_vanishing_polynomial(
     return poly_ring.poly(terms)
 
 
-# -- residue-field linear solving ---------------------------------------------
-
-
-def residue_linear_solutions(
-    R: ChainRing, rows: list[list[RingElement]], rhs: list[RingElement]
-) -> Iterator[tuple[RingElement, ...]]:
-    """All solutions in Γ^k of A z = b over the residue field.
-
-    The inputs are Teichmüller representatives; Gauss-Jordan over Γ.
-    """
-    m = len(rows)
-    k = len(rows[0]) if rows else 0
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    pivots = []
-    r = 0
-    for c in range(k):
-        pivot = None
-        for i in range(r, m):
-            if not aug[i][c].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = up.residue_inv(R, aug[r][c])
-        aug[r] = [R.mul(inv, x) for x in aug[r]]
-        for i in range(m):
-            if i != r and not aug[i][c].is_zero():
-                f = aug[i][c]
-                aug[i] = [
-                    up.residue_sub(R, a, R.mul(f, b)) for a, b in zip(aug[i], aug[r])
-                ]
-        pivots.append(c)
-        r += 1
-    for i in range(r, m):
-        if not aug[i][k].is_zero():
-            return  # inconsistent
-    free = [c for c in range(k) if c not in pivots]
-    gamma = R.teichmuller_set()
-    for combo in itertools.product(gamma, repeat=len(free)):
-        z = [R.zero] * k
-        for c, val in zip(free, combo):
-            z[c] = val
-        for row_idx, c in enumerate(pivots):
-            acc = aug[row_idx][k]
-            for fc, val in zip(free, combo):
-                acc = up.residue_sub(R, acc, R.mul(aug[row_idx][fc], val))
-            z[c] = acc
-        yield tuple(z)
-
-
 # -- univariate solving --------------------------------------------------------
 
 
 def univariate_roots(polys: Sequence[MultiPoly], var: int | None = None):
     """All roots in R of a univariate system; ALL_OF_RING for the zero ideal.
 
-    The system is mapped to a ring in var alone and lifted from the residue
-    field by the same loop as solve_system_lifting.
+    The roots are lifted from the residue field in var's field of the
+    system's own ring, by the same loop as solve_system_lifting; over a
+    product ring each CRT component is solved and the roots are joined.
     """
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
@@ -265,10 +218,17 @@ def univariate_roots(polys: Sequence[MultiPoly], var: int | None = None):
         var = next(iter(used)) if used else ring.order.priority[-1]
     if not used <= {var}:
         raise DomainError("system is not univariate")
-    x_ring = PolyRing(ring.ring, (ring.variables[var],), "lex")
-    mapped = [p.map_to(x_ring, [0] * ring.nvars) for p in polys]
-    roots = [c for (c,) in _lift_roots(ring.ring, mapped, DEFAULT_SOLUTION_CAP)]
-    roots.sort(key=ring.ring.sort_key)
+    R = ring.ring
+    if isinstance(R, ProductRing):
+        parts = []
+        for part in _split_polys(polys):
+            roots = univariate_roots(part, var)
+            parts.append([(ALL_OF_RING,)] if roots is ALL_OF_RING else [(r,) for r in roots])
+        # some component's image is nonzero, so no joined root stays free
+        roots = [r for (r,) in join_solutions(R, parts)]
+    else:
+        roots = [c for (c,) in _lift_roots(R, polys, (var,), DEFAULT_SOLUTION_CAP)]
+    roots.sort(key=R.sort_key)
     return roots
 
 
@@ -311,6 +271,9 @@ def solve_system(
     found: list[tuple] = []
     emitted = [0]  # solutions the entries of found stand for
     truncated = [False]
+    # (system terms, len(remaining), is_basis) -> (the remaining variables'
+    # values of each solution its subtree emitted, the number they stand for)
+    memo: dict = {}
 
     def emit(assignment: dict):
         sol = tuple(assignment[i] for i in range(ring.nvars))
@@ -324,6 +287,23 @@ def solve_system(
         if not remaining:
             emit(assignment)
             return
+        # the subtree depends on nothing else, so an equal system met on
+        # another branch replays its solutions, unless they would cross the
+        # cap: then it recurses as it would without the memo, so a truncated
+        # answer lists the same solutions
+        key = (tuple(p._terms for p in system), len(remaining), is_basis)
+        known = memo.get(key)
+        if known is not None:
+            partials, count = known
+            fixed_free = sum(x is ALL_OF_RING for x in assignment.values())
+            if emitted[0] + count * R.size**fixed_free <= max_solutions:
+                for partial in partials:
+                    assignment.update(zip(remaining, partial))
+                    emit(assignment)
+                for v in remaining:
+                    assignment.pop(v, None)
+                return
+        start = len(found)
         last = remaining[-1]
         if len(remaining) > 1 and system and not is_basis:
             system = list(buchberger(system, ring).generators)
@@ -345,6 +325,10 @@ def solve_system(
                 return
         if len(remaining) == 1 and emitted[0] > max_solutions:
             truncated[0] = True
+        if not truncated[0] and assignment:  # the root's system never recurs
+            partials = [tuple(sol[v] for v in remaining) for sol in found[start:]]
+            count = sum(R.size ** sum(x is ALL_OF_RING for x in p) for p in partials)
+            memo[key] = (partials, count)
 
     rec(original, list(ring.order.priority), {}, False)
     solutions = frozenset(found)
@@ -490,51 +474,106 @@ def solve_system_lifting(
         )
     if R.q**k > enumeration_budget():
         raise ResourceExceeded("residue enumeration exceeds the budget")
-    return SolutionSet(R, ring.variables, frozenset(_lift_roots(R, work, max_solutions)))
+    solutions = _lift_roots(R, work, range(k), max_solutions)
+    return SolutionSet(R, ring.variables, frozenset(solutions))
 
 
 def _lift_roots(
-    R: ChainRing, polys: Sequence[MultiPoly], max_solutions: int
+    R: ChainRing, polys: Sequence[MultiPoly], variables: Sequence[int], max_solutions: int
 ) -> set[tuple]:
-    """Common zeros in R^k of nonzero polys in k variables, lifted from Γ^k.
+    """Common zeros in R^k of nonzero polys in the k given variables (the
+    polys use no other), lifted from Γ^k.
 
     A branch at level j is a point c at which every polynomial f vanishes
     mod π^j; it extends to c + π^j z for the residue solutions z of
     D f(γ0) z = -(f(c)/π^j mod π), which makes f vanish mod π^{j+1}.  Every
     root's truncations are branches, and each final candidate is
-    re-evaluated, so the result is exact.
+    re-evaluated, so the result is exact.  The polynomials and their
+    Jacobian are read once into (exponents over the variables, payload)
+    terms and the branches are tuples of payloads; only roots are boxed.
     """
-    k = polys[0].ring.nvars
-    jac = [[p.derivative(s) for s in range(k)] for p in polys]
-    pi_powers = [R.pow(R.pi_element, j) for j in range(R.nu)]
+    ring = polys[0].ring
+    shifts = [ring._shifts[v] for v in variables]
+    add, mul, power, neg = R._payload_add, R._payload_mul, R._payload_pow, R._payload_neg
+    digit, quo_pi = R._payload_digit, R._payload_quo_pi
+    zero = R._zero_data
+
+    def compiled(p: MultiPoly) -> list:
+        return [(tuple((m >> s) & MAX_EXPONENT for s in shifts), c) for m, c in p._terms]
+
+    def value(terms, point):
+        total = zero
+        for exps, v in terms:
+            for x, e in zip(point, exps):
+                if e:
+                    v = mul(v, power(x, e))
+            total = add(total, v)
+        return total
+
+    fs = [compiled(p) for p in polys]
+    jac = [[compiled(p.derivative(v)) for v in variables] for p in polys]
+    gamma = [g.data for g in R.teichmuller_set()]
     solutions = set()
     # level 0 tests every point of Γ^k, so a system whose residue-field
     # projection vanishes identically needs no special case
-    for g0 in itertools.product(R.teichmuller_set(), repeat=k):
-        if any(R.valuation(p.evaluate(list(g0))) < 1 for p in polys):
+    for g0 in itertools.product(gamma, repeat=len(shifts)):
+        if any(digit(value(f, g0)) != zero for f in fs):
             continue
-        rows = [
-            [R.teichmuller_digit(jac[i][s].evaluate(list(g0))) for s in range(k)]
-            for i in range(len(polys))
-        ]
+        rows = [[digit(value(d, g0)) for d in row] for row in jac]
         branches = [g0]
         for j in range(1, R.nu):
+            pi_j = R._payload_pi_power(j)
             next_branches = []
             for c in branches:
-                rhs = [
-                    R.teichmuller_digit(
-                        R.neg(R.exact_div_pi_power(p.evaluate(list(c)), j))
-                    )
-                    for p in polys
-                ]
-                for z in residue_linear_solutions(R, rows, rhs):
-                    next_branches.append(
-                        tuple(R.add(x, R.mul(pi_powers[j], y)) for x, y in zip(c, z))
-                    )
+                rhs = [digit(neg(quo_pi(value(f, c), j))) for f in fs]
+                for z in _residue_solutions(R, gamma, rows, rhs):
+                    next_branches.append(tuple(add(x, mul(pi_j, y)) for x, y in zip(c, z)))
                     if len(next_branches) > max_solutions:
                         raise ResourceExceeded("lifting branch count exceeds cap")
             branches = next_branches
         for c in branches:
-            if all(p.evaluate(list(c)).is_zero() for p in polys):
-                solutions.add(c)
+            if all(value(f, c) == zero for f in fs):
+                solutions.add(tuple(RingElement(R, x) for x in c))
     return solutions
+
+
+def _residue_solutions(R: ChainRing, gamma: list, rows: list[list], rhs: list) -> Iterator[tuple]:
+    """All z in Γ^k with rows · z = rhs over the residue field, on the
+    payloads of Teichmüller representatives (gamma holds Γ's).
+
+    Gauss-Jordan over Γ: Γ is closed under multiplication, so only a
+    difference needs its digit taken.
+    """
+    add, mul, neg, digit = R._payload_add, R._payload_mul, R._payload_neg, R._payload_digit
+    zero = R._zero_data
+    m = len(rows)
+    k = len(rows[0]) if rows else 0
+    aug = [row + [b] for row, b in zip(rows, rhs)]
+    pivots = []
+    r = 0
+    for c in range(k):
+        pivot = next((i for i in range(r, m) if aug[i][c] != zero), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        inv = R._payload_pow(aug[r][c], R.q - 2)
+        aug[r] = [mul(inv, x) for x in aug[r]]
+        for i in range(m):
+            f = aug[i][c]
+            if i != r and f != zero:
+                aug[i] = [digit(add(a, neg(mul(f, b)))) for a, b in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+    if any(aug[i][k] != zero for i in range(r, m)):
+        return  # inconsistent
+    free = [c for c in range(k) if c not in pivots]
+    for combo in itertools.product(gamma, repeat=len(free)):
+        z = [zero] * k
+        for c, val in zip(free, combo):
+            z[c] = val
+        for row_idx, c in enumerate(pivots):
+            acc = aug[row_idx][k]
+            for fc, val in zip(free, combo):
+                acc = digit(add(acc, neg(mul(aug[row_idx][fc], val))))
+            z[c] = acc
+        yield tuple(z)

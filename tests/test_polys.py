@@ -225,6 +225,43 @@ def test_evaluate(pxy, z8):
     assert f.evaluate([z8.element(1), z8.element(2)]).data == (4 * 2 + 8 + 4 + 4) % 8
 
 
+def boxed_horner(f, point):
+    """f(point) by Horner's rule in the first variable, on boxed elements:
+    each coefficient of x_0^d is a sum of coeff * prod R.pow(x_i, e_i)."""
+    R = f.ring.ring
+    coeffs = {}
+    for exps, c in f.terms:
+        v = c
+        for x, e in zip(point[1:], exps[1:]):
+            v = R.mul(v, R.pow(x, e))
+        coeffs[exps[0]] = R.add(coeffs.get(exps[0], R.zero), v)
+    acc = R.zero
+    for d in range(max(coeffs, default=0), -1, -1):
+        acc = R.add(R.mul(acc, point[0]), coeffs.get(d, R.zero))
+    return acc
+
+
+def test_evaluate_matches_boxed_horner():
+    # evaluate reads the packed terms; solve re-verifies every emitted tuple
+    # and brute_solve enumerates with it, so it is checked against boxed
+    # arithmetic at every point of Z8 and GR(4,2) and at seeded points of
+    # Z12 and a local ring, under lex and degrevlex
+    rings = poly_golden_rings()
+    rng = random.Random(5)
+    for name, R in [("z8", Zpk(2, 3)), ("gr42", rings["gr42"]), ("z12", rings["z12"]), ("local", rings["local_cubic"])]:
+        elems = list(R.elements())
+        for order in ("lex", MonomialOrder("degrevlex", (1, 0))):
+            P = PolyRing(R, ("x", "y"), order)
+            for _ in range(3):
+                f = P.poly({(rng.randrange(4), rng.randrange(4)): rng.choice(elems) for _ in range(4)})
+                if name in ("z8", "gr42"):
+                    points = [[a, b] for a in elems for b in elems]
+                else:
+                    points = [[rng.choice(elems), rng.choice(elems)] for _ in range(60)]
+                for point in points:
+                    assert f.evaluate(point) == boxed_horner(f, point)
+
+
 POLY_GOLDEN = Path(__file__).resolve().parent / "goldens" / "poly_ops.json"
 LOCAL_CUBIC = Path(__file__).resolve().parents[1] / "instances" / "local_cubic.json"
 POLY_ORDERS = {

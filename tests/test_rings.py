@@ -11,6 +11,7 @@ from chainring.errors import (
     ZeroElement,
 )
 from chainring.rings import (
+    RingElement,
     Zpk,
     crt_join,
     crt_split,
@@ -242,3 +243,20 @@ def test_large_ring_inverts_without_a_table():
     a = R.add(R.one, R.alpha)
     assert R.mul(a, R.invert(a)) == R.one
     assert R._inverses is None
+
+
+@pytest.mark.parametrize(
+    "R",
+    [Zpk(2, 3), Zpk(3, 2), Zpk(3, 3), galois_ring(2, 2, 2), galois_ring(2, 3, 2)],
+    ids=["Z8", "Z9", "Z27", "GR(4,2)", "GR(8,2)"],
+)
+def test_payload_digit_is_the_teichmuller_digit(R):
+    for a in R.elements():
+        assert R._payload_digit(a.data) == R.teichmuller_digit(a).data
+
+
+def test_payload_digit_of_a_large_ring():
+    R = Zpk(2, 17)  # above the enumeration cap of teichmuller_set
+    rng = random.Random(17)
+    for x in [0, 1, R.modulus - 1] + [rng.randrange(R.modulus) for _ in range(500)]:
+        assert R._payload_digit(x) == R.teichmuller_digit(RingElement(R, x)).data

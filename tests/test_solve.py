@@ -1,10 +1,19 @@
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
-from chainring.errors import DomainError, InternalInvariant, ResourceExceeded, TooLarge
+from chainring.errors import (
+    ChainRingError,
+    DomainError,
+    InternalInvariant,
+    ResourceExceeded,
+    TooLarge,
+)
 from chainring.groebner import buchberger
+from chainring.localring import presentation_from_json, solve_local_system
 from chainring.oracles import brute_solve, brute_vanishing_poly
 from chainring.polys import MonomialOrder, PolyRing
 from chainring.rings import Zpk, galois_ring, integer_ring
@@ -77,6 +86,29 @@ def test_univariate_roots_beyond_the_vanishing_polynomial_cap():
         assert [r.data for r in univariate_roots([P.parse(text)])] == [0, 65536]
     P3 = PolyRing(Zpk(3, 11), ("x",), "lex")
     assert len(univariate_roots([P3.parse("3*x")])) == 3
+
+
+@pytest.mark.parametrize(
+    "n, text",
+    [
+        (6, "x^2 - 1"),
+        (6, "3*x"),  # zero in the Z3 component: every residue there
+        (6, "2*x^2 + 4*x"),  # zero in the Z2 component
+        (12, "x^2 - 1"),
+        (12, "4*x^2 + 4"),  # zero in the Z4 component
+        (12, "6*x"),
+        (12, "3*x^3 + 9*x"),  # zero in the Z3 component
+        (12, "x^2 + 1"),  # no root mod 3, so none at all
+    ],
+)
+def test_univariate_roots_over_a_product_ring(n, text):
+    R = integer_ring(n)
+    P = PolyRing(R, ("x",), "lex")
+    f = P.parse(text)
+    expected = sorted((x for (x,) in brute_solve([f]).explicit()), key=R.sort_key)
+    assert univariate_roots([f]) == expected
+    assert solve_univariate([f]).explicit() == brute_solve([f]).explicit()
+    assert solve_univariate([P.zero]).is_everything()
 
 
 def test_univariate_roots_equal_enumeration():
@@ -419,6 +451,76 @@ def test_coordinate_absent_from_basis_stays_free(z8, monkeypatch):
     assert sol.explicit() == brute_solve(system).explicit()
 
 
+def _counting_solvers(monkeypatch):
+    """Record the input of every univariate_roots and buchberger call that
+    solve_system makes, as the tuple of its polynomials' terms."""
+    import chainring.solve as solve_module
+
+    calls = {"univariate_roots": [], "buchberger": []}
+    roots, basis = solve_module.univariate_roots, solve_module.buchberger
+
+    def counting_roots(polys, var=None):
+        calls["univariate_roots"].append(tuple(p._terms for p in polys))
+        return roots(polys, var)
+
+    def counting_basis(polys, ring=None):
+        calls["buchberger"].append(tuple(p._terms for p in polys))
+        return basis(polys, ring)
+
+    monkeypatch.setattr(solve_module, "univariate_roots", counting_roots)
+    monkeypatch.setattr(solve_module, "buchberger", counting_basis)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "variables, texts, roots_calls, basis_calls",
+    [
+        # y = 0 and y = 2 both leave x^2, y = 1 and y = 3 both x^2 + 2
+        (("x", "y"), ["x^2 + 2*y"], 3, 1),
+        # z = 0, 2 and z = 1, 3 leave equal systems in x and y
+        (("x", "y", "z"), ["x^2 + y*x + 2*z", "2*y*z + y^2"], 7, 3),
+    ],
+)
+def test_sibling_branches_that_specialise_alike_are_solved_once(
+    z4, monkeypatch, variables, texts, roots_calls, basis_calls
+):
+    P = PolyRing(z4, variables, "lex")
+    system = [P.parse(t) for t in texts]
+    calls = _counting_solvers(monkeypatch)
+    sol = solve_system(system)
+    for name, n in (("univariate_roots", roots_calls), ("buchberger", basis_calls)):
+        assert len(calls[name]) == len(set(calls[name])) == n
+    assert not sol.truncated
+    assert sol.explicit() == brute_solve(system).explicit()
+
+
+@pytest.mark.parametrize(
+    "variables, texts, cap, solutions, roots_calls",
+    [
+        # a replay of x^2's two roots at y = 2 would make 4 > 3
+        (("x", "y"), ["x^2 + 2*y"], 3, [[0, 0], [0, 2], [2, 0], [2, 2]], 4),
+        (
+            ("x", "y", "z"),
+            ["x^2 + y*x + 2*z", "2*y*z + y^2"],
+            4,
+            [[0, 0, 0], [0, 0, 2], [0, 2, 0], [2, 0, 0], [2, 0, 2], [2, 2, 0]],
+            9,
+        ),
+    ],
+)
+def test_a_replay_past_the_cap_recurses_instead(z4, monkeypatch, variables, texts, cap, solutions, roots_calls):
+    # the listed solutions are those of a solve without the memo
+    P = PolyRing(z4, variables, "lex")
+    system = [P.parse(t) for t in texts]
+    calls = _counting_solvers(monkeypatch)
+    sol = solve_system(system, max_solutions=cap)
+    assert sol.truncated
+    assert sol.to_json()["solutions"] == solutions
+    # the system met again is solved again, not replayed
+    assert len(calls["univariate_roots"]) == roots_calls > len(set(calls["univariate_roots"]))
+    assert SolutionSet(z4, sol.variables, sol.solutions).explicit() <= brute_solve(system).explicit()
+
+
 def test_solution_set_cap(z8):
     P = PolyRing(z8, ("x", "y"), "lex")
     sol = solve_system([P.zero, P.parse("8*x")], max_solutions=10)
@@ -442,3 +544,81 @@ def test_failed_reverification_raises(z8):
         _verify_solutions(P, [P.parse("x")], frozenset({(z8.one, z8.zero)}))
     with pytest.raises(InternalInvariant):
         _verify_solutions(P, [P.parse("x")], frozenset({(ALL_OF_RING, z8.zero)}))
+
+
+SOLVE_GOLDEN = Path(__file__).resolve().parent / "goldens" / "solve_sets.json"
+LOCAL_CUBIC = Path(__file__).resolve().parents[1] / "instances" / "local_cubic.json"
+SOLVE_GOLDEN_CAPS = (1, 10, 100)
+
+
+def solve_golden_cases():
+    """Seeded systems as (ring name, PolyRing, polynomials): 1-3 polynomials
+    of total degree <= 3 in 1-2 variables (<= 2 in three) over Z4, Z8, Z9,
+    Z25, GR(4,2), Z6, Z12 and the local ring of instances/local_cubic.json."""
+    local = presentation_from_json(json.loads(LOCAL_CUBIC.read_text())["ring"])
+    rings = {
+        "z4": Zpk(2, 2),
+        "z8": Zpk(2, 3),
+        "z9": Zpk(3, 2),
+        "z25": Zpk(5, 2),
+        "gr42": galois_ring(2, 2, 2),
+        "z6": integer_ring(6),
+        "z12": integer_ring(12),
+        "local_cubic": local,
+    }
+    small = [(1, 1, 3), (1, 2, 3), (2, 1, 3), (2, 2, 3), (2, 3, 3)]
+    strata = {name: small for name in ("z25", "gr42", "z6", "z12")}
+    for name in ("z4", "z8", "z9"):
+        strata[name] = small + [(3, 1, 2), (3, 2, 2), (3, 3, 2)]
+    strata["local_cubic"] = [(1, 1, 3), (1, 2, 3), (2, 2, 2)]
+    rng = random.Random(2029)
+    for name, ring in rings.items():
+        nonzero = sorted(ring.elements(), key=ring.sort_key)[1:]
+        for nvars, npolys, degree in strata[name]:
+            P = PolyRing(ring, ("x", "y", "z")[:nvars], "lex")
+            for _ in range(3):
+                polys = []
+                for _ in range(npolys):
+                    terms = []
+                    for _ in range(rng.randint(2, 4)):
+                        exps = [0] * nvars
+                        for _ in range(rng.randint(0, degree)):
+                            exps[rng.randrange(nvars)] += 1
+                        terms.append((tuple(exps), rng.choice(nonzero)))
+                    polys.append(P.poly(terms))
+                yield name, P, polys
+
+
+def _solve_outcome(fn, *args):
+    try:
+        return fn(*args).to_json()
+    except ChainRingError as exc:
+        return {"error": type(exc).__name__}
+
+
+def solve_set_records():
+    """solve_system and solve_system_lifting at each cap of
+    SOLVE_GOLDEN_CAPS, and solve_local_system over the local ring."""
+    for name, P, polys in solve_golden_cases():
+        record = {"ring": name, "vars": list(P.variables), "polys": [P.poly_to_json(f) for f in polys]}
+        if name == "local_cubic":
+            R = P.ring
+            points = sorted(solve_local_system(polys), key=lambda t: [R.sort_key(x) for x in t])
+            record["local"] = [[R.element_to_json(x) for x in t] for t in points]
+        else:
+            for cap in SOLVE_GOLDEN_CAPS:
+                record[f"solve_{cap}"] = _solve_outcome(solve_system, polys, cap)
+                record[f"lifting_{cap}"] = _solve_outcome(solve_system_lifting, polys, cap)
+        yield record
+
+
+def render_solve_golden() -> str:
+    records = list(solve_set_records())
+    return "[\n" + ",\n".join(json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records) + "\n]\n"
+
+
+def test_solve_sets_match_golden():
+    # every route's answer (truncated ones included) on seeded systems over
+    # eight rings, byte for byte as recorded before solve_system memoised
+    # its branches and the lift moved to payloads
+    assert render_solve_golden() == SOLVE_GOLDEN.read_text()
