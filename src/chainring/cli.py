@@ -58,6 +58,14 @@ def _load_json(path: str):
         raise ParseError(f"cannot read JSON from {path}: {exc}") from exc
 
 
+def _as_list(value, key: str) -> list:
+    """A field that must be a JSON list; a string there would otherwise be
+    read one character at a time."""
+    if not isinstance(value, list):
+        raise ParseError(f"field '{key}' must be a list, got {value!r}")
+    return value
+
+
 def _system_from_json(
     obj,
     ring_spec: str | None,
@@ -73,7 +81,7 @@ def _system_from_json(
         ring = ring_from_json(obj["ring"])
     else:
         raise ParseError("no ring given (use --ring or a 'ring' field)")
-    variables = vars_spec.split(",") if vars_spec else obj.get("vars")
+    variables = vars_spec.split(",") if vars_spec else _as_list(obj.get("vars", []), "vars")
     if not variables:
         raise ParseError("system file needs a 'vars' list (or pass --vars)")
     if order_spec:
@@ -90,7 +98,7 @@ def _system_from_json(
         order = "lex"
     pring = PolyRing(ring, variables, order)
     polys = []
-    for entry in obj["polys"]:
+    for entry in _as_list(obj["polys"], "polys"):
         if isinstance(entry, str):
             if not allow_text:
                 raise ParseError("text polynomials need the --text flag")
@@ -152,11 +160,11 @@ def _cmd_solve_local(args) -> int:
     if "ring" not in obj:
         raise ParseError("solve-local needs a local-ring descriptor in the system file")
     pres = localring_mod.presentation_from_json(obj["ring"])
-    variables = obj.get("vars")
+    variables = _as_list(obj.get("vars", []), "vars")
     if not variables:
         raise ParseError("system file needs a 'vars' list")
     pring = PolyRing(pres, variables, "lex")
-    polys = [pring.poly_from_json(e) for e in obj["polys"]]
+    polys = [pring.poly_from_json(e) for e in _as_list(obj["polys"], "polys")]
     roots = localring_mod.solve_local_system(polys)
     sols = sorted(
         [[pres.element_to_json(v) for v in sol] for sol in roots]
@@ -319,15 +327,16 @@ def _verify_dispatch(command: str, inp, res, budget: OracleBudget) -> list[str]:
             checks.append("brute-force-equality")
     elif command == "solve-local":
         pres = localring_mod.presentation_from_json(inp["ring"])
-        pring = PolyRing(pres, inp["vars"], "lex")
-        polys = [pring.poly_from_json(e) for e in inp["polys"]]
+        variables = _as_list(inp["vars"], "vars")
+        pring = PolyRing(pres, variables, "lex")
+        polys = [pring.poly_from_json(e) for e in _as_list(inp["polys"], "polys")]
         for s in res["solutions"]:
             point = [pres.element_from_json(v) for v in s]
             for p in polys:
                 if not pres.is_zero(p.evaluate(point)):
                     raise ChainRingError(f"listed root {s} does not solve the system")
         checks.append("solutions-satisfy-system")
-        if pres.size ** len(inp["vars"]) <= budget.max_enumeration:
+        if pres.size ** len(variables) <= budget.max_enumeration:
             got = {
                 tuple(pres.element_from_json(v) for v in s) for s in res["solutions"]
             }

@@ -233,14 +233,17 @@ class PolyRing:
         if tokens and tokens[0] in "+-":
             sign = -1 if tokens[0] == "-" else 1
             i = 1
+        if i == len(tokens):
+            raise ParseError(f"no terms in {text!r}")
         while i < len(tokens):
             coeff = 1
             exps = [0] * self.nvars
             expect_factor = True
-            saw_any = False
             while i < len(tokens) and tokens[i] not in "+-":
                 tok = tokens[i]
                 if tok == "*":
+                    if expect_factor:
+                        raise ParseError(f"'*' without a factor before it in {text!r}")
                     i += 1
                     expect_factor = True
                     continue
@@ -259,11 +262,10 @@ class PolyRing:
                     elif i + 1 < len(tokens) and tokens[i + 1] == "^":
                         raise ParseError(f"dangling '^' in {text!r}")
                     exps[v] += e
-                saw_any = True
                 expect_factor = False
                 i += 1
-            if not saw_any:
-                raise ParseError(f"empty term in {text!r}")
+            if expect_factor:
+                raise ParseError(f"empty term or trailing '*' in {text!r}")
             terms.append((tuple(exps), self.ring.from_int(sign * coeff)))
             if i < len(tokens):
                 sign = -1 if tokens[i] == "-" else 1

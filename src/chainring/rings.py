@@ -136,8 +136,10 @@ class Ring:
 
     # -- payload arithmetic ---------------------------------------------------
     # polys and linalg compute on RingElement.data and box only at their
-    # boundary.  These defaults box each payload and call the ring's element
-    # methods; Zpk overrides them on plain ints.  Zero is _zero_data.
+    # boundary.  Chain rings compute on payloads: their _payload_* methods are
+    # their arithmetic, and their element methods box the results.  Product
+    # and local rings box through their element methods with these defaults.
+    # Zero is _zero_data.
 
     def _payload_add(self, x, y):
         return self.add(RingElement(self, x), RingElement(self, y)).data
@@ -202,25 +204,46 @@ class ChainRing(Ring):
 
     def __init__(self):
         self._gamma = None
-        self._digit_table = None
+        self._digit_table = None  # residue -> Teichmüller digit payload
         self._vanishing = None  # coefficient cache for F_m, set by solve
         self._inverses = None  # unit payload -> inverse, for rings up to _INVERSE_TABLE_CAP
         self._pi_powers = None  # payloads of pi^0 .. pi^nu
+
+    # -- arithmetic: each element method boxes a payload method ---------------
+
+    def add(self, a: RingElement, b: RingElement) -> RingElement:
+        return RingElement(self, self._payload_add(a.data, b.data))
+
+    def sub(self, a: RingElement, b: RingElement) -> RingElement:
+        return RingElement(self, self._payload_add(a.data, self._payload_neg(b.data)))
+
+    def neg(self, a: RingElement) -> RingElement:
+        return RingElement(self, self._payload_neg(a.data))
+
+    def mul(self, a: RingElement, b: RingElement) -> RingElement:
+        return RingElement(self, self._payload_mul(a.data, b.data))
+
+    def invert(self, a: RingElement) -> RingElement:
+        """Inverse of a unit."""
+        return RingElement(self, self._payload_invert(a.data))
 
     # -- chain-ring structure ------------------------------------------------
 
     def valuation(self, a: RingElement) -> int:
         """The unique l with a = pi^l * unit; valuation(0) = nu."""
-        raise NotImplementedError
+        return self._payload_valuation(a.data)
 
     def exact_div_pi_power(self, a: RingElement, l: int) -> RingElement:
         """a / pi^l for valuation(a) >= l, choosing the lexicographically
         minimal representative (coefficientwise integer division by p^l)."""
-        raise NotImplementedError
+        x = a.data
+        if l > self._payload_valuation(x) and x != self._zero_data:
+            raise ZeroElement(f"{a!r} is not divisible by pi^{l}")
+        return RingElement(self, self._payload_quo_pi(x, l))
 
     def residue_key(self, a: RingElement):
         """Hashable key identifying a mod pi."""
-        raise NotImplementedError
+        return self._payload_residue(a.data)
 
     def reduce_mod_pi_power(self, a: RingElement, e: int) -> RingElement:
         """Canonical representative of a modulo the ideal pi^e R."""
@@ -234,27 +257,13 @@ class ChainRing(Ring):
     def is_unit(self, a: RingElement) -> bool:
         return self.valuation(a) == 0
 
-    def invert(self, a: RingElement) -> RingElement:
-        """Inverse of a unit.  A ring of at most _INVERSE_TABLE_CAP elements
-        builds a table of every unit's inverse on first use; a larger one
-        lifts each inverse by Newton iteration."""
-        table = self._inverses
-        if table is None and self.size <= _INVERSE_TABLE_CAP:
-            table = self._inverses = self._inverse_table()
-        if table is None:
-            return self._lift_inverse(a)
-        inv = table.get(a.data)
-        if inv is None:
-            raise NotAUnit(f"{a!r} has positive valuation")
-        return inv
-
     def _inverse_table(self) -> dict:
         table: dict = {}
         for a in self.elements():
             if a.data not in table and self.valuation(a) == 0:
-                inv = self._lift_inverse(a)
+                inv = self._lift_inverse(a).data
                 table[a.data] = inv
-                table[inv.data] = a
+                table[inv] = a.data
         return table
 
     def _lift_inverse(self, a: RingElement) -> RingElement:
@@ -293,9 +302,7 @@ class ChainRing(Ring):
 
     def teichmuller_digit(self, a: RingElement) -> RingElement:
         """The unique γ in Γ with a ≡ γ (mod pi)."""
-        if self._digit_table is None:
-            self._digit_table = {self.residue_key(g): g for g in self.teichmuller_set()}
-        return self._digit_table[self.residue_key(a)]
+        return RingElement(self, self._payload_digit(a.data))
 
     def pi_adic_digits(
         self, a: RingElement, pi_choice: RingElement | None = None
@@ -345,34 +352,40 @@ class ChainRing(Ring):
             )
         return powers[v]
 
-    def _payload_valuation(self, x) -> int:
-        return self.valuation(RingElement(self, x))
-
     def _payload_digit(self, x):
         """The payload of teichmuller_digit: the γ in Γ with x ≡ γ (mod pi)."""
-        return self.teichmuller_digit(RingElement(self, x)).data
-
-    def _payload_invert(self, x):
-        """The inverse of a unit."""
-        return self.invert(RingElement(self, x)).data
+        table = self._digit_table
+        if table is None:
+            table = self._digit_table = {self.residue_key(g): g.data for g in self.teichmuller_set()}
+        return table[self._payload_residue(x)]
 
     def _payload_quo_pi(self, x, v: int):
         """q with x = q * pi^v + reduce_mod_pi_power(x, v); for valuation(x)
         >= v this is exact_div_pi_power(x, v)."""
-        a = RingElement(self, x)
-        return self.exact_div_pi_power(self.sub(a, self.reduce_mod_pi_power(a, v)), v).data
+        raise NotImplementedError
+
+    def _payload_invert(self, x):
+        """The inverse of a unit.  A ring of at most _INVERSE_TABLE_CAP
+        elements builds a table of every unit's inverse on first use; a
+        larger one lifts each inverse by Newton iteration."""
+        table = self._inverses
+        if table is None and self.size <= _INVERSE_TABLE_CAP:
+            table = self._inverses = self._inverse_table()
+        if table is None:
+            return self._lift_inverse(RingElement(self, x)).data
+        inv = table.get(x)
+        if inv is None:
+            raise NotAUnit(f"{x!r} has positive valuation in {self.short_name()}")
+        return inv
 
     def _payload_scale(self, u, row: list) -> list:
-        u = RingElement(self, u)
-        return [self.mul(u, RingElement(self, a)).data for a in row]
+        mul = self._payload_mul
+        return [mul(u, a) for a in row]
 
     def _payload_addmul(self, row_i: list, c, row_j: list) -> list:
         """row_i + c * row_j."""
-        c = RingElement(self, c)
-        return [
-            self.add(RingElement(self, a), self.mul(c, RingElement(self, b))).data
-            for a, b in zip(row_i, row_j)
-        ]
+        add, mul = self._payload_add, self._payload_mul
+        return [add(a, mul(c, b)) for a, b in zip(row_i, row_j)]
 
 
 class Zpk(ChainRing):
@@ -397,7 +410,6 @@ class Zpk(ChainRing):
         self._zero_data = 0
         self.one = RingElement(self, 1 % self.modulus)
         self.pi_element = RingElement(self, p % self.modulus)
-        self._digit_payloads = None  # Teichmüller digit payload by residue x % p
 
     def descriptor(self):
         return (self.p, self.k)
@@ -410,24 +422,6 @@ class Zpk(ChainRing):
 
     def from_int(self, n: int) -> RingElement:
         return RingElement(self, n % self.modulus)
-
-    def add(self, a, b):
-        return RingElement(self, (a.data + b.data) % self.modulus)
-
-    def sub(self, a, b):
-        return RingElement(self, (a.data - b.data) % self.modulus)
-
-    def neg(self, a):
-        return RingElement(self, (-a.data) % self.modulus)
-
-    def mul(self, a, b):
-        return RingElement(self, (a.data * b.data) % self.modulus)
-
-    def invert(self, a):
-        return RingElement(self, self._payload_invert(a.data))
-
-    def valuation(self, a) -> int:
-        return self._payload_valuation(a.data)
 
     def _payload_valuation(self, x):
         if x == 0:
@@ -446,14 +440,8 @@ class Zpk(ChainRing):
     def _payload_quo_pi(self, x, v):
         return x // self.p**v
 
-    def _payload_digit(self, x):
-        digits = self._digit_payloads
-        if digits is None:
-            digits = [0] * self.p
-            for g in self.teichmuller_set():
-                digits[g.data % self.p] = g.data
-            digits = self._digit_payloads = tuple(digits)
-        return digits[x % self.p]
+    def _payload_residue(self, x):
+        return x % self.p
 
     def _payload_add(self, x, y):
         return (x + y) % self.modulus
@@ -474,17 +462,6 @@ class Zpk(ChainRing):
     def _payload_addmul(self, row_i, c, row_j):
         M = self.modulus
         return [(a + c * b) % M for a, b in zip(row_i, row_j)]
-
-    def exact_div_pi_power(self, a, l):
-        if l == 0:
-            return a
-        d = self.p**l
-        if a.data % d:
-            raise ZeroElement(f"{a.data} is not divisible by {d}")
-        return RingElement(self, a.data // d)
-
-    def residue_key(self, a):
-        return a.data % self.p
 
     def reduce_mod_pi_power(self, a, e):
         return RingElement(self, a.data % self.p**e)
@@ -557,7 +534,7 @@ class ExtensionChainRing(ChainRing):
             raise DomainError("modulus is not irreducible modulo pi")
 
     def _reduction_table(self):
-        """Coordinates of alpha^t for t in [m, 2m-2]."""
+        """Coordinate payloads of alpha^t for t in [m, 2m-2]."""
         m = self.degree
         base = self.base
         top = [base.neg(c) for c in self.modulus_poly[:m]]
@@ -568,7 +545,7 @@ class ExtensionChainRing(ChainRing):
             lead = prev[m - 1]
             nxt = [base.add(shifted[i], base.mul(lead, top[i])) for i in range(m)]
             table.append(tuple(nxt))
-        return table
+        return [tuple(c.data for c in row) for row in table]
 
     def descriptor(self):
         return (self.base.descriptor(), tuple(c.data for c in self.modulus_poly))
@@ -598,57 +575,60 @@ class ExtensionChainRing(ChainRing):
         coords = [self.base.from_int(n)] + [self.base.zero] * (self.degree - 1)
         return RingElement(self, tuple(coords))
 
-    def add(self, a, b):
-        base = self.base
-        return RingElement(self, tuple(base.add(x, y) for x, y in zip(a.data, b.data)))
+    # payloads are coordinate tuples; the loops run on the base's payloads
 
-    def sub(self, a, b):
+    def _payload_add(self, xs, ys):
         base = self.base
-        return RingElement(self, tuple(base.sub(x, y) for x, y in zip(a.data, b.data)))
+        add = base._payload_add
+        return tuple(RingElement(base, add(x.data, y.data)) for x, y in zip(xs, ys))
 
-    def neg(self, a):
+    def _payload_neg(self, xs):
         base = self.base
-        return RingElement(self, tuple(base.neg(x) for x in a.data))
+        neg = base._payload_neg
+        return tuple(RingElement(base, neg(x.data)) for x in xs)
 
-    def mul(self, a, b):
+    def _payload_mul(self, xs, ys):
         m = self.degree
         base = self.base
-        conv = [base.zero] * (2 * m - 1)
-        for i, x in enumerate(a.data):
-            if x.is_zero():
+        zero = base._zero_data
+        add, mul = base._payload_add, base._payload_mul
+        ys = [y.data for y in ys]
+        conv = [zero] * (2 * m - 1)
+        for i, x in enumerate(xs):
+            x = x.data
+            if x == zero:
                 continue
-            for j, y in enumerate(b.data):
-                if y.is_zero():
-                    continue
-                conv[i + j] = base.add(conv[i + j], base.mul(x, y))
+            for j, y in enumerate(ys):
+                if y != zero:
+                    conv[i + j] = add(conv[i + j], mul(x, y))
         out = conv[:m]
         for t in range(m, 2 * m - 1):
             c = conv[t]
-            if c.is_zero():
+            if c == zero:
                 continue
             red = self._alpha_powers[t - m]
             for i in range(m):
-                out[i] = base.add(out[i], base.mul(c, red[i]))
-        return RingElement(self, tuple(out))
+                out[i] = add(out[i], mul(c, red[i]))
+        return tuple(RingElement(base, c) for c in out)
+
+    def _payload_valuation(self, xs) -> int:
+        valuation = self.base._payload_valuation
+        return min(valuation(x.data) for x in xs)
+
+    def _payload_quo_pi(self, xs, v):
+        base = self.base
+        quo = base._payload_quo_pi
+        return tuple(RingElement(base, quo(x.data, v)) for x in xs)
+
+    def _payload_residue(self, xs):
+        residue = self.base._payload_residue
+        return tuple(residue(x.data) for x in xs)
 
     def scalar_mul(self, c: RingElement, a: RingElement) -> RingElement:
         """Multiply by a base-ring scalar."""
         base = self.base
         c = base.coerce(c)
         return RingElement(self, tuple(base.mul(c, x) for x in a.data))
-
-    def valuation(self, a) -> int:
-        vals = [self.base.valuation(x) for x in a.data]
-        return min(vals)
-
-    def exact_div_pi_power(self, a, l):
-        if l == 0:
-            return a
-        base = self.base
-        return RingElement(self, tuple(base.exact_div_pi_power(x, l) for x in a.data))
-
-    def residue_key(self, a):
-        return tuple(self.base.residue_key(x) for x in a.data)
 
     def reduce_mod_pi_power(self, a, e):
         base = self.base

@@ -119,6 +119,40 @@ def test_missing_field_is_a_parse_error(capsys, tmp_path, command, obj, key):
     )
 
 
+# x + 1 as JSON terms over Z8 and over the local ring
+X_PLUS_1 = {"zpk": [[1, [1]], [1, [0]]], "local": [[[1, 0], [1]], [[1, 0], [0]]]}
+
+
+@pytest.mark.parametrize(
+    "argv, command",
+    [
+        (["gb", "--text"], "gb"),
+        (["solve", "--text"], "solve"),
+        (["solve-local"], "solve-local"),
+        (["verify"], "gb"),
+        (["verify"], "solve"),
+        (["verify"], "solve-local"),
+    ],
+    ids=["gb", "solve", "solve-local", "verify-gb", "verify-solve", "verify-solve-local"],
+)
+@pytest.mark.parametrize("key, value", [("polys", "x+1"), ("vars", "x")])
+def test_string_for_a_list_field_is_a_parse_error(capsys, tmp_path, argv, command, key, value):
+    # a JSON string is not a list of its characters: "x+1" would be the
+    # system {x, +, 1} with no roots, and "x" would pass for ["x"]
+    local = command == "solve-local"
+    system = {
+        "ring": LOCAL if local else Z8,
+        "vars": ["x"],
+        "polys": [X_PLUS_1["local" if local else "zpk"]],
+    }
+    system[key] = value
+    obj = {"command": command, "input": system, "result": {}} if argv == ["verify"] else system
+    code, out = run_cli(capsys, *argv, write(tmp_path, "input.json", obj))
+    assert code == 2
+    message = f"field '{key}' must be a list, got {value!r}"
+    assert json.loads(out) == {"error": {"message": message, "type": "ParseError"}}
+
+
 def test_inline_ring_spec_missing_field_is_a_parse_error(capsys, tmp_path):
     path = write(tmp_path, "sys.json", {"vars": ["x"], "polys": ["x"]})
     code, out = run_cli(capsys, "solve", "--text", "--ring", '{"kind":"zpk","p":2}', path)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import chainring
-from chainring.errors import ExponentOverflow, ResourceExceeded, ZeroPolynomial
+from chainring.errors import ExponentOverflow, ParseError, ResourceExceeded, ZeroPolynomial
 from chainring.groebner import a_polynomial, s_polynomial
 from chainring.localring import presentation_from_json
 from chainring.polys import (
@@ -158,6 +158,20 @@ def test_parser_and_formatting(pxy):
     g = pxy.parse("x - y")
     assert str(g) == "x + 7*y"
     assert pxy.parse("-x + 1") == pxy.parse("7*x + 1")
+
+
+@pytest.mark.parametrize("text", ["", "  ", "+", "-", "x*", "2*", "*x", "x + *y", "x**y", "x + + y", "x -"])
+def test_parser_rejects_malformed_text(pxy, text):
+    # a lone sign, empty text and a '*' with a factor missing on either
+    # side are errors, not the zero polynomial or a dropped '*'
+    with pytest.raises(ParseError):
+        pxy.parse(text)
+
+
+def test_parser_reads_zero(pxy):
+    assert pxy.parse("0").is_zero()
+    assert pxy.parse("-0").is_zero()
+    assert pxy.parse("x - x").is_zero()
 
 
 def test_poly_json_roundtrip(pxy):

@@ -1,10 +1,14 @@
+import hashlib
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from chainring.errors import (
     BadGenerator,
+    ChainRingError,
     ComponentMismatch,
     InternalInvariant,
     NotAUnit,
@@ -260,3 +264,80 @@ def test_payload_digit_of_a_large_ring():
     rng = random.Random(17)
     for x in [0, 1, R.modulus - 1] + [rng.randrange(R.modulus) for _ in range(500)]:
         assert R._payload_digit(x) == R.teichmuller_digit(RingElement(R, x)).data
+
+
+RING_OPS_GOLDEN = Path(__file__).resolve().parent / "goldens" / "ring_ops.json"
+RING_OPS_RINGS = {
+    "z4": Zpk(2, 2),
+    "z8": Zpk(2, 3),
+    "z9": Zpk(3, 2),
+    "z25": Zpk(5, 2),
+    "gr42": galois_ring(2, 2, 2),
+    "gr82": galois_ring(2, 3, 2),
+    "gr92": galois_ring(3, 2, 2),
+}
+RING_OPS_FULL = ("z8", "gr42")  # rings whose tables are kept, not only hashed
+
+
+def ring_ops_tables(R):
+    """Every element method on every operand (pair) of R, unit inverses,
+    exact_div_pi_power(a, l) for l in 0..nu+1 (the error type where one is
+    raised), _payload_quo_pi(x, v) for v in 0..nu, and _payload_scale and
+    _payload_addmul on seeded rows, as JSON-ready rows by op name."""
+    js = R.element_to_json
+    elems = list(R.elements())
+    pairs = [(a, b) for a in elems for b in elems]
+
+    def div_or_error(a, l):
+        try:
+            return js(R.exact_div_pi_power(a, l))
+        except ChainRingError as exc:
+            return type(exc).__name__
+
+    def payloads(row):
+        return [js(RingElement(R, x)) for x in row]
+
+    rng = random.Random(2028)
+    rows = []
+    for _ in range(24):
+        n = rng.randrange(1, 6)
+        row_i, row_j = [rng.choice(elems).data for _ in range(n)], [rng.choice(elems).data for _ in range(n)]
+        rows.append((rng.choice(elems).data, row_i, row_j))
+    return {
+        "add": [[js(a), js(b), js(R.add(a, b))] for a, b in pairs],
+        "sub": [[js(a), js(b), js(R.sub(a, b))] for a, b in pairs],
+        "mul": [[js(a), js(b), js(R.mul(a, b))] for a, b in pairs],
+        "neg": [[js(a), js(R.neg(a))] for a in elems],
+        "valuation": [[js(a), R.valuation(a)] for a in elems],
+        "teichmuller_digit": [[js(a), js(R.teichmuller_digit(a))] for a in elems],
+        "invert": [[js(a), js(R.invert(a))] for a in elems if R.is_unit(a)],
+        "exact_div_pi_power": [[js(a), l, div_or_error(a, l)] for a in elems for l in range(R.nu + 2)],
+        "payload_quo_pi": [
+            [js(a), v, js(RingElement(R, R._payload_quo_pi(a.data, v)))] for a in elems for v in range(R.nu + 1)
+        ],
+        "payload_scale": [[js(RingElement(R, c)), payloads(r), payloads(R._payload_scale(c, r))] for c, r, _ in rows],
+        "payload_addmul": [
+            [payloads(r), js(RingElement(R, c)), payloads(s), payloads(R._payload_addmul(r, c, s))]
+            for c, r, s in rows
+        ],
+    }
+
+
+def render_ring_ops_golden() -> str:
+    lines = []
+    for name, R in RING_OPS_RINGS.items():
+        for op, table in ring_ops_tables(R).items():
+            text = json.dumps(table, separators=(",", ":"))
+            record = {"ring": name, "op": op, "sha256": hashlib.sha256(text.encode()).hexdigest()}
+            if name in RING_OPS_FULL:
+                record["table"] = table
+            lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
+    return "[\n" + ",\n".join(lines) + "\n]\n"
+
+
+def test_ring_ops_match_golden():
+    # add, sub, mul, neg, valuation, teichmuller_digit, invert and
+    # exact_div_pi_power on every element of Z4, Z8, Z9, Z25, GR(4,2),
+    # GR(8,2) and GR(9,2), and the payload quotient, scale and addmul,
+    # byte for byte as the per-ring element methods computed them
+    assert render_ring_ops_golden() == RING_OPS_GOLDEN.read_text()
