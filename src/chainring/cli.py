@@ -240,8 +240,10 @@ def _cmd_verify(args) -> int:
     if not isinstance(envelope, dict) or "command" not in envelope:
         raise ParseError("verify expects a result envelope with a 'command' field")
     command = envelope["command"]
-    inp = envelope.get("input", {})
-    res = envelope.get("result", {})
+    inp, res = envelope["input"], envelope["result"]
+    for key, value in (("input", inp), ("result", res)):
+        if not isinstance(value, dict):
+            raise ParseError(f"field '{key}' must be an object, got {value!r}")
     budget = OracleBudget(args.budget) if args.budget else DEFAULT_BUDGET
     checks = _verify_dispatch(command, inp, res, budget)
     sys.stdout.write(_dump({"command": "verify", "verified": True, "checks": checks}))

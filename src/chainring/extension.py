@@ -22,6 +22,7 @@ from .rings import (
     RingElement,
     _factor,
     _int_field,
+    _modulus_from_json,
     ring_from_json,
 )
 
@@ -107,32 +108,37 @@ class GaloisExtension(ExtensionChainRing):
         if rem:
             raise DomainError("modulus must divide X^(q^m - 1) - 1 over the base")
         m = self.degree
-        self._sigma_mats: list[list[tuple[RingElement, ...]]] = []
+        # row i of mat l-1 holds the coordinate payloads of sigma^l(alpha^i);
+        # the powers alpha^(i*q) come from the coordinate code, so that
+        # building the ring fills no operation table
+        alpha_q = self.one.data
+        for _ in range(base.q):
+            alpha_q = self._coord_mul(alpha_q, self.alpha.data)
+        power = self.one.data
         mat = []
-        for i in range(m):
-            power = self.pow(self.alpha, i * base.q)
-            mat.append(power.data)
-        self._sigma_mats.append(mat)
+        for _ in range(m):
+            mat.append(self._coords(power))
+            power = self._coord_mul(power, alpha_q)
+        self._sigma_mats: list[list[list]] = [mat]
         for _ in range(1, m):
-            prev = self._sigma_mats[-1]
-            nxt = []
-            for i in range(m):
-                # sigma of alpha^i coordinates, one more application
-                coords = prev[i]
-                img = self.frobenius_from_mat(self._sigma_mats[0], RingElement(self, coords))
-                nxt.append(img.data)
-            self._sigma_mats.append(nxt)
+            # sigma of alpha^i coordinates, one more application
+            self._sigma_mats.append([self._apply(mat, row) for row in self._sigma_mats[-1]])
+
+    def _apply(self, mat, cs: list) -> list:
+        """The coordinate payloads of sum_i cs[i] * mat[i]."""
+        base = self.base
+        zero = base._zero_data
+        add, mul = base._payload_add, base._payload_mul
+        out = [zero] * self.degree
+        for c, row in zip(cs, mat):
+            if c == zero:
+                continue
+            for t, r in enumerate(row):
+                out[t] = add(out[t], mul(c, r))
+        return out
 
     def frobenius_from_mat(self, mat, x: RingElement) -> RingElement:
-        base = self.base
-        m = self.degree
-        out = [base.zero] * m
-        for i, coeff in enumerate(x.data):
-            if coeff.is_zero():
-                continue
-            for t in range(m):
-                out[t] = base.add(out[t], base.mul(coeff, mat[i][t]))
-        return RingElement(self, tuple(out))
+        return RingElement(self, self._from_coords(self._apply(mat, self._coords(x.data))))
 
     def frobenius(self, x: RingElement, l: int = 1) -> RingElement:
         """sigma^l(x); negative l wraps around the cyclic Galois group."""
@@ -171,7 +177,7 @@ def build_extension(base: ChainRing, m: int) -> GaloisExtension:
 def matrix_representation(ext: GaloisExtension, u: Sequence[RingElement]) -> RingMatrix:
     """m x n matrix over R whose column j holds the coordinates of u_j."""
     base = ext.base
-    cols = [ext.coerce(x).data for x in u]
+    cols = [ext.coords(ext.coerce(x)) for x in u]
     rows = [[cols[j][i] for j in range(len(cols))] for i in range(ext.degree)]
     return RingMatrix(base, rows)
 
@@ -185,7 +191,7 @@ def vector_support(ext: GaloisExtension, u: Sequence[RingElement]) -> list[RingE
     entries of u."""
     rep = matrix_representation(ext, u).transpose()
     gens = reduced_row_echelon(rep)
-    return [RingElement(ext, tuple(row)) for row in gens.rows]
+    return [ext.element(row) for row in gens.rows]
 
 
 @dataclass(frozen=True)
@@ -267,17 +273,17 @@ def extension_from_json(obj):
     m = _int_field(obj, "m")
     if isinstance(base, ProductRing):
         mods = obj.get("modulus")
+        if mods is not None and not (isinstance(mods, list) and len(mods) == len(base.components)):
+            raise ParseError("field 'modulus' of a product extension must list one modulus per component")
         comps = []
         for idx, comp in enumerate(base.components):
             if mods is None:
                 comps.append(build_extension(comp, m))
             else:
-                comps.append(
-                    GaloisExtension(comp, [comp.element_from_json(c) for c in mods[idx]])
-                )
+                comps.append(GaloisExtension(comp, _modulus_from_json(mods[idx], comp, m)))
         return ProductExtension(comps)
     if not isinstance(base, ChainRing):
         raise ParseError("extension base must be a chain ring or product")
     if obj.get("modulus") is None:
         return build_extension(base, m)
-    return GaloisExtension(base, [base.element_from_json(c) for c in obj["modulus"]])
+    return GaloisExtension(base, _modulus_from_json(obj["modulus"], base, m))

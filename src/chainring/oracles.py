@@ -408,7 +408,7 @@ def _canonical_generators(ring, module: frozenset, r: int, budget: OracleBudget)
 def brute_vector_rank(ext, u, budget: OracleBudget = DEFAULT_BUDGET) -> int:
     """Rank of a vector over the extension via module cardinalities."""
     base = ext.base
-    rows = [tuple(ext.coerce(x).data) for x in u]
+    rows = [ext.coords(ext.coerce(x)) for x in u]
     lam0 = _module_log_size(base, rows, budget)
     pi_rows = [tuple(base.mul(base.pi_element, c) for c in row) for row in rows]
     lam1 = _module_log_size(base, pi_rows, budget)

@@ -168,8 +168,7 @@ def expand_to_base(poly: MultiPoly, target: PolyRing) -> list[MultiPoly]:
     m = ext.degree
     coords = [[] for _ in range(m)]
     for exps, coeff in poly.terms:
-        for t in range(m):
-            c = coeff.data[t]
+        for t, c in enumerate(ext.coords(coeff)):
             if not c.is_zero():
                 coords[t].append((exps, c))
     return [target.poly(terms) for terms in coords]

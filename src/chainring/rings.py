@@ -137,9 +137,12 @@ class Ring:
     # -- payload arithmetic ---------------------------------------------------
     # polys and linalg compute on RingElement.data and box only at their
     # boundary.  Chain rings compute on payloads: their _payload_* methods are
-    # their arithmetic, and their element methods box the results.  Product
-    # and local rings box through their element methods with these defaults.
-    # Zero is _zero_data.
+    # their arithmetic, and their element methods box the results.  A chain
+    # ring's payload is an int: a residue mod p^k over Zpk, and over a Galois
+    # ring the base payloads of its coordinates as digits of one int, with
+    # flat operation tables for rings of at most _OP_TABLE_CAP elements.
+    # Product and local rings box through their element methods with these
+    # defaults.  Zero is _zero_data.
 
     def _payload_add(self, x, y):
         return self.add(RingElement(self, x), RingElement(self, y)).data
@@ -185,6 +188,8 @@ class Ring:
 
 # rings with at most this many elements keep a table of unit inverses
 _INVERSE_TABLE_CAP = 1 << 10
+# Galois rings with at most this many elements keep flat operation tables
+_OP_TABLE_CAP = 1 << 8
 
 
 class ChainRing(Ring):
@@ -496,8 +501,13 @@ class ExtensionChainRing(ChainRing):
     """base[X]/(h) for h monic of degree m, irreducible modulo pi.
 
     With base = Z_{p^k} this is the Galois ring GR(p^k, m).  Element payload:
-    a length-m tuple of base elements (coefficients of 1, alpha, ...,
-    alpha^{m-1}).
+    an int in [0, size) whose digits in base |base| are the base payloads of
+    the coordinates (coefficients of 1, alpha, ..., alpha^{m-1}), coordinate
+    0 the most significant, so ascending ints follow elements() and sort_key.
+    _coords and _from_coords are the only code that knows this layout.  A
+    ring of at most _OP_TABLE_CAP elements fills flat operation tables from
+    the coordinate code on first use; a larger one runs that code on every
+    call.
     """
 
     kind = "gr"
@@ -521,14 +531,17 @@ class ExtensionChainRing(ChainRing):
         self.q = base.q**m
         self.size = base.size**m
         self.char = base.char
-        self.zero = RingElement(self, (base.zero,) * m)
-        self._zero_data = self.zero.data
-        one = [base.zero] * m
-        one[0] = base.one
-        self.one = RingElement(self, tuple(one))
-        pi = [base.zero] * m
-        pi[0] = base.pi_element
-        self.pi_element = RingElement(self, tuple(pi))
+        # the place value of each coordinate's digit in a payload
+        self._places = tuple(base.size ** (m - 1 - i) for i in range(m))
+        # operation tables (see _table); _digit_by_payload is filled last
+        self._add_table = self._mul_table = None  # flat: x * size + y
+        self._neg_table = self._valuation_table = self._residue_table = None
+        self._quo_tables = None  # one table per v in 0..nu
+        self._digit_by_payload = None
+        self._zero_data = 0
+        self.zero = RingElement(self, 0)
+        self.one = self.from_int(1)
+        self.pi_element = self.from_int(base.p)
         self._alpha_powers = self._reduction_table()
         if not _residue_irreducible(base, self.modulus_poly):
             raise DomainError("modulus is not irreducible modulo pi")
@@ -553,54 +566,114 @@ class ExtensionChainRing(ChainRing):
     def short_name(self):
         return f"GR({self.base.char},{self.degree * _total_degree(self.base)})"
 
+    # -- coordinates ------------------------------------------------------------
+
+    def _coords(self, x) -> list:
+        """The base payloads of a payload's coordinates."""
+        B = self.base.size
+        return [x // place % B for place in self._places]
+
+    def _from_coords(self, cs) -> int:
+        x = 0
+        B = self.base.size
+        for c in cs:
+            x = x * B + c
+        return x
+
+    def coords(self, a: RingElement) -> tuple[RingElement, ...]:
+        """The coordinates of a (coefficients of 1, alpha, ..., alpha^{m-1})."""
+        base = self.base
+        return tuple(RingElement(base, c) for c in self._coords(a.data))
+
     @property
     def alpha(self) -> RingElement:
-        m = self.degree
-        coords = [self.base.zero] * m
-        if m == 1:
-            return RingElement(self, (self.base.neg(self.modulus_poly[0]),))
-        coords[1] = self.base.one
-        return RingElement(self, tuple(coords))
+        if self.degree == 1:
+            return self.element([self.base.neg(self.modulus_poly[0])])
+        return self.element([0, 1])
 
     def element(self, coords) -> RingElement:
         m = self.degree
         base = self.base
-        out = [base.coerce(c) for c in coords]
+        out = [base.coerce(c).data for c in coords]
         if len(out) > m:
             raise DomainError(f"expected <= {m} coordinates")
-        out += [base.zero] * (m - len(out))
-        return RingElement(self, tuple(out))
+        out += [base._zero_data] * (m - len(out))
+        return RingElement(self, self._from_coords(out))
 
     def from_int(self, n: int) -> RingElement:
-        coords = [self.base.from_int(n)] + [self.base.zero] * (self.degree - 1)
-        return RingElement(self, tuple(coords))
+        return RingElement(self, self.base.from_int(n).data * self._places[0])
 
-    # payloads are coordinate tuples; the loops run on the base's payloads
+    # -- payload arithmetic: table lookups, or the coordinate code above the cap
 
-    def _payload_add(self, xs, ys):
-        base = self.base
-        add = base._payload_add
-        return tuple(RingElement(base, add(x.data, y.data)) for x, y in zip(xs, ys))
+    def _table(self, name: str):
+        """The named operation table, every table filled from the coordinate
+        code on first use; None for a ring above _OP_TABLE_CAP."""
+        if self.size > _OP_TABLE_CAP:
+            return None
+        if self._digit_by_payload is None:
+            xs = range(self.size)
+            self._add_table = [self._coord_add(x, y) for x in xs for y in xs]
+            self._mul_table = [self._coord_mul(x, y) for x in xs for y in xs]
+            self._neg_table = [self._coord_neg(x) for x in xs]
+            self._valuation_table = [self._coord_valuation(x) for x in xs]
+            self._residue_table = [self._coord_residue(x) for x in xs]
+            self._quo_tables = [[self._coord_quo_pi(x, v) for x in xs] for v in range(self.nu + 1)]
+            # the Teichmüller set behind the digits multiplies through the tables
+            self._digit_by_payload = [ChainRing._payload_digit(self, x) for x in xs]
+        return getattr(self, name)
 
-    def _payload_neg(self, xs):
-        base = self.base
-        neg = base._payload_neg
-        return tuple(RingElement(base, neg(x.data)) for x in xs)
+    def _payload_add(self, x, y):
+        table = self._add_table or self._table("_add_table")
+        return table[x * self.size + y] if table else self._coord_add(x, y)
 
-    def _payload_mul(self, xs, ys):
+    def _payload_mul(self, x, y):
+        table = self._mul_table or self._table("_mul_table")
+        return table[x * self.size + y] if table else self._coord_mul(x, y)
+
+    def _payload_neg(self, x):
+        table = self._neg_table or self._table("_neg_table")
+        return table[x] if table else self._coord_neg(x)
+
+    def _payload_valuation(self, x) -> int:
+        table = self._valuation_table or self._table("_valuation_table")
+        return table[x] if table else self._coord_valuation(x)
+
+    def _payload_residue(self, x):
+        table = self._residue_table or self._table("_residue_table")
+        return table[x] if table else self._coord_residue(x)
+
+    def _payload_quo_pi(self, x, v):
+        tables = self._quo_tables or self._table("_quo_tables")
+        # every quotient by pi^v with v >= nu is 0
+        return tables[min(v, self.nu)][x] if tables else self._coord_quo_pi(x, v)
+
+    def _payload_digit(self, x):
+        table = self._digit_by_payload or self._table("_digit_by_payload")
+        return table[x] if table else super()._payload_digit(x)
+
+    # the coordinate code: loops over the base payloads of the coordinates
+
+    def _coord_add(self, x, y):
+        add = self.base._payload_add
+        return self._from_coords([add(a, b) for a, b in zip(self._coords(x), self._coords(y))])
+
+    def _coord_neg(self, x):
+        neg = self.base._payload_neg
+        return self._from_coords([neg(a) for a in self._coords(x)])
+
+    def _coord_mul(self, x, y):
         m = self.degree
         base = self.base
         zero = base._zero_data
         add, mul = base._payload_add, base._payload_mul
-        ys = [y.data for y in ys]
+        ys = self._coords(y)
         conv = [zero] * (2 * m - 1)
-        for i, x in enumerate(xs):
-            x = x.data
-            if x == zero:
+        for i, a in enumerate(self._coords(x)):
+            if a == zero:
                 continue
-            for j, y in enumerate(ys):
-                if y != zero:
-                    conv[i + j] = add(conv[i + j], mul(x, y))
+            for j, b in enumerate(ys):
+                if b != zero:
+                    conv[i + j] = add(conv[i + j], mul(a, b))
         out = conv[:m]
         for t in range(m, 2 * m - 1):
             c = conv[t]
@@ -609,49 +682,52 @@ class ExtensionChainRing(ChainRing):
             red = self._alpha_powers[t - m]
             for i in range(m):
                 out[i] = add(out[i], mul(c, red[i]))
-        return tuple(RingElement(base, c) for c in out)
+        return self._from_coords(out)
 
-    def _payload_valuation(self, xs) -> int:
+    def _coord_valuation(self, x) -> int:
         valuation = self.base._payload_valuation
-        return min(valuation(x.data) for x in xs)
+        return min(valuation(a) for a in self._coords(x))
 
-    def _payload_quo_pi(self, xs, v):
-        base = self.base
-        quo = base._payload_quo_pi
-        return tuple(RingElement(base, quo(x.data, v)) for x in xs)
+    def _coord_quo_pi(self, x, v):
+        quo = self.base._payload_quo_pi
+        return self._from_coords([quo(a, v) for a in self._coords(x)])
 
-    def _payload_residue(self, xs):
+    def _coord_residue(self, x):
+        """The payload whose coordinates are the base residues of x's."""
         residue = self.base._payload_residue
-        return tuple(residue(x.data) for x in xs)
+        return self._from_coords([residue(a) for a in self._coords(x)])
+
+    # -- element methods on coordinates -------------------------------------------
 
     def scalar_mul(self, c: RingElement, a: RingElement) -> RingElement:
         """Multiply by a base-ring scalar."""
         base = self.base
-        c = base.coerce(c)
-        return RingElement(self, tuple(base.mul(c, x) for x in a.data))
+        c = base.coerce(c).data
+        mul = base._payload_mul
+        return RingElement(self, self._from_coords([mul(c, x) for x in self._coords(a.data)]))
 
     def reduce_mod_pi_power(self, a, e):
         base = self.base
-        return RingElement(self, tuple(base.reduce_mod_pi_power(x, e) for x in a.data))
+        return self.element([base.reduce_mod_pi_power(x, e) for x in self.coords(a)])
 
     def residue_lifts(self):
-        for combo in itertools.product(list(self.base.residue_lifts()), repeat=self.degree):
-            yield RingElement(self, tuple(combo))
+        lifts = [r.data for r in self.base.residue_lifts()]
+        for combo in itertools.product(lifts, repeat=self.degree):
+            yield RingElement(self, self._from_coords(combo))
 
     def elements(self):
-        base_elems = list(self.base.elements())
-        for combo in itertools.product(base_elems, repeat=self.degree):
-            yield RingElement(self, tuple(combo))
+        for x in range(self.size):
+            yield RingElement(self, x)
 
     def sort_key(self, a):
         key = ()
-        for x in a.data:
+        for x in self.coords(a):
             key += self.base.sort_key(x)
         return key
 
     def format_element(self, a):
         parts = []
-        for i, c in enumerate(a.data):
+        for i, c in enumerate(self.coords(a)):
             if c.is_zero():
                 continue
             cs = self.base.format_element(c)
@@ -663,7 +739,7 @@ class ExtensionChainRing(ChainRing):
         return " + ".join(parts) if parts else "0"
 
     def element_to_json(self, a):
-        return [self.base.element_to_json(x) for x in a.data]
+        return [self.base.element_to_json(x) for x in self.coords(a)]
 
     def element_from_json(self, obj):
         if not isinstance(obj, list):
@@ -839,6 +915,8 @@ def galois_ring(p: int, k: int, r: int, modulus: Sequence[int] | None = None) ->
     if r == 1 and modulus is None:
         return base
     if modulus is not None:
+        if len(modulus) != r + 1:
+            raise DomainError(f"a modulus of degree {len(modulus) - 1} does not give r = {r}")
         return ExtensionChainRing(base, [base.element(c) for c in modulus])
     for tail in itertools.product(range(p), repeat=r):
         coeffs = [base.element(c) for c in tail] + [base.one]
@@ -891,13 +969,28 @@ def _int_field(obj: dict, key: str) -> int:
     return value
 
 
+def _modulus_from_json(value, base: ChainRing, degree: int | None = None) -> list[RingElement]:
+    """The base elements of a JSON "modulus" list, low to high; a modulus
+    that is not a list of base elements, or not of the given degree, is
+    malformed input."""
+    if not isinstance(value, list):
+        raise ParseError(f"field 'modulus' must be a list of coefficients, got {value!r}")
+    try:
+        coeffs = [base.element_from_json(c) for c in value]
+    except ParseError as exc:
+        raise ParseError(f"field 'modulus': {exc}") from exc
+    if degree is not None and len(coeffs) != degree + 1:
+        raise ParseError(f"field 'modulus' has {len(coeffs)} coefficients, not {degree + 1} for degree {degree}")
+    return coeffs
+
+
 def ring_from_json(obj) -> Ring:
     if isinstance(obj, dict) and "kind" not in obj and "base" in obj and "modulus" in obj:
         # extension descriptor used as a plain ring
         base = ring_from_json(obj["base"])
         if not isinstance(base, ChainRing):
             raise ParseError("extension base must be a chain ring")
-        return ExtensionChainRing(base, [base.element_from_json(c) for c in obj["modulus"]])
+        return ExtensionChainRing(base, _modulus_from_json(obj["modulus"], base))
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError(f"bad ring descriptor: {obj!r}")
     kind = obj["kind"]
@@ -908,10 +1001,13 @@ def ring_from_json(obj) -> Ring:
             base = ring_from_json(obj["base"])
             if not isinstance(base, ChainRing):
                 raise ParseError("gr base must be a chain ring")
-            mod = [base.element_from_json(c) for c in obj["modulus"]]
-            return ExtensionChainRing(base, mod)
-        p, k, r = (_int_field(obj, key) for key in ("p", "k", "r"))
-        return galois_ring(p, k, r, obj.get("modulus"))
+            r = _int_field(obj, "r") if "r" in obj else None
+        else:
+            p, k, r = (_int_field(obj, key) for key in ("p", "k", "r"))
+            if obj.get("modulus") is None:
+                return galois_ring(p, k, r)
+            base = Zpk(p, k)
+        return ExtensionChainRing(base, _modulus_from_json(obj["modulus"], base, r))
     if kind == "product":
         comps = [ring_from_json(c) for c in obj["components"]]
         return ProductRing(comps)

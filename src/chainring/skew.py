@@ -154,7 +154,7 @@ def annihilator(ext: GaloisExtension, u: Sequence[RingElement], r: int) -> SkewP
         rows = list(B.rows)
         if perm is not None:
             rows = [rows[i] for i in perm]
-        basis = [RingElement(ext, tuple(row)) for row in rows]
+        basis = [ext.element(row) for row in rows]
         f = SkewPoly.one(ext)
         ok = True
         for b in basis:

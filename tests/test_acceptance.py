@@ -211,9 +211,9 @@ def test_criterion_7_rank_decoding_goldens(decoding_instance, decoded_x, ext83):
         u = (S.element([2, 0, 6]), S.zero, S.element([4, 0, 4]))
         anns = brute_annihilators(S, u, 1)
         assert len(anns) == 8
-        w0 = {f.coeffs[0].data[0].data for f in anns}
-        w1 = {f.coeffs[0].data[1].data for f in anns}
-        w2 = {f.coeffs[0].data[2].data for f in anns}
+        w0 = {S.coords(f.coeffs[0])[0].data for f in anns}
+        w1 = {S.coords(f.coeffs[0])[1].data for f in anns}
+        w2 = {S.coords(f.coeffs[0])[2].data for f in anns}
         assert (w0, w1, w2) == ({3, 7}, {0, 4}, {3, 7})
 
 

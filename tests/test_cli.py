@@ -217,6 +217,74 @@ def test_non_integer_instance_field_is_a_parse_error(capsys, tmp_path, field, va
     assert json.loads(out) == {"error": {"message": message, "type": "ParseError"}}
 
 
+Z4 = {"kind": "zpk", "p": 2, "k": 2}
+DECODE_ARGS = (
+    "--generator", [[[1, 0], [0, 1], [1, 2]]],
+    "--received", [[1, 1], [0, 1], [3, 1]],
+    "--radius", "1",
+)
+
+
+def run_rank_decode(capsys, tmp_path, ext):
+    argv = ["rank-decode", "--extension", write(tmp_path, "ext.json", ext)]
+    for i in range(0, len(DECODE_ARGS), 2):
+        flag, value = DECODE_ARGS[i : i + 2]
+        argv += [flag, value if isinstance(value, str) else write(tmp_path, f"{flag[2:]}.json", value)]
+    return run_cli(capsys, *argv)
+
+
+@pytest.mark.parametrize("modulus", ["x", 7, [1, "a", 1], [1, [1], 1]])
+@pytest.mark.parametrize("form", ["gr", "gr-base", "extension"])
+def test_malformed_modulus_is_a_parse_error(capsys, tmp_path, form, modulus):
+    # a string modulus crashed in string formatting, an int in iteration
+    if form == "extension":
+        code, out = run_rank_decode(capsys, tmp_path, {"base": Z4, "m": 2, "modulus": modulus})
+    else:
+        ring = {"kind": "gr", "p": 2, "k": 2, "r": 2, "modulus": modulus}
+        if form == "gr-base":
+            ring = {"kind": "gr", "base": Z4, "r": 2, "modulus": modulus}
+        path = write(tmp_path, "sys.json", {"ring": ring, "vars": ["x"], "polys": ["x+1"]})
+        code, out = run_cli(capsys, "solve", "--text", path)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"].startswith("field 'modulus'")
+
+
+@pytest.mark.parametrize("form", ["gr", "gr-base", "extension"])
+def test_modulus_of_the_wrong_degree_is_a_parse_error(capsys, tmp_path, form):
+    # r = 2 with a degree-1 modulus solved over a degree-1 ring and echoed r = 1
+    if form == "extension":
+        code, out = run_rank_decode(capsys, tmp_path, {"base": Z4, "m": 2, "modulus": [3, 1]})
+    else:
+        ring = {"kind": "gr", "p": 2, "k": 2, "r": 2, "modulus": [1, 1]}
+        if form == "gr-base":
+            ring = {"kind": "gr", "base": Z4, "r": 2, "modulus": [1, 1]}
+        path = write(tmp_path, "sys.json", {"ring": ring, "vars": ["x"], "polys": ["x+1"]})
+        code, out = run_cli(capsys, "solve", "--text", path)
+    assert code == 2
+    message = "field 'modulus' has 2 coefficients, not 3 for degree 2"
+    assert json.loads(out) == {"error": {"message": message, "type": "ParseError"}}
+
+
+@pytest.mark.parametrize(
+    "envelope, message",
+    [
+        ({"command": "solve-local"}, "missing field 'input'"),
+        ({"command": "solve", "input": {"ring": Z8, "vars": ["x"], "polys": [X_PLUS_1["zpk"]]}}, "missing field 'result'"),
+        ({"command": "solve", "input": {"ring": Z8, "vars": ["x"], "polys": [X_PLUS_1["zpk"]]}, "result": {}}, "missing field 'solutions'"),
+        ({"command": "solve", "input": [], "result": {}}, "field 'input' must be an object, got []"),
+        ({"command": "gb", "input": {"ring": Z8, "vars": ["x"], "polys": []}, "result": "ok"}, "field 'result' must be an object, got 'ok'"),
+    ],
+    ids=["no-input", "no-result", "no-solutions", "input-list", "result-string"],
+)
+def test_verify_needs_input_and_result_objects(capsys, tmp_path, envelope, message):
+    # a missing input or result ended in a KeyError traceback with exit 1
+    code, out = run_cli(capsys, "verify", write(tmp_path, "envelope.json", envelope))
+    assert code == 2
+    assert json.loads(out) == {"error": {"message": message, "type": "ParseError"}}
+
+
 @pytest.mark.parametrize(
     "argv",
     [

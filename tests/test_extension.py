@@ -93,8 +93,8 @@ def test_vector_support(ext83):
     assert len(gens) == 1
     # the support contains both nonzero entries
     rep = matrix_representation(S, tuple(gens)).transpose()
-    assert row_membership(rep, u[0].data)
-    assert row_membership(rep, u[2].data)
+    assert row_membership(rep, S.coords(u[0]))
+    assert row_membership(rep, S.coords(u[2]))
 
 
 def test_plucker_coordinates(z8):

@@ -114,7 +114,7 @@ def test_key_equation_s_form_r1(decoding_instance, ext83):
     for _ in range(10):
         x = rng.choice(elems)
         z0 = rng.choice(elems)
-        point = list(z0.data) + list(x.data)
+        point = list(S.coords(z0)) + list(S.coords(x))
         for j, eq in enumerate(model.s_equations):
             w = S.sub(S.mul(x, g[j]), y[j])
             expected = S.add(S.mul(z0, w), S.frobenius(w))

@@ -14,7 +14,9 @@ from chainring.errors import (
     NotAUnit,
     ZeroElement,
 )
+from chainring import rings
 from chainring.rings import (
+    ExtensionChainRing,
     RingElement,
     Zpk,
     crt_join,
@@ -205,6 +207,14 @@ def test_galois_modulus_reduction_irreducible():
         galois_ring(2, 3, 2, [1, 0, 1])
 
 
+def test_galois_modulus_must_match_r():
+    from chainring.errors import DomainError
+
+    with pytest.raises(DomainError):
+        galois_ring(2, 2, 2, [1, 1])  # degree 1, not 2
+    assert galois_ring(2, 2, 1, [1, 1]).degree == 1
+
+
 def test_frobenius_lifting_path_matches_enumeration(z9):
     # force the large-ring branch and compare against the filter
     by_filter = z9.teichmuller_set()
@@ -277,6 +287,13 @@ RING_OPS_RINGS = {
     "gr92": galois_ring(3, 2, 2),
 }
 RING_OPS_FULL = ("z8", "gr42")  # rings whose tables are kept, not only hashed
+_GR42 = RING_OPS_RINGS["gr42"]
+# rings too large for every pair: GR(8,3) (512 elements) and a degree-2 tower
+# over GR(4,2), x^2 + x + alpha (256 elements), checked on seeded pairs
+RING_OPS_LARGE = {
+    "gr83": galois_ring(2, 3, 3),
+    "gr42_2": ExtensionChainRing(_GR42, [_GR42.alpha, _GR42.one, _GR42.one]),
+}
 
 
 def ring_ops_tables(R):
@@ -320,24 +337,83 @@ def ring_ops_tables(R):
             [payloads(r), js(RingElement(R, c)), payloads(s), payloads(R._payload_addmul(r, c, s))]
             for c, r, s in rows
         ],
+        "sort_key": [[js(a), list(R.sort_key(a))] for a in elems],
     }
+
+
+def large_ring_ops_tables(R):
+    """add, mul, neg, valuation and _payload_quo_pi(x, v) for v in 0..nu on
+    2,000 seeded operand pairs, and sort_key on every element."""
+    js = R.element_to_json
+    elems = list(R.elements())
+    rng = random.Random(2029)
+    pairs = [(rng.choice(elems), rng.choice(elems)) for _ in range(2000)]
+    return {
+        "add": [[js(a), js(b), js(R.add(a, b))] for a, b in pairs],
+        "mul": [[js(a), js(b), js(R.mul(a, b))] for a, b in pairs],
+        "neg": [[js(a), js(R.neg(a))] for a, _ in pairs],
+        "valuation": [[js(a), R.valuation(a)] for a, _ in pairs],
+        "payload_quo_pi": [
+            [js(a), v, js(RingElement(R, R._payload_quo_pi(a.data, v)))] for a, _ in pairs for v in range(R.nu + 1)
+        ],
+        "sort_key": [[js(a), list(R.sort_key(a))] for a in elems],
+    }
+
+
+def ring_ops_records(name, R) -> list[str]:
+    """The golden's lines for one ring, one per op."""
+    tables = large_ring_ops_tables(R) if name in RING_OPS_LARGE else ring_ops_tables(R)
+    lines = []
+    for op, table in tables.items():
+        text = json.dumps(table, separators=(",", ":"))
+        record = {"ring": name, "op": op, "sha256": hashlib.sha256(text.encode()).hexdigest()}
+        if name in RING_OPS_FULL:
+            record["table"] = table
+        lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
+    return lines
 
 
 def render_ring_ops_golden() -> str:
     lines = []
-    for name, R in RING_OPS_RINGS.items():
-        for op, table in ring_ops_tables(R).items():
-            text = json.dumps(table, separators=(",", ":"))
-            record = {"ring": name, "op": op, "sha256": hashlib.sha256(text.encode()).hexdigest()}
-            if name in RING_OPS_FULL:
-                record["table"] = table
-            lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
+    for name, R in {**RING_OPS_RINGS, **RING_OPS_LARGE}.items():
+        lines += ring_ops_records(name, R)
     return "[\n" + ",\n".join(lines) + "\n]\n"
 
 
 def test_ring_ops_match_golden():
     # add, sub, mul, neg, valuation, teichmuller_digit, invert and
     # exact_div_pi_power on every element of Z4, Z8, Z9, Z25, GR(4,2),
-    # GR(8,2) and GR(9,2), and the payload quotient, scale and addmul,
-    # byte for byte as the per-ring element methods computed them
+    # GR(8,2) and GR(9,2), the payload quotient, scale and addmul, sort_key,
+    # and seeded pairs of GR(8,3) and a tower over GR(4,2), byte for byte as
+    # the per-ring element methods computed them
     assert render_ring_ops_golden() == RING_OPS_GOLDEN.read_text()
+
+
+def test_galois_payloads_are_ints_and_small_rings_are_tabled():
+    from chainring.extension import build_extension
+
+    # building a ring, Frobenius matrices included, fills no table
+    assert build_extension(Zpk(2, 2), 2)._digit_by_payload is None
+    small, large = RING_OPS_RINGS["gr42"], RING_OPS_LARGE["gr83"]
+    for R in (small, large, RING_OPS_LARGE["gr42_2"]):
+        assert all(type(a.data) is int for a in (R.zero, R.one, R.alpha, R.pi_element))
+        assert [a.data for a in R.elements()] == list(range(R.size))
+    assert small._table("_mul_table") is small._mul_table is not None
+    assert large._table("_mul_table") is large._mul_table is None
+
+
+def test_coordinate_code_matches_the_tables(monkeypatch):
+    # with the table cap at 0 every Galois ring computes on coordinates, and
+    # each of its golden records must come out byte for byte the same
+    monkeypatch.setattr(rings, "_OP_TABLE_CAP", 0)
+    golden = {line.rstrip(",") for line in RING_OPS_GOLDEN.read_text().splitlines()}
+    checked = 0
+    for name, R in {**RING_OPS_RINGS, **RING_OPS_LARGE}.items():
+        if not isinstance(R, ExtensionChainRing):
+            continue
+        fresh = ring_from_json(R.to_json())
+        for line in ring_ops_records(name, fresh):
+            assert line in golden, (name, line[:80])
+            checked += 1
+        assert fresh._mul_table is None and fresh._digit_by_payload is None
+    assert checked == 3 * 12 + 2 * 6

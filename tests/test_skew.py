@@ -67,7 +67,7 @@ def test_annihilator_golden(ext83):
     assert f.is_monic() and f.degree() == 1
     assert all(v.is_zero() for v in f.evaluate(u))
     w = f.coeffs[0]
-    w0, w1, w2 = (c.data for c in w.data)
+    w0, w1, w2 = (c.data for c in S.coords(w))
     assert w0 in {3, 7} and w1 in {0, 4} and w2 in {3, 7}
 
 
@@ -76,9 +76,9 @@ def test_annihilator_count_golden(ext83):
     u = (S.element([2, 0, 6]), S.zero, S.element([4, 0, 4]))
     anns = brute_annihilators(S, u, 1)
     assert len(anns) == 8
-    w0s = {f.coeffs[0].data[0].data for f in anns}
-    w1s = {f.coeffs[0].data[1].data for f in anns}
-    w2s = {f.coeffs[0].data[2].data for f in anns}
+    w0s = {S.coords(f.coeffs[0])[0].data for f in anns}
+    w1s = {S.coords(f.coeffs[0])[1].data for f in anns}
+    w2s = {S.coords(f.coeffs[0])[2].data for f in anns}
     assert (w0s, w1s, w2s) == ({3, 7}, {0, 4}, {3, 7})
 
 
