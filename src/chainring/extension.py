@@ -23,6 +23,7 @@ from .rings import (
     _factor,
     _int_field,
     _modulus_from_json,
+    _of_degree,
     ring_from_json,
 )
 
@@ -280,10 +281,10 @@ def extension_from_json(obj):
             if mods is None:
                 comps.append(build_extension(comp, m))
             else:
-                comps.append(GaloisExtension(comp, _modulus_from_json(mods[idx], comp, m)))
+                comps.append(_of_degree(GaloisExtension(comp, _modulus_from_json(mods[idx], comp)), "m", m))
         return ProductExtension(comps)
     if not isinstance(base, ChainRing):
         raise ParseError("extension base must be a chain ring or product")
     if obj.get("modulus") is None:
         return build_extension(base, m)
-    return GaloisExtension(base, _modulus_from_json(obj["modulus"], base, m))
+    return _of_degree(GaloisExtension(base, _modulus_from_json(obj["modulus"], base)), "m", m)

@@ -188,7 +188,8 @@ class Ring:
 
 # rings with at most this many elements keep a table of unit inverses
 _INVERSE_TABLE_CAP = 1 << 10
-# Galois rings with at most this many elements keep flat operation tables
+# Galois rings with at most this many elements keep flat operation tables;
+# the add and mul tables have size^2 entries, 1 MB for both at the cap
 _OP_TABLE_CAP = 1 << 8
 
 
@@ -505,9 +506,9 @@ class ExtensionChainRing(ChainRing):
     the coordinates (coefficients of 1, alpha, ..., alpha^{m-1}), coordinate
     0 the most significant, so ascending ints follow elements() and sort_key.
     _coords and _from_coords are the only code that knows this layout.  A
-    ring of at most _OP_TABLE_CAP elements fills flat operation tables from
-    the coordinate code on first use; a larger one runs that code on every
-    call.
+    ring of at most _OP_TABLE_CAP elements keeps flat operation tables whose
+    entries the coordinate code fills as they are first asked for; a larger
+    one runs that code on every call.
     """
 
     kind = "gr"
@@ -533,11 +534,6 @@ class ExtensionChainRing(ChainRing):
         self.char = base.char
         # the place value of each coordinate's digit in a payload
         self._places = tuple(base.size ** (m - 1 - i) for i in range(m))
-        # operation tables (see _table); _digit_by_payload is filled last
-        self._add_table = self._mul_table = None  # flat: x * size + y
-        self._neg_table = self._valuation_table = self._residue_table = None
-        self._quo_tables = None  # one table per v in 0..nu
-        self._digit_by_payload = None
         self._zero_data = 0
         self.zero = RingElement(self, 0)
         self.one = self.from_int(1)
@@ -545,6 +541,17 @@ class ExtensionChainRing(ChainRing):
         self._alpha_powers = self._reduction_table()
         if not _residue_irreducible(base, self.modulus_poly):
             raise DomainError("modulus is not irreducible modulo pi")
+        # operation tables, indexed by payload (flat x * size + y for add and
+        # mul, one quotient table per v in 0..nu); an entry is None until the
+        # coordinate code first computes it
+        n = self.size
+        if n > _OP_TABLE_CAP:
+            self._add_table = self._mul_table = self._neg_table = None
+            self._valuation_table = self._residue_table = self._quo_tables = None
+        else:
+            self._add_table, self._mul_table = [None] * (n * n), [None] * (n * n)
+            self._neg_table, self._valuation_table, self._residue_table = [None] * n, [None] * n, [None] * n
+            self._quo_tables = [[None] * n for _ in range(self.nu + 1)]
 
     def _reduction_table(self):
         """Coordinate payloads of alpha^t for t in [m, 2m-2]."""
@@ -605,51 +612,63 @@ class ExtensionChainRing(ChainRing):
 
     # -- payload arithmetic: table lookups, or the coordinate code above the cap
 
-    def _table(self, name: str):
-        """The named operation table, every table filled from the coordinate
-        code on first use; None for a ring above _OP_TABLE_CAP."""
-        if self.size > _OP_TABLE_CAP:
-            return None
-        if self._digit_by_payload is None:
-            xs = range(self.size)
-            self._add_table = [self._coord_add(x, y) for x in xs for y in xs]
-            self._mul_table = [self._coord_mul(x, y) for x in xs for y in xs]
-            self._neg_table = [self._coord_neg(x) for x in xs]
-            self._valuation_table = [self._coord_valuation(x) for x in xs]
-            self._residue_table = [self._coord_residue(x) for x in xs]
-            self._quo_tables = [[self._coord_quo_pi(x, v) for x in xs] for v in range(self.nu + 1)]
-            # the Teichmüller set behind the digits multiplies through the tables
-            self._digit_by_payload = [ChainRing._payload_digit(self, x) for x in xs]
-        return getattr(self, name)
-
     def _payload_add(self, x, y):
-        table = self._add_table or self._table("_add_table")
-        return table[x * self.size + y] if table else self._coord_add(x, y)
+        table = self._add_table
+        if table is None:
+            return self._coord_add(x, y)
+        i = x * self.size + y
+        z = table[i]
+        if z is None:
+            z = table[i] = self._coord_add(x, y)
+        return z
 
     def _payload_mul(self, x, y):
-        table = self._mul_table or self._table("_mul_table")
-        return table[x * self.size + y] if table else self._coord_mul(x, y)
+        table = self._mul_table
+        if table is None:
+            return self._coord_mul(x, y)
+        i = x * self.size + y
+        z = table[i]
+        if z is None:
+            z = table[i] = self._coord_mul(x, y)
+        return z
 
     def _payload_neg(self, x):
-        table = self._neg_table or self._table("_neg_table")
-        return table[x] if table else self._coord_neg(x)
+        table = self._neg_table
+        if table is None:
+            return self._coord_neg(x)
+        z = table[x]
+        if z is None:
+            z = table[x] = self._coord_neg(x)
+        return z
 
     def _payload_valuation(self, x) -> int:
-        table = self._valuation_table or self._table("_valuation_table")
-        return table[x] if table else self._coord_valuation(x)
+        table = self._valuation_table
+        if table is None:
+            return self._coord_valuation(x)
+        z = table[x]
+        if z is None:
+            z = table[x] = self._coord_valuation(x)
+        return z
 
     def _payload_residue(self, x):
-        table = self._residue_table or self._table("_residue_table")
-        return table[x] if table else self._coord_residue(x)
+        table = self._residue_table
+        if table is None:
+            return self._coord_residue(x)
+        z = table[x]
+        if z is None:
+            z = table[x] = self._coord_residue(x)
+        return z
 
     def _payload_quo_pi(self, x, v):
-        tables = self._quo_tables or self._table("_quo_tables")
+        tables = self._quo_tables
+        if tables is None:
+            return self._coord_quo_pi(x, v)
         # every quotient by pi^v with v >= nu is 0
-        return tables[min(v, self.nu)][x] if tables else self._coord_quo_pi(x, v)
-
-    def _payload_digit(self, x):
-        table = self._digit_by_payload or self._table("_digit_by_payload")
-        return table[x] if table else super()._payload_digit(x)
+        table = tables[min(v, self.nu)]
+        z = table[x]
+        if z is None:
+            z = table[x] = self._coord_quo_pi(x, v)
+        return z
 
     # the coordinate code: loops over the base payloads of the coordinates
 
@@ -915,9 +934,10 @@ def galois_ring(p: int, k: int, r: int, modulus: Sequence[int] | None = None) ->
     if r == 1 and modulus is None:
         return base
     if modulus is not None:
-        if len(modulus) != r + 1:
-            raise DomainError(f"a modulus of degree {len(modulus) - 1} does not give r = {r}")
-        return ExtensionChainRing(base, [base.element(c) for c in modulus])
+        ring = ExtensionChainRing(base, [base.element(c) for c in modulus])
+        if ring.degree != r:
+            raise DomainError(f"the modulus has degree {ring.degree}, not r = {r}")
+        return ring
     for tail in itertools.product(range(p), repeat=r):
         coeffs = [base.element(c) for c in tail] + [base.one]
         try:
@@ -969,19 +989,23 @@ def _int_field(obj: dict, key: str) -> int:
     return value
 
 
-def _modulus_from_json(value, base: ChainRing, degree: int | None = None) -> list[RingElement]:
+def _modulus_from_json(value, base: ChainRing) -> list[RingElement]:
     """The base elements of a JSON "modulus" list, low to high; a modulus
-    that is not a list of base elements, or not of the given degree, is
-    malformed input."""
+    that is not a list of base elements is malformed input."""
     if not isinstance(value, list):
         raise ParseError(f"field 'modulus' must be a list of coefficients, got {value!r}")
     try:
-        coeffs = [base.element_from_json(c) for c in value]
+        return [base.element_from_json(c) for c in value]
     except ParseError as exc:
         raise ParseError(f"field 'modulus': {exc}") from exc
-    if degree is not None and len(coeffs) != degree + 1:
-        raise ParseError(f"field 'modulus' has {len(coeffs)} coefficients, not {degree + 1} for degree {degree}")
-    return coeffs
+
+
+def _of_degree(ring: ExtensionChainRing, key: str, degree: int | None) -> ExtensionChainRing:
+    """The ring, if the JSON field key (its degree) is absent or agrees with
+    the degree of the modulus; zero top coefficients do not count."""
+    if degree is not None and ring.degree != degree:
+        raise ParseError(f"field 'modulus' has degree {ring.degree}, not {key} = {degree}")
+    return ring
 
 
 def ring_from_json(obj) -> Ring:
@@ -1007,7 +1031,7 @@ def ring_from_json(obj) -> Ring:
             if obj.get("modulus") is None:
                 return galois_ring(p, k, r)
             base = Zpk(p, k)
-        return ExtensionChainRing(base, _modulus_from_json(obj["modulus"], base, r))
+        return _of_degree(ExtensionChainRing(base, _modulus_from_json(obj["modulus"], base)), "r", r)
     if kind == "product":
         comps = [ring_from_json(c) for c in obj["components"]]
         return ProductRing(comps)

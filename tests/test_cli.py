@@ -251,20 +251,32 @@ def test_malformed_modulus_is_a_parse_error(capsys, tmp_path, form, modulus):
     assert error["message"].startswith("field 'modulus'")
 
 
+@pytest.mark.parametrize("modulus", [[1, 1], [1, 1, 0]], ids=["short", "zero-top"])
 @pytest.mark.parametrize("form", ["gr", "gr-base", "extension"])
-def test_modulus_of_the_wrong_degree_is_a_parse_error(capsys, tmp_path, form):
+def test_modulus_of_the_wrong_degree_is_a_parse_error(capsys, tmp_path, form, modulus):
     # r = 2 with a degree-1 modulus solved over a degree-1 ring and echoed r = 1
     if form == "extension":
-        code, out = run_rank_decode(capsys, tmp_path, {"base": Z4, "m": 2, "modulus": [3, 1]})
+        ext = {"base": Z4, "m": 2, "modulus": [3] + modulus[1:]}
+        code, out = run_rank_decode(capsys, tmp_path, ext)
+        key = "m"
     else:
-        ring = {"kind": "gr", "p": 2, "k": 2, "r": 2, "modulus": [1, 1]}
+        ring = {"kind": "gr", "p": 2, "k": 2, "r": 2, "modulus": modulus}
         if form == "gr-base":
-            ring = {"kind": "gr", "base": Z4, "r": 2, "modulus": [1, 1]}
+            ring = {"kind": "gr", "base": Z4, "r": 2, "modulus": modulus}
         path = write(tmp_path, "sys.json", {"ring": ring, "vars": ["x"], "polys": ["x+1"]})
         code, out = run_cli(capsys, "solve", "--text", path)
+        key = "r"
     assert code == 2
-    message = "field 'modulus' has 2 coefficients, not 3 for degree 2"
+    message = f"field 'modulus' has degree 1, not {key} = 2"
     assert json.loads(out) == {"error": {"message": message, "type": "ParseError"}}
+
+
+def test_zero_top_coefficients_of_a_modulus_do_not_count(capsys, tmp_path):
+    ring = {"kind": "gr", "p": 2, "k": 2, "r": 2, "modulus": [1, 1, 1, 0]}
+    path = write(tmp_path, "sys.json", {"ring": ring, "vars": ["x"], "polys": ["x+1"]})
+    code, out = run_cli(capsys, "solve", "--text", path)
+    assert code == 0
+    assert json.loads(out)["input"]["ring"] == {"kind": "gr", "p": 2, "k": 2, "r": 2, "modulus": [1, 1, 1]}
 
 
 @pytest.mark.parametrize(

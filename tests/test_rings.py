@@ -210,9 +210,11 @@ def test_galois_modulus_reduction_irreducible():
 def test_galois_modulus_must_match_r():
     from chainring.errors import DomainError
 
-    with pytest.raises(DomainError):
-        galois_ring(2, 2, 2, [1, 1])  # degree 1, not 2
+    for modulus in ([1, 1], [1, 1, 0], [1, 1, 4]):  # degree 1, not 2
+        with pytest.raises(DomainError):
+            galois_ring(2, 2, 2, modulus)
     assert galois_ring(2, 2, 1, [1, 1]).degree == 1
+    assert galois_ring(2, 2, 2, [1, 1, 1, 0]).degree == 2
 
 
 def test_frobenius_lifting_path_matches_enumeration(z9):
@@ -392,14 +394,20 @@ def test_ring_ops_match_golden():
 def test_galois_payloads_are_ints_and_small_rings_are_tabled():
     from chainring.extension import build_extension
 
-    # building a ring, Frobenius matrices included, fills no table
-    assert build_extension(Zpk(2, 2), 2)._digit_by_payload is None
+    # building a ring, Frobenius matrices included, computes no table entry
+    built = build_extension(Zpk(2, 2), 2)
+    assert set(built._add_table + built._mul_table + built._neg_table) == {None}
     small, large = RING_OPS_RINGS["gr42"], RING_OPS_LARGE["gr83"]
     for R in (small, large, RING_OPS_LARGE["gr42_2"]):
         assert all(type(a.data) is int for a in (R.zero, R.one, R.alpha, R.pi_element))
         assert [a.data for a in R.elements()] == list(range(R.size))
-    assert small._table("_mul_table") is small._mul_table is not None
-    assert large._table("_mul_table") is large._mul_table is None
+    # an entry is computed when it is first asked for, and kept
+    a = built.alpha.data
+    square = built._payload_mul(a, a)
+    assert [i for i, z in enumerate(built._mul_table) if z is not None] == [a * built.size + a]
+    assert built._mul_table[a * built.size + a] == square == (built.alpha * built.alpha).data
+    assert len(RING_OPS_LARGE["gr42_2"]._mul_table) == 256**2
+    assert large.size == 512 and large._mul_table is None
 
 
 def test_coordinate_code_matches_the_tables(monkeypatch):
@@ -415,5 +423,5 @@ def test_coordinate_code_matches_the_tables(monkeypatch):
         for line in ring_ops_records(name, fresh):
             assert line in golden, (name, line[:80])
             checked += 1
-        assert fresh._mul_table is None and fresh._digit_by_payload is None
+        assert fresh._mul_table is None and fresh._quo_tables is None
     assert checked == 3 * 12 + 2 * 6
