@@ -17,13 +17,14 @@ def trim(coeffs):
     return out
 
 
-def add(ring, f, g):
+def add(ring, f, g, plus=None):
+    plus = plus or ring.add
     n = max(len(f), len(g))
     out = []
     for i in range(n):
         a = f[i] if i < len(f) else ring.zero
         b = g[i] if i < len(g) else ring.zero
-        out.append(ring.add(a, b))
+        out.append(plus(a, b))
     return trim(out)
 
 
@@ -38,7 +39,8 @@ def scale(ring, c, f):
     return trim([ring.mul(c, x) for x in f])
 
 
-def mul(ring, f, g):
+def mul(ring, f, g, plus=None):
+    plus = plus or ring.add
     if not f or not g:
         return []
     out = [ring.zero] * (len(f) + len(g) - 1)
@@ -46,7 +48,7 @@ def mul(ring, f, g):
         if a.is_zero():
             continue
         for j, b in enumerate(g):
-            out[i + j] = ring.add(out[i + j], ring.mul(a, b))
+            out[i + j] = plus(out[i + j], ring.mul(a, b))
     return trim(out)
 
 
@@ -106,25 +108,11 @@ def residue_inv(ring, a):
 
 
 def residue_poly_add(ring, f, g):
-    n = max(len(f), len(g))
-    out = []
-    for i in range(n):
-        a = f[i] if i < len(f) else ring.zero
-        b = g[i] if i < len(g) else ring.zero
-        out.append(residue_add(ring, a, b))
-    return trim(out)
+    return add(ring, f, g, lambda a, b: residue_add(ring, a, b))
 
 
 def residue_poly_mul(ring, f, g):
-    if not f or not g:
-        return []
-    out = [ring.zero] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(g):
-            out[i + j] = residue_add(ring, out[i + j], residue_mul(ring, a, b))
-    return trim(out)
+    return mul(ring, f, g, lambda a, b: residue_add(ring, a, b))
 
 
 def residue_divmod(ring, f, g):

@@ -26,7 +26,7 @@ from .errors import (
     ZeroIdeal,
     ZeroPolynomial,
 )
-from .polys import MultiPoly, PolyRing, strong_reduce
+from .polys import MultiPoly, PolyRing, _univariate_var, strong_reduce
 from .rings import ChainRing
 
 
@@ -294,13 +294,7 @@ def minimal_univariate_basis(
         raise ZeroIdeal("the zero ideal: every ring element is a solution")
     ring = polys[0].ring
     R = ring.ring
-    used = set()
-    for p in polys:
-        used |= p.vars_used()
-    if var is None:
-        var = next(iter(used)) if used else ring.order.priority[-1]
-    if not used <= {var}:
-        raise DomainError("system is not univariate")
+    var = _univariate_var(polys, var)
 
     G = buchberger(polys, ring)
     gens = list(G.generators)

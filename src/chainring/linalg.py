@@ -69,26 +69,15 @@ class RingMatrix:
         return hash((self.ring, self.rows))
 
     def __add__(self, other):
-        self._check(other)
-        R = self.ring
-        return RingMatrix(
-            R,
-            [
-                [R.add(a, b) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ],
-        )
+        return self._entrywise(self.ring.add, other)
 
     def __sub__(self, other):
+        return self._entrywise(self.ring.sub, other)
+
+    def _entrywise(self, op, other: "RingMatrix") -> "RingMatrix":
         self._check(other)
-        R = self.ring
-        return RingMatrix(
-            R,
-            [
-                [R.sub(a, b) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ],
-        )
+        rows = zip(self.rows, other.rows)
+        return RingMatrix(self.ring, [[op(a, b) for a, b in zip(r1, r2)] for r1, r2 in rows])
 
     def __neg__(self):
         R = self.ring
@@ -404,6 +393,29 @@ def _chain_rank(A: RingMatrix) -> int:
     return sum(1 for x in dec.diagonal() if not x.is_zero())
 
 
+def payload_echelon(R: Ring, d: list[list]) -> list[tuple]:
+    """Bring the payload rows d of a matrix over the chain ring R to reduced
+    row echelon form in place, as hermite_form describes it, and return the
+    row operations that did so (logged as _row_transforms reads them)."""
+    if not isinstance(R, ChainRing):
+        raise NotChainRing("Hermite form requires a chain ring or product of them")
+    ops: list[tuple] = []
+    t = 0
+    for c in range(len(d[0]) if d else 0):
+        found = _min_valuation_entry(R, d, range(t, len(d)), (c,))
+        if found is None:
+            continue
+        v, i, _ = found
+        _swap(d, ops, t, i)
+        _make_pivot(R, d, ops, t, c, v)
+        for i2 in range(t):
+            _reduce_row(R, d, ops, i2, t, c, v)
+        t += 1
+        if t == len(d):
+            break
+    return ops
+
+
 def hermite_form(A: RingMatrix) -> HermiteDecomposition:
     """A = P @ T with T the reduced row echelon form under the
     minimal-valuation pivot rule: pivots pi^e, zeros below, entries above
@@ -420,23 +432,8 @@ def hermite_form(A: RingMatrix) -> HermiteDecomposition:
 
         return HermiteDecomposition(join_matrices(ring, [c.t for c in comps]), transforms)
     R = A.ring
-    if not isinstance(R, ChainRing):
-        raise NotChainRing("Hermite form requires a chain ring or product of them")
     d = _payloads(A)
-    ops: list[tuple] = []
-    t = 0
-    for c in range(A.n):
-        found = _min_valuation_entry(R, d, range(t, A.m), (c,))
-        if found is None:
-            continue
-        v, i, _ = found
-        _swap(d, ops, t, i)
-        _make_pivot(R, d, ops, t, c, v)
-        for i2 in range(t):
-            _reduce_row(R, d, ops, i2, t, c, v)
-        t += 1
-        if t == A.m:
-            break
+    ops = payload_echelon(R, d)
 
     def transforms():
         p_t, p_inv = _row_transforms(R, ops, A.m)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .errors import DomainError, NotARing, ParseError
 from .polys import MultiPoly, PolyRing
-from .rings import ChainRing, Ring, RingElement, Zpk, ring_from_json
+from .rings import ChainRing, Ring, RingElement, Zpk, _int_field, ring_from_json
 
 
 class LocalRingPresentation(Ring):
@@ -278,18 +278,29 @@ def quotient_presentation(p: int, k: int, f_coeffs: Sequence[int], t: int) -> Lo
 
 
 def presentation_from_json(obj) -> LocalRingPresentation:
+    """A local-ring descriptor; its ann and one must have gamma entries and
+    its mul must be gamma x gamma x gamma, or it is malformed input."""
     if obj.get("kind") != "local":
         raise ParseError("expected a local-ring descriptor")
     base = ring_from_json(obj["base"])
     if not isinstance(base, ChainRing):
         raise ParseError("local-ring base must be a chain ring")
-    ann = obj["ann"]
-    mul = [
-        [[base.element_from_json(c) for c in row] for row in plane]
-        for plane in obj["mul"]
-    ]
-    one = [base.element_from_json(c) for c in obj["one"]]
-    return LocalRingPresentation(base, ann, mul, one)
+    g = _int_field(obj, "gamma")
+
+    def shaped(value, depth: int) -> bool:
+        return isinstance(value, list) and len(value) == g and (
+            depth == 1 or all(shaped(v, depth - 1) for v in value)
+        )
+
+    ann, mul, one = obj["ann"], obj["mul"], obj["one"]
+    if not shaped(ann, 1) or any(type(s) is not int for s in ann):
+        raise ParseError(f"field 'ann' must be a list of gamma = {g} integers, got {ann!r}")
+    if not shaped(mul, 3):
+        raise ParseError(f"field 'mul' must be gamma x gamma x gamma = {g} x {g} x {g}")
+    if not shaped(one, 1):
+        raise ParseError(f"field 'one' must be a list of gamma = {g} base elements, got {one!r}")
+    mul = [[[base.element_from_json(c) for c in row] for row in plane] for plane in mul]
+    return LocalRingPresentation(base, ann, mul, [base.element_from_json(c) for c in one])
 
 
 # -- system expansion and contraction ------------------------------------------

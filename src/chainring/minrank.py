@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import DomainError, Inconclusive, ParseError
-from .linalg import RingMatrix, rank, reduced_row_echelon, split_matrix
-from .polys import MultiPoly, PolyRing
+from .linalg import RingMatrix, payload_echelon, rank, split_matrix
+from .polys import MultiPoly, PolyRing, macaulay_rows
 from .rings import ProductRing, Ring, RingElement, _int_field, ring_from_json
-from .solve import join_solutions, solve_system, x_block_solutions
+from .solve import _x_only_solutions, join_solutions, x_block_solutions
 
 
 @dataclass(frozen=True)
@@ -72,32 +72,24 @@ class MinRankInstance:
         return rank(self.mx(x)) <= self.r
 
     def to_json(self):
-        out = {
-            "ring": self.ring.to_json(),
-            "r": self.r,
-            "matrices": [
-                [[self.ring.element_to_json(v) for v in row] for row in M.rows]
-                for M in self.matrices
-            ],
-        }
+        def rows(M: RingMatrix):
+            return [[self.ring.element_to_json(v) for v in row] for row in M.rows]
+
+        matrices = [rows(M) for M in self.matrices]
+        out = {"ring": self.ring.to_json(), "r": self.r, "matrices": matrices}
         if self.m0 is not None:
-            out["m0"] = [
-                [self.ring.element_to_json(v) for v in row] for row in self.m0.rows
-            ]
+            out["m0"] = rows(self.m0)
         return out
 
     @classmethod
     def from_json(cls, obj) -> "MinRankInstance":
         ring = ring_from_json(obj["ring"])
-        mats = tuple(
-            RingMatrix(ring, [[ring.element_from_json(v) for v in row] for row in M])
-            for M in obj["matrices"]
-        )
-        m0 = None
-        if obj.get("m0") is not None:
-            m0 = RingMatrix(
-                ring, [[ring.element_from_json(v) for v in row] for row in obj["m0"]]
-            )
+
+        def matrix(rows) -> RingMatrix:
+            return RingMatrix(ring, [[ring.element_from_json(v) for v in row] for row in rows])
+
+        mats = tuple(matrix(M) for M in obj["matrices"])
+        m0 = matrix(obj["m0"]) if obj.get("m0") is not None else None
         if "r" not in obj:
             raise ParseError("instance needs the target rank r")
         return cls(ring, mats, _int_field(obj, "r"), m0)
@@ -252,36 +244,31 @@ def sm_model(inst: MinRankInstance, unit_subset: Sequence[int]) -> SMModel:
 def sm_linearization_matrix(inst: MinRankInstance):
     """Coefficient matrix of the SM system in the monomials x_l*z_J (grouped
     by J, then l) followed by the plain z_J columns for inhomogeneous
-    instances.  Equations ordered by (row, (r+1)-subset lex)."""
+    instances.  Equations ordered by (row, (r+1)-subset lex).
+
+    It is a re-indexed view of the Macaulay rows of sm_model(inst, J0) for
+    the first r-subset J0, where z_J0 = 1 stands for the unit column."""
     m, n = inst.shape
-    r = inst.r
-    k = inst.k
-    R = inst.ring
-    subsets = tuple(itertools.combinations(range(n), r))
-    z_index = {s: i for i, s in enumerate(subsets)}
-    bil_cols = len(subsets) * k
-    z_cols = 0 if inst.homogeneous else len(subsets)
-    rows = []
-    for i in range(m):
-        for bigset in itertools.combinations(range(n), r + 1):
-            row = [R.zero] * (bil_cols + z_cols)
-            for s, j in enumerate(bigset):
-                rest = tuple(c for c in bigset if c != j)
-                sign = 1 if s % 2 == 0 else -1
-                for l, M in enumerate(inst.matrices):
-                    c = M.rows[i][j]
-                    if not c.is_zero():
-                        col = z_index[rest] * k + l
-                        val = c if sign > 0 else R.neg(c)
-                        row[col] = R.add(row[col], val)
-                if inst.m0 is not None:
-                    c = inst.m0.rows[i][j]
-                    if not c.is_zero():
-                        col = bil_cols + z_index[rest]
-                        val = c if sign > 0 else R.neg(c)
-                        row[col] = R.add(row[col], val)
-            rows.append(row)
-    return RingMatrix(R, rows), subsets
+    k, R = inst.k, inst.ring
+    subsets = tuple(itertools.combinations(range(n), inst.r))
+    if inst.r >= n:  # no (r+1)-subset, so no equation
+        return RingMatrix(R, []), subsets
+    model = sm_model(inst, subsets[0])
+    gens = model.poly_ring._gens
+    z_monos = [0] + [gens[v] for v in model.z_vars[1:]]
+    col = {}
+    for J, z in enumerate(z_monos):
+        col[z] = k * len(subsets) + J
+        col.update({z + gens[x]: J * k + l for l, x in enumerate(model.x_vars)})
+    monos, rows = macaulay_rows(model.equations, [0])
+    width = k * len(subsets) + (0 if inst.homogeneous else len(subsets))
+    out = [[R.zero] * width for _ in rows]
+    for e, payloads in enumerate(rows):
+        b, i = divmod(e, m)  # the model's rows run over ((r+1)-subset b, row i)
+        row = out[i * (len(rows) // m) + b]
+        for mono, c in zip(monos, payloads):
+            row[col[mono]] = RingElement(R, c)
+    return RingMatrix(R, out), subsets
 
 
 # -- solvers ---------------------------------------------------------------------
@@ -353,29 +340,26 @@ def macaulay_x_block(model: SMModel) -> list[tuple[RingElement, ...]]:
     zero on every z column are polynomials in x alone.  Each such row is an
     R-combination of the equations, so the x block of every zero of the
     model solves it (Bardet et al., ASIACRYPT 2020).  b = 2 is tried only
-    when b = 1 gives no x-only row.
+    when b = 1 gives no x-only row.  The matrix and its echelon form stay on
+    payloads throughout: nothing is boxed.
     """
     ring = model.poly_ring
     R = ring.ring
-    x_ring = PolyRing(R, [ring.variables[v] for v in model.x_vars], "lex")
-    shifts = [(0,) * ring.nvars]
+    zero = R._zero_data
+    z_support = ring._support(sum(ring._gens[v] for v in model.z_vars))
+    shifts = [0]
     for b in (1, 2):
         if b == 2:
-            shifts += [tuple(int(i == v) for i in range(ring.nvars)) for v in model.x_vars]
-        rows = [eq.term_mul(s, R.one) for s in shifts for eq in model.equations]
-        # a packed monomial is its own order key
-        monos = sorted({m for p in rows for m, _ in p._terms}, reverse=True)
-        col = {m: c for c, m in enumerate(monos)}
-        exps = [ring._unpack(m) for m in monos]
-        nz = sum(1 for e in exps if any(e[v] for v in model.z_vars))
-        matrix = [[R.zero] * len(monos) for _ in rows]
-        for i, p in enumerate(rows):
-            for m, c in p._terms:
-                matrix[i][col[m]] = RingElement(R, c)
-        echelon = reduced_row_echelon(RingMatrix(R, matrix))
-        x_rows = [row[nz:] for row in echelon.rows if all(v.is_zero() for v in row[:nz])]
+            shifts += [ring._gens[v] for v in model.x_vars]
+        monos, rows = macaulay_rows(model.equations, shifts)
+        nz = sum(1 for mono in monos if ring._support(mono) & z_support)
+        payload_echelon(R, rows)
+        x_polys = [
+            ring._collect(zip(monos[nz:], row[nz:]))
+            for row in rows
+            if all(c == zero for c in row[:nz])
+        ]
+        x_rows = [p for p in x_polys if p]
         if x_rows:
-            x_monos = [tuple(e[v] for v in model.x_vars) for e in exps[nz:]]
-            polys = [x_ring.poly(zip(x_monos, row)) for row in x_rows]
-            return list(solve_system(polys).explicit())
+            return _x_only_solutions(ring, x_rows, model.x_vars)
     raise Inconclusive("the Macaulay matrix has no x-only row at degree 2")

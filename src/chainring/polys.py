@@ -285,6 +285,8 @@ class PolyRing:
             if not (isinstance(item, list) and len(item) == 2):
                 raise ParseError(f"bad term {item!r}")
             coeff, exps = item
+            if not (isinstance(exps, list) and all(type(e) is int for e in exps)):
+                raise ParseError(f"bad term {item!r}: exponents must be a list of integers")
             terms.append((tuple(exps), self.ring.element_from_json(coeff)))
         return self.poly(terms)
 
@@ -335,9 +337,6 @@ class MultiPoly:
         m, c = self._terms[0]
         return self.ring._unpack(m), RingElement(self.ring.ring, c)
 
-    def leading_monomial(self) -> tuple[int, ...]:
-        return self.leading_term()[0]
-
     def leading_coefficient(self) -> RingElement:
         return self.leading_term()[1]
 
@@ -354,11 +353,6 @@ class MultiPoly:
             v = R._payload_valuation(c)
             head = self._head = (m, v, R._payload_invert(R._payload_quo_pi(c, v)))
         return head
-
-    def leading_data(self):
-        """(lt, lm, lc) of the first term under the active order."""
-        exps, coeff = lt = self.leading_term()
-        return lt, exps, coeff
 
     def total_degree(self) -> int:
         if not self._terms:
@@ -580,6 +574,38 @@ def _add_terms(ring: PolyRing, ta, tb, shift: int, coeff) -> list:
             append((mb, cb))
     out.extend(ta[i:])
     return out
+
+
+def _univariate_var(polys: Sequence[MultiPoly], var: int | None) -> int:
+    """The one variable the nonzero polys use (var if given; the lowest-
+    priority one if they are constants); DomainError if they use more."""
+    used = set()
+    for p in polys:
+        used |= p.vars_used()
+    if var is None:
+        var = next(iter(used)) if used else polys[0].ring.order.priority[-1]
+    if not used <= {var}:
+        raise DomainError("system is not univariate")
+    return var
+
+
+def macaulay_rows(polys: Sequence[MultiPoly], shifts: Sequence[int]) -> tuple[list, list]:
+    """The Macaulay matrix of x^s * f for each packed monomial s in shifts
+    and each f in polys (shift-major): (columns, rows), the columns being
+    the packed monomials that occur, in descending order, and each row the
+    payloads of one product's coefficients, zero where a monomial is absent."""
+    if not polys:
+        return [], []
+    ring = polys[0].ring
+    products = [_add_terms(ring, (), f._terms, s, None) for s in shifts for f in polys]
+    # a packed monomial is its own order key
+    columns = sorted({m for terms in products for m, _ in terms}, reverse=True)
+    index = {m: j for j, m in enumerate(columns)}
+    rows = [[ring.ring._zero_data] * len(columns) for _ in products]
+    for row, terms in zip(rows, products):
+        for m, c in terms:
+            row[index[m]] = c
+    return columns, rows
 
 
 # -- strong reduction -----------------------------------------------------------

@@ -490,8 +490,8 @@ class Zpk(ChainRing):
         return a.data
 
     def element_from_json(self, obj):
-        if not isinstance(obj, int):
-            raise ParseError(f"expected int for {self.short_name()} element, got {obj!r}")
+        if type(obj) is not int:  # bool is a subclass of int
+            raise ParseError(f"a {self.short_name()} element must be an integer, got {obj!r}")
         return self.element(obj)
 
     def to_json(self):

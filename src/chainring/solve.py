@@ -31,7 +31,7 @@ from .errors import (
     WrongOrder,
 )
 from .groebner import buchberger, elimination_subbasis
-from .polys import MAX_EXPONENT, MultiPoly, PolyRing
+from .polys import MAX_EXPONENT, MultiPoly, PolyRing, _univariate_var
 from .rings import ChainRing, ProductRing, Ring, RingElement
 
 
@@ -109,9 +109,6 @@ class SolutionSet:
             if all(s is ALL_OF_RING or s == x for s, x in zip(sol, point)):
                 return True
         return False
-
-    def is_everything(self) -> bool:
-        return any(all(x is ALL_OF_RING for x in sol) for sol in self.solutions)
 
     def to_json(self):
         sols = []
@@ -211,13 +208,7 @@ def univariate_roots(polys: Sequence[MultiPoly], var: int | None = None):
     if not polys:
         return ALL_OF_RING
     ring = polys[0].ring
-    used = set()
-    for p in polys:
-        used |= p.vars_used()
-    if var is None:
-        var = next(iter(used)) if used else ring.order.priority[-1]
-    if not used <= {var}:
-        raise DomainError("system is not univariate")
+    var = _univariate_var(polys, var)
     R = ring.ring
     if isinstance(R, ProductRing):
         parts = []
@@ -424,18 +415,24 @@ def x_block_solutions(
     adjoining it leaves the solutions over R unchanged and only makes the
     basis larger.
     """
-    R = ring.ring
     work = [w for w in equations if not w.is_zero()]
     if any(w.is_constant() for w in work):
         return []  # a nonzero constant equation has no solution
     G = buchberger(work, ring)
     sub = elimination_subbasis(G, ring.nvars - len(x_vars))
+    return _x_only_solutions(ring, sub.generators, x_vars)
+
+
+def _x_only_solutions(
+    ring: PolyRing, polys: Sequence[MultiPoly], x_vars: Sequence[int]
+) -> list[tuple]:
+    """Explicit common zeros in x_vars of polys that use no other variable
+    of ring, solved in a ring of x_vars alone; with no polys the x block is
+    unconstrained and is enumerated within the budget."""
+    R = ring.ring
     x_ring = PolyRing(R, [ring.variables[v] for v in x_vars], "lex")
     var_map = {v: i for i, v in enumerate(x_vars)}
-    polys = [
-        g.map_to(x_ring, [var_map.get(i, 0) for i in range(ring.nvars)])
-        for g in sub.generators
-    ]
+    polys = [g.map_to(x_ring, [var_map.get(i, 0) for i in range(ring.nvars)]) for g in polys]
     if not polys:
         if R.size ** len(x_vars) > enumeration_budget():
             raise ResourceExceeded("unconstrained x block exceeds the budget")

@@ -297,6 +297,60 @@ def test_verify_needs_input_and_result_objects(capsys, tmp_path, envelope, messa
     assert json.loads(out) == {"error": {"message": message, "type": "ParseError"}}
 
 
+GR42 = {"kind": "gr", "p": 2, "k": 2, "r": 2, "modulus": [1, 1, 1]}
+
+
+@pytest.mark.parametrize(
+    "command, ring, poly, message",
+    [
+        ("solve", Z8, [[True, [1]], [1, [0]]], "a Z8 element must be an integer, got True"),
+        ("solve", GR42, [[[1, True], [1]], [[1, 0], [0]]], "a Z4 element must be an integer, got True"),
+        ("solve-local", LOCAL, [[[1, 0], [1]], [[False, 0], [0]]], "a Z8 element must be an integer, got False"),
+    ],
+    ids=["zpk", "gr-coordinate", "local-coordinate"],
+)
+def test_bool_is_not_a_ring_element(capsys, tmp_path, command, ring, poly, message):
+    # true was read as 1: over Z8 the system was echoed as x + 1 and solved
+    path = write(tmp_path, "sys.json", {"ring": ring, "vars": ["x"], "polys": [poly]})
+    code, out = run_cli(capsys, command, path)
+    assert code == 2
+    assert json.loads(out) == {"error": {"message": message, "type": "ParseError"}}
+
+
+@pytest.mark.parametrize(
+    "term", [[1, 5], [1, ["a"]], [1, [1.5]], [1, [True]]], ids=["int", "string", "float", "bool"]
+)
+def test_exponents_must_be_a_list_of_integers(capsys, tmp_path, term):
+    # an int or a string ended in a traceback; a float or a bool was read as x^1
+    path = write(tmp_path, "sys.json", {"ring": Z8, "vars": ["x"], "polys": [[term, [1, [0]]]]})
+    code, out = run_cli(capsys, "solve", path)
+    assert code == 2
+    message = f"bad term {term!r}: exponents must be a list of integers"
+    assert json.loads(out) == {"error": {"message": message, "type": "ParseError"}}
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        ({"mul": LOCAL["mul"][:1]}, "mul"),
+        ({"mul": [LOCAL["mul"][0], LOCAL["mul"][1][:1]]}, "mul"),
+        ({"gamma": 3}, "ann"),
+        ({"one": [1]}, "one"),
+        ({"gamma": 2.0}, "gamma"),
+    ],
+    ids=["missing-plane", "missing-row", "gamma-above-ann", "short-one", "float-gamma"],
+)
+def test_local_ring_descriptor_shape_is_checked(capsys, tmp_path, change, field):
+    # a short mul ended in an IndexError traceback; gamma 3 was echoed as 2
+    ring = dict(LOCAL, **change)
+    path = write(tmp_path, "sys.json", {"ring": ring, "vars": ["x"], "polys": [X_PLUS_1["local"]]})
+    code, out = run_cli(capsys, "solve-local", path)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"].startswith(f"field '{field}'")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -316,7 +316,7 @@ def test_buchberger_property(system):
     # generator's head (so heads are pairwise not term-divisible either),
     # and every head coefficient is pi^val
     R = P.ring
-    heads = [(g.leading_monomial(), R.valuation(g.leading_coefficient())) for g in G]
+    heads = [(g.leading_term()[0], R.valuation(g.leading_coefficient())) for g in G]
 
     def term_divides(head, exps, coeff):
         e, v = head

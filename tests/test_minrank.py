@@ -8,6 +8,7 @@ from chainring.minrank import (
     MinRankInstance,
     ks_model,
     ks_permutation_schedule,
+    minrank_candidates,
     sm_linearization_matrix,
     sm_model,
     solve_minrank,
@@ -54,7 +55,7 @@ def test_homogeneous_closure(homogeneous_minrank_z8, z8):
     assert all(all(v % 2 == 0 for v in x) for x in sols)
 
 
-def test_sm_linearization_echelon_golden(homogeneous_minrank_z8):
+def test_sm_linearization_echelon_golden(homogeneous_minrank_z8, affine_minrank_z8):
     A, subsets = sm_linearization_matrix(homogeneous_minrank_z8)
     assert subsets == ((0,), (1,), (2,), (3,))
     assert (A.m, A.n) == (24, 12)
@@ -75,6 +76,32 @@ def test_sm_linearization_echelon_golden(homogeneous_minrank_z8):
     ]
     assert [[v.data for v in row] for row in E.rows] == expected
 
+    # the affine instance adds a z_J column per subset; z_(0,) = 1 takes M0
+    A, subsets = sm_linearization_matrix(affine_minrank_z8)
+    assert subsets == ((0,), (1,), (2,))
+    assert [[v.data for v in row] for row in A.rows] == [
+        [6, 6, 3, 1, 0, 0, 0, 0, 0, 6, 5, 0],
+        [0, 7, 3, 0, 0, 0, 1, 0, 0, 5, 0, 5],
+        [0, 0, 0, 0, 7, 3, 2, 2, 5, 0, 5, 2],
+        [7, 0, 7, 0, 1, 0, 0, 0, 0, 7, 5, 0],
+        [5, 5, 0, 0, 0, 0, 0, 1, 0, 4, 0, 5],
+        [0, 0, 0, 5, 5, 0, 1, 0, 1, 0, 4, 1],
+        [6, 3, 6, 0, 0, 1, 0, 0, 0, 5, 4, 0],
+        [7, 3, 3, 0, 0, 0, 0, 0, 1, 2, 0, 4],
+        [0, 0, 0, 7, 3, 3, 2, 5, 2, 0, 2, 3],
+    ]
+    assert [[v.data for v in row] for row in reduced_row_echelon(A).rows] == [
+        [1, 0, 0, 0, 0, 0, 5, 4, 3, 3, 0, 3],
+        [0, 1, 0, 0, 0, 0, 3, 1, 5, 1, 0, 2],
+        [0, 0, 1, 0, 0, 0, 4, 3, 7, 2, 0, 1],
+        [0, 0, 0, 1, 0, 0, 4, 1, 3, 0, 1, 3],
+        [0, 0, 0, 0, 1, 0, 1, 7, 2, 0, 1, 2],
+        [0, 0, 0, 0, 0, 1, 1, 3, 5, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 2],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4],
+    ]
+
 
 def test_affine_instance_identity_placement_fails(affine_minrank_z8):
     # the bottom-block Z' misses the solution; the sweep finds it anyway
@@ -89,6 +116,18 @@ def test_affine_instance_ks_sweep(affine_minrank_z8):
 
 def test_affine_instance_sm_groebner(affine_minrank_z8):
     assert as_ints(solve_minrank(affine_minrank_z8, "sm-groebner")) == [[1, 3, 6]]
+
+
+def test_macaulay_x_block_builds_no_boxed_matrix(affine_minrank_z8, monkeypatch):
+    # the Macaulay matrix and its echelon form stay on payloads
+    expected = list(minrank_candidates(affine_minrank_z8, "sm-linearization"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a RingMatrix was built")
+
+    monkeypatch.setattr(RingMatrix, "__init__", refuse)
+    assert list(minrank_candidates(affine_minrank_z8, "sm-linearization")) == expected
+    assert (1, 3, 6) in {tuple(v.data for v in x) for x in expected}
 
 
 def test_sm_model_trivial_cases(z8, homogeneous_minrank_z8):

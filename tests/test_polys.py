@@ -29,20 +29,20 @@ def pxy(z8):
 
 def test_leading_data(pxy, z8):
     g1 = pxy.parse("4*x^2*y + y^3 + 2*y + 4")
-    _, lm, lc = g1.leading_data()
+    lm, lc = g1.leading_term()
     assert lm == (2, 1) and lc.data == 4
 
     const = pxy.parse("5")
-    _, lm, lc = const.leading_data()
+    lm, lc = const.leading_term()
     assert lm == (0, 0) and lc.data == 5
 
     f = pxy.parse("y^3 + x")
-    assert f.leading_monomial() == (1, 0)  # lex x > y
+    assert f.leading_term()[0] == (1, 0)  # lex x > y
 
 
 def test_leading_data_zero_raises(pxy):
     with pytest.raises(ZeroPolynomial):
-        pxy.zero.leading_data()
+        pxy.zero.leading_term()
 
 
 def test_term_divides(pxy, z8):
