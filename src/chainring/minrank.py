@@ -3,12 +3,13 @@ Support-Minors modelings and solvers.
 
 All three strategies share one loop over models: ks over its Z'
 placements, sm-groebner and sm-linearization over the unit Plücker
-coordinate of sm_model.  Only the step that solves a model's x block
-differs: lex elimination, or the x-only rows of the Macaulay matrix.  Every
-candidate is re-verified with an actual rank computation, so a modeling can
-lose completeness but never soundness.  The unit split loses no solution;
-the ks schedule's completeness is checked against the brute-force oracle in
-the tests (the paper leaves a selection rule open).
+coordinate of sm_model.  Both models are built from payload terms.  Only
+the step that gives a model's x-only system differs: lex elimination, or
+the x-only rows of the Macaulay matrix; each distinct system is solved
+once.  Every candidate is re-verified with an actual rank computation, so
+a modeling can lose completeness but never soundness.  The unit split loses
+no solution; the ks schedule's completeness is checked against the
+brute-force oracle in the tests (the paper leaves a selection rule open).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import DomainError, Inconclusive, ParseError
 from .linalg import RingMatrix, payload_echelon, rank, split_matrix
 from .polys import MultiPoly, PolyRing, macaulay_rows
 from .rings import ProductRing, Ring, RingElement, _int_field, ring_from_json
-from .solve import _x_only_solutions, join_solutions, x_block_solutions
+from .solve import _to_x_ring, _x_only_solutions, join_solutions, x_block_system
 
 
 @dataclass(frozen=True)
@@ -122,14 +123,25 @@ def _x_names(k: int) -> list[str]:
     return [f"x{l + 1}" for l in range(k)]
 
 
-def _mx_entry(inst: MinRankInstance, ring: PolyRing, x_vars, i: int, t: int) -> MultiPoly:
-    """Entry (i, t) of M_x as a polynomial in the x variables of ring."""
-    acc = ring.constant(inst.m0.rows[i][t]) if inst.m0 is not None else ring.zero
+def _mx_entry(inst: MinRankInstance, ring: PolyRing, x_vars, i: int, t: int) -> list:
+    """Entry (i, t) of M_x as (packed x-monomial, payload) terms in ring."""
+    terms = [(0, inst.m0.rows[i][t].data)] if inst.m0 is not None else []
+    gens = ring._gens
     for l, M in enumerate(inst.matrices):
-        c = M.rows[i][t]
-        if not c.is_zero():
-            acc = acc + ring.gen(x_vars[l]).scale(c)
-    return acc
+        terms.append((gens[x_vars[l]], M.rows[i][t].data))
+    return terms
+
+
+def _bilinear(ring: PolyRing, products) -> MultiPoly:
+    """The sum of ±entry * z over products, (entry terms, packed z-monomial,
+    negated) triples, collected once: zero payloads and cancelled terms drop
+    out in ring._collect."""
+    neg = ring.ring._payload_neg
+    return ring._collect(
+        (xm + zm, neg(c) if negated else c)
+        for entry, zm, negated in products
+        for xm, c in entry
+    )
 
 
 def ks_model(inst: MinRankInstance, zprime_rows: Sequence[int] | None = None) -> KSModel:
@@ -155,27 +167,17 @@ def ks_model(inst: MinRankInstance, zprime_rows: Sequence[int] | None = None) ->
     z_vars = tuple(range(nz))
     x_vars = tuple(range(nz, nz + k))
 
-    def zvar(i, j):
-        return ring.gen(i * (n - r) + j)
-
     ident_rows = [i for i in range(n) if i not in zprime_rows]
-    zmat = [[None] * (n - r) for _ in range(n)]
-    for pos, i in enumerate(ident_rows):
-        for j in range(n - r):
-            zmat[i][j] = ring.one if pos == j else ring.zero
-    for pos, i in enumerate(zprime_rows):
-        for j in range(n - r):
-            zmat[i][j] = zvar(pos, j)
-
     equations = []
     for i in range(m):
-        row_entries = [_mx_entry(inst, ring, x_vars, i, t) for t in range(n)]
+        row = [_mx_entry(inst, ring, x_vars, i, t) for t in range(n)]
         for j in range(n - r):
-            eq = ring.zero
-            for t in range(n):
-                if not zmat[t][j].is_zero():
-                    eq = eq + row_entries[t] * zmat[t][j]
-            equations.append(eq)
+            # column j of Z: 1 (the empty monomial) in row ident_rows[j], and
+            # z_(pos, j) in row zprime_rows[pos]
+            products = [(row[ident_rows[j]], 0, False)]
+            for pos, t in enumerate(zprime_rows):
+                products.append((row[t], ring._gens[pos * (n - r) + j], False))
+            equations.append(_bilinear(ring, products))
     return KSModel(ring, tuple(equations), zprime_rows, x_vars, z_vars)
 
 
@@ -227,17 +229,15 @@ def sm_model(inst: MinRankInstance, unit_subset: Sequence[int]) -> SMModel:
     unit_subset = tuple(unit_subset)
     if unit_subset not in z_index:
         raise DomainError("unit_subset must be r increasing column indices")
-    z = {s: ring.one if s == unit_subset else ring.gen(i) for s, i in z_index.items()}
+    # z_J as a packed monomial; the unit coordinate is the empty one
+    z = {s: 0 if s == unit_subset else ring._gens[i] for s, i in z_index.items()}
     entries = [[_mx_entry(inst, ring, x_vars, i, j) for j in range(n)] for i in range(m)]
 
     equations = []
     for bigset in itertools.combinations(range(n), r + 1):
+        minors = [(j, z[bigset[:s] + bigset[s + 1 :]], s % 2 == 1) for s, j in enumerate(bigset)]
         for row in entries:
-            eq = ring.zero
-            for s, j in enumerate(bigset):
-                term = row[j] * z[tuple(c for c in bigset if c != j)]
-                eq = eq + (term if s % 2 == 0 else -term)
-            equations.append(eq)
+            equations.append(_bilinear(ring, [(row[j], zm, negated) for j, zm, negated in minors]))
     return SMModel(ring, tuple(equations), subsets, x_vars, z_vars)
 
 
@@ -305,6 +305,12 @@ def minrank_candidates(
     """The distinct x-block solutions of every model of a chain-ring
     instance, unverified: a superset of the solutions the strategy finds.
 
+    Models are built from payload terms.  Each model gives an x-only system
+    (x_block_system's lex elimination for the Gröbner strategies,
+    macaulay_x_block for sm-linearization); each distinct system is solved
+    once, since a repeat could only give x already yielded.  Each system's
+    candidates come out in sort_key order, the models' in schedule order.
+
     The Gröbner strategies solve each model's x block from the lex basis of
     the model's own equations.  The field equations F_m would add nothing:
     F_m vanishes at every point of R, so V_R(I) = V_R(I + F_m), and every
@@ -320,19 +326,26 @@ def minrank_candidates(
         raise DomainError(f"unknown strategy {strategy!r}")
 
     def groebner_x_block(model):
-        return x_block_solutions(model.poly_ring, model.equations, model.x_vars)
+        return x_block_system(model.poly_ring, model.equations, model.x_vars)
 
-    solve_x = macaulay_x_block if strategy == "sm-linearization" else groebner_x_block
+    x_system = macaulay_x_block if strategy == "sm-linearization" else groebner_x_block
+    solved = set()
     seen = set()
     for model in models:
-        for x in solve_x(model):
+        x_ring, polys = x_system(model)
+        key = frozenset(p._terms for p in polys)
+        if key in solved:
+            continue
+        solved.add(key)
+        for x in _x_only_solutions(x_ring, polys):
             if x not in seen:
                 seen.add(x)
                 yield x
 
 
-def macaulay_x_block(model: SMModel) -> list[tuple[RingElement, ...]]:
-    """Explicit solutions of the x-only rows of the model's Macaulay matrix.
+def macaulay_x_block(model: SMModel) -> tuple[PolyRing, list[MultiPoly]]:
+    """The x-only rows of the model's Macaulay matrix, mapped to a ring in
+    the x variables alone (solve._to_x_ring).
 
     The matrix holds the equations times every x-monomial of degree < b,
     with columns in the ring's lex order, so every monomial with a z
@@ -361,5 +374,5 @@ def macaulay_x_block(model: SMModel) -> list[tuple[RingElement, ...]]:
         ]
         x_rows = [p for p in x_polys if p]
         if x_rows:
-            return _x_only_solutions(ring, x_rows, model.x_vars)
+            return _to_x_ring(ring, x_rows, model.x_vars)
     raise Inconclusive("the Macaulay matrix has no x-only row at degree 2")

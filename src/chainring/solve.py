@@ -404,40 +404,58 @@ def join_solutions(
 def x_block_solutions(
     ring: PolyRing, equations: Sequence[MultiPoly], x_vars: Sequence[int]
 ) -> list[tuple]:
-    """Explicit solutions of the elimination ideal in the trailing x_vars.
+    """Explicit solutions of the elimination ideal in the trailing x_vars,
+    in sort_key order (see x_block_system and _x_only_solutions)."""
+    return _x_only_solutions(*x_block_system(ring, equations, x_vars))
 
-    Lex Gröbner basis of the equations, its x-only subbasis mapped to a ring
-    in x_vars alone and solved exactly; an unconstrained x block (an empty
-    x-only subbasis) is enumerated within the budget.  Every x-only member
-    of the ideal vanishes on the x block of every solution, so the x tuples
-    of the system's solutions are among the results.  The field equations
-    F_m are not needed for that: F_m vanishes at every point of R, so
-    adjoining it leaves the solutions over R unchanged and only makes the
-    basis larger.
+
+def x_block_system(
+    ring: PolyRing, equations: Sequence[MultiPoly], x_vars: Sequence[int]
+) -> tuple[PolyRing, list[MultiPoly]]:
+    """The x-only members of a lex Gröbner basis of the equations, mapped
+    to a ring in x_vars alone (see _to_x_ring).
+
+    Every x-only member of the ideal vanishes on the x block of every
+    solution, so the x tuples of the system's solutions solve it; an empty
+    subbasis leaves the x block unconstrained.  The field equations F_m are
+    not needed for that: F_m vanishes at every point of R, so adjoining it
+    leaves the solutions over R unchanged and only makes the basis larger.
+    A nonzero constant equation is returned as the system, with no
+    Buchberger run: it has no solution.
     """
     work = [w for w in equations if not w.is_zero()]
-    if any(w.is_constant() for w in work):
-        return []  # a nonzero constant equation has no solution
-    G = buchberger(work, ring)
-    sub = elimination_subbasis(G, ring.nvars - len(x_vars))
-    return _x_only_solutions(ring, sub.generators, x_vars)
+    x_only = [w for w in work if w.is_constant()]
+    if not x_only:
+        G = buchberger(work, ring)
+        x_only = elimination_subbasis(G, ring.nvars - len(x_vars)).generators
+    return _to_x_ring(ring, x_only, x_vars)
 
 
-def _x_only_solutions(
+def _to_x_ring(
     ring: PolyRing, polys: Sequence[MultiPoly], x_vars: Sequence[int]
-) -> list[tuple]:
-    """Explicit common zeros in x_vars of polys that use no other variable
-    of ring, solved in a ring of x_vars alone; with no polys the x block is
-    unconstrained and is enumerated within the budget."""
-    R = ring.ring
-    x_ring = PolyRing(R, [ring.variables[v] for v in x_vars], "lex")
-    var_map = {v: i for i, v in enumerate(x_vars)}
-    polys = [g.map_to(x_ring, [var_map.get(i, 0) for i in range(ring.nvars)]) for g in polys]
+) -> tuple[PolyRing, list[MultiPoly]]:
+    """A lex ring in x_vars alone and polys, which use no other variable of
+    ring, mapped into it."""
+    x_ring = PolyRing(ring.ring, [ring.variables[v] for v in x_vars], "lex")
+    index = {v: i for i, v in enumerate(x_vars)}
+    var_map = [index.get(i, 0) for i in range(ring.nvars)]
+    return x_ring, [g.map_to(x_ring, var_map) for g in polys]
+
+
+def _x_only_solutions(x_ring: PolyRing, polys: Sequence[MultiPoly]) -> list[tuple]:
+    """Explicit common zeros of nonzero polys in x_ring, in sort_key order;
+    with no polys the x block is unconstrained and is enumerated within the
+    budget, and a nonzero constant among them leaves no zero."""
+    R = x_ring.ring
     if not polys:
-        if R.size ** len(x_vars) > enumeration_budget():
+        if R.size**x_ring.nvars > enumeration_budget():
             raise ResourceExceeded("unconstrained x block exceeds the budget")
-        return list(itertools.product(list(R.elements()), repeat=len(x_vars)))
-    return list(solve_system(polys).explicit())
+        # elements() ascends in sort_key order, so the product does too
+        return list(itertools.product(list(R.elements()), repeat=x_ring.nvars))
+    if any(p.is_constant() for p in polys):
+        return []
+    found = solve_system(polys).explicit()
+    return sorted(found, key=lambda x: tuple(R.sort_key(v) for v in x))
 
 
 # -- multivariate lifting solver ------------------------------------------------

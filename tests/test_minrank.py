@@ -1,13 +1,23 @@
+import hashlib
+import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chainring
+from chainring import solve
 from chainring.errors import DomainError, Inconclusive
 from chainring.linalg import RingMatrix, rank, reduced_row_echelon
 from chainring.minrank import (
     MinRankInstance,
     ks_model,
     ks_permutation_schedule,
+    macaulay_x_block,
     minrank_candidates,
     sm_linearization_matrix,
     sm_model,
@@ -15,8 +25,9 @@ from chainring.minrank import (
     transpose_instance,
 )
 from chainring.oracles import brute_minrank
+from chainring.polys import MultiPoly
 from chainring.rings import Zpk, integer_ring
-from chainring.solve import x_block_solutions
+from chainring.solve import x_block_solutions, x_block_system
 
 
 def as_ints(solutions):
@@ -357,3 +368,148 @@ def test_target_rank_above_n_reads_as_n(z4):
     for strategy in ("ks", "sm-groebner"):
         assert solve_minrank(inst, strategy) == expected
     assert ks_model(inst).equations == ()
+
+
+MODELS_GOLDEN = Path(__file__).resolve().parent / "goldens" / "minrank_models.json"
+
+
+def golden_instances():
+    cases = json.loads(MODELS_GOLDEN.read_text())
+    return {c["name"]: MinRankInstance.from_json(c["instance"]) for c in cases["instances"]}
+
+
+def every_model(inst):
+    n = inst.shape[1]
+    r = min(inst.r, n)
+    for sub in ks_permutation_schedule(n, r):
+        yield "ks", list(sub), ks_model(inst, sub)
+    for sub in itertools.combinations(range(n), r):
+        yield "sm", list(sub), sm_model(inst, sub)
+
+
+def model_digest(model):
+    P = model.poly_ring
+    blob = repr((P.variables, model.x_vars, model.z_vars, tuple(e._terms for e in model.equations)))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_models_match_golden():
+    # ks_model in every placement and sm_model for every unit subset, on
+    # seeded 3x4, K = 2 instances (homogeneous and affine, r = 1 and 2) over
+    # Z4, Z8, Z9 and Z25, on to_minrank of the first round of perfbench's
+    # decode words at seeds 1 and 9, and on instances/minrank_rank1.json:
+    # the SHA-256 of each model's variables and canonical payload terms, and
+    # the full equations of two small models
+    golden = json.loads(MODELS_GOLDEN.read_text())
+    instances = golden_instances()
+    assert len(instances) == 39 and len(golden["models"]) == 300
+    digests = {}
+    for name, inst in instances.items():
+        for kind, sub, model in every_model(inst):
+            digests[name, kind, tuple(sub)] = (len(model.equations), model_digest(model))
+            for full in golden["full"]:
+                if (full["instance"], full["model"], full["subset"]) == (name, kind, sub):
+                    P = model.poly_ring
+                    assert list(P.variables) == full["vars"]
+                    assert [P.poly_to_json(e) for e in model.equations] == full["equations"]
+    expected = {
+        (c["instance"], c["model"], tuple(c["subset"])): (c["equations"], c["sha256"])
+        for c in golden["models"]
+    }
+    assert digests == expected
+
+
+def test_models_build_no_boxed_polynomial_arithmetic(monkeypatch):
+    # ks_model and sm_model collect payload terms: no MultiPoly operator runs
+    instances = golden_instances()
+    names = ("z9-r2-affine", "z25-r1-homogeneous", "decode-seed1-1-ambiguous")
+    expected = {
+        (name, kind, tuple(sub)): model.equations
+        for name in names
+        for kind, sub, model in every_model(instances[name])
+    }
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("boxed polynomial arithmetic")
+
+    for op in ("__add__", "__sub__", "__mul__", "__neg__", "scale"):
+        monkeypatch.setattr(MultiPoly, op, refuse)
+    for name in names:
+        for kind, sub, model in every_model(instances[name]):
+            assert model.equations == expected[name, kind, tuple(sub)]
+
+
+def x_only_systems(inst, strategy):
+    """Each model's x-only system, keyed as solve_system's input, for the
+    models that need a solve: no polys are enumerated, a constant has no
+    zero."""
+    kind = "ks" if strategy == "ks" else "sm"
+    keys = []
+    for model_kind, _, model in every_model(inst):
+        if model_kind == kind:
+            if strategy == "sm-linearization":
+                _, polys = macaulay_x_block(model)
+            else:
+                _, polys = x_block_system(model.poly_ring, model.equations, model.x_vars)
+            if polys and not any(p.is_constant() for p in polys):
+                keys.append(frozenset(p._terms for p in polys))
+    return keys
+
+
+@pytest.mark.parametrize("strategy", ["ks", "sm-linearization"])
+def test_each_distinct_x_only_system_is_solved_once(strategy, monkeypatch):
+    # the candidates as found when every model's x block was solved afresh
+    instances = golden_instances()
+    expected = {
+        "decode-seed1-1-ambiguous": [[0, 0], [0, 2], [1, 1], [1, 2], [3, 0], [3, 1]],
+        "minrank_rank1": [[0, 0, 0], [0, 0, 4], [4, 4, 2], [4, 4, 6]],
+        "z8-r1-affine": [],
+    }
+    solve_system = solve.solve_system
+    for name, candidates in expected.items():
+        inst = instances[name]
+        calls = []
+
+        def spy(polys, *args, **kwargs):
+            calls.append(frozenset(p._terms for p in polys))
+            return solve_system(polys, *args, **kwargs)
+
+        monkeypatch.setattr(solve, "solve_system", spy)
+        found = [[v.data for v in x] for x in minrank_candidates(inst, strategy)]
+        monkeypatch.setattr(solve, "solve_system", solve_system)
+        assert found == candidates, name
+        systems = x_only_systems(inst, strategy)
+        assert len(calls) == len(set(calls)) and set(calls) == set(systems), name
+    # the decode word's three models share one x-only system
+    keys = x_only_systems(instances["decode-seed1-1-ambiguous"], strategy)
+    assert len(keys) == 3 and len(set(keys)) == 1
+
+
+CANDIDATES_SCRIPT = """
+import json, sys
+from chainring.minrank import MinRankInstance, minrank_candidates
+golden = json.load(open(sys.argv[1]))
+inst = {c["name"]: c["instance"] for c in golden["instances"]}["decode-seed1-1-ambiguous"]
+with open(sys.argv[2]) as f:
+    rank1 = json.load(f)
+out = []
+for obj, strategies in ((inst, ("ks", "sm-linearization")), (rank1, ("ks", "sm-groebner", "sm-linearization"))):
+    for strategy in strategies:
+        xs = minrank_candidates(MinRankInstance.from_json(obj), strategy)
+        out.append([[v.data for v in x] for x in xs])
+print(json.dumps(out))
+"""
+
+
+def test_candidate_order_does_not_depend_on_the_hash_seed():
+    src = str(Path(chainring.__file__).resolve().parents[1])
+    rank1 = Path(__file__).resolve().parents[1] / "instances" / "minrank_rank1.json"
+    flags = ["-O"] if sys.flags.optimize else []
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        argv = [sys.executable, *flags, "-c", CANDIDATES_SCRIPT, str(MODELS_GOLDEN), str(rank1)]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+        outputs.append(json.loads(done.stdout))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == [[0, 0], [0, 2], [1, 1], [1, 2], [3, 0], [3, 1]]
