@@ -155,8 +155,8 @@ def _cmd_solve(args) -> int:
     return _emit("solve", _system_to_json(pring, polys), sol.to_json())
 
 
-def _cmd_solve_local(args) -> int:
-    obj = _load_json(args.system)
+def _local_system_from_json(obj):
+    """A solve-local system's polynomial ring and polynomials."""
     if "ring" not in obj:
         raise ParseError("solve-local needs a local-ring descriptor in the system file")
     pres = localring_mod.presentation_from_json(obj["ring"])
@@ -164,14 +164,19 @@ def _cmd_solve_local(args) -> int:
     if not variables:
         raise ParseError("system file needs a 'vars' list")
     pring = PolyRing(pres, variables, "lex")
-    polys = [pring.poly_from_json(e) for e in _as_list(obj["polys"], "polys")]
+    return pring, [pring.poly_from_json(e) for e in _as_list(obj["polys"], "polys")]
+
+
+def _cmd_solve_local(args) -> int:
+    obj = _load_json(args.system)
+    pring, polys = _local_system_from_json(obj)
     roots = localring_mod.solve_local_system(polys)
     sols = sorted(
-        [[pres.element_to_json(v) for v in sol] for sol in roots]
+        [[pring.ring.element_to_json(v) for v in sol] for sol in roots]
     )
     return _emit(
         "solve-local",
-        {"ring": pres.to_json(), "vars": list(variables), "polys": obj["polys"]},
+        {"ring": pring.ring.to_json(), "vars": list(pring.variables), "polys": obj["polys"]},
         {"solutions": sols, "count": len(sols)},
     )
 
@@ -328,17 +333,15 @@ def _verify_dispatch(command: str, inp, res, budget: OracleBudget) -> list[str]:
                 raise ChainRingError("the unique flag disagrees with brute force")
             checks.append("brute-force-equality")
     elif command == "solve-local":
-        pres = localring_mod.presentation_from_json(inp["ring"])
-        variables = _as_list(inp["vars"], "vars")
-        pring = PolyRing(pres, variables, "lex")
-        polys = [pring.poly_from_json(e) for e in _as_list(inp["polys"], "polys")]
+        pring, polys = _local_system_from_json(inp)
+        pres = pring.ring
         for s in res["solutions"]:
             point = [pres.element_from_json(v) for v in s]
             for p in polys:
                 if not pres.is_zero(p.evaluate(point)):
                     raise ChainRingError(f"listed root {s} does not solve the system")
         checks.append("solutions-satisfy-system")
-        if pres.size ** len(variables) <= budget.max_enumeration:
+        if pres.size ** pring.nvars <= budget.max_enumeration:
             got = {
                 tuple(pres.element_from_json(v) for v in s) for s in res["solutions"]
             }

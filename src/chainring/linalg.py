@@ -162,11 +162,20 @@ class RingMatrix:
         }
 
     @classmethod
+    def from_json_rows(cls, ring: Ring, rows, key: str) -> "RingMatrix":
+        """The matrix of JSON field `key`: a list of equally long lists of
+        ring elements, or it is malformed input."""
+        if not isinstance(rows, list) or any(
+            not isinstance(row, list) or len(row) != len(rows[0]) for row in rows
+        ):
+            raise ParseError(f"field '{key}' is a ragged matrix, got {rows!r}")
+        return cls(ring, [[ring.element_from_json(x) for x in row] for row in rows])
+
+    @classmethod
     def from_json(cls, obj, ring: Ring | None = None) -> "RingMatrix":
         if ring is None:
             ring = ring_from_json(obj["ring"])
-        data = obj["data"]
-        mat = cls(ring, [[ring.element_from_json(x) for x in row] for row in data])
+        mat = cls.from_json_rows(ring, obj["data"], "data")
         if "rows" in obj and (mat.m, mat.n) != (obj["rows"], obj["cols"]):
             raise ParseError("matrix shape does not match declared rows/cols")
         return mat

@@ -87,30 +87,12 @@ class LocalRingPresentation(Ring):
             self._reduce([self.base.add(x, y) for x, y in zip(a.data, b.data)]),
         )
 
-    def sub(self, a, b):
-        return RingElement(
-            self,
-            self._reduce([self.base.sub(x, y) for x, y in zip(a.data, b.data)]),
-        )
-
     def neg(self, a):
         return RingElement(self, self._reduce([self.base.neg(x) for x in a.data]))
 
     def mul(self, a, b):
         base = self.base
-        g = self.gamma_count
-        out = [base.zero] * g
-        for i in range(g):
-            if a.data[i].is_zero():
-                continue
-            for j in range(g):
-                if b.data[j].is_zero():
-                    continue
-                c = base.mul(a.data[i], b.data[j])
-                for s in range(g):
-                    t = self.structure[i][j][s]
-                    if not t.is_zero():
-                        out[s] = base.add(out[s], base.mul(c, t))
+        out = _structure_product(self.structure, a.data, b.data, base.zero, base.mul)
         return RingElement(self, self._reduce(out))
 
     def mul_scalar(self, c: RingElement, a: RingElement) -> RingElement:
@@ -171,6 +153,8 @@ class LocalRingPresentation(Ring):
     def element_from_json(self, obj):
         if not isinstance(obj, list):
             raise ParseError("local-ring element must be a coordinate list")
+        if len(obj) != self.gamma_count:
+            raise ParseError(f"expected {self.gamma_count} coordinates, got {obj!r}")
         return self.element([self.base.element_from_json(x) for x in obj])
 
     def to_json(self):
@@ -234,6 +218,27 @@ class LocalRingPresentation(Ring):
             if not base.mul(base.pow(base.pi_element, base.nu - s), c).is_zero():
                 return False
         return True
+
+
+def _structure_product(structure, a, b, zero, scale) -> list:
+    """The coordinates of (sum_i a_i theta_i)(sum_j b_j theta_j), where
+    theta_i theta_j = sum_s structure[i][j][s] theta_s.  The a_i and b_j are
+    base elements or polynomials over the base; scale(v, t) multiplies such
+    a value by the base element t."""
+    g = len(a)
+    out = [zero] * g
+    for i in range(g):
+        if a[i].is_zero():
+            continue
+        for j in range(g):
+            if b[j].is_zero():
+                continue
+            c = a[i] * b[j]
+            for s in range(g):
+                t = structure[i][j][s]
+                if not t.is_zero():
+                    out[s] = out[s] + scale(c, t)
+    return out
 
 
 def _residue_degree(base: ChainRing) -> int:
@@ -333,43 +338,20 @@ def expand_system(system: Sequence[MultiPoly]) -> ExpandedSystem:
             names.append(f"{v}_{j + 1}")
     target = PolyRing(base, names, src.order.kind)
 
-    def var_index(i, j):
-        return i * g + j
-
-    # symbolic elements of R: vectors of g polynomials over R0
-    def vec_add(a, b):
-        return [x + y for x, y in zip(a, b)]
-
-    def vec_mul(a, b):
-        out = [target.zero] * g
-        for i in range(g):
-            if a[i].is_zero():
-                continue
-            for j in range(g):
-                if b[j].is_zero():
-                    continue
-                prod = a[i] * b[j]
-                for s in range(g):
-                    t = pres.structure[i][j][s]
-                    if not t.is_zero():
-                        out[s] = out[s] + prod.scale(t)
-        return out
-
-    def const_vec(c: RingElement):
-        return [target.constant(x) for x in c.data]
-
-    x_vecs = [
-        [target.gen(var_index(i, j)) for j in range(g)] for i in range(src.nvars)
-    ]
+    # symbolic elements of R: vectors of g polynomials over R0, multiplied
+    # by the same structure-constant rule as the ring's own elements
+    x_vecs = [[target.gen(i * g + j) for j in range(g)] for i in range(src.nvars)]
     equations = []
     for f in system:
         total = [target.zero] * g
         for exps, coeff in f.terms:
-            term_vec = const_vec(coeff)
+            term_vec = [target.constant(x) for x in coeff.data]
             for i, e in enumerate(exps):
                 for _ in range(e):
-                    term_vec = vec_mul(term_vec, x_vecs[i])
-            total = vec_add(total, term_vec)
+                    term_vec = _structure_product(
+                        pres.structure, term_vec, x_vecs[i], target.zero, MultiPoly.scale
+                    )
+            total = [x + y for x, y in zip(total, term_vec)]
         for s in range(g):
             mult = base.pow(base.pi_element, base.nu - pres.ann_exponents[s])
             equations.append(total[s].scale(mult))

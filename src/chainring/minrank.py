@@ -85,12 +85,8 @@ class MinRankInstance:
     @classmethod
     def from_json(cls, obj) -> "MinRankInstance":
         ring = ring_from_json(obj["ring"])
-
-        def matrix(rows) -> RingMatrix:
-            return RingMatrix(ring, [[ring.element_from_json(v) for v in row] for row in rows])
-
-        mats = tuple(matrix(M) for M in obj["matrices"])
-        m0 = matrix(obj["m0"]) if obj.get("m0") is not None else None
+        mats = tuple(RingMatrix.from_json_rows(ring, M, "matrices") for M in obj["matrices"])
+        m0 = RingMatrix.from_json_rows(ring, obj["m0"], "m0") if obj.get("m0") is not None else None
         if "r" not in obj:
             raise ParseError("instance needs the target rank r")
         return cls(ring, mats, _int_field(obj, "r"), m0)

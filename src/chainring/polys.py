@@ -287,6 +287,8 @@ class PolyRing:
             coeff, exps = item
             if not (isinstance(exps, list) and all(type(e) is int for e in exps)):
                 raise ParseError(f"bad term {item!r}: exponents must be a list of integers")
+            if len(exps) != self.nvars or min(exps, default=0) < 0:
+                raise ParseError(f"bad term {item!r}: bad exponent vector")
             terms.append((tuple(exps), self.ring.element_from_json(coeff)))
         return self.poly(terms)
 

@@ -125,6 +125,9 @@ class Ring:
             e >>= 1
         return result
 
+    def sub(self, a: RingElement, b: RingElement) -> RingElement:
+        return self.add(a, self.neg(b))
+
     def sum(self, items) -> RingElement:
         total = self.zero
         for x in items:
@@ -219,9 +222,6 @@ class ChainRing(Ring):
 
     def add(self, a: RingElement, b: RingElement) -> RingElement:
         return RingElement(self, self._payload_add(a.data, b.data))
-
-    def sub(self, a: RingElement, b: RingElement) -> RingElement:
-        return RingElement(self, self._payload_add(a.data, self._payload_neg(b.data)))
 
     def neg(self, a: RingElement) -> RingElement:
         return RingElement(self, self._payload_neg(a.data))
@@ -763,6 +763,8 @@ class ExtensionChainRing(ChainRing):
     def element_from_json(self, obj):
         if not isinstance(obj, list):
             raise ParseError(f"expected list for {self.short_name()} element")
+        if len(obj) > self.degree:
+            raise ParseError(f"expected <= {self.degree} coordinates, got {obj!r}")
         return self.element([self.base.element_from_json(x) for x in obj])
 
     def to_json(self):
@@ -851,12 +853,6 @@ class ProductRing(Ring):
         return RingElement(
             self,
             tuple(c.add(x, y) for c, x, y in zip(self.components, a.data, b.data)),
-        )
-
-    def sub(self, a, b):
-        return RingElement(
-            self,
-            tuple(c.sub(x, y) for c, x, y in zip(self.components, a.data, b.data)),
         )
 
     def neg(self, a):

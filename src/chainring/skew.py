@@ -7,7 +7,6 @@ operator f(x) = a_0 x + a_1 sigma(x) + ... which makes (f*g)(x) = f(g(x)).
 
 from __future__ import annotations
 
-import itertools
 from typing import Sequence
 
 from .errors import DomainError, InternalInvariant, ParseError, RankExceeds
@@ -147,28 +146,15 @@ def annihilator(ext: GaloisExtension, u: Sequence[RingElement], r: int) -> SkewP
     if r == 0:
         return SkewPoly.one(ext)
     rep = matrix_representation(ext, u).transpose()  # n x m, rows = coordinates
-    tie_breaks = itertools.chain([None], itertools.permutations(range(r)))
-    last_error = None
-    for perm in tie_breaks:
-        B = free_envelope(rep, r)
-        rows = list(B.rows)
-        if perm is not None:
-            rows = [rows[i] for i in perm]
-        basis = [ext.element(row) for row in rows]
-        f = SkewPoly.one(ext)
-        ok = True
-        for b in basis:
-            v = f.evaluate(b)
-            if not v.is_unit():
-                ok = False
-                last_error = f"envelope image {v!r} is not a unit"
-                break
-            w = ext.mul(ext.frobenius(v), ext.invert(v))
-            f = SkewPoly(ext, [ext.neg(w), ext.one]) * f
-        if ok:
-            if not (f.is_monic() and f.degree() == r):
-                raise InternalInvariant("annihilator is not monic of degree r")
-            if not all(f.evaluate(x).is_zero() for x in u):
-                raise InternalInvariant("annihilator does not vanish on its inputs")
-            return f
-    raise DomainError(f"annihilator construction failed: {last_error}")
+    f = SkewPoly.one(ext)
+    for row in free_envelope(rep, r).rows:
+        v = f.evaluate(ext.element(row))
+        if not v.is_unit():
+            raise InternalInvariant(f"envelope image {v!r} is not a unit")
+        w = ext.mul(ext.frobenius(v), ext.invert(v))
+        f = SkewPoly(ext, [ext.neg(w), ext.one]) * f
+    if not (f.is_monic() and f.degree() == r):
+        raise InternalInvariant("annihilator is not monic of degree r")
+    if not all(f.evaluate(x).is_zero() for x in u):
+        raise InternalInvariant("annihilator does not vanish on its inputs")
+    return f

@@ -287,8 +287,9 @@ def test_zero_top_coefficients_of_a_modulus_do_not_count(capsys, tmp_path):
         ({"command": "solve", "input": {"ring": Z8, "vars": ["x"], "polys": [X_PLUS_1["zpk"]]}, "result": {}}, "missing field 'solutions'"),
         ({"command": "solve", "input": [], "result": {}}, "field 'input' must be an object, got []"),
         ({"command": "gb", "input": {"ring": Z8, "vars": ["x"], "polys": []}, "result": "ok"}, "field 'result' must be an object, got 'ok'"),
+        ({"command": "solve-local", "input": {"ring": LOCAL, "vars": [], "polys": [[[[1, 0], [0]]]]}, "result": {"solutions": []}}, "system file needs a 'vars' list"),
     ],
-    ids=["no-input", "no-result", "no-solutions", "input-list", "result-string"],
+    ids=["no-input", "no-result", "no-solutions", "input-list", "result-string", "local-no-vars"],
 )
 def test_verify_needs_input_and_result_objects(capsys, tmp_path, envelope, message):
     # a missing input or result ended in a KeyError traceback with exit 1
@@ -306,26 +307,60 @@ GR42 = {"kind": "gr", "p": 2, "k": 2, "r": 2, "modulus": [1, 1, 1]}
         ("solve", Z8, [[True, [1]], [1, [0]]], "a Z8 element must be an integer, got True"),
         ("solve", GR42, [[[1, True], [1]], [[1, 0], [0]]], "a Z4 element must be an integer, got True"),
         ("solve-local", LOCAL, [[[1, 0], [1]], [[False, 0], [0]]], "a Z8 element must be an integer, got False"),
+        ("solve", GR42, [[[1, 0, 1], [1]], [[1, 0], [0]]], "expected <= 2 coordinates, got [1, 0, 1]"),
+        ("solve-local", LOCAL, [[[1, 0, 0], [1]], [[1, 0], [0]]], "expected 2 coordinates, got [1, 0, 0]"),
     ],
-    ids=["zpk", "gr-coordinate", "local-coordinate"],
+    ids=["zpk", "gr-coordinate", "local-coordinate", "gr-coordinate-count", "local-coordinate-count"],
 )
 def test_bool_is_not_a_ring_element(capsys, tmp_path, command, ring, poly, message):
-    # true was read as 1: over Z8 the system was echoed as x + 1 and solved
+    # true was read as 1: over Z8 the system was echoed as x + 1 and solved;
+    # a coordinate list of the wrong length ended as a DomainError, exit 1
     path = write(tmp_path, "sys.json", {"ring": ring, "vars": ["x"], "polys": [poly]})
     code, out = run_cli(capsys, command, path)
     assert code == 2
     assert json.loads(out) == {"error": {"message": message, "type": "ParseError"}}
 
 
+NOT_INTEGERS = "exponents must be a list of integers"
+
+
 @pytest.mark.parametrize(
-    "term", [[1, 5], [1, ["a"]], [1, [1.5]], [1, [True]]], ids=["int", "string", "float", "bool"]
+    "term, problem",
+    [
+        ([1, 5], NOT_INTEGERS),
+        ([1, ["a"]], NOT_INTEGERS),
+        ([1, [1.5]], NOT_INTEGERS),
+        ([1, [True]], NOT_INTEGERS),
+        ([1, [1, 2]], "bad exponent vector"),
+        ([1, [-1]], "bad exponent vector"),
+    ],
+    ids=["int", "string", "float", "bool", "length", "negative"],
 )
-def test_exponents_must_be_a_list_of_integers(capsys, tmp_path, term):
-    # an int or a string ended in a traceback; a float or a bool was read as x^1
+def test_exponents_must_be_a_list_of_integers(capsys, tmp_path, term, problem):
+    # an int or a string ended in a traceback; a float or a bool was read as
+    # x^1; a wrong length or a negative entry ended as a DomainError, exit 1
     path = write(tmp_path, "sys.json", {"ring": Z8, "vars": ["x"], "polys": [[term, [1, [0]]]]})
     code, out = run_cli(capsys, "solve", path)
     assert code == 2
-    message = f"bad term {term!r}: exponents must be a list of integers"
+    message = f"bad term {term!r}: {problem}"
+    assert json.loads(out) == {"error": {"message": message, "type": "ParseError"}}
+
+
+@pytest.mark.parametrize(
+    "command, obj, key, rows",
+    [
+        (["rank"], {"ring": Z8, "data": [[1, 2], [3]]}, "data", [[1, 2], [3]]),
+        (["minrank", "--instance"], {"ring": Z8, "r": 1, "matrices": [[[1, 0], [1]]]}, "matrices", [[1, 0], [1]]),
+        (["minrank", "--instance"], {"ring": Z8, "r": 1, "matrices": [[[1, 0], [0, 1]]], "m0": [[1], [0, 1]]}, "m0", [[1], [0, 1]]),
+        (["rank"], {"ring": Z8, "data": [1, 2]}, "data", [1, 2]),
+    ],
+    ids=["rank", "minrank", "minrank-m0", "rank-flat"],
+)
+def test_ragged_matrix_is_a_parse_error(capsys, tmp_path, command, obj, key, rows):
+    # ragged rows ended as a DomainError with exit 1, flat rows in a traceback
+    code, out = run_cli(capsys, *command, write(tmp_path, "input.json", obj))
+    assert code == 2
+    message = f"field '{key}' is a ragged matrix, got {rows!r}"
     assert json.loads(out) == {"error": {"message": message, "type": "ParseError"}}
 
 

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from chainring.errors import EqualInputs, WrongOrder, ZeroIdeal
 from chainring.groebner import (
+    GroebnerBasis,
     a_polynomial,
     buchberger,
     elimination_subbasis,
+    interreduce,
     ladder_properties_hold,
     minimal_univariate_basis,
     s_polynomial,
@@ -216,6 +218,25 @@ def test_minimal_univariate_zero_ideal(z8):
     P = PolyRing(z8, ("x",), "lex")
     with pytest.raises(ZeroIdeal):
         minimal_univariate_basis([P.zero])
+
+
+def test_minimal_univariate_adjoins_the_vanishing_polynomial(z4):
+    # (2x) has no member of unit valuation, so F_m is adjoined to reach a_0 = 0
+    P = PolyRing(z4, ("x",), "lex")
+    ladder = minimal_univariate_basis([P.parse("2*x")])
+    assert ladder.levels[0][0] == 0
+    assert [a for a, _ in ladder.levels] == sorted({a for a, _ in ladder.levels})
+    assert ladder_properties_hold(ladder)
+
+
+def test_interreduce_resorts_after_a_head_changes(z4):
+    # x*y + y reduces by x to y, a new head, so the pass re-sorts and restarts
+    P = PolyRing(z4, ("x", "y"), "lex")
+    F = [P.parse("x*y + y"), P.parse("x")]
+    basis = interreduce(F, P)
+    assert [str(g) for g in basis] == ["x", "y"]
+    assert verify_groebner(GroebnerBasis(basis, P))
+    assert basis == buchberger(F, P).generators
 
 
 def test_minimal_univariate_random_conditions(z9):

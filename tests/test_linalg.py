@@ -21,6 +21,7 @@ from chainring.linalg import (
     reduced_row_echelon,
     row_membership,
     smith_normal_form,
+    split_matrix,
     standard_form,
 )
 from chainring.oracles import brute_rank, module_elements
@@ -344,6 +345,50 @@ def test_product_ring_componentwise(z8):
     assert (dec.u @ dec.d @ dec.v) == A
     assert rank(A) == max(rank_profile(A))
     assert len(rank_profile(A)) == 2
+
+
+# Z6 = Z2 x Z3 and Z12 = Z4 x Z3: kernel, row_membership and free_envelope
+# work component by component there, checked against enumeration
+@pytest.mark.parametrize("n, seed", [(6, 11), (12, 12)])
+def test_product_ring_kernel_matches_enumeration(n, seed):
+    ring = integer_ring(n)
+    rng = random.Random(seed)
+    for _ in range(4):
+        A = rand_matrix(ring, 2, 3, rng)
+        gens = kernel(A)
+        assert all(all(x.is_zero() for x in A.mul_vector(u)) for u in gens)
+        expected = {
+            v
+            for v in itertools.product(list(ring.elements()), repeat=3)
+            if all(x.is_zero() for x in A.mul_vector(v))
+        }
+        assert module_elements(ring, gens) == expected
+
+
+@pytest.mark.parametrize("n, seed", [(6, 21), (12, 22)])
+def test_product_ring_row_membership_matches_enumeration(n, seed):
+    ring = integer_ring(n)
+    rng = random.Random(seed)
+    for _ in range(2):
+        B = rand_matrix(ring, 2, 3, rng)
+        span = module_elements(ring, B.rows)
+        for y in itertools.product(list(ring.elements()), repeat=3):
+            assert row_membership(B, y) == (y in span)
+
+
+@pytest.mark.parametrize("n, seed", [(6, 31), (12, 32)])
+@pytest.mark.parametrize("r", [2, 3])
+def test_product_ring_free_envelope_components(n, seed, r):
+    ring = integer_ring(n)
+    rng = random.Random(seed)
+    for _ in range(4):
+        A = rand_matrix(ring, 2, 3, rng)
+        B = free_envelope(A, r)
+        assert B.m == r
+        for A_c, B_c in zip(split_matrix(A), split_matrix(B)):
+            assert is_free_rows(B_c)
+            assert all(row_membership(B_c, row) for row in A_c.rows)
+        assert module_elements(ring, A.rows) <= module_elements(ring, B.rows)
 
 
 def test_matrix_entries_are_checked_and_coerced(z8, z9):
