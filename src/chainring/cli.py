@@ -27,7 +27,7 @@ from .oracles import (
 )
 from .polys import MonomialOrder, PolyRing
 from .rankdecode import ROUTES, RankDecodingInstance, decode
-from .rings import ring_from_json, parse_ring_spec
+from .rings import _as_list, parse_ring_spec, ring_from_json
 from .solve import (
     ALL_OF_RING,
     DEFAULT_SOLUTION_CAP,
@@ -58,12 +58,23 @@ def _load_json(path: str):
         raise ParseError(f"cannot read JSON from {path}: {exc}") from exc
 
 
-def _as_list(value, key: str) -> list:
-    """A field that must be a JSON list; a string there would otherwise be
-    read one character at a time."""
-    if not isinstance(value, list):
-        raise ParseError(f"field '{key}' must be a list, got {value!r}")
-    return value
+def _names(value, key: str) -> list[str]:
+    """A field that must be a JSON list of variable names; a name that is
+    not a string is malformed input."""
+    names = _as_list(value, key)
+    for name in names:
+        if not isinstance(name, str):
+            raise ParseError(f"field '{key}' must hold variable names, got {name!r}")
+    return names
+
+
+def _solution_lists(res) -> list[list]:
+    """A verify envelope's result.solutions: a list of coordinate lists."""
+    sols = _as_list(res["solutions"], "solutions")
+    for s in sols:
+        if not isinstance(s, list):
+            raise ParseError(f"field 'solutions' must hold lists, got {s!r}")
+    return sols
 
 
 def _system_from_json(
@@ -81,7 +92,7 @@ def _system_from_json(
         ring = ring_from_json(obj["ring"])
     else:
         raise ParseError("no ring given (use --ring or a 'ring' field)")
-    variables = vars_spec.split(",") if vars_spec else _as_list(obj.get("vars", []), "vars")
+    variables = vars_spec.split(",") if vars_spec else _names(obj.get("vars", []), "vars")
     if not variables:
         raise ParseError("system file needs a 'vars' list (or pass --vars)")
     if order_spec:
@@ -160,7 +171,7 @@ def _local_system_from_json(obj):
     if "ring" not in obj:
         raise ParseError("solve-local needs a local-ring descriptor in the system file")
     pres = localring_mod.presentation_from_json(obj["ring"])
-    variables = _as_list(obj.get("vars", []), "vars")
+    variables = _names(obj.get("vars", []), "vars")
     if not variables:
         raise ParseError("system file needs a 'vars' list")
     pring = PolyRing(pres, variables, "lex")
@@ -277,7 +288,7 @@ def _verify_dispatch(command: str, inp, res, budget: OracleBudget) -> list[str]:
     elif command == "solve":
         pring, polys = _system_from_json(inp, None, None, allow_text=False)
         R = pring.ring
-        sols = res["solutions"]
+        sols = _solution_lists(res)
         explicit = [s for s in sols if "*" not in s]
         for s in explicit:
             point = [R.element_from_json(v) for v in s]
@@ -286,7 +297,7 @@ def _verify_dispatch(command: str, inp, res, budget: OracleBudget) -> list[str]:
         checks.append("solutions-satisfy-system")
         if R.size**pring.nvars <= budget.max_enumeration:
             reference = brute_solve(polys, budget)
-            got = _solutions_from_json(R, pring, res)
+            got = _solutions_from_json(R, pring, sols)
             if got != reference.explicit():
                 raise ChainRingError("solution set differs from brute-force enumeration")
             checks.append("brute-force-equality")
@@ -301,9 +312,7 @@ def _verify_dispatch(command: str, inp, res, budget: OracleBudget) -> list[str]:
             checks.append("brute-rank")
     elif command == "minrank":
         inst = MinRankInstance.from_json(inp)
-        xs = [
-            tuple(inst.ring.element_from_json(v) for v in x) for x in res["solutions"]
-        ]
+        xs = [tuple(inst.ring.element_from_json(v) for v in x) for x in _solution_lists(res)]
         for x in xs:
             if not inst.is_solution(x):
                 raise ChainRingError("reported x exceeds the rank bound")
@@ -335,16 +344,15 @@ def _verify_dispatch(command: str, inp, res, budget: OracleBudget) -> list[str]:
     elif command == "solve-local":
         pring, polys = _local_system_from_json(inp)
         pres = pring.ring
-        for s in res["solutions"]:
+        sols = _solution_lists(res)
+        for s in sols:
             point = [pres.element_from_json(v) for v in s]
             for p in polys:
                 if not pres.is_zero(p.evaluate(point)):
                     raise ChainRingError(f"listed root {s} does not solve the system")
         checks.append("solutions-satisfy-system")
         if pres.size ** pring.nvars <= budget.max_enumeration:
-            got = {
-                tuple(pres.element_from_json(v) for v in s) for s in res["solutions"]
-            }
+            got = {tuple(pres.element_from_json(v) for v in s) for s in sols}
             if got != brute_solve(polys, budget).explicit():
                 raise ChainRingError("solution set differs from brute-force enumeration")
             checks.append("brute-force-equality")
@@ -353,9 +361,9 @@ def _verify_dispatch(command: str, inp, res, budget: OracleBudget) -> list[str]:
     return checks
 
 
-def _solutions_from_json(R, pring, res) -> frozenset:
+def _solutions_from_json(R, pring, sols) -> frozenset:
     entries = set()
-    for s in res["solutions"]:
+    for s in sols:
         entry = tuple(
             ALL_OF_RING if v == "*" else R.element_from_json(v) for v in s
         )

@@ -199,18 +199,29 @@ def _transform(i: int) -> property:
 
 @dataclass(frozen=True)
 class SmithDecomposition(_LazyTransforms):
-    """A = U @ D @ V; transforms() returns (U, V, U^-1, V^-1)."""
+    """A = U @ D @ V with D the m x n matrix over ring whose diagonal is
+    diag; D is built on first read of d, and transforms() returns
+    (U, V, U^-1, V^-1)."""
 
-    d: RingMatrix
+    ring: Ring
+    shape: tuple[int, int]
+    diag: tuple[RingElement, ...]
     transforms: Callable[[], tuple[RingMatrix, ...]] = field(repr=False, compare=False)
     u = _transform(0)
     v = _transform(1)
     u_inv = _transform(2)
     v_inv = _transform(3)
 
+    @cached_property
+    def d(self) -> RingMatrix:
+        m, n = self.shape
+        rows = [[self.ring.zero] * n for _ in range(m)]
+        for i, x in enumerate(self.diag):
+            rows[i][i] = x
+        return RingMatrix(self.ring, rows)
+
     def diagonal(self) -> tuple[RingElement, ...]:
-        k = min(self.d.m, self.d.n)
-        return tuple(self.d.rows[i][i] for i in range(k))
+        return self.diag
 
 
 @dataclass(frozen=True)
@@ -223,30 +234,51 @@ class HermiteDecomposition(_LazyTransforms):
     p_inv = _transform(1)
 
 
-def _payloads(A: RingMatrix) -> list[list]:
-    return [[x.data for x in row] for row in A.rows]
+def _payloads(A: RingMatrix) -> list[dict]:
+    """A's rows as sparse payload rows: column -> nonzero payload."""
+    zero = A.ring._zero_data
+    out = []
+    for row in A.rows:
+        d = {}
+        for j, e in enumerate(row):
+            if e.data != zero:
+                d[j] = e.data
+        out.append(d)
+    return out
 
 
-def _boxed(R: ChainRing, rows) -> RingMatrix:
-    return RingMatrix(R, [[RingElement(R, x) for x in row] for row in rows])
+def _boxed(R: ChainRing, rows: list[dict], n: int) -> RingMatrix:
+    """The m x n matrix of the sparse payload rows."""
+    out = []
+    for row in rows:
+        boxed = [R.zero] * n
+        for j, x in row.items():
+            boxed[j] = RingElement(R, x)
+        out.append(boxed)
+    return RingMatrix(R, out)
 
 
-def _transposed(rows: list[list]) -> list[list]:
-    return [list(col) for col in zip(*rows)]
+def _transposed(rows: list[dict], n: int) -> list[dict]:
+    """The n sparse rows of the transpose of an n-column matrix."""
+    out: list[dict] = [{} for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            out[j][i] = x
+    return out
 
 
-def _row_transforms(R: ChainRing, ops: list[tuple], m: int) -> tuple[list[list], list[list]]:
-    """(P^T, P^-1) as payload rows, with A = P @ E for E the matrix the
-    logged row operations made of A: the operations applied to the identity
-    as row operations give P^-1, and their inverses applied as column
-    operations give P, kept transposed so that they too act on rows.
+def _row_transforms(R: ChainRing, ops: list[tuple], m: int) -> tuple[list[dict], list[dict]]:
+    """(P^T, P^-1) as sparse payload rows, with A = P @ E for E the matrix
+    the logged row operations made of A: the operations applied to the
+    identity as row operations give P^-1, and their inverses applied as
+    column operations give P, kept transposed so that they too act on rows.
 
     ops holds (i, j, None) for swapping rows i and j, (i, j, c) for adding
     c * row j to row i, and (i, None, u) for scaling row i by the unit u.
     """
-    one, zero = R.one.data, R._zero_data
-    left = [[one if i == j else zero for j in range(m)] for i in range(m)]
-    left_out_t = [row[:] for row in left]
+    one = R.one.data
+    left = [{i: one} for i in range(m)]
+    left_out_t = [{i: one} for i in range(m)]
     for i, j, c in ops:
         if c is None:
             left[i], left[j] = left[j], left[i]
@@ -260,48 +292,76 @@ def _row_transforms(R: ChainRing, ops: list[tuple], m: int) -> tuple[list[list],
     return left_out_t, left
 
 
-def _min_valuation_entry(R, d, rows, cols):
-    """(v, i, j) minimal over the nonzero d[i][j], or None if all are zero."""
-    zero = R._zero_data
+def _min_valuation_row(R, d, t, c):
+    """(v, i) with i the first row from t on whose entry in column c has
+    the least valuation v, or None if none of them holds column c."""
+    val = R._payload_valuation
     best = None
-    for i in rows:
-        for j in cols:
-            x = d[i][j]
-            if x == zero:
-                continue
-            v = R._payload_valuation(x)
+    for i in range(t, len(d)):
+        x = d[i].get(c)
+        if x is not None:
+            v = val(x)
             if v == 0:
-                return (0, i, j)  # scan order makes this the (v,i,j)-minimum
-            if best is None or (v, i, j) < best:
-                best = (v, i, j)
+                return (0, i)
+            if best is None or v < best[0]:
+                best = (v, i)
+    return best
+
+
+def _min_valuation_entry(R, d, t):
+    """(v, i, j) minimal over the entries d[i][j] with i, j >= t, or None
+    if there are none."""
+    val = R._payload_valuation
+    best = None
+    for i in range(t, len(d)):
+        for j, x in d[i].items():
+            if j >= t:
+                key = (val(x), i, j)
+                if key == (0, i, t):
+                    return key  # the first row to hold a unit holds it first
+                if best is None or key < best:
+                    best = key
+        if best is not None and best[0] == 0:
+            return best  # no later row beats a unit
     return best
 
 
 def _swap(rows, ops, i, j):
     if i != j:
         rows[i], rows[j] = rows[j], rows[i]
-        ops.append((i, j, None))
+        if ops is not None:
+            ops.append((i, j, None))
 
 
 def _make_pivot(R, d, ops, t, c, v):
     """Scale row t so that d[t][c], of valuation v, becomes pi^v, and clear
-    the entries below it; every entry of those rows has valuation >= v."""
+    the column below it; every entry of those rows has valuation >= v."""
     u = R._payload_invert(R._payload_quo_pi(d[t][c], v))
-    d[t] = R._payload_scale(u, d[t])
-    ops.append((t, None, u))
-    for i in range(t + 1, len(d)):
-        _reduce_row(R, d, ops, i, t, c, v)
+    if u != R.one.data:
+        d[t] = R._payload_scale(u, d[t])
+        if ops is not None:
+            ops.append((t, None, u))
+    if t + 1 < len(d):
+        _reduce_rows(R, d, ops, range(t + 1, len(d)), t, c, v)
 
 
-def _reduce_row(R, d, ops, i, t, c, v):
-    """Subtract from row i the multiple of the pivot row t (pivot pi^v in
-    column c) that leaves d[i][c] at its canonical residue mod pi^v, which
-    is zero when d[i][c] has valuation >= v."""
-    q = R._payload_quo_pi(d[i][c], v)
-    if q != R._zero_data:
-        coeff = R._payload_neg(q)
-        d[i] = R._payload_addmul(d[i], coeff, d[t])
-        ops.append((i, t, coeff))
+def _reduce_rows(R, d, ops, rows, t, c, v):
+    """Subtract from each row i in rows that holds column c the multiple of
+    the pivot row t (pivot pi^v in column c) that leaves d[i][c] at its
+    canonical residue mod pi^v, which is zero when d[i][c] has valuation
+    >= v.  A row without column c is not touched."""
+    quo, neg, addmul, zero = R._payload_quo_pi, R._payload_neg, R._payload_addmul, R._zero_data
+    pivot = d[t]
+    for i in rows:
+        x = d[i].get(c)
+        if x is None:
+            continue
+        q = quo(x, v)
+        if q != zero:
+            coeff = neg(q)
+            d[i] = addmul(d[i], coeff, pivot)
+            if ops is not None:
+                ops.append((i, t, coeff))
 
 
 def smith_normal_form(A: RingMatrix) -> SmithDecomposition:
@@ -313,41 +373,45 @@ def smith_normal_form(A: RingMatrix) -> SmithDecomposition:
     if not isinstance(R, ChainRing):
         raise NotChainRing("Smith form requires a chain ring or product of them")
     d = _payloads(A)
-    zero = R._zero_data
     # a column operation on d is logged as the row operation it is on d's
     # transpose, so replaying col_ops gives V and the transpose of V^-1
     row_ops: list[tuple] = []
     col_ops: list[tuple] = []
     for t in range(min(A.m, A.n)):
-        found = _min_valuation_entry(R, d, range(t, A.m), range(t, A.n))
+        found = _min_valuation_entry(R, d, t)
         if found is None:
             break
         v, i, j = found
         _swap(d, row_ops, t, i)
         if t != j:
-            for row in d:
-                row[t], row[j] = row[j], row[t]
+            # a row above t holds only its own pivot column
+            for row in d[t:]:
+                a, b = row.pop(t, None), row.pop(j, None)
+                if b is not None:
+                    row[t] = b
+                if a is not None:
+                    row[j] = a
             col_ops.append((t, j, None))
         _make_pivot(R, d, row_ops, t, t, v)
-        # column t is now pi^v at row t and zero elsewhere, so adding
-        # c * column t to column j only clears d[t][j]
-        for j2 in range(t + 1, A.n):
-            x = d[t][j2]
-            if x != zero:
-                col_ops.append((j2, t, R._payload_neg(R._payload_quo_pi(x, v))))
-                d[t][j2] = zero
+        # column t is now pi^v at row t and zero elsewhere, and row t is zero
+        # before it, so adding c * column t to column j only clears d[t][j]
+        for j2 in sorted(d[t]):
+            if j2 != t:
+                col_ops.append((j2, t, R._payload_neg(R._payload_quo_pi(d[t][j2], v))))
+        d[t] = {t: d[t][t]}
 
     def transforms():
         u_t, u_inv = _row_transforms(R, row_ops, A.m)
         v_mat, v_inv_t = _row_transforms(R, col_ops, A.n)
         return (
-            _boxed(R, _transposed(u_t)),
-            _boxed(R, v_mat),
-            _boxed(R, u_inv),
-            _boxed(R, _transposed(v_inv_t)),
+            _boxed(R, _transposed(u_t, A.m), A.m),
+            _boxed(R, v_mat, A.n),
+            _boxed(R, u_inv, A.m),
+            _boxed(R, _transposed(v_inv_t, A.n), A.n),
         )
 
-    return SmithDecomposition(_boxed(R, d), transforms)
+    diag = tuple(RingElement(R, d[i][i]) if i in d[i] else R.zero for i in range(min(A.m, A.n)))
+    return SmithDecomposition(R, (A.m, A.n), diag, transforms)
 
 
 def _recombine_smith(A: RingMatrix) -> SmithDecomposition:
@@ -359,7 +423,8 @@ def _recombine_smith(A: RingMatrix) -> SmithDecomposition:
             join_matrices(ring, [dc._built[i] for dc in decs]) for i in range(4)
         )
 
-    return SmithDecomposition(join_matrices(ring, [dc.d for dc in decs]), transforms)
+    diag = tuple(RingElement(ring, parts) for parts in zip(*(dc.diag for dc in decs)))
+    return SmithDecomposition(ring, (A.m, A.n), diag, transforms)
 
 
 def split_matrix(A: RingMatrix) -> list[RingMatrix]:
@@ -402,27 +467,38 @@ def _chain_rank(A: RingMatrix) -> int:
     return sum(1 for x in dec.diagonal() if not x.is_zero())
 
 
-def payload_echelon(R: Ring, d: list[list]) -> list[tuple]:
-    """Bring the payload rows d of a matrix over the chain ring R to reduced
-    row echelon form in place, as hermite_form describes it, and return the
-    row operations that did so (logged as _row_transforms reads them)."""
+def payload_echelon(R: Ring, d: list[dict], ops: list | None = None, reduce_from: int = 0) -> None:
+    """Bring the sparse payload rows d of a matrix over the chain ring R to
+    reduced row echelon form in place, as hermite_form describes it.  Given
+    a list ops, append to it the row operations that did so, logged as
+    _row_transforms reads them.
+
+    Only nonzero entries are touched: the pivot search reads the rows that
+    hold the column, a pivot clears only the rows with a nonzero entry in
+    its column, and a row update walks the pivot row's entries.
+
+    A row pivoted in a column before reduce_from keeps its entries above
+    later pivots unreduced.  No other row changes: a row above the pivot
+    is never read again, so a caller that reads only the rows pivoted from
+    that column on (the x-only rows of a Macaulay matrix) skips that work."""
     if not isinstance(R, ChainRing):
         raise NotChainRing("Hermite form requires a chain ring or product of them")
-    ops: list[tuple] = []
-    t = 0
-    for c in range(len(d[0]) if d else 0):
-        found = _min_valuation_entry(R, d, range(t, len(d)), (c,))
+    t = top = 0
+    # fill-in only reaches columns the pivot row holds, so no other appears
+    for c in sorted({j for row in d for j in row}):
+        found = _min_valuation_row(R, d, t, c)
         if found is None:
             continue
-        v, i, _ = found
+        v, i = found
         _swap(d, ops, t, i)
         _make_pivot(R, d, ops, t, c, v)
-        for i2 in range(t):
-            _reduce_row(R, d, ops, i2, t, c, v)
+        if c < reduce_from:
+            top = t + 1
+        elif top < t:
+            _reduce_rows(R, d, ops, range(top, t), t, c, v)
         t += 1
         if t == len(d):
             break
-    return ops
 
 
 def hermite_form(A: RingMatrix) -> HermiteDecomposition:
@@ -442,13 +518,14 @@ def hermite_form(A: RingMatrix) -> HermiteDecomposition:
         return HermiteDecomposition(join_matrices(ring, [c.t for c in comps]), transforms)
     R = A.ring
     d = _payloads(A)
-    ops = payload_echelon(R, d)
+    ops: list[tuple] = []
+    payload_echelon(R, d, ops)
 
     def transforms():
         p_t, p_inv = _row_transforms(R, ops, A.m)
-        return _boxed(R, _transposed(p_t)), _boxed(R, p_inv)
+        return _boxed(R, _transposed(p_t, A.m), A.m), _boxed(R, p_inv, A.m)
 
-    return HermiteDecomposition(_boxed(R, d), transforms)
+    return HermiteDecomposition(_boxed(R, d, A.n), transforms)
 
 
 def reduced_row_echelon(A: RingMatrix) -> RingMatrix:
@@ -478,7 +555,7 @@ def kernel(A: RingMatrix) -> list[tuple[RingElement, ...]]:
     gens = []
     for i in range(A.n):
         if i < min(A.m, A.n):
-            e = R.valuation(dec.d.rows[i][i])
+            e = R.valuation(dec.diag[i])
             if e == 0:
                 continue
             w = R.pow(R.pi_element, nu - e)
@@ -503,7 +580,7 @@ def row_membership(B: RingMatrix, y: Sequence[RingElement]) -> bool:
     w = dec.v_inv.vector_mul(y)  # y @ v_inv
     for i in range(B.n):
         if i < min(B.m, B.n):
-            e = R.valuation(dec.d.rows[i][i])
+            e = R.valuation(dec.diag[i])
             if R.valuation(w[i]) < e:
                 return False
         else:

@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 from .errors import DomainError, Inconclusive, ParseError
 from .linalg import RingMatrix, payload_echelon, rank, split_matrix
 from .polys import MultiPoly, PolyRing, macaulay_rows
-from .rings import ProductRing, Ring, RingElement, _int_field, ring_from_json
+from .rings import ProductRing, Ring, RingElement, _as_list, _int_field, ring_from_json
 from .solve import _to_x_ring, _x_only_solutions, join_solutions, x_block_system
 
 
@@ -85,7 +85,9 @@ class MinRankInstance:
     @classmethod
     def from_json(cls, obj) -> "MinRankInstance":
         ring = ring_from_json(obj["ring"])
-        mats = tuple(RingMatrix.from_json_rows(ring, M, "matrices") for M in obj["matrices"])
+        mats = tuple(
+            RingMatrix.from_json_rows(ring, M, "matrices") for M in _as_list(obj["matrices"], "matrices")
+        )
         m0 = RingMatrix.from_json_rows(ring, obj["m0"], "m0") if obj.get("m0") is not None else None
         if "r" not in obj:
             raise ParseError("instance needs the target rank r")
@@ -262,8 +264,8 @@ def sm_linearization_matrix(inst: MinRankInstance):
     for e, payloads in enumerate(rows):
         b, i = divmod(e, m)  # the model's rows run over ((r+1)-subset b, row i)
         row = out[i * (len(rows) // m) + b]
-        for mono, c in zip(monos, payloads):
-            row[col[mono]] = RingElement(R, c)
+        for j, c in payloads.items():
+            row[col[monos[j]]] = RingElement(R, c)
     return RingMatrix(R, out), subsets
 
 
@@ -350,11 +352,10 @@ def macaulay_x_block(model: SMModel) -> tuple[PolyRing, list[MultiPoly]]:
     R-combination of the equations, so the x block of every zero of the
     model solves it (Bardet et al., ASIACRYPT 2020).  b = 2 is tried only
     when b = 1 gives no x-only row.  The matrix and its echelon form stay on
-    payloads throughout: nothing is boxed.
+    sparse payload rows throughout: nothing is boxed, and no row operation
+    is logged.
     """
     ring = model.poly_ring
-    R = ring.ring
-    zero = R._zero_data
     z_support = ring._support(sum(ring._gens[v] for v in model.z_vars))
     shifts = [0]
     for b in (1, 2):
@@ -362,13 +363,13 @@ def macaulay_x_block(model: SMModel) -> tuple[PolyRing, list[MultiPoly]]:
             shifts += [ring._gens[v] for v in model.x_vars]
         monos, rows = macaulay_rows(model.equations, shifts)
         nz = sum(1 for mono in monos if ring._support(mono) & z_support)
-        payload_echelon(R, rows)
-        x_polys = [
-            ring._collect(zip(monos[nz:], row[nz:]))
+        payload_echelon(ring.ring, rows, reduce_from=nz)
+        # a row's columns ascend, so its monomials descend, as terms do
+        x_rows = [
+            MultiPoly(ring, tuple((monos[j], row[j]) for j in sorted(row)))
             for row in rows
-            if all(c == zero for c in row[:nz])
+            if row and min(row) >= nz
         ]
-        x_rows = [p for p in x_polys if p]
         if x_rows:
             return _to_x_ring(ring, x_rows, model.x_vars)
     raise Inconclusive("the Macaulay matrix has no x-only row at degree 2")

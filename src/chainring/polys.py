@@ -594,8 +594,8 @@ def _univariate_var(polys: Sequence[MultiPoly], var: int | None) -> int:
 def macaulay_rows(polys: Sequence[MultiPoly], shifts: Sequence[int]) -> tuple[list, list]:
     """The Macaulay matrix of x^s * f for each packed monomial s in shifts
     and each f in polys (shift-major): (columns, rows), the columns being
-    the packed monomials that occur, in descending order, and each row the
-    payloads of one product's coefficients, zero where a monomial is absent."""
+    the packed monomials that occur, in descending order, and each row one
+    product as a sparse payload row, column index -> nonzero coefficient."""
     if not polys:
         return [], []
     ring = polys[0].ring
@@ -603,11 +603,7 @@ def macaulay_rows(polys: Sequence[MultiPoly], shifts: Sequence[int]) -> tuple[li
     # a packed monomial is its own order key
     columns = sorted({m for terms in products for m, _ in terms}, reverse=True)
     index = {m: j for j, m in enumerate(columns)}
-    rows = [[ring.ring._zero_data] * len(columns) for _ in products]
-    for row, terms in zip(rows, products):
-        for m, c in terms:
-            row[index[m]] = c
-    return columns, rows
+    return columns, [{index[m]: c for m, c in terms} for terms in products]
 
 
 # -- strong reduction -----------------------------------------------------------

@@ -384,14 +384,31 @@ class ChainRing(Ring):
             raise NotAUnit(f"{x!r} has positive valuation in {self.short_name()}")
         return inv
 
-    def _payload_scale(self, u, row: list) -> list:
-        mul = self._payload_mul
-        return [mul(u, a) for a in row]
+    # A sparse row maps each column of a nonzero entry to its payload.
 
-    def _payload_addmul(self, row_i: list, c, row_j: list) -> list:
-        """row_i + c * row_j."""
-        add, mul = self._payload_add, self._payload_mul
-        return [add(a, mul(c, b)) for a, b in zip(row_i, row_j)]
+    def _payload_scale(self, u, row: dict) -> dict:
+        """u * row, as a new sparse row."""
+        mul, zero = self._payload_mul, self._zero_data
+        out = {}
+        for j, a in row.items():
+            x = mul(u, a)
+            if x != zero:
+                out[j] = x
+        return out
+
+    def _payload_addmul(self, row_i: dict, c, row_j: dict) -> dict:
+        """row_i + c * row_j, as a new sparse row; the loop walks row_j's
+        entries only."""
+        add, mul, zero = self._payload_add, self._payload_mul, self._zero_data
+        out = dict(row_i)
+        get = out.get
+        for j, b in row_j.items():
+            x = add(get(j, zero), mul(c, b))
+            if x != zero:
+                out[j] = x
+            else:
+                out.pop(j, None)
+        return out
 
 
 class Zpk(ChainRing):
@@ -463,11 +480,19 @@ class Zpk(ChainRing):
 
     def _payload_scale(self, u, row):
         M = self.modulus
-        return [u * a % M for a in row]
+        return {j: x for j, a in row.items() if (x := u * a % M)}
 
     def _payload_addmul(self, row_i, c, row_j):
         M = self.modulus
-        return [(a + c * b) % M for a, b in zip(row_i, row_j)]
+        out = dict(row_i)
+        get = out.get
+        for j, b in row_j.items():
+            x = (get(j, 0) + c * b) % M
+            if x:
+                out[j] = x
+            else:
+                out.pop(j, None)
+        return out
 
     def reduce_mod_pi_power(self, a, e):
         return RingElement(self, a.data % self.p**e)
@@ -974,6 +999,14 @@ def crt_join(parts: Sequence[RingElement], ring: Ring) -> RingElement:
     if len(parts) != 1 or parts[0].ring != ring:
         raise ComponentMismatch("chain ring join expects exactly its own element")
     return parts[0]
+
+
+def _as_list(value, key: str) -> list:
+    """A field that must be a JSON list; a string there would otherwise be
+    read one character at a time, and a number could not be read at all."""
+    if not isinstance(value, list):
+        raise ParseError(f"field '{key}' must be a list, got {value!r}")
+    return value
 
 
 def _int_field(obj: dict, key: str) -> int:

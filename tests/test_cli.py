@@ -153,6 +153,68 @@ def test_string_for_a_list_field_is_a_parse_error(capsys, tmp_path, argv, comman
     assert json.loads(out) == {"error": {"message": message, "type": "ParseError"}}
 
 
+@pytest.mark.parametrize(
+    "argv, command",
+    [
+        (["gb", "--text"], "gb"),
+        (["solve", "--text"], "solve"),
+        (["solve", "--text", "--method", "lifting"], "solve"),
+        (["solve-local"], "solve-local"),
+        (["verify"], "gb"),
+        (["verify"], "solve"),
+        (["verify"], "solve-local"),
+    ],
+    ids=["gb", "solve", "lifting", "solve-local", "verify-gb", "verify-solve", "verify-solve-local"],
+)
+@pytest.mark.parametrize("name", [{"a": 1}, ["x"], 1, None], ids=["object", "list", "int", "null"])
+def test_variable_name_that_is_not_a_string_is_a_parse_error(capsys, tmp_path, argv, command, name):
+    # an object or list ended in "unhashable type" in PolyRing, and a number
+    # or null passed as a name and failed later as an unknown variable
+    local = command == "solve-local"
+    system = {"ring": LOCAL if local else Z8, "vars": [name], "polys": [X_PLUS_1["local" if local else "zpk"]]}
+    obj = {"command": command, "input": system, "result": {}} if argv == ["verify"] else system
+    code, out = run_cli(capsys, *argv, write(tmp_path, "input.json", obj))
+    assert code == 2
+    message = f"field 'vars' must hold variable names, got {name!r}"
+    assert json.loads(out) == {"error": {"message": message, "type": "ParseError"}}
+
+
+@pytest.mark.parametrize(
+    "command, obj, key, value",
+    [
+        (["minrank", "--instance"], {"ring": Z8, "r": 1, "matrices": 5}, "matrices", 5),
+        (["minrank", "--instance"], {"ring": Z8, "r": 1, "matrices": None}, "matrices", None),
+    ],
+    ids=["minrank-int", "minrank-null"],
+)
+def test_non_list_field_is_a_parse_error(capsys, tmp_path, command, obj, key, value):
+    # "matrices": 5 ended in "'int' object is not iterable"
+    code, out = run_cli(capsys, *command, write(tmp_path, "input.json", obj))
+    assert code == 2
+    message = f"field '{key}' must be a list, got {value!r}"
+    assert json.loads(out) == {"error": {"message": message, "type": "ParseError"}}
+
+
+@pytest.mark.parametrize("golden_name", ["solve_eq7", "solve_local_cubic", "minrank_ks"])
+@pytest.mark.parametrize(
+    "solutions, message",
+    [
+        (None, "field 'solutions' must be a list, got None"),
+        (5, "field 'solutions' must be a list, got 5"),
+        ([5], "field 'solutions' must hold lists, got 5"),
+        ([None], "field 'solutions' must hold lists, got None"),
+    ],
+    ids=["null", "number", "number-entry", "null-entry"],
+)
+def test_verify_malformed_solutions_is_a_parse_error(capsys, tmp_path, golden_name, solutions, message):
+    # each ended in a TypeError traceback in _verify_dispatch
+    envelope = json.loads((Path(__file__).resolve().parent / "goldens" / f"{golden_name}.json").read_text())
+    envelope["result"]["solutions"] = solutions
+    code, out = run_cli(capsys, "verify", write(tmp_path, "envelope.json", envelope))
+    assert code == 2
+    assert json.loads(out) == {"error": {"message": message, "type": "ParseError"}}
+
+
 def test_inline_ring_spec_missing_field_is_a_parse_error(capsys, tmp_path):
     path = write(tmp_path, "sys.json", {"vars": ["x"], "polys": ["x"]})
     code, out = run_cli(capsys, "solve", "--text", "--ring", '{"kind":"zpk","p":2}', path)

@@ -482,3 +482,63 @@ def test_echelon_forms_match_golden():
     # echelon of seeded matrices over Z4, Z8, Z9, Z25, GR(4,2) and Z12,
     # byte for byte as the boxed elimination produced them
     assert render_echelon_golden() == ECHELON_GOLDEN.read_text()
+
+
+def sparse_matrix(ring, m, n, density, rng):
+    """A seeded m x n matrix, each entry nonzero with probability density."""
+    nonzero = [x for x in ring.elements() if not x.is_zero()]
+    return RingMatrix(
+        ring, [[rng.choice(nonzero) if rng.random() < density else ring.zero for _ in range(n)] for _ in range(m)]
+    )
+
+
+def test_echelon_reads_no_zero_entry(z8, gr42, monkeypatch):
+    """The sparse kernel takes no quotient of a zero entry, so no row is
+    reduced for a zero pivot-column entry, and it logs one operation per
+    row update; its rows agree with hermite_form's T."""
+    import chainring.linalg as linalg
+
+    rng = random.Random(41)
+    for ring in (z8, gr42):
+        zero = ring._zero_data
+        quo, addmul = ring._payload_quo_pi, ring._payload_addmul
+        updates = []
+
+        def checked_quo(x, v):
+            assert x != zero, "quotient of a zero entry"
+            return quo(x, v)
+
+        def counted_addmul(row_i, c, row_j):
+            updates.append(c)
+            return addmul(row_i, c, row_j)
+
+        monkeypatch.setattr(ring, "_payload_quo_pi", checked_quo)
+        monkeypatch.setattr(ring, "_payload_addmul", counted_addmul)
+        for m, n, density in ((12, 10, 0.15), (8, 14, 0.3), (5, 5, 0.9)):
+            A = sparse_matrix(ring, m, n, density, rng)
+            d = linalg._payloads(A)
+            ops = []
+            updates.clear()
+            linalg.payload_echelon(ring, d, ops)
+            assert all(zero not in row.values() for row in d)
+            assert len(updates) == sum(1 for _, j, c in ops if j is not None and c is not None)
+            assert linalg._boxed(ring, d, n) == hermite_form(A).t
+        monkeypatch.undo()
+
+
+def test_echelon_reduce_from_changes_only_earlier_pivot_rows(z8, gr42):
+    """With reduce_from = k, the rows pivoted in a column >= k come out as
+    in the full reduced form; the others keep their pivot column."""
+    import chainring.linalg as linalg
+
+    rng = random.Random(43)
+    for ring in (z8, gr42):
+        for m, n, density in ((12, 10, 0.2), (9, 12, 0.35), (6, 6, 0.8)):
+            A = sparse_matrix(ring, m, n, density, rng)
+            full = linalg._payloads(A)
+            linalg.payload_echelon(ring, full)
+            for k in range(n + 1):
+                part = linalg._payloads(A)
+                linalg.payload_echelon(ring, part, reduce_from=k)
+                assert [min(r, default=None) for r in part] == [min(r, default=None) for r in full]
+                assert [r for r in part if r and min(r) >= k] == [r for r in full if r and min(r) >= k]

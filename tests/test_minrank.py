@@ -26,6 +26,7 @@ from chainring.minrank import (
 )
 from chainring.oracles import brute_minrank
 from chainring.polys import MultiPoly
+from chainring.rankdecode import RankDecodingInstance, to_minrank
 from chainring.rings import Zpk, integer_ring
 from chainring.solve import x_block_solutions, x_block_system
 
@@ -139,6 +140,24 @@ def test_macaulay_x_block_builds_no_boxed_matrix(affine_minrank_z8, monkeypatch)
     monkeypatch.setattr(RingMatrix, "__init__", refuse)
     assert list(minrank_candidates(affine_minrank_z8, "sm-linearization")) == expected
     assert (1, 3, 6) in {tuple(v.data for v in x) for x in expected}
+
+
+def test_macaulay_x_block_logs_no_row_operation(affine_minrank_z8, monkeypatch):
+    # the echelon runs on sparse rows and is handed no operation log
+    from chainring import minrank
+
+    logs = []
+    payload_echelon = minrank.payload_echelon
+
+    def spy(R, rows, ops=None, **kwargs):
+        logs.append(ops)
+        assert all(isinstance(row, dict) for row in rows)
+        return payload_echelon(R, rows, ops, **kwargs)
+
+    monkeypatch.setattr(minrank, "payload_echelon", spy)
+    found = list(minrank_candidates(affine_minrank_z8, "sm-linearization"))
+    assert (1, 3, 6) in {tuple(v.data for v in x) for x in found}
+    assert logs and all(ops is None for ops in logs)
 
 
 def test_sm_model_trivial_cases(z8, homogeneous_minrank_z8):
@@ -483,6 +502,35 @@ def test_each_distinct_x_only_system_is_solved_once(strategy, monkeypatch):
     # the decode word's three models share one x-only system
     keys = x_only_systems(instances["decode-seed1-1-ambiguous"], strategy)
     assert len(keys) == 3 and len(set(keys)) == 1
+
+
+MACAULAY_GOLDEN = Path(__file__).resolve().parent / "goldens" / "macaulay_x_blocks.json"
+
+
+def test_macaulay_x_blocks_match_golden():
+    # macaulay_x_block on sm_model for every unit subset of the instances of
+    # minrank_models.json and of to_minrank of two n = 6, k = 2 GR(4,2)
+    # radius-1 words drawn with random.Random(602), whose Macaulay matrices
+    # are large and sparse: the SHA-256 of the x ring's variables and the
+    # x-only polys' payload terms, or the Inconclusive raised
+    golden = json.loads(MACAULAY_GOLDEN.read_text())
+    instances = golden_instances()
+    for i, word in enumerate(golden["words"]):
+        instances[f"gr42-n6-k2-word{i}"] = to_minrank(RankDecodingInstance.from_json(word))
+    got = []
+    for name, inst in instances.items():
+        n = inst.shape[1]
+        for sub in itertools.combinations(range(n), min(inst.r, n)):
+            entry = {"instance": name, "subset": list(sub)}
+            try:
+                x_ring, polys = macaulay_x_block(sm_model(inst, sub))
+            except Inconclusive as exc:
+                entry["inconclusive"] = str(exc)
+            else:
+                blob = repr((x_ring.variables, tuple(p._terms for p in polys)))
+                entry.update(polys=len(polys), sha256=hashlib.sha256(blob.encode()).hexdigest())
+            got.append(entry)
+    assert len(got) == 162 and got == golden["blocks"]
 
 
 CANDIDATES_SCRIPT = """

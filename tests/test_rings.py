@@ -316,6 +316,16 @@ def ring_ops_tables(R):
     def payloads(row):
         return [js(RingElement(R, x)) for x in row]
 
+    # the row operations take sparse rows; each result is read back dense
+    zero = R._zero_data
+
+    def sparse(row):
+        return {j: x for j, x in enumerate(row) if x != zero}
+
+    def dense(row, n):
+        assert zero not in row.values()
+        return [row.get(j, zero) for j in range(n)]
+
     rng = random.Random(2028)
     rows = []
     for _ in range(24):
@@ -334,9 +344,17 @@ def ring_ops_tables(R):
         "payload_quo_pi": [
             [js(a), v, js(RingElement(R, R._payload_quo_pi(a.data, v)))] for a in elems for v in range(R.nu + 1)
         ],
-        "payload_scale": [[js(RingElement(R, c)), payloads(r), payloads(R._payload_scale(c, r))] for c, r, _ in rows],
+        "payload_scale": [
+            [js(RingElement(R, c)), payloads(r), payloads(dense(R._payload_scale(c, sparse(r)), len(r)))]
+            for c, r, _ in rows
+        ],
         "payload_addmul": [
-            [payloads(r), js(RingElement(R, c)), payloads(s), payloads(R._payload_addmul(r, c, s))]
+            [
+                payloads(r),
+                js(RingElement(R, c)),
+                payloads(s),
+                payloads(dense(R._payload_addmul(sparse(r), c, sparse(s)), len(r))),
+            ]
             for c, r, s in rows
         ],
         "sort_key": [[js(a), list(R.sort_key(a))] for a in elems],
