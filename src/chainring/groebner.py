@@ -26,7 +26,7 @@ from .errors import (
     ZeroIdeal,
     ZeroPolynomial,
 )
-from .polys import MultiPoly, PolyRing, _univariate_var, strong_reduce
+from .polys import MultiPoly, PolyRing, _univariate_var, divisor_table, strong_reduce
 from .rings import ChainRing
 
 
@@ -99,18 +99,20 @@ def interreduce(polys: Iterable[MultiPoly], ring: PolyRing) -> tuple[MultiPoly, 
     current = [_normalize_head(p) for p in polys if not p.is_zero()]
     for _ in range(1000):
         current.sort(key=sort_key)
+        table = divisor_table(current)  # one per pass, kept in step with current
         i = 0
         while i < len(current):
             f = current[i]
-            h = strong_reduce(f, current[:i] + current[i + 1 :], full=True)
+            h = strong_reduce(f, current[:i] + current[i + 1 :], True, table[:i] + table[i + 1 :])
             if h.is_zero():
-                del current[i]
+                del current[i], table[i]
                 continue
             h = _normalize_head(h)
             if h != f:
                 current[i] = h
                 if h._terms[0] != f._terms[0]:
                     break  # a new head: re-sort and start again
+                table[i : i + 1] = divisor_table([h], i)
             i += 1
         else:
             # descending lm; among equal lm the smaller valuation first
@@ -162,6 +164,7 @@ def buchberger(polys: Sequence[MultiPoly], ring: PolyRing | None = None) -> Groe
 
     guard = ring._guard
     basis: list[MultiPoly] = []
+    divisors: list[tuple] = []  # divisor_table(basis), grown with it
     # (packed lm, val lc, the variables of lm as guard bits) of each member
     heads: list[tuple[int, int, int]] = []
     queue: list = []  # (packed lcm, which is its order key; tiebreak; payload)
@@ -173,6 +176,7 @@ def buchberger(polys: Sequence[MultiPoly], ring: PolyRing | None = None) -> Groe
         new = len(basis)
         eg, vg, _ = h.head_data()
         basis.append(h)
+        divisors.extend(divisor_table([h], new))
         for j, (eh, vh, _) in enumerate(heads):
             lcm = ring._lcm(eg, eh)
             if vg == 0 and vh == 0 and lcm == eg + eh:
@@ -207,7 +211,7 @@ def buchberger(polys: Sequence[MultiPoly], ring: PolyRing | None = None) -> Groe
     for f in polys:
         if f.is_zero():
             continue
-        h = strong_reduce(f, basis)
+        h = strong_reduce(f, basis, False, divisors)
         if not h.is_zero():
             add(h)
 
@@ -231,7 +235,7 @@ def buchberger(polys: Sequence[MultiPoly], ring: PolyRing | None = None) -> Groe
             candidate = a_polynomial(basis[i])
         if candidate.is_zero():
             continue
-        h = strong_reduce(candidate, basis)
+        h = strong_reduce(candidate, basis, False, divisors)
         if h.is_zero():
             continue
         add(h)

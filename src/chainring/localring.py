@@ -54,6 +54,14 @@ class LocalRingPresentation(Ring):
             for j in range(g):
                 if len(self.structure[i][j]) != g:
                     raise DomainError("structure tensor has wrong shape")
+        # theta_i theta_j as its nonzero (s, payload) coordinates
+        self._products = tuple(
+            tuple(
+                tuple((s, c.data) for s, c in enumerate(self.structure[i][j]) if not c.is_zero())
+                for j in range(g)
+            )
+            for i in range(g)
+        )
         self.size = 1
         for s in self.ann_exponents:
             self.size *= base.q ** (s * _residue_degree(base))
@@ -67,10 +75,20 @@ class LocalRingPresentation(Ring):
     # -- ring protocol --------------------------------------------------------
 
     def _reduce(self, coords):
+        base = self.base
         return tuple(
-            self.base.reduce_mod_pi_power(c, s)
-            for c, s in zip(coords, self.ann_exponents)
+            RingElement(base, x) for x in self._reduce_payloads([c.data for c in coords])
         )
+
+    def _reduce_payloads(self, coords) -> tuple:
+        """Base payloads of coordinates, coordinate j reduced mod p^{s_j}."""
+        return tuple(map(self._mod_pi_power, coords, self.ann_exponents))
+
+    def _mod_pi_power(self, x, s: int):
+        """The base payload x reduced mod p^s: x - quo_pi(x, s) * pi^s."""
+        base = self.base
+        q = base._payload_mul(base._payload_quo_pi(x, s), base._payload_pi_power(s))
+        return base._payload_add(x, base._payload_neg(q))
 
     def element(self, coords) -> RingElement:
         coords = [self.base.coerce(c) for c in coords]
@@ -92,8 +110,16 @@ class LocalRingPresentation(Ring):
 
     def mul(self, a, b):
         base = self.base
-        out = _structure_product(self.structure, a.data, b.data, base.zero, base.mul)
-        return RingElement(self, self._reduce(out))
+        add, mul = base._payload_add, base._payload_mul
+        out = _structure_product(
+            self._products,
+            [x.data for x in a.data],
+            [x.data for x in b.data],
+            base._zero_data,
+            mul,
+            lambda acc, t, c: add(acc, mul(t, c)),
+        )
+        return RingElement(self, tuple(RingElement(base, x) for x in self._reduce_payloads(out)))
 
     def mul_scalar(self, c: RingElement, a: RingElement) -> RingElement:
         c = self.base.coerce(c)
@@ -220,24 +246,23 @@ class LocalRingPresentation(Ring):
         return True
 
 
-def _structure_product(structure, a, b, zero, scale) -> list:
+def _structure_product(products, a, b, zero, mul, addmul) -> list:
     """The coordinates of (sum_i a_i theta_i)(sum_j b_j theta_j), where
-    theta_i theta_j = sum_s structure[i][j][s] theta_s.  The a_i and b_j are
-    base elements or polynomials over the base; scale(v, t) multiplies such
-    a value by the base element t."""
+    products[i][j] lists the nonzero (s, t) with theta_i theta_j =
+    sum_s t theta_s, t a base payload.  The a_i and b_j are values of one
+    kind (base payloads, or polynomials over the base), zero is that kind's
+    zero, mul multiplies two values and addmul(acc, t, c) is acc + t*c."""
     g = len(a)
     out = [zero] * g
     for i in range(g):
-        if a[i].is_zero():
+        if a[i] == zero:
             continue
         for j in range(g):
-            if b[j].is_zero():
+            if b[j] == zero:
                 continue
-            c = a[i] * b[j]
-            for s in range(g):
-                t = structure[i][j][s]
-                if not t.is_zero():
-                    out[s] = out[s] + scale(c, t)
+            c = mul(a[i], b[j])
+            for s, t in products[i][j]:
+                out[s] = addmul(out[s], t, c)
     return out
 
 
@@ -285,6 +310,8 @@ def quotient_presentation(p: int, k: int, f_coeffs: Sequence[int], t: int) -> Lo
 def presentation_from_json(obj) -> LocalRingPresentation:
     """A local-ring descriptor; its ann and one must have gamma entries and
     its mul must be gamma x gamma x gamma, or it is malformed input."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"a local-ring descriptor must be an object, got {obj!r}")
     if obj.get("kind") != "local":
         raise ParseError("expected a local-ring descriptor")
     base = ring_from_json(obj["base"])
@@ -322,7 +349,13 @@ class ExpandedSystem:
 def expand_system(system: Sequence[MultiPoly]) -> ExpandedSystem:
     """Replace each variable x_i over R by gamma variables x_i_j over R0 and
     split every equation into gamma coordinate equations scaled by
-    p^{nu - s_s}; the solution sets correspond exactly."""
+    p^{nu - s_s}; the solution sets correspond exactly.
+
+    A symbolic element of R is a vector of gamma polynomials over R0, each a
+    dict from packed monomial to nonzero payload, multiplied by the same
+    structure-constant rule as the ring's own elements.  The vector of
+    x_i^e is built once per variable and exponent; each equation is
+    collected once."""
     system = list(system)
     if not system:
         raise DomainError("empty system")
@@ -337,41 +370,90 @@ def expand_system(system: Sequence[MultiPoly]) -> ExpandedSystem:
         for j in range(g):
             names.append(f"{v}_{j + 1}")
     target = PolyRing(base, names, src.order.kind)
+    add, mul, zero = base._payload_add, base._payload_mul, base._zero_data
 
-    # symbolic elements of R: vectors of g polynomials over R0, multiplied
-    # by the same structure-constant rule as the ring's own elements
-    x_vecs = [[target.gen(i * g + j) for j in range(g)] for i in range(src.nvars)]
+    def times(x: dict, y: dict) -> dict:
+        out: dict = {}
+        for mx, cx in x.items():
+            for my, cy in y.items():
+                m = mx + my
+                v = mul(cx, cy)
+                out[m] = add(out[m], v) if m in out else v
+        return {m: c for m, c in out.items() if c != zero}
+
+    def product(x: list, y: list) -> list:
+        return _structure_product(pres._products, x, y, {}, times, base._payload_addmul)
+
+    x_vecs = [[{target._gens[i * g + j]: base.one.data} for j in range(g)] for i in range(src.nvars)]
+    powers: dict = {}  # (i, e) -> the vector of x_i^e
+
+    def power(i: int, e: int) -> list:
+        vec = powers.get((i, e))
+        if vec is None:
+            vec = powers[i, e] = x_vecs[i] if e == 1 else product(power(i, e - 1), x_vecs[i])
+        return vec
+
+    scales = [base._payload_pi_power(base.nu - s) for s in pres.ann_exponents]
     equations = []
     for f in system:
-        total = [target.zero] * g
+        coords: list[list] = [[] for _ in range(g)]
         for exps, coeff in f.terms:
-            term_vec = [target.constant(x) for x in coeff.data]
+            vec = [{0: x.data} if not x.is_zero() else {} for x in coeff.data]
             for i, e in enumerate(exps):
-                for _ in range(e):
-                    term_vec = _structure_product(
-                        pres.structure, term_vec, x_vecs[i], target.zero, MultiPoly.scale
-                    )
-            total = [x + y for x, y in zip(total, term_vec)]
+                if e:
+                    vec = product(vec, power(i, e))
+            for s in range(g):
+                coords[s].extend(vec[s].items())
         for s in range(g):
-            mult = base.pow(base.pi_element, base.nu - pres.ann_exponents[s])
-            equations.append(total[s].scale(mult))
+            k = scales[s]
+            equations.append(target._collect((m, mul(k, c)) for m, c in coords[s]))
     return ExpandedSystem(pres, src, target, tuple(equations))
 
 
 def contract_solutions(expanded: ExpandedSystem, solutions) -> frozenset:
     """Map solutions over R0^{k*gamma} back to R^k, reducing coordinate j
-    modulo p^{s_j} and deduplicating."""
+    modulo p^{s_j} and deduplicating.  A coordinate may be ALL_OF_RING: it
+    then takes each residue mod p^{s_j} once.  The points are deduplicated
+    as payload tuples and boxed once each."""
+    from .solve import ALL_OF_RING
+
     pres = expanded.presentation
+    base = pres.base
     g = pres.gamma_count
     k = expanded.source_ring.nvars
-    out = set()
+    ann = pres.ann_exponents
+    mod = pres._mod_pi_power
+    reduced: dict = {}  # a block of coordinate payloads -> reduced
+    residues: dict = {}  # s -> the payloads of R0 mod p^s
+
+    def reduce(block) -> tuple:
+        key = tuple(x.data for x in block)
+        r = reduced.get(key)
+        if r is None:
+            r = reduced[key] = pres._reduce_payloads(key)
+        return r
+
+    def options(j: int, x) -> list:
+        s = ann[j]
+        if x is not ALL_OF_RING:
+            return [mod(x.data, s)]
+        slot = residues.get(s)
+        if slot is None:
+            slot = residues[s] = list({mod(y.data, s) for y in base.elements()})
+        return slot
+
+    seen: set = set()
     for sol in solutions:
-        point = []
-        for i in range(k):
-            coords = sol[i * g : (i + 1) * g]
-            point.append(pres.element(coords))
-        out.add(tuple(point))
-    return frozenset(out)
+        blocks = [sol[i * g : (i + 1) * g] for i in range(k)]
+        if ALL_OF_RING not in sol:
+            seen.add(tuple(map(reduce, blocks)))
+            continue
+        slots = [list(itertools.product(*map(options, range(g), block))) for block in blocks]
+        seen.update(itertools.product(*slots))
+    return frozenset(
+        tuple(RingElement(pres, tuple(RingElement(base, x) for x in coords)) for coords in point)
+        for point in seen
+    )
 
 
 def solve_local_system(system: Sequence[MultiPoly]):
@@ -380,4 +462,5 @@ def solve_local_system(system: Sequence[MultiPoly]):
 
     expanded = expand_system(system)
     inner = solve_system(list(expanded.equations))
-    return contract_solutions(expanded, inner.explicit())
+    inner.check_cap()
+    return contract_solutions(expanded, inner.solutions)

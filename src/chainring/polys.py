@@ -535,6 +535,68 @@ class MultiPoly:
         return " + ".join(parts)
 
 
+# -- compiled evaluation ----------------------------------------------------------
+# The solver evaluates each polynomial at many points.  It reads the
+# polynomial once into a compiled form over a list of variables and runs
+# evaluate_compiled on payload points.  MultiPoly.evaluate stays a separate
+# loop: the oracles and the CLI's verify use it, so the reference shares no
+# evaluation code with the solver.
+
+
+def compile_poly(f: MultiPoly, variables: Sequence[int]) -> list[tuple]:
+    """f's terms as (payload, ((position, exponent), ...)), where position
+    indexes variables and zero exponents are dropped; f uses no variable
+    outside variables."""
+    shifts = [f.ring._shifts[v] for v in variables]
+    return [
+        (c, tuple((i, e) for i, s in enumerate(shifts) if (e := (m >> s) & MAX_EXPONENT)))
+        for m, c in f._terms
+    ]
+
+
+def differentiate_compiled(R: Ring, terms: list[tuple], i: int) -> list[tuple]:
+    """The compiled form of the derivative in the variable at position i;
+    each distinct exponent's payload is built once."""
+    mul, zero = R._payload_mul, R._zero_data
+    ints: dict = {}
+    out = []
+    for c, factors in terms:
+        for j, (pos, e) in enumerate(factors):
+            if pos == i:
+                k = ints.get(e)
+                if k is None:
+                    k = ints[e] = R.from_int(e).data
+                v = mul(k, c)
+                if v != zero:
+                    lower = ((i, e - 1),) if e > 1 else ()
+                    out.append((v, factors[:j] + lower + factors[j + 1 :]))
+                break
+    return out
+
+
+def split_compiled(terms: list[tuple], free) -> Iterable[list[tuple]]:
+    """Compiled terms grouped by their monomial in the positions in free,
+    each term with those factors taken out: the coefficients, in the free
+    variables, of the polynomial with the other variables fixed."""
+    groups: dict = {}
+    for c, factors in terms:
+        key = tuple(f for f in factors if f[0] in free)
+        groups.setdefault(key, []).append((c, tuple(f for f in factors if f[0] not in free)))
+    return groups.values()
+
+
+def evaluate_compiled(R: Ring, terms, point):
+    """The payload value of compiled terms at point, a sequence of payloads
+    indexed by position."""
+    add, mul, power = R._payload_add, R._payload_mul, R._payload_pow
+    total = R._zero_data
+    for v, factors in terms:
+        for i, e in factors:
+            v = mul(v, point[i] if e == 1 else power(point[i], e))
+        total = add(total, v)
+    return total
+
+
 def _overflow() -> ExponentOverflow:
     return ExponentOverflow(f"a product has an exponent above {MAX_EXPONENT}")
 
@@ -633,7 +695,17 @@ def term_divides(ring: PolyRing, t1, t2):
 _MAX_REDUCTION_STEPS = 200_000
 
 
-def _reduce_core(f: MultiPoly, basis, full: bool, record):
+def divisor_table(basis: Iterable[MultiPoly], start: int = 0) -> list[tuple]:
+    """What strong reduction reads of each nonzero member of basis, in
+    order: (packed lm, val lc, payload of the inverse of lc's unit part,
+    terms, index), the index counting from start over the nonzero members
+    (strong_reduce_with_witness reads it).  A caller that reduces by one
+    basis many times keeps the table and passes it to strong_reduce."""
+    members = [g for g in basis if g._terms]
+    return [(g._head or g.head_data()) + (g._terms, gi) for gi, g in enumerate(members, start)]
+
+
+def _reduce_core(f: MultiPoly, heads: list[tuple], full: bool, record):
     ring = f.ring
     R = ring.ring
     guard = ring._guard
@@ -642,7 +714,6 @@ def _reduce_core(f: MultiPoly, basis, full: bool, record):
     mul = R._payload_mul
     neg = R._payload_neg
     pi_power = R._payload_pi_power
-    heads = [(g._head or g.head_data()) + (g._terms, gi) for gi, g in enumerate(basis)]
     rem: list = []
     work = f._terms
     steps = 0
@@ -676,14 +747,18 @@ def _reduce_core(f: MultiPoly, basis, full: bool, record):
     return MultiPoly(ring, tuple(rem))
 
 
-def strong_reduce(f: MultiPoly, basis: Iterable[MultiPoly], full: bool = False) -> MultiPoly:
+def strong_reduce(
+    f: MultiPoly, basis: Iterable[MultiPoly], full: bool = False, divisors: list | None = None
+) -> MultiPoly:
     """Normal form of f under one-step strong reduction by the basis.
 
     Head-only by default (no lt(g) divides lt(result)); with full=True the
-    reduction continues into lower terms for canonical output.
+    reduction continues into lower terms for canonical output.  divisors,
+    if given, is divisor_table(basis), kept by the caller.
     """
-    basis = [g for g in basis if g._terms]
-    return _reduce_core(f, basis, full, None)
+    if divisors is None:
+        divisors = divisor_table(basis)
+    return _reduce_core(f, divisors, full, None)
 
 
 def strong_reduce_with_witness(f: MultiPoly, basis, full: bool = False):
@@ -691,7 +766,7 @@ def strong_reduce_with_witness(f: MultiPoly, basis, full: bool = False):
     f = sum q_i * basis_i + remainder."""
     basis = [g for g in basis if not g.is_zero()]
     record: list = []
-    remainder = _reduce_core(f, basis, full, record)
+    remainder = _reduce_core(f, divisor_table(basis), full, record)
     quotients = [f.ring.zero for _ in basis]
     for gi, m, coeff in record:
         quotients[gi] = quotients[gi] + f.ring._collect([(m, coeff)])

@@ -31,7 +31,15 @@ from .errors import (
     WrongOrder,
 )
 from .groebner import buchberger, elimination_subbasis
-from .polys import MAX_EXPONENT, MultiPoly, PolyRing, _univariate_var
+from .polys import (
+    MultiPoly,
+    PolyRing,
+    _univariate_var,
+    compile_poly,
+    differentiate_compiled,
+    evaluate_compiled,
+    split_compiled,
+)
 from .rings import ChainRing, ProductRing, Ring, RingElement
 
 
@@ -84,10 +92,14 @@ class SolutionSet:
             total += n
         return total
 
-    def explicit(self) -> frozenset:
-        """Fully expanded tuples (cap-guarded)."""
+    def check_cap(self):
+        """ResourceExceeded if the expanded set would pass the cap."""
         if self.count() > self.cap:
             raise ResourceExceeded(f"solution set larger than cap {self.cap}")
+
+    def explicit(self) -> frozenset:
+        """Fully expanded tuples (cap-guarded)."""
+        self.check_cap()
         out = set()
         elems = None
         for sol in self.solutions:
@@ -328,22 +340,28 @@ def solve_system(
 
 
 def _verify_solutions(ring: PolyRing, original: list[MultiPoly], solutions):
+    """InternalInvariant unless every tuple solves the original system.  A
+    tuple with free coordinates must solve it for every value of them: for
+    each monomial in the free variables, the fixed parts of its terms must
+    sum to zero (polys.split_compiled), as substituting the fixed
+    coordinates must leave the zero polynomial."""
     R = ring.ring
+    zero = R._zero_data
+    system = [compile_poly(p, range(ring.nvars)) for p in original]
+    parts_by_free: dict = {}  # free positions -> the fixed parts to sum
     for sol in solutions:
-        fixed = [(i, x) for i, x in enumerate(sol) if x is not ALL_OF_RING]
-        if len(fixed) == len(sol):
-            for p in original:
-                if not p.evaluate(list(sol)).is_zero():
+        point = [None if x is ALL_OF_RING else x.data for x in sol]
+        if None not in point:
+            for f in system:
+                if evaluate_compiled(R, f, point) != zero:
                     raise InternalInvariant("solver emitted a non-solution")
-        else:
-            for p in original:
-                q = p
-                for i, x in fixed:
-                    q = q.substitute(i, x)
-                if not q.is_zero():
-                    raise InternalInvariant(
-                        "free coordinates must satisfy the system identically"
-                    )
+            continue
+        free = frozenset(i for i, x in enumerate(point) if x is None)
+        parts = parts_by_free.get(free)
+        if parts is None:
+            parts = parts_by_free[free] = [part for f in system for part in split_compiled(f, free)]
+        if any(evaluate_compiled(R, part, point) != zero for part in parts):
+            raise InternalInvariant("free coordinates must satisfy the system identically")
 
 
 def _solve_product(polys, ring: PolyRing, max_solutions) -> SolutionSet:
@@ -503,51 +521,37 @@ def _lift_roots(
     mod π^j; it extends to c + π^j z for the residue solutions z of
     D f(γ0) z = -(f(c)/π^j mod π), which makes f vanish mod π^{j+1}.  Every
     root's truncations are branches, and each final candidate is
-    re-evaluated, so the result is exact.  The polynomials and their
-    Jacobian are read once into (exponents over the variables, payload)
-    terms and the branches are tuples of payloads; only roots are boxed.
+    re-evaluated, so the result is exact.  The polynomials are compiled
+    once over the variables (polys.compile_poly), their Jacobian is
+    differentiated from that form, and the branches are tuples of payloads;
+    only roots are boxed.
     """
-    ring = polys[0].ring
-    shifts = [ring._shifts[v] for v in variables]
-    add, mul, power, neg = R._payload_add, R._payload_mul, R._payload_pow, R._payload_neg
+    add, mul, neg = R._payload_add, R._payload_mul, R._payload_neg
     digit, quo_pi = R._payload_digit, R._payload_quo_pi
     zero = R._zero_data
-
-    def compiled(p: MultiPoly) -> list:
-        return [(tuple((m >> s) & MAX_EXPONENT for s in shifts), c) for m, c in p._terms]
-
-    def value(terms, point):
-        total = zero
-        for exps, v in terms:
-            for x, e in zip(point, exps):
-                if e:
-                    v = mul(v, power(x, e))
-            total = add(total, v)
-        return total
-
-    fs = [compiled(p) for p in polys]
-    jac = [[compiled(p.derivative(v)) for v in variables] for p in polys]
+    fs = [compile_poly(p, variables) for p in polys]
+    jac = [[differentiate_compiled(R, f, i) for i in range(len(variables))] for f in fs]
     gamma = [g.data for g in R.teichmuller_set()]
     solutions = set()
     # level 0 tests every point of Γ^k, so a system whose residue-field
     # projection vanishes identically needs no special case
-    for g0 in itertools.product(gamma, repeat=len(shifts)):
-        if any(digit(value(f, g0)) != zero for f in fs):
+    for g0 in itertools.product(gamma, repeat=len(variables)):
+        if any(digit(evaluate_compiled(R, f, g0)) != zero for f in fs):
             continue
-        rows = [[digit(value(d, g0)) for d in row] for row in jac]
+        rows = [[digit(evaluate_compiled(R, d, g0)) for d in row] for row in jac]
         branches = [g0]
         for j in range(1, R.nu):
             pi_j = R._payload_pi_power(j)
             next_branches = []
             for c in branches:
-                rhs = [digit(neg(quo_pi(value(f, c), j))) for f in fs]
+                rhs = [digit(neg(quo_pi(evaluate_compiled(R, f, c), j))) for f in fs]
                 for z in _residue_solutions(R, gamma, rows, rhs):
                     next_branches.append(tuple(add(x, mul(pi_j, y)) for x, y in zip(c, z)))
                     if len(next_branches) > max_solutions:
                         raise ResourceExceeded("lifting branch count exceeds cap")
             branches = next_branches
         for c in branches:
-            if all(value(f, c) == zero for f in fs):
+            if all(evaluate_compiled(R, f, c) == zero for f in fs):
                 solutions.add(tuple(RingElement(R, x) for x in c))
     return solutions
 

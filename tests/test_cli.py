@@ -448,6 +448,19 @@ def test_local_ring_descriptor_shape_is_checked(capsys, tmp_path, change, field)
     assert error["message"].startswith(f"field '{field}'")
 
 
+@pytest.mark.parametrize("ring", [5, [], "local", None], ids=["number", "list", "string", "null"])
+@pytest.mark.parametrize("command", ["solve-local", "verify"])
+def test_local_ring_descriptor_must_be_an_object(capsys, tmp_path, ring, command):
+    # a ring that is not an object ended in an AttributeError traceback, exit 1
+    system = {"ring": ring, "vars": ["x"], "polys": [X_PLUS_1["local"]]}
+    if command == "verify":
+        system = {"command": "solve-local", "input": system, "result": {"solutions": []}}
+    code, out = run_cli(capsys, command, write(tmp_path, "input.json", system))
+    assert code == 2
+    message = f"a local-ring descriptor must be an object, got {ring!r}"
+    assert json.loads(out) == {"error": {"message": message, "type": "ParseError"}}
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,8 +1,12 @@
+import hashlib
 import itertools
+import json
+import random
+from pathlib import Path
 
 import pytest
 
-from chainring.errors import NotARing
+from chainring.errors import ChainRingError, NotARing
 from chainring.localring import (
     LocalRingPresentation,
     contract_solutions,
@@ -11,8 +15,9 @@ from chainring.localring import (
     quotient_presentation,
     solve_local_system,
 )
-from chainring.polys import PolyRing
+from chainring.polys import MultiPoly, PolyRing
 from chainring.rings import Zpk
+from chainring.solve import ALL_OF_RING, SolutionSet, solve_system
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +141,45 @@ def test_contract_empty(paper_ring):
     assert contract_solutions(expanded, set()) == frozenset()
 
 
+def test_contract_free_coordinates_equals_contracting_explicit_tuples(paper_ring, z8):
+    # contraction expands a free coordinate to its residues mod p^{s_j}
+    # only; that gives what expanding it to all of R0 first gave
+    P = PolyRing(paper_ring, ("x", "y"), "lex")
+    expanded = expand_system([P.poly([((1, 0), paper_ring.from_int(2)), ((0, 0), paper_ring.from_int(4))])])
+    inner = solve_system(list(expanded.equations))
+    assert any(ALL_OF_RING in sol for sol in inner.solutions)
+    by_hand = SolutionSet(
+        z8,
+        expanded.target_ring.variables,
+        frozenset(
+            {
+                (z8.element(3), ALL_OF_RING, ALL_OF_RING, z8.element(5)),
+                (ALL_OF_RING, z8.element(1), z8.element(6), ALL_OF_RING),
+                (z8.element(3), z8.element(3), z8.element(6), z8.element(1)),
+            }
+        ),
+    )
+    for solutions in (inner, by_hand):
+        contracted = contract_solutions(expanded, solutions.solutions)
+        assert contracted == contract_solutions(expanded, solutions.explicit())
+    # each free tuple gives 16 points, and both hold the fixed tuple's
+    # point x = 3*t1 + t2, y = 6*t1 + t2
+    assert len(contract_solutions(expanded, by_hand.solutions)) == 16 + 16 - 1
+
+
+def test_expand_system_builds_no_boxed_polynomial_arithmetic(monkeypatch):
+    # expand_system collects packed payload terms: no MultiPoly operator runs
+    cases = list(local_golden_cases())
+    expected = [expand_system(polys).equations for _, _, polys in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("boxed polynomial arithmetic")
+
+    for op in ("__add__", "__sub__", "__mul__", "__neg__", "scale"):
+        monkeypatch.setattr(MultiPoly, op, refuse)
+    assert [expand_system(polys).equations for _, _, polys in cases] == expected
+
+
 def test_solve_local_cubic(paper_ring):
     P = PolyRing(paper_ring, ("x",), "lex")
     cubic = P.poly(
@@ -173,3 +217,71 @@ def test_presentation_json_roundtrip(paper_ring):
     assert clone == paper_ring
     x = paper_ring.element([3, 1])
     assert clone.element_from_json(paper_ring.element_to_json(x)) == x
+
+
+LOCAL_GOLDEN = Path(__file__).resolve().parent / "goldens" / "local_expansions.json"
+LOCAL_CUBIC = Path(__file__).resolve().parents[1] / "instances" / "local_cubic.json"
+
+
+def local_golden_cases():
+    """Seeded systems as (ring name, PolyRing, polynomials): 1-2 polynomials
+    in 1-2 variables over the ring of instances/local_cubic.json and over
+    Z4[X]/(X^3 + 2, 2X) (16 elements, gamma = 3)."""
+    rings = {
+        "local_cubic": presentation_from_json(json.loads(LOCAL_CUBIC.read_text())["ring"]),
+        "z4_cubic": quotient_presentation(2, 2, [2, 0, 0, 1], 1),
+    }
+    strata = [(1, 1, 3), (1, 2, 3), (2, 1, 2), (2, 2, 2)]
+    rng = random.Random(2211)
+    for name, ring in rings.items():
+        nonzero = sorted(ring.elements(), key=ring.sort_key)[1:]
+        for nvars, npolys, degree in strata:
+            P = PolyRing(ring, ("x", "y")[:nvars], "lex")
+            for _ in range(10):
+                polys = []
+                for _ in range(npolys):
+                    terms = []
+                    for _ in range(rng.randint(2, 4)):
+                        exps = [0] * nvars
+                        for _ in range(rng.randint(0, degree)):
+                            exps[rng.randrange(nvars)] += 1
+                        terms.append((tuple(exps), rng.choice(nonzero)))
+                    polys.append(P.poly(terms))
+                yield name, P, polys
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def local_expansion_records():
+    """expand_system's target variables and payload terms, and
+    solve_local_system's answers in sort_key order, as SHA-256 digests."""
+    for name, P, polys in local_golden_cases():
+        R = P.ring
+        expanded = expand_system(polys)
+        record = {
+            "ring": name,
+            "polys": [P.poly_to_json(f) for f in polys],
+            "expansion": _digest((expanded.target_ring.variables, tuple(e._terms for e in expanded.equations))),
+        }
+        try:
+            answers = solve_local_system(polys)
+        except ChainRingError as exc:
+            record["error"] = type(exc).__name__
+        else:
+            points = sorted(answers, key=lambda t: [R.sort_key(x) for x in t])
+            record["count"] = len(points)
+            record["answers"] = _digest([[R.element_to_json(x) for x in t] for t in points])
+        yield record
+
+
+def render_local_golden() -> str:
+    records = list(local_expansion_records())
+    return "[\n" + ",\n".join(json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records) + "\n]\n"
+
+
+def test_local_expansions_match_golden():
+    # the expansion and the contracted answers of 80 seeded local systems,
+    # byte for byte as the boxed expansion and contraction produced them
+    assert render_local_golden() == LOCAL_GOLDEN.read_text()

@@ -15,6 +15,10 @@ from chainring.polys import (
     MAX_EXPONENT,
     MonomialOrder,
     PolyRing,
+    compile_poly,
+    differentiate_compiled,
+    evaluate_compiled,
+    split_compiled,
     strong_reduce,
     strong_reduce_with_witness,
     term_divides,
@@ -256,10 +260,11 @@ def boxed_horner(f, point):
 
 
 def test_evaluate_matches_boxed_horner():
-    # evaluate reads the packed terms; solve re-verifies every emitted tuple
-    # and brute_solve enumerates with it, so it is checked against boxed
-    # arithmetic at every point of Z8 and GR(4,2) and at seeded points of
-    # Z12 and a local ring, under lex and degrevlex
+    # evaluate reads the packed terms and brute_solve enumerates with it;
+    # the solver's compiled evaluation lifts roots and re-verifies every
+    # emitted tuple: both are checked against boxed arithmetic at every
+    # point of Z8 and GR(4,2) and at seeded points of Z12 and a local ring,
+    # under lex and degrevlex
     rings = poly_golden_rings()
     rng = random.Random(5)
     for name, R in [("z8", Zpk(2, 3)), ("gr42", rings["gr42"]), ("z12", rings["z12"]), ("local", rings["local_cubic"])]:
@@ -272,8 +277,32 @@ def test_evaluate_matches_boxed_horner():
                     points = [[a, b] for a in elems for b in elems]
                 else:
                     points = [[rng.choice(elems), rng.choice(elems)] for _ in range(60)]
+                compiled = compile_poly(f, range(2))
                 for point in points:
-                    assert f.evaluate(point) == boxed_horner(f, point)
+                    expected = boxed_horner(f, point)
+                    assert f.evaluate(point) == expected
+                    assert evaluate_compiled(R, compiled, [x.data for x in point]) == expected.data
+
+
+@pytest.mark.parametrize("order", ["lex", MonomialOrder("degrevlex", (2, 0, 1))])
+def test_compiled_form_differentiates_and_splits_like_the_polynomial(z8, gr42, order):
+    # the lift differentiates the compiled form, and re-verification splits
+    # it by the free coordinates' monomials; both agree with MultiPoly
+    rng = random.Random(22)
+    for R in (z8, gr42):
+        P = PolyRing(R, ("x", "y", "z"), order)
+        elems = list(R.elements())
+        for _ in range(10):
+            f = P.poly({tuple(rng.randrange(4) for _ in range(3)): rng.choice(elems) for _ in range(5)})
+            compiled = compile_poly(f, range(3))
+            var, value = rng.randrange(3), rng.choice(elems)
+            assert differentiate_compiled(R, compiled, var) == compile_poly(f.derivative(var), range(3))
+            point = [None] * 3
+            point[var] = value.data
+            parts = split_compiled(compiled, set(range(3)) - {var})
+            sums = [evaluate_compiled(R, part, point) for part in parts]
+            substituted = f.substitute(var, value)
+            assert sorted(v for v in sums if v != R._zero_data) == sorted(c for _, c in substituted._terms)
 
 
 POLY_GOLDEN = Path(__file__).resolve().parent / "goldens" / "poly_ops.json"

@@ -546,6 +546,20 @@ def test_failed_reverification_raises(z8):
         _verify_solutions(P, [P.parse("x")], frozenset({(ALL_OF_RING, z8.zero)}))
 
 
+def test_free_coordinates_pass_when_the_fixed_parts_cancel(z8):
+    # x*y and 7*y share the free monomial y; at x = 1 their fixed parts
+    # 1 and 7 sum to zero, so (1, *) solves x*y + 7*y for every y
+    P = PolyRing(z8, ("x", "y"), "lex")
+    _verify_solutions(P, [P.parse("x*y + 7*y"), P.parse("x^2 + 7")], frozenset({(z8.one, ALL_OF_RING)}))
+
+
+def test_free_coordinates_raise_when_the_fixed_parts_do_not_cancel(z8):
+    # x*y + y at x = 1 is 2*y, not zero for every y
+    P = PolyRing(z8, ("x", "y"), "lex")
+    with pytest.raises(InternalInvariant, match="free coordinates must satisfy the system identically"):
+        _verify_solutions(P, [P.parse("x*y + y")], frozenset({(z8.one, ALL_OF_RING)}))
+
+
 SOLVE_GOLDEN = Path(__file__).resolve().parent / "goldens" / "solve_sets.json"
 LOCAL_CUBIC = Path(__file__).resolve().parents[1] / "instances" / "local_cubic.json"
 SOLVE_GOLDEN_CAPS = (1, 10, 100)
