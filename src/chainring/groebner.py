@@ -6,9 +6,12 @@ multiple of its head).  Two criteria drop S-pairs that Buchberger's
 criterion does not need: the coprime criterion for unit heads, and the chain
 criterion in its valuation-aware form (a third head term-divides the pair's
 lcm and its pairs with both members are already treated); a unit head's
-A-polynomial is zero and is never queued.  Output is fully
+A-polynomial is zero and is never queued.  An S-polynomial merges only the
+two tails, since the heads cancel by construction.  A unit constant among
+the remainders ends the run with the basis (1).  Output is fully
 interreduced with leading coefficients normalized to pi^val, so golden tests
-are byte-stable.
+are byte-stable; a lex caller that needs only an elimination ideal passes
+buchberger's keep_from, and only those members are interreduced.
 """
 
 from __future__ import annotations
@@ -26,7 +29,15 @@ from .errors import (
     ZeroIdeal,
     ZeroPolynomial,
 )
-from .polys import MultiPoly, PolyRing, _univariate_var, divisor_table, strong_reduce
+from .polys import (
+    _FIELD_BITS,
+    MultiPoly,
+    PolyRing,
+    _add_terms,
+    _univariate_var,
+    divisor_table,
+    strong_reduce,
+)
 from .rings import ChainRing
 
 
@@ -64,7 +75,9 @@ def s_polynomial(g1: MultiPoly, g2: MultiPoly) -> MultiPoly:
     # c_i = b_i^{-1} pi^{l-l_i} where lc(g_i) = b_i pi^{l_i}
     k1 = R._payload_mul(inv1, R._payload_pi_power(l - l1))
     k2 = R._payload_mul(inv2, R._payload_pi_power(l - l2))
-    return ring.zero._plus_multiple(g1, lcm - e1, k1)._plus_multiple(g2, lcm - e2, R._payload_neg(k2))
+    # both heads become pi^l * x^lcm and cancel: merge the two tails only
+    tail1 = _add_terms(ring, (), g1._terms[1:], lcm - e1, k1)
+    return MultiPoly(ring, tuple(_add_terms(ring, tail1, g2._terms[1:], lcm - e2, R._payload_neg(k2))))
 
 
 def a_polynomial(g: MultiPoly) -> MultiPoly:
@@ -122,9 +135,16 @@ def interreduce(polys: Iterable[MultiPoly], ring: PolyRing) -> tuple[MultiPoly, 
 
 
 _MAX_PAIRS = 200_000
+# the most terms a remainder may have before buchberger gives up: the longest
+# remainder of the tier-1 suite has 313 terms and that of the benchmark
+# workloads 11, while a lex basis that runs away passes 5,000 within half a
+# second
+_MAX_TERMS = 5_000
 
 
-def buchberger(polys: Sequence[MultiPoly], ring: PolyRing | None = None) -> GroebnerBasis:
+def buchberger(
+    polys: Sequence[MultiPoly], ring: PolyRing | None = None, *, keep_from: int | None = None
+) -> GroebnerBasis:
     """Gröbner basis of the ideal generated by polys, interreduced.
 
     The pending queue holds both S-pairs and A-polynomials, processed in
@@ -153,6 +173,23 @@ def buchberger(polys: Sequence[MultiPoly], ring: PolyRing | None = None) -> Groe
 
     A-polynomials are queued only for heads with a non-unit coefficient: a
     unit head's A-polynomial is pi^nu * g = 0.
+
+    A remainder that is a unit constant ends the run at once: the ideal is
+    the whole ring and its basis is (1).  More than _MAX_PAIRS pairs, or a
+    remainder of more than _MAX_TERMS terms, raises ResourceExceeded; its
+    message gives the pairs processed, the basis size and the longest
+    member.
+
+    keep_from, for a lex ring only (WrongOrder otherwise), returns the
+    members in the variables of priority index >= keep_from alone, which is
+    elimination_subbasis(buchberger(polys, ring), keep_from) byte for byte
+    at the cost of interreducing those members only.  Under lex every
+    monomial in the kept variables sorts below every monomial with an
+    eliminated one, so no member with an eliminated variable in its head
+    divides a term of a kept member, and interreduction never turns such a
+    member into a kept one: its head is either kept, or divisible by
+    another head, and then the others still form a Gröbner basis and it
+    reduces to zero.
     """
     if ring is None:
         if not polys:
@@ -161,15 +198,22 @@ def buchberger(polys: Sequence[MultiPoly], ring: PolyRing | None = None) -> Groe
     R = ring.ring
     if not isinstance(R, ChainRing):
         raise DomainError("Gröbner bases require a chain ring; split PIRs first")
+    if keep_from is not None:
+        if ring.order.kind != "lex":
+            raise WrongOrder("elimination requires a lexicographic basis")
+        # under lex the kept variables fill the low fields of a packed
+        # monomial: a head below this bound uses none of the others
+        kept_below = 1 << (len(ring.order.priority[keep_from:]) * _FIELD_BITS)
 
     guard = ring._guard
     basis: list[MultiPoly] = []
     divisors: list[tuple] = []  # divisor_table(basis), grown with it
-    # (packed lm, val lc, the variables of lm as guard bits) of each member
-    heads: list[tuple[int, int, int]] = []
+    # (packed lm, val lc) of each member
+    heads: list[tuple[int, int]] = []
     queue: list = []  # (packed lcm, which is its order key; tiebreak; payload)
     pending: set[tuple[int, int]] = set()  # queued S-pairs (j, i) with j < i
     counter = 0
+    steps = 0  # pairs popped
 
     def add(h: MultiPoly):
         nonlocal counter
@@ -177,71 +221,72 @@ def buchberger(polys: Sequence[MultiPoly], ring: PolyRing | None = None) -> Groe
         eg, vg, _ = h.head_data()
         basis.append(h)
         divisors.extend(divisor_table([h], new))
-        for j, (eh, vh, _) in enumerate(heads):
+        for j, (eh, vh) in enumerate(heads):
             lcm = ring._lcm(eg, eh)
             if vg == 0 and vh == 0 and lcm == eg + eh:
                 continue
             heapq.heappush(queue, (lcm, counter, ("s", j, new)))
             pending.add((j, new))
             counter += 1
-        heads.append((eg, vg, ring._support(eg)))
+        heads.append((eg, vg))
         if vg > 0:
             heapq.heappush(queue, (eg, counter, ("a", new, -1)))
             counter += 1
 
     def chain_skips(i: int, j: int, lcm: int) -> bool:
-        _, vi, si = heads[i]
-        _, vj, sj = heads[j]
+        # i < j; the pair keys are (smaller, larger)
         top = lcm | guard
-        l = max(vi, vj)
-        outside = ~(si | sj)  # lm g_k cannot divide lcm if it uses these
-        for k, (ek, vk, sk) in enumerate(heads):
+        l = max(heads[i][1], heads[j][1])
+        for k, (ek, vk) in enumerate(heads):
             if (
-                vk <= l
-                and not sk & outside
+                (top - ek) & guard == guard
+                and vk <= l
                 and k != i
                 and k != j
-                and (top - ek) & guard == guard
-                and (min(i, k), max(i, k)) not in pending
-                and (min(j, k), max(j, k)) not in pending
+                and ((k, i) if k < i else (i, k)) not in pending
+                and ((k, j) if k < j else (j, k)) not in pending
             ):
                 return True
         return False
 
-    for f in polys:
+    def exceeded(what: str) -> ResourceExceeded:
+        longest = max((len(g._terms) for g in basis), default=0)
+        return ResourceExceeded(
+            f"buchberger: {what} ({steps} pairs processed, basis of {len(basis)}, "
+            f"longest member {longest} terms)"
+        )
+
+    def candidates():
+        """The input polynomials, then the S- and A-polynomials of the pairs
+        in queue order; the queue grows as the caller adds remainders."""
+        nonlocal steps
+        yield from polys
+        while queue:
+            if steps == _MAX_PAIRS:
+                raise exceeded(f"more pairs than the cap of {_MAX_PAIRS}")
+            steps += 1
+            lcm, _, (kind, i, j) = heapq.heappop(queue)
+            if kind == "s":
+                pending.remove((i, j))
+                if not chain_skips(i, j, lcm):
+                    yield s_polynomial(basis[i], basis[j])
+            else:
+                yield a_polynomial(basis[i])
+
+    for f in candidates():
         if f.is_zero():
             continue
         h = strong_reduce(f, basis, False, divisors)
-        if not h.is_zero():
-            add(h)
-
-    if not basis:
-        return GroebnerBasis((), ring, minimal=True)
-
-    steps = 0
-    while queue:
-        steps += 1
-        if steps > _MAX_PAIRS:
-            raise ResourceExceeded(
-                f"buchberger exceeded {_MAX_PAIRS} pair reductions", tuple(basis)
-            )
-        lcm, _, (kind, i, j) = heapq.heappop(queue)
-        if kind == "s":
-            pending.remove((i, j))
-            if chain_skips(i, j, lcm):
-                continue
-            candidate = s_polynomial(basis[i], basis[j])
-        else:
-            candidate = a_polynomial(basis[i])
-        if candidate.is_zero():
-            continue
-        h = strong_reduce(candidate, basis, False, divisors)
         if h.is_zero():
             continue
+        if h._terms[0][0] == 0 and h.head_data()[1] == 0:  # a unit constant
+            return GroebnerBasis((_normalize_head(h),), ring, minimal=True)
+        if len(h._terms) > _MAX_TERMS:
+            raise exceeded(f"a remainder of {len(h._terms)} terms exceeds the cap of {_MAX_TERMS}")
         add(h)
 
-    generators = interreduce(basis, ring)
-    return GroebnerBasis(generators, ring, minimal=True)
+    members = basis if keep_from is None else [g for g in basis if g._terms[0][0] < kept_below]
+    return GroebnerBasis(interreduce(members, ring), ring, minimal=True)
 
 
 def verify_groebner(G: GroebnerBasis) -> bool:

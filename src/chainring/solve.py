@@ -30,7 +30,7 @@ from .errors import (
     TooLarge,
     WrongOrder,
 )
-from .groebner import buchberger, elimination_subbasis
+from .groebner import buchberger
 from .polys import (
     MultiPoly,
     PolyRing,
@@ -433,19 +433,21 @@ def x_block_system(
     """The x-only members of a lex Gröbner basis of the equations, mapped
     to a ring in x_vars alone (see _to_x_ring).
 
-    Every x-only member of the ideal vanishes on the x block of every
-    solution, so the x tuples of the system's solutions solve it; an empty
-    subbasis leaves the x block unconstrained.  The field equations F_m are
-    not needed for that: F_m vanishes at every point of R, so adjoining it
-    leaves the solutions over R unchanged and only makes the basis larger.
-    A nonzero constant equation is returned as the system, with no
-    Buchberger run: it has no solution.
+    buchberger's keep_from interreduces the x-only members alone (the
+    others are never read here), and its run stops once a unit constant
+    appears, whose basis (1) leaves no solution.  Every x-only member of
+    the ideal vanishes on the x block of every solution, so the x tuples of
+    the system's solutions solve it; an empty subbasis leaves the x block
+    unconstrained.  The field equations F_m are not needed for that: F_m
+    vanishes at every point of R, so adjoining it leaves the solutions over
+    R unchanged and only makes the basis larger.  A nonzero constant
+    equation is returned as the system, with no Buchberger run: it has no
+    solution.
     """
     work = [w for w in equations if not w.is_zero()]
     x_only = [w for w in work if w.is_constant()]
     if not x_only:
-        G = buchberger(work, ring)
-        x_only = elimination_subbasis(G, ring.nvars - len(x_vars)).generators
+        x_only = buchberger(work, ring, keep_from=ring.nvars - len(x_vars)).generators
     return _to_x_ring(ring, x_only, x_vars)
 
 

@@ -3,7 +3,9 @@ import pytest
 from chainring.rings import Zpk, galois_ring
 from chainring.extension import build_extension
 from chainring.linalg import RingMatrix
+from chainring.localring import quotient_presentation
 from chainring.minrank import MinRankInstance
+from chainring.polys import PolyRing
 from chainring.rankdecode import RankDecodingInstance
 
 
@@ -74,3 +76,15 @@ def decoding_instance(ext83):
 @pytest.fixture(scope="session")
 def decoded_x(ext83):
     return ext83.element([1, 3, 6])
+
+
+@pytest.fixture(scope="session")
+def runaway_local_polynomial():
+    """(2 + t)x^2 + (t + t^2)xy + (t + t^2) over Z4[X]/(X^3 + 2, 2X): its
+    expansion is three degree-2 equations in six variables over Z4, whose
+    lex basis grows polynomials of thousands of terms; it ran for more than
+    ten minutes before buchberger capped a remainder's length."""
+    pres = quotient_presentation(2, 2, [2, 0, 0, 1], 1)
+    P = PolyRing(pres, ("x", "y"), "lex")
+    lead, cross = pres.element([2, 1, 0]), pres.element([0, 1, 1])
+    return P.poly([((2, 0), lead), ((1, 1), cross), ((0, 0), cross)])

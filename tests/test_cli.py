@@ -687,6 +687,26 @@ def run_python(*argv):
     ).stdout
 
 
+def test_solve_local_runaway_basis_prints_one_envelope(tmp_path, runaway_local_polynomial):
+    # buchberger's term cap through the CLI: one error envelope on stdout,
+    # exit 1, nothing on stderr
+    P = runaway_local_polynomial.ring
+    system = {"ring": P.ring.to_json(), "vars": list(P.variables), "polys": [P.poly_to_json(runaway_local_polynomial)]}
+    path = write(tmp_path, "runaway.json", system)
+    src = str(Path(chainring.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "chainring.cli", "solve-local", path],
+        cwd=REPO, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1 and done.stderr == ""
+    lines = done.stdout.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "ResourceExceeded" and "exceeds the cap" in error["message"]
+
+
 def test_solve_output_same_under_optimize_flag():
     args = ("-m", "chainring.cli", "solve", "instances/eq7.json", "--text")
     plain = run_python(*args)

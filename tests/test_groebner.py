@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainring.errors import EqualInputs, WrongOrder, ZeroIdeal
+from chainring import groebner
+from chainring.errors import EqualInputs, ResourceExceeded, WrongOrder, ZeroIdeal
+from chainring.extension import build_extension
 from chainring.groebner import (
     GroebnerBasis,
     a_polynomial,
@@ -19,8 +21,10 @@ from chainring.groebner import (
     s_polynomial,
     verify_groebner,
 )
+from chainring.minrank import MinRankInstance, ks_model, ks_permutation_schedule, sm_model
 from chainring.oracles import brute_ideal_slice
 from chainring.polys import MonomialOrder, PolyRing, strong_reduce
+from chainring.rankdecode import RankDecodingInstance, key_equation_model, to_minrank
 from chainring.rings import Zpk, galois_ring
 from chainring.solve import ring_vanishing_polynomial
 
@@ -94,6 +98,53 @@ def test_unit_ideal(pxy):
     assert [str(g) for g in G] == ["1"]
 
 
+def _spy_on_reductions(monkeypatch):
+    """Every remainder buchberger's strong reductions return, in order."""
+    seen = []
+    original = groebner.strong_reduce
+
+    def spy(*args, **kwargs):
+        seen.append(original(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(groebner, "strong_reduce", spy)
+    return seen
+
+
+def test_a_unit_remainder_ends_the_run(monkeypatch, z4):
+    P = PolyRing(z4, ("x", "y"), "lex")
+    # the pair loop reaches the unit 3 after the non-unit constant 2
+    F = [P.parse("x*y + 3"), P.parse("x^2"), P.parse("y^3 + 2*y")]
+    assert [g._terms for g in buchberger(F, P, keep_from=1)] == [P.one._terms]
+    seen = _spy_on_reductions(monkeypatch)
+    G = buchberger(F, P)
+    assert [g._terms for g in G] == [P.one._terms] and G.minimal
+    # the unit is the last remainder of the pair loop: no pair, no
+    # A-polynomial and no interreduction is reduced after it
+    assert len(seen) > len(F)
+    units = [i for i, h in enumerate(seen) if h.is_constant() and h and h.leading_coefficient().is_unit()]
+    assert units == [len(seen) - 1]
+    assert "2" in [str(h) for h in seen]
+
+
+def test_a_unit_input_skips_the_later_inputs(monkeypatch, z4):
+    P = PolyRing(z4, ("x", "y"), "lex")
+    seen = _spy_on_reductions(monkeypatch)
+    G = buchberger([P.parse("x + 1"), P.parse("x + 2"), P.parse("y^2 + x")], P)
+    assert [g._terms for g in G] == [P.one._terms]
+    assert [str(h) for h in seen] == ["x + 1", "1"]
+
+
+def test_the_pair_cap_reports_its_diagnostics(monkeypatch, worked_pair):
+    monkeypatch.setattr(groebner, "_MAX_PAIRS", 2)
+    with pytest.raises(ResourceExceeded) as info:
+        buchberger(list(worked_pair))
+    assert str(info.value) == (
+        "buchberger: more pairs than the cap of 2 "
+        "(2 pairs processed, basis of 3, longest member 4 terms)"
+    )
+
+
 def test_zero_input_empty_basis(pxy):
     G = buchberger([pxy.zero], pxy)
     assert len(G) == 0
@@ -112,6 +163,80 @@ def test_elimination_needs_lex(z8, worked_pair):
     G = buchberger([f])
     with pytest.raises(WrongOrder):
         elimination_subbasis(G, 1)
+    with pytest.raises(WrongOrder):
+        buchberger([f], keep_from=1)
+
+
+def _kept_bases_agree(F, P, keep_froms):
+    """buchberger(F, P, keep_from=k) against elimination_subbasis of the
+    full basis, byte for byte, for each k."""
+    G = buchberger(F, P)
+    for k in keep_froms:
+        kept = [g._terms for g in buchberger(F, P, keep_from=k).generators]
+        assert kept == [g._terms for g in elimination_subbasis(G, k).generators], (F, k)
+
+
+def test_keep_from_matches_the_elimination_subbasis_on_seeded_systems():
+    # lex systems of 2-3 generators of degree <= 2 in 3 or 4 variables,
+    # under a random variable priority, for every keep_from
+    rng = random.Random(23)
+    for name in ("z4", "z8", "z9", "z25", "gr42"):
+        R = RINGS[name]
+        elems = sorted(R.elements(), key=R.sort_key)[1:]
+        for nvars in (3, 4):
+            for _ in range(12):
+                priority = list(range(nvars))
+                rng.shuffle(priority)
+                P = PolyRing(R, ("w", "x", "y", "z")[:nvars], MonomialOrder("lex", tuple(priority)))
+                monomials = [e for e in itertools.product(range(3), repeat=nvars) if sum(e) <= 2]
+                F = [
+                    P.poly({rng.choice(monomials): rng.choice(elems) for _ in range(rng.randrange(2, 5))})
+                    for _ in range(rng.randrange(2, 4))
+                ]
+                _kept_bases_agree(F, P, range(nvars + 1))
+
+
+GOLDEN_MINRANK_MODELS = Path(__file__).resolve().parent / "goldens" / "minrank_models.json"
+
+
+def _golden_minrank_instances():
+    cases = json.loads(GOLDEN_MINRANK_MODELS.read_text())["instances"]
+    return {c["name"]: MinRankInstance.from_json(c["instance"]) for c in cases}
+
+
+def test_keep_from_matches_the_elimination_subbasis_on_minrank_models():
+    # the x block of ks_model in every placement and of sm_model for every
+    # unit subset, on the instances of minrank_models.json
+    for inst in _golden_minrank_instances().values():
+        n = inst.shape[1]
+        r = min(inst.r, n)
+        models = [ks_model(inst, list(sub)) for sub in ks_permutation_schedule(n, r)]
+        models += [sm_model(inst, list(sub)) for sub in itertools.combinations(range(n), r)]
+        for model in models:
+            if model.equations:
+                P = model.poly_ring
+                _kept_bases_agree(list(model.equations), P, [P.nvars - len(model.x_vars)])
+
+
+def test_keep_from_matches_the_elimination_subbasis_on_key_equation_models():
+    # the decode words behind the decode-seed* instances of
+    # minrank_models.json: GR(4,2) codes with g = (1, a, 1 + 2a), n = 3,
+    # radius 1, each rebuilt from its MinRank reduction (M0 = rep(-y))
+    S = build_extension(Zpk(2, 2), 2)
+    a = S.alpha
+    g = (S.one, a, S.add(S.one, S.add(a, a)))
+    words = 0
+    for name, inst in _golden_minrank_instances().items():
+        if not name.startswith("decode-"):
+            continue
+        y = tuple(S.neg(S.element([row[j] for row in inst.m0.rows])) for j in range(len(g)))
+        rd = RankDecodingInstance(S, (g,), y, inst.r)
+        assert to_minrank(rd) == inst
+        model = key_equation_model(rd)
+        P = model.r_ring
+        _kept_bases_agree(list(model.r_equations), P, [P.nvars - len(model.x_vars)])
+        words += 1
+    assert words == 22
 
 
 def test_ideal_membership_against_bounded_combinations(z4):

@@ -2,11 +2,12 @@ import hashlib
 import itertools
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
 
-from chainring.errors import ChainRingError, NotARing
+from chainring.errors import ChainRingError, NotARing, ResourceExceeded
 from chainring.localring import (
     LocalRingPresentation,
     contract_solutions,
@@ -194,6 +195,13 @@ def test_solve_local_cubic(paper_ring):
     }
     for (r,) in roots:
         assert paper_ring.is_zero(cubic.evaluate([r]))
+
+
+def test_runaway_expanded_basis_hits_the_term_cap(runaway_local_polynomial):
+    start = time.perf_counter()
+    with pytest.raises(ResourceExceeded, match=r"exceeds the cap of \d+ \(\d+ pairs processed, basis of \d+"):
+        solve_local_system([runaway_local_polynomial])
+    assert time.perf_counter() - start < 20
 
 
 def test_exactness_against_enumeration(paper_ring):
