@@ -14,7 +14,7 @@ from typing import Sequence
 
 from . import _unipoly as up
 from .errors import DomainError, NotFree, ParseError
-from .linalg import RingMatrix, determinant, is_free_rows, rank as matrix_rank, reduced_row_echelon
+from .linalg import RingMatrix, determinant, is_free_rows, payload_smith, reduced_row_echelon
 from .rings import (
     ChainRing,
     ExtensionChainRing,
@@ -179,7 +179,17 @@ def matrix_representation(ext: GaloisExtension, u: Sequence[RingElement]) -> Rin
 
 
 def vector_rank(ext: GaloisExtension, u: Sequence[RingElement]) -> int:
-    return matrix_rank(matrix_representation(ext, u))
+    return payload_vector_rank(ext, [ext.coerce(x).data for x in u])
+
+
+def payload_vector_rank(ext: GaloisExtension, u: Sequence) -> int:
+    """The rank of matrix_representation(ext, u) for payloads u, counted as
+    the Smith pivots of its sparse payload rows (linalg.payload_smith):
+    nothing is boxed and no operation is logged."""
+    zero = ext.base._zero_data
+    cols = [ext._coords(x) for x in u]
+    rows = [{j: c[i] for j, c in enumerate(cols) if c[i] != zero} for i in range(ext.degree)]
+    return payload_smith(ext.base, rows, len(cols))
 
 
 def vector_support(ext: GaloisExtension, u: Sequence[RingElement]) -> list[RingElement]:

@@ -373,32 +373,9 @@ def smith_normal_form(A: RingMatrix) -> SmithDecomposition:
     if not isinstance(R, ChainRing):
         raise NotChainRing("Smith form requires a chain ring or product of them")
     d = _payloads(A)
-    # a column operation on d is logged as the row operation it is on d's
-    # transpose, so replaying col_ops gives V and the transpose of V^-1
     row_ops: list[tuple] = []
     col_ops: list[tuple] = []
-    for t in range(min(A.m, A.n)):
-        found = _min_valuation_entry(R, d, t)
-        if found is None:
-            break
-        v, i, j = found
-        _swap(d, row_ops, t, i)
-        if t != j:
-            # a row above t holds only its own pivot column
-            for row in d[t:]:
-                a, b = row.pop(t, None), row.pop(j, None)
-                if b is not None:
-                    row[t] = b
-                if a is not None:
-                    row[j] = a
-            col_ops.append((t, j, None))
-        _make_pivot(R, d, row_ops, t, t, v)
-        # column t is now pi^v at row t and zero elsewhere, and row t is zero
-        # before it, so adding c * column t to column j only clears d[t][j]
-        for j2 in sorted(d[t]):
-            if j2 != t:
-                col_ops.append((j2, t, R._payload_neg(R._payload_quo_pi(d[t][j2], v))))
-        d[t] = {t: d[t][t]}
+    payload_smith(R, d, A.n, row_ops, col_ops)
 
     def transforms():
         u_t, u_inv = _row_transforms(R, row_ops, A.m)
@@ -412,6 +389,42 @@ def smith_normal_form(A: RingMatrix) -> SmithDecomposition:
 
     diag = tuple(RingElement(R, d[i][i]) if i in d[i] else R.zero for i in range(min(A.m, A.n)))
     return SmithDecomposition(R, (A.m, A.n), diag, transforms)
+
+
+def payload_smith(
+    R: ChainRing, d: list[dict], n: int, row_ops: list | None = None, col_ops: list | None = None
+) -> int:
+    """Diagonalise the sparse payload rows d of an n-column matrix over the
+    chain ring R in place, as smith_normal_form describes it, and return
+    the number of nonzero diagonal entries: the rank.  Given lists, append
+    the row operations to row_ops and the column operations to col_ops,
+    each logged as the row operation it is on d's transpose, so that
+    replaying col_ops gives V and the transpose of V^-1."""
+    for t in range(min(len(d), n)):
+        found = _min_valuation_entry(R, d, t)
+        if found is None:
+            return t
+        v, i, j = found
+        _swap(d, row_ops, t, i)
+        if t != j:
+            # a row above t holds only its own pivot column
+            for row in d[t:]:
+                a, b = row.pop(t, None), row.pop(j, None)
+                if b is not None:
+                    row[t] = b
+                if a is not None:
+                    row[j] = a
+            if col_ops is not None:
+                col_ops.append((t, j, None))
+        _make_pivot(R, d, row_ops, t, t, v)
+        # column t is now pi^v at row t and zero elsewhere, and row t is zero
+        # before it, so adding c * column t to column j only clears d[t][j]
+        if col_ops is not None:
+            for j2 in sorted(d[t]):
+                if j2 != t:
+                    col_ops.append((j2, t, R._payload_neg(R._payload_quo_pi(d[t][j2], v))))
+        d[t] = {t: d[t][t]}
+    return min(len(d), n)
 
 
 def _recombine_smith(A: RingMatrix) -> SmithDecomposition:

@@ -27,7 +27,7 @@ from .extension import (
     ProductExtension,
     extension_from_json,
     matrix_representation,
-    vector_rank,
+    payload_vector_rank,
 )
 from .linalg import RingMatrix, hermite_form
 from .minrank import MinRankInstance, minrank_candidates
@@ -67,25 +67,50 @@ class RankDecodingInstance:
 
     def codeword(self, x: Sequence[RingElement]) -> tuple[RingElement, ...]:
         S = self._ring()
-        x = [S.coerce(v) for v in x]
-        return tuple(
-            S.sum(S.mul(x[i], self.generator[i][j]) for i in range(self.k))
-            for j in range(self.n)
-        )
+        return tuple(RingElement(S, c) for c in self._codeword_data(x))
 
     def error_of(self, x: Sequence[RingElement]) -> tuple[RingElement, ...]:
         S = self._ring()
-        c = self.codeword(x)
-        return tuple(S.sub(yj, cj) for yj, cj in zip(self.received, c))
+        return tuple(RingElement(S, e) for e in self._error_data(self._codeword_data(x)))
+
+    def _codeword_data(self, x: Sequence[RingElement]) -> list:
+        """The payloads of the codeword xG."""
+        S = self._ring()
+        add, mul = S._payload_add, S._payload_mul
+        zero = S._zero_data
+        x = [S.coerce(v).data for v in x]
+        terms = [(xi, row) for xi, row in zip(x, self.generator) if xi != zero]
+        out = []
+        for j in range(self.n):
+            c = zero
+            for xi, row in terms:
+                c = add(c, mul(xi, row[j].data))
+            out.append(c)
+        return out
+
+    def _error_data(self, c: list) -> list:
+        """The payloads of y - c for the payloads c of a codeword."""
+        S = self._ring()
+        add, neg = S._payload_add, S._payload_neg
+        return [add(y.data, neg(cj)) for y, cj in zip(self.received, c)]
+
+    def _solution(self, x: Sequence[RingElement]) -> tuple:
+        """(x, c, e) with c = xG and e = y - c."""
+        S = self._ring()
+        c = self._codeword_data(x)
+        e = self._error_data(c)
+        return (x, tuple(RingElement(S, v) for v in c), tuple(RingElement(S, v) for v in e))
 
     def check(self, x: Sequence[RingElement]) -> bool:
-        e = self.error_of(x)
+        """rank(y - xG) <= radius, on payloads; over a product extension, in
+        every CRT component."""
+        e = self._error_data(self._codeword_data(x))
         if isinstance(self.ext, ProductExtension):
             return all(
-                vector_rank(comp, tuple(v.data[idx] for v in e)) <= self.radius
+                payload_vector_rank(comp, [v[idx].data for v in e]) <= self.radius
                 for idx, comp in enumerate(self.ext.components)
             )
-        return vector_rank(self.ext, e) <= self.radius
+        return payload_vector_rank(self.ext, e) <= self.radius
 
     def to_json(self):
         S = self._ring()
@@ -400,8 +425,7 @@ def decode(rd: RankDecodingInstance, strategy: str = "auto") -> DecodeResult:
             # force within the budget before giving up
             _confirm_empty(rd)
             raise NoSolution("no codeword within the radius (brute-confirmed)")
-        sols = tuple((x, rd.codeword(x), rd.error_of(x)) for x in xs)
-        return DecodeResult(sols, strat)
+        return DecodeResult(tuple(rd._solution(x) for x in xs), strat)
     raise Inconclusive(f"all strategies inconclusive: {'; '.join(errors)}")
 
 
@@ -427,6 +451,6 @@ def _decode_product(rd: RankDecodingInstance, strategy: str) -> DecodeResult:
         sub = RankDecodingInstance(comp, gen, rec, rd.radius)
         results.append(decode(sub, strategy))
     xs = join_solutions(ext.ring, [[sol[0] for sol in res.solutions] for res in results])
-    combined = tuple((x, rd.codeword(x), rd.error_of(x)) for x in xs)
+    combined = tuple(rd._solution(x) for x in xs)
     strategies = ",".join(sorted({res.strategy_used for res in results}))
     return DecodeResult(combined, strategies)

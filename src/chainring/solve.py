@@ -7,11 +7,13 @@ system.  The lift carries each branch as a point c of R^k, a tuple of ring
 payloads, and extends it one π-adic level at a time by a residue-field
 linear solve on Teichmüller payloads; only the roots are boxed.  Within one
 call, back-substitution solves each distinct specialised system once and
-replays its partial solutions where it meets the system again.  The system is
-solved as given: adjoining the field equations F_m, which vanish at every
-point of R, never changes a solution set.  The independent reference is
-oracles.brute_solve.  Product rings split through the CRT and recombine
-with join_solutions.
+replays its partial solutions where it meets the system again.  The x-block
+tail that MinRank and decoding share combines the two routes: elimination
+gives the x-only system, and a small x block is lifted (_x_only_solutions).
+The system is solved as given: adjoining the field equations F_m, which
+vanish at every point of R, never changes a solution set.  The independent
+reference is oracles.brute_solve.  Product rings split through the CRT and
+recombine with join_solutions.
 """
 
 from __future__ import annotations
@@ -61,6 +63,11 @@ ALL_OF_RING = _AllOfRing()
 
 DEFAULT_SOLUTION_CAP = 1 << 16
 DESK_SCALE_RING_CAP = 1 << 16
+# the x-only tail lifts a block only if Γ^k has at most this many points:
+# the lift tests each of them, and on the KS x blocks of planted MinRank
+# instances it was as fast as elimination or faster up to q^k = 125 and
+# slower from q^k = 169 on (100× slower over Z251 with k = 2)
+LIFT_RESIDUE_CAP = 1 << 7
 
 
 def enumeration_budget() -> int:
@@ -465,16 +472,36 @@ def _to_x_ring(
 def _x_only_solutions(x_ring: PolyRing, polys: Sequence[MultiPoly]) -> list[tuple]:
     """Explicit common zeros of nonzero polys in x_ring, in sort_key order;
     with no polys the x block is unconstrained and is enumerated within the
-    budget, and a nonzero constant among them leaves no zero."""
+    budget, and a nonzero constant among them leaves no zero.
+
+    This is the tail of the paper's combination: elimination has reduced
+    the system to the k variables of the x block, and a small block is then
+    solved by the residue-field lift (_lift_roots) when R is a chain ring,
+    |R|^k <= DEFAULT_SOLUTION_CAP and q^k <= LIFT_RESIDUE_CAP and
+    enumeration_budget().  Under that rule neither route can hit its cap: a
+    level-j branch of the lift is a distinct point mod π^(j+1), so there are
+    at most |R|^k of them, and explicit() lists at most |R|^k tuples.  Both
+    are exact, so they give the same list; any other system is solved by
+    elimination (solve_system).  The q^k bound follows cost: the lift tests
+    every point of Γ^k, while elimination's back-substitution enumerates
+    only q residues per variable and branch."""
     R = x_ring.ring
+    k = x_ring.nvars
     if not polys:
-        if R.size**x_ring.nvars > enumeration_budget():
+        if R.size**k > enumeration_budget():
             raise ResourceExceeded("unconstrained x block exceeds the budget")
         # elements() ascends in sort_key order, so the product does too
-        return list(itertools.product(list(R.elements()), repeat=x_ring.nvars))
+        return list(itertools.product(list(R.elements()), repeat=k))
     if any(p.is_constant() for p in polys):
         return []
-    found = solve_system(polys).explicit()
+    if (
+        isinstance(R, ChainRing)
+        and R.size**k <= DEFAULT_SOLUTION_CAP
+        and R.q**k <= min(LIFT_RESIDUE_CAP, enumeration_budget())
+    ):
+        found = _lift_roots(R, polys, range(k), DEFAULT_SOLUTION_CAP)
+    else:
+        found = solve_system(polys).explicit()
     return sorted(found, key=lambda x: tuple(R.sort_key(v) for v in x))
 
 
@@ -486,7 +513,8 @@ def solve_system_lifting(
 ) -> SolutionSet:
     """Residue-field solutions lifted level by level through the linear
     congruences D f(γ0) z = -(f(c)/π^j mod π); exact.  It skips elimination
-    but shares the lift with univariate_roots, so brute_solve, not the
+    but shares the lift with univariate_roots and with the x-block tail of
+    the elimination route (_x_only_solutions), so brute_solve, not the
     elimination route, is its independent check."""
     polys = list(polys)
     if not polys:

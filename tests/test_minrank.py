@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import json
@@ -25,9 +26,9 @@ from chainring.minrank import (
     transpose_instance,
 )
 from chainring.oracles import brute_minrank
-from chainring.polys import MultiPoly
+from chainring.polys import MultiPoly, PolyRing
 from chainring.rankdecode import RankDecodingInstance, to_minrank
-from chainring.rings import Zpk, integer_ring
+from chainring.rings import RingElement, Zpk, galois_ring, integer_ring
 from chainring.solve import x_block_solutions, x_block_system
 
 
@@ -329,7 +330,7 @@ def test_product_ring_z12_groebner_strategies_match_brute(strategy):
 def planted_rank_one(rng, R, m=3, n=3, k=2):
     """M0 = u v^T - sum x_l M_l with random M_l, so x is a solution."""
     def el():
-        return R.element(rng.randrange(R.size))
+        return RingElement(R, rng.randrange(R.size))
 
     mats = tuple(RingMatrix(R, [[el() for _ in range(n)] for _ in range(m)]) for _ in range(k))
     x = tuple(el() for _ in range(k))
@@ -459,20 +460,51 @@ def test_models_build_no_boxed_polynomial_arithmetic(monkeypatch):
 
 
 def x_only_systems(inst, strategy):
-    """Each model's x-only system, keyed as solve_system's input, for the
-    models that need a solve: no polys are enumerated, a constant has no
-    zero."""
+    """Each model's x-only system as (x_ring, polys), for the models that
+    need a solve: no polys are enumerated, a constant has no zero."""
     kind = "ks" if strategy == "ks" else "sm"
-    keys = []
+    systems = []
     for model_kind, _, model in every_model(inst):
         if model_kind == kind:
             if strategy == "sm-linearization":
-                _, polys = macaulay_x_block(model)
+                x_ring, polys = macaulay_x_block(model)
             else:
-                _, polys = x_block_system(model.poly_ring, model.equations, model.x_vars)
+                x_ring, polys = x_block_system(model.poly_ring, model.equations, model.x_vars)
             if polys and not any(p.is_constant() for p in polys):
-                keys.append(frozenset(p._terms for p in polys))
-    return keys
+                systems.append((x_ring, polys))
+    return systems
+
+
+def system_key(polys):
+    return frozenset(p._terms for p in polys)
+
+
+def spy_x_only_routes(monkeypatch):
+    """A list that receives (route, system key) for each x-only system
+    solved by elimination (solve.solve_system) or by the lift
+    (solve._lift_roots); the lift also runs inside elimination
+    (univariate_roots), which is not a new solve."""
+    solve_system, lift_roots = solve.solve_system, solve._lift_roots
+    calls = []
+    depth = [0]
+
+    def solve_spy(polys, *args, **kwargs):
+        if not depth[0]:
+            calls.append(("elimination", system_key(polys)))
+        depth[0] += 1
+        try:
+            return solve_system(polys, *args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def lift_spy(R, polys, *args, **kwargs):
+        if not depth[0]:
+            calls.append(("lift", system_key(polys)))
+        return lift_roots(R, polys, *args, **kwargs)
+
+    monkeypatch.setattr(solve, "solve_system", solve_spy)
+    monkeypatch.setattr(solve, "_lift_roots", lift_spy)
+    return calls
 
 
 @pytest.mark.parametrize("strategy", ["ks", "sm-linearization"])
@@ -484,24 +516,120 @@ def test_each_distinct_x_only_system_is_solved_once(strategy, monkeypatch):
         "minrank_rank1": [[0, 0, 0], [0, 0, 4], [4, 4, 2], [4, 4, 6]],
         "z8-r1-affine": [],
     }
-    solve_system = solve.solve_system
+    calls = spy_x_only_routes(monkeypatch)
     for name, candidates in expected.items():
         inst = instances[name]
-        calls = []
-
-        def spy(polys, *args, **kwargs):
-            calls.append(frozenset(p._terms for p in polys))
-            return solve_system(polys, *args, **kwargs)
-
-        monkeypatch.setattr(solve, "solve_system", spy)
+        calls.clear()
         found = [[v.data for v in x] for x in minrank_candidates(inst, strategy)]
-        monkeypatch.setattr(solve, "solve_system", solve_system)
         assert found == candidates, name
-        systems = x_only_systems(inst, strategy)
-        assert len(calls) == len(set(calls)) and set(calls) == set(systems), name
+        keys = [key for _, key in calls]
+        systems = [system_key(polys) for _, polys in x_only_systems(inst, strategy)]
+        assert len(keys) == len(set(keys)) and set(keys) == set(systems), name
     # the decode word's three models share one x-only system
-    keys = x_only_systems(instances["decode-seed1-1-ambiguous"], strategy)
+    keys = [system_key(polys) for _, polys in x_only_systems(instances["decode-seed1-1-ambiguous"], strategy)]
     assert len(keys) == 3 and len(set(keys)) == 1
+
+
+def in_sort_key_order(R, points):
+    return sorted(points, key=lambda x: tuple(R.sort_key(v) for v in x))
+
+
+def elimination_answer(polys):
+    return in_sort_key_order(polys[0].ring.ring, solve.solve_system(polys).explicit())
+
+
+def test_small_x_blocks_are_lifted_and_agree_with_elimination(monkeypatch):
+    # every distinct x-only system of every strategy's models, on seeded
+    # instances over Z4, Z8, Z9, Z25 (minrank_models.json) and GR(4,2)
+    # (planted rank-1 3x3, K = 2) and on to_minrank of the decode workload's
+    # words (its code over GR(4,2), x blocks over Z4): each has
+    # |R|^k <= DEFAULT_SOLUTION_CAP, takes the lift and lists what
+    # elimination lists
+    instances = {
+        name: inst
+        for name, inst in golden_instances().items()
+        if name.endswith("-r1-affine") or name.endswith("-r2-homogeneous") or name.startswith("decode-seed1-")
+    }
+    gr42 = galois_ring(2, 2, 2)
+    rng = random.Random(2424)
+    for i in range(2):
+        instances[f"gr42-planted-{i}"] = planted_rank_one(rng, gr42)[0]
+    calls = spy_x_only_routes(monkeypatch)
+    counted = collections.Counter()
+    for name, inst in instances.items():
+        for strategy in ("ks", "sm-groebner", "sm-linearization"):
+            try:
+                systems = x_only_systems(inst, strategy)
+            except Inconclusive:
+                continue
+            for x_ring, polys in {system_key(polys): (x_ring, polys) for x_ring, polys in systems}.values():
+                calls.clear()
+                got = solve._x_only_solutions(x_ring, polys)
+                assert calls == [("lift", system_key(polys))], (name, strategy)
+                assert got == elimination_answer(polys), (name, strategy)
+                counted[x_ring.ring.short_name()] += 1
+    assert sorted(counted) == ["GR(4,2)", "Z25", "Z4", "Z8", "Z9"]
+    assert all(n >= 3 for n in counted.values()), counted
+
+
+def seeded_x_only_system(rng, R, k, count=2):
+    """count polynomials of degree <= 2 in k variables over R, each with
+    three random terms."""
+    x_ring = PolyRing(R, [f"x{i}" for i in range(k)], "lex")
+    monos = [e for e in itertools.product(range(3), repeat=k) if sum(e) <= 2]
+    polys = []
+    while len(polys) < count:
+        p = x_ring.poly([(rng.choice(monos), RingElement(R, rng.randrange(R.size))) for _ in range(3)])
+        if not p.is_zero() and not p.is_constant():
+            polys.append(p)
+    return x_ring, polys
+
+
+@pytest.mark.parametrize(
+    "ring, k, route",
+    [
+        (Zpk(5, 2), 3, "lift"),  # |R|^k = 15,625, q^k = 125
+        (Zpk(11, 1), 2, "lift"),  # q^k = 121
+        (Zpk(2, 4), 4, "lift"),  # |R|^k = 65,536, the cap itself, q^k = 16
+        (Zpk(13, 1), 2, "elimination"),  # q^k = 169
+        (galois_ring(2, 2, 2), 4, "elimination"),  # |R|^k = 65,536, q^k = 256
+        (Zpk(251, 1), 2, "elimination"),  # |R|^k = q^k = 63,001
+        (Zpk(7, 2), 3, "elimination"),  # |R|^k = 117,649
+        (galois_ring(2, 3, 3), 2, "elimination"),  # |R|^k = 262,144
+    ],
+    ids=["Z25-k3", "Z11-k2", "Z16-k4", "Z13-k2", "GR(4,2)-k4", "Z251-k2", "Z49-k3", "GR(8,3)-k2"],
+)
+def test_x_only_route_follows_the_size_of_the_block(ring, k, route, monkeypatch):
+    small = ring.size**k <= solve.DEFAULT_SOLUTION_CAP and ring.q**k <= solve.LIFT_RESIDUE_CAP
+    assert small == (route == "lift")
+    rng = random.Random(2425 + ring.size)
+    calls = spy_x_only_routes(monkeypatch)
+    for _ in range(2 if ring.q**k > 1000 else 3):
+        x_ring, polys = seeded_x_only_system(rng, ring, k)
+        calls.clear()
+        got = solve._x_only_solutions(x_ring, polys)
+        assert calls == [(route, system_key(polys))]
+        # both routes answer beyond the rule too, and agree
+        lifted = solve._lift_roots(ring, polys, range(k), solve.DEFAULT_SOLUTION_CAP)
+        assert got == elimination_answer(polys) == in_sort_key_order(ring, lifted)
+
+
+def test_x_only_route_falls_back_below_the_enumeration_budget(monkeypatch):
+    # q^k = 81 residue points: a budget of 80 sends the block to
+    # elimination, which still answers, and 81 lets the lift take it
+    R = Zpk(3, 2)
+    rng = random.Random(2426)
+    systems = [seeded_x_only_system(rng, R, 4) for _ in range(3)]
+    calls = spy_x_only_routes(monkeypatch)
+    answers = {}
+    for budget, route in (("80", "elimination"), ("81", "lift")):
+        monkeypatch.setenv("CHAINRING_BUDGET", budget)
+        for i, (x_ring, polys) in enumerate(systems):
+            calls.clear()
+            got = solve._x_only_solutions(x_ring, polys)
+            assert calls == [(route, system_key(polys))]
+            assert answers.setdefault(i, got) == got
+    assert any(answers.values())
 
 
 MACAULAY_GOLDEN = Path(__file__).resolve().parent / "goldens" / "macaulay_x_blocks.json"

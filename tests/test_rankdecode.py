@@ -4,11 +4,11 @@ import random
 import pytest
 
 from chainring.errors import DomainError, Inconclusive, NoSolution
-from chainring.extension import ProductExtension, build_extension, vector_rank
+from chainring.extension import ProductExtension, build_extension, matrix_representation, vector_rank
 from chainring.groebner import buchberger
-from chainring.linalg import hermite_form
+from chainring.linalg import hermite_form, rank
 from chainring.minrank import sm_model, solve_minrank
-from chainring.oracles import brute_decode_set
+from chainring.oracles import brute_decode_set, brute_vector_rank
 from chainring.rankdecode import (
     _AUTO_ORDER,
     ROUTES,
@@ -406,6 +406,57 @@ def test_decode_product_extension():
     assert any(sol[0] == (x,) or sol[0][0] == x for sol in res.solutions)
     assert all(rd.check(sol[0]) for sol in res.solutions)
     assert {sol[0] for sol in res.solutions} == set(brute_decode_set(rd))
+
+
+def seeded_words(rng, ext, count, n=3, radius=1):
+    """k = 1 words y = x0 g + e: the first without an error, the others
+    with a random e of rank <= 1 over a chain ring, and at random over a
+    product extension."""
+    S = ext.ring if isinstance(ext, ProductExtension) else ext
+    elems = list(S.elements())
+    for i in range(count):
+        g = tuple(rng.choice(elems) for _ in range(n))
+        x0 = rng.choice(elems)
+        if i == 0:
+            y = tuple(S.mul(x0, gj) for gj in g)
+        elif isinstance(ext, ProductExtension):
+            y = tuple(rng.choice(elems) for _ in range(n))
+        else:
+            s = rng.choice(elems)
+            b = [ext.base.element(rng.randrange(ext.base.size)) for _ in range(n)]
+            y = tuple(S.add(S.mul(x0, gj), S.scalar_mul(bj, s)) for gj, bj in zip(g, b))
+        yield RankDecodingInstance(ext, (g,), y, radius)
+
+
+def test_payload_vector_rank_equals_the_boxed_rank_and_the_oracle(ext42, ext83):
+    # for every x of seeded k = 1 words: GR(4,2) computes on its operation
+    # tables, GR(8,3) (512 elements) on coordinates, and a product
+    # extension's check reads each CRT component
+    def ranks(ext, e):
+        return vector_rank(ext, e), rank(matrix_representation(ext, e)), brute_vector_rank(ext, e)
+
+    seen = set()
+    for S, count in ((ext42, 3), (ext83, 2)):
+        for rd in seeded_words(random.Random(2400 + S.size), S, count):
+            for x in S.elements():
+                e = rd.error_of((x,))
+                rk, boxed, brute = ranks(S, e)
+                assert rk == boxed == brute
+                assert rd.check((x,)) == (rk <= rd.radius)
+                seen.add((S.size, rk))
+    pe = ProductExtension([build_extension(c, 2) for c in integer_ring(12).components])
+    for rd in seeded_words(random.Random(2412), pe, 2):
+        for x in pe.ring.elements():
+            e = rd.error_of((x,))
+            comp_ranks = []
+            for idx, comp in enumerate(pe.components):
+                rk, boxed, brute = ranks(comp, [v.data[idx] for v in e])
+                assert rk == boxed == brute
+                comp_ranks.append(rk)
+                seen.add((comp.size, rk))
+            assert rd.check((x,)) == (max(comp_ranks) <= rd.radius)
+    # every rank up to the extension degree occurs over every ring
+    assert seen == {(16, 0), (16, 1), (16, 2), (512, 0), (512, 1), (512, 2), (512, 3), (9, 0), (9, 1), (9, 2)}
 
 
 def test_lemma_rank_decomposition_property(ext83):
