@@ -33,6 +33,7 @@ from .errors import (
     WrongOrder,
 )
 from .groebner import buchberger
+from .linalg import payload_echelon
 from .polys import (
     MultiPoly,
     PolyRing,
@@ -40,6 +41,7 @@ from .polys import (
     compile_poly,
     differentiate_compiled,
     evaluate_compiled,
+    macaulay_rows,
     split_compiled,
 )
 from .rings import ChainRing, ProductRing, Ring, RingElement
@@ -440,6 +442,23 @@ def x_block_system(
     """The x-only members of a lex Gröbner basis of the equations, mapped
     to a ring in x_vars alone (see _to_x_ring).
 
+    Before the Buchberger run the equations are echelonized as the rows of
+    their Macaulay matrix at degree 0 (_echelon_rows), F4's first step:
+    row operations are invertible, and each π-multiple appended lies in the
+    ideal, so the rows generate the ideal of the equations, and its
+    elimination ideal, variety and x-block solutions are those of the
+    equations.  The rows enter buchberger smallest head first, so each
+    larger row is head-reduced by the monomial multiples of the smaller
+    ones as it enters, where it would otherwise wait for S-pairs.  The
+    π-multiple π^(ν-v)·r of a row r whose pivot is π^v (v > 0) is r's
+    A-polynomial; echelonized with the rows, these stand in for the
+    A-polynomials that buchberger would otherwise queue for those heads.
+    Bases over chain rings are not canonical yet (their tails depend on the
+    reduction path), so the result generates the same ideal as the x-only
+    members of buchberger(equations, keep_from=...) but may differ from
+    them in bytes: {x1 + 1, x2 + 3, 2} and {x1 + 3, x2 + 1, 2} over Z4 are
+    one ideal.
+
     buchberger's keep_from interreduces the x-only members alone (the
     others are never read here), and its run stops once a unit constant
     appears, whose basis (1) leaves no solution.  Every x-only member of
@@ -448,14 +467,46 @@ def x_block_system(
     unconstrained.  The field equations F_m are not needed for that: F_m
     vanishes at every point of R, so adjoining it leaves the solutions over
     R unchanged and only makes the basis larger.  A nonzero constant
-    equation is returned as the system, with no Buchberger run: it has no
-    solution.
+    equation is returned as the system, with no echelon and no Buchberger
+    run: it has no solution.
     """
     work = [w for w in equations if not w.is_zero()]
     x_only = [w for w in work if w.is_constant()]
     if not x_only:
-        x_only = buchberger(work, ring, keep_from=ring.nvars - len(x_vars)).generators
+        # buchberger's checks, made first so that no echelon runs and its
+        # NotChainRing never stands in for DomainError
+        if ring.order.kind != "lex":
+            raise WrongOrder("elimination requires a lexicographic basis")
+        if not isinstance(ring.ring, ChainRing):
+            raise DomainError("Gröbner bases require a chain ring; split PIRs first")
+        rows = _echelon_rows(ring, work)
+        x_only = buchberger(rows, ring, keep_from=ring.nvars - len(x_vars)).generators
     return _to_x_ring(ring, x_only, x_vars)
+
+
+def _echelon_rows(ring: PolyRing, polys: Sequence[MultiPoly]) -> list[MultiPoly]:
+    """The nonzero rows of the echelonized degree-0 Macaulay matrix of
+    polys, with π^(ν-v)·r adjoined for each row r whose pivot is π^v,
+    v > 0, and echelonized again; smallest head first."""
+    R = ring.ring
+    monos, rows = macaulay_rows(polys, [0])
+    payload_echelon(R, rows)
+    rows = [row for row in rows if row]
+    # a row's first column holds its pivot, π^v
+    extra = [
+        R._payload_scale(R._payload_pi_power(R.nu - v), row)
+        for row in rows
+        if (v := R._payload_valuation(row[min(row)]))
+    ]
+    if any(extra):
+        rows += extra
+        payload_echelon(R, rows)
+    # a row's columns ascend, so its monomials descend, as terms do
+    return [
+        MultiPoly(ring, tuple((monos[j], row[j]) for j in sorted(row)))
+        for row in reversed(rows)
+        if row
+    ]
 
 
 def _to_x_ring(

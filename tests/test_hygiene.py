@@ -1,5 +1,6 @@
 """Leftovers that deletions tend to leave behind in src/chainring: an import
-nothing uses and a module-level private function or class nothing calls."""
+nothing uses, a module-level private function or class nothing calls, and a
+public function that nothing in the package calls or exports."""
 
 import ast
 from pathlib import Path
@@ -53,3 +54,43 @@ def test_every_private_function_and_class_is_referenced():
         and node.name not in referenced
     ]
     assert unreferenced == []
+
+
+# public functions that only tests and the README reach today; a new public
+# function is used in src/chainring, exported by the package, or added here
+# on purpose, and one that gains a caller or is deleted leaves the list
+UNREFERENCED_PUBLIC = {
+    "ladder_properties_hold",
+    "rank_distance",
+    "sm_linearization_matrix",
+    "brute_ideal_slice",
+    "brute_annihilators",
+    "brute_vanishing_poly",
+    "brute_free_envelopes",
+    "strong_reduce_with_witness",
+}
+
+
+def test_every_public_function_is_referenced_or_exported():
+    referenced = set()
+    for name, tree in MODULES.items():
+        if name != "__init__.py":
+            referenced |= _used_names(tree)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    referenced |= {alias.name for alias in node.names}
+    exported = {
+        alias.asname or alias.name
+        for node in ast.walk(MODULES["__init__.py"])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    unreferenced = {
+        node.name
+        for name, tree in MODULES.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in referenced | exported
+    }
+    assert unreferenced == UNREFERENCED_PUBLIC

@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 
 import chainring
-from chainring import solve
-from chainring.errors import DomainError, Inconclusive
+from chainring import groebner, solve
+from chainring.errors import DomainError, Inconclusive, WrongOrder
+from chainring.extension import build_extension
+from chainring.groebner import buchberger, elimination_subbasis
 from chainring.linalg import RingMatrix, rank, reduced_row_echelon
 from chainring.minrank import (
     MinRankInstance,
@@ -26,8 +28,8 @@ from chainring.minrank import (
     transpose_instance,
 )
 from chainring.oracles import brute_minrank
-from chainring.polys import MultiPoly, PolyRing
-from chainring.rankdecode import RankDecodingInstance, to_minrank
+from chainring.polys import MultiPoly, PolyRing, strong_reduce
+from chainring.rankdecode import RankDecodingInstance, key_equation_model, to_minrank
 from chainring.rings import RingElement, Zpk, galois_ring, integer_ring
 from chainring.solve import x_block_solutions, x_block_system
 
@@ -630,6 +632,139 @@ def test_x_only_route_falls_back_below_the_enumeration_budget(monkeypatch):
             assert calls == [(route, system_key(polys))]
             assert answers.setdefault(i, got) == got
     assert any(answers.values())
+
+
+def planted_key_equation_models(rng, R, count=3):
+    """key_equation_model of count words y = x g + beta b over the degree-2
+    extension of R, with b in R^3 (an error of rank at most 1): n = 3,
+    k = 1, radius 1."""
+    S = build_extension(R, 2)
+
+    def el():
+        return S.element([RingElement(R, rng.randrange(R.size)) for _ in range(2)])
+
+    models = []
+    for _ in range(count):
+        g = tuple(el() for _ in range(3))
+        x, beta = el(), el()
+        y = tuple(
+            S.add(S.mul(x, gj), S.mul(beta, S.element([RingElement(R, rng.randrange(R.size)), R.zero])))
+            for gj in g
+        )
+        models.append(key_equation_model(RankDecodingInstance(S, (g,), y, 1)))
+    return models
+
+
+def test_x_block_system_keeps_the_elimination_ideal_and_the_answers():
+    # the echelon rows and their pi-multiples generate the equations' ideal,
+    # so x_block_system's x-only members and those of a Buchberger run on
+    # the raw equations reduce to zero modulo each other and solve alike;
+    # KS models in every placement and SM models for every unit subset of
+    # the instances of minrank_models.json (Z4, Z8, Z9, Z25) and of planted
+    # rank-1 3x3 instances over Z27 and GR(4,2), and key-equation models of
+    # planted words over each of those rings
+    rng = random.Random(2525)
+    instances = golden_instances()
+    rings = (Zpk(2, 2), Zpk(2, 3), Zpk(3, 2), Zpk(5, 2), Zpk(3, 3), galois_ring(2, 2, 2))
+    for R in rings[4:]:
+        for i in range(2):
+            instances[f"{R.short_name()}-planted-{i}"] = planted_rank_one(rng, R)[0]
+    systems = [
+        (model.poly_ring, list(model.equations), model.x_vars)
+        for inst in instances.values()
+        for _, _, model in every_model(inst)
+    ]
+    for R in rings:
+        systems += [
+            (model.r_ring, list(model.r_equations), model.x_vars)
+            for model in planted_key_equation_models(rng, R)
+        ]
+    counted = collections.Counter()
+    differ = 0
+    for P, equations, x_vars in systems:
+        if any(e.is_constant() and not e.is_zero() for e in equations):
+            continue  # returned as given, before any echelon
+        x_ring, got = x_block_system(P, equations, x_vars)
+        raw = elimination_subbasis(buchberger(equations, P), P.nvars - len(x_vars))
+        _, want = solve._to_x_ring(P, raw.generators, x_vars)
+        assert all(strong_reduce(f, want).is_zero() for f in got)
+        assert all(strong_reduce(f, got).is_zero() for f in want)
+        assert solve._x_only_solutions(x_ring, got) == solve._x_only_solutions(x_ring, want)
+        differ += [f._terms for f in got] != [f._terms for f in want]
+        counted[P.ring.short_name()] += 1
+    assert sorted(counted) == sorted(R.short_name() for R in rings)
+    assert sum(counted.values()) == 342
+    # the ideal is the same, the bytes need not be: tails are not canonical
+    assert differ > 0
+
+
+def spy_x_block_work(monkeypatch):
+    """A list that receives the name of each echelon step and Buchberger run
+    that x_block_system starts."""
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(solve, name, wrapped)
+
+    for name in ("macaulay_rows", "payload_echelon", "buchberger"):
+        spy(name, getattr(solve, name))
+    return calls
+
+
+def test_x_block_system_checks_order_and_ring_before_the_echelon(monkeypatch):
+    calls = spy_x_block_work(monkeypatch)
+    P = PolyRing(Zpk(2, 2), ("z", "x"), "degrevlex")
+    with pytest.raises(WrongOrder):
+        x_block_system(P, [P.parse("z*x + 2*x"), P.parse("x^2 + 1")], [1])
+    # payload_echelon would raise NotChainRing, which is no DomainError
+    P = PolyRing(integer_ring(12), ("z", "x"), "lex")
+    with pytest.raises(DomainError):
+        x_block_system(P, [P.parse("z*x + 2*x"), P.parse("x^2 + 1")], [1])
+    assert calls == []
+
+
+def test_x_block_system_returns_a_constant_with_no_echelon(monkeypatch):
+    calls = spy_x_block_work(monkeypatch)
+    P = PolyRing(Zpk(2, 3), ("z", "x"), "lex")
+    x_ring, polys = x_block_system(P, [P.parse("z*x + x"), P.parse("2"), P.zero], [1])
+    assert calls == []
+    assert x_ring.variables == ("x",) and [p._terms for p in polys] == [((0, 2),)]
+    assert solve._x_only_solutions(x_ring, polys) == []
+    x_block_system(P, [P.parse("z*x + x"), P.parse("x^2 + 2")], [1])
+    assert calls == ["macaulay_rows", "payload_echelon", "buchberger"]
+
+
+def test_x_block_system_makes_fewer_s_polynomials(monkeypatch):
+    # over the KS models of minrank_models.json: Buchberger on the raw
+    # equations makes 7,653 S-polynomials, on the echelon rows smallest head
+    # first with their pi-multiples 5,646; the rows in echelon order make
+    # 6,588, and without the pi-multiples 5,946
+    s_polynomial = groebner.s_polynomial
+    made = [0]
+
+    def spy(*args):
+        made[0] += 1
+        return s_polynomial(*args)
+
+    monkeypatch.setattr(groebner, "s_polynomial", spy)
+    counts = {}
+    for route in ("raw", "x_block_system"):
+        made[0] = 0
+        for inst in golden_instances().values():
+            for kind, _, model in every_model(inst):
+                P, equations = model.poly_ring, list(model.equations)
+                if kind != "ks" or any(e.is_constant() and not e.is_zero() for e in equations):
+                    continue
+                if route == "raw":
+                    buchberger(equations, P, keep_from=P.nvars - len(model.x_vars))
+                else:
+                    x_block_system(P, equations, model.x_vars)
+        counts[route] = made[0]
+    assert counts == {"raw": 7653, "x_block_system": 5646}
 
 
 MACAULAY_GOLDEN = Path(__file__).resolve().parent / "goldens" / "macaulay_x_blocks.json"
