@@ -26,7 +26,13 @@ from .oracles import (
     brute_solve,
 )
 from .polys import MonomialOrder, PolyRing
-from .rankdecode import ROUTES, RankDecodingInstance, decode
+from .rankdecode import (
+    ROUTES,
+    RankDecodingInstance,
+    decode,
+    generator_from_json,
+    word_from_json,
+)
 from .rings import _as_list, parse_ring_spec, ring_from_json
 from .solve import (
     ALL_OF_RING,
@@ -223,12 +229,10 @@ def _cmd_minrank(args) -> int:
 def _cmd_rank_decode(args) -> int:
     ext = extension_from_json(_load_json(args.extension))
     S = ext.ring if isinstance(ext, ProductExtension) else ext
-    gen_rows = _load_json(args.generator)
-    rec = _load_json(args.received)
     rd = RankDecodingInstance(
         ext,
-        tuple(tuple(S.element_from_json(v) for v in row) for row in gen_rows),
-        tuple(S.element_from_json(v) for v in rec),
+        generator_from_json(S, _load_json(args.generator)),
+        word_from_json(S, _load_json(args.received), "received"),
         args.radius,
     )
     res = decode(rd, strategy=args.strategy)
@@ -270,7 +274,7 @@ def _verify_dispatch(command: str, inp, res, budget: OracleBudget) -> list[str]:
     checks = []
     if command == "gb":
         pring, polys = _system_from_json(inp, None, None, allow_text=False)
-        basis = [pring.poly_from_json(b) for b in res["basis"]]
+        basis = [pring.poly_from_json(b) for b in _as_list(res["basis"], "basis")]
         from .groebner import GroebnerBasis
 
         G = GroebnerBasis(tuple(basis), pring)
@@ -325,9 +329,11 @@ def _verify_dispatch(command: str, inp, res, budget: OracleBudget) -> list[str]:
         rd = RankDecodingInstance.from_json(inp)
         S = rd._ring()
         xs = []
-        for sol in res["solutions"]:
-            x = tuple(S.element_from_json(v) for v in sol["x"])
-            c = tuple(S.element_from_json(v) for v in sol["c"])
+        for sol in _as_list(res["solutions"], "solutions"):
+            if not isinstance(sol, dict):
+                raise ParseError(f"field 'solutions' must hold objects, got {sol!r}")
+            x = word_from_json(S, sol["x"], "x")
+            c = word_from_json(S, sol["c"], "c")
             if rd.codeword(x) != c:
                 raise ChainRingError("c is not x*G")
             if not rd.check(x):

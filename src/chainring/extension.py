@@ -273,6 +273,8 @@ class ProductExtension:
 def extension_from_json(obj):
     """{"base": ring, "m": int, "modulus": coeffs?}; product bases give a
     ProductExtension with per-component moduli."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"extension descriptor must be an object, got {obj!r}")
     if "base" not in obj or "m" not in obj:
         raise ParseError("extension descriptor needs base and m")
     base = ring_from_json(obj["base"])

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DomainError, NotARing, ParseError
+from .errors import DomainError, NotARing, ParseError, ResourceExceeded
 from .polys import MultiPoly, PolyRing
 from .rings import ChainRing, Ring, RingElement, Zpk, _int_field, ring_from_json
 
@@ -457,10 +457,23 @@ def contract_solutions(expanded: ExpandedSystem, solutions) -> frozenset:
 
 
 def solve_local_system(system: Sequence[MultiPoly]):
-    """Expand to the Galois subring, solve there, contract back; exact."""
-    from .solve import solve_system
+    """Expand to the Galois subring, solve there, contract back; exact.
+
+    Elimination (solve_system) runs first.  When one of its caps trips
+    (ResourceExceeded) and the route rule admits the expanded system with
+    enumeration_budget() as its residue cap (solve._lifts), the residue-field
+    lift (solve_system_lifting) solves it instead: both routes are exact, so
+    the answer is the same, and the lift's own caps still apply."""
+    from .solve import _lifts, enumeration_budget, solve_system, solve_system_lifting
 
     expanded = expand_system(system)
-    inner = solve_system(list(expanded.equations))
+    equations = list(expanded.equations)
+    target = expanded.target_ring
+    try:
+        inner = solve_system(equations)
+    except ResourceExceeded:
+        if not _lifts(target.ring, target.nvars, enumeration_budget()):
+            raise
+        inner = solve_system_lifting(equations)
     inner.check_cap()
     return contract_solutions(expanded, inner.solutions)

@@ -3,10 +3,13 @@ Support-Minors modelings and solvers.
 
 All three strategies share one loop over models: ks over its Z'
 placements, sm-groebner and sm-linearization over the unit Plücker
-coordinate of sm_model.  Both models are built from payload terms.  Only
-the step that gives a model's x-only system differs: lex elimination, or
-the x-only rows of the Macaulay matrix; each distinct system is solved
-once.  Every candidate is re-verified with an actual rank computation, so
+coordinate of sm_model.  Both models are built from payload terms.  The
+Gröbner strategies lift a model whole from the residue field and project
+its roots onto x where the route rule takes it (q^k <= MODEL_LIFT_CAP and
+a constant term, as an affine instance gives); otherwise, and always for sm-linearization, a model gives an x-only system
+(lex elimination, or the x-only rows of the Macaulay matrix), and each
+distinct x-only system is solved once.  Every candidate is re-verified
+with an actual rank computation, so
 a modeling can lose completeness but never soundness.  The unit split loses
 no solution; the ks schedule's completeness is checked against the
 brute-force oracle in the tests (the paper leaves a selection rule open).
@@ -22,7 +25,13 @@ from .errors import DomainError, Inconclusive, ParseError
 from .linalg import RingMatrix, payload_echelon, rank, split_matrix
 from .polys import MultiPoly, PolyRing, macaulay_rows
 from .rings import ProductRing, Ring, RingElement, _as_list, _int_field, ring_from_json
-from .solve import _to_x_ring, _x_only_solutions, join_solutions, x_block_system
+from .solve import (
+    _lifted_x_block,
+    _to_x_ring,
+    _x_only_solutions,
+    join_solutions,
+    x_block_system,
+)
 
 
 @dataclass(frozen=True)
@@ -303,14 +312,22 @@ def minrank_candidates(
     """The distinct x-block solutions of every model of a chain-ring
     instance, unverified: a superset of the solutions the strategy finds.
 
-    Models are built from payload terms.  Each model gives an x-only system
-    (x_block_system's lex elimination for the Gröbner strategies,
-    macaulay_x_block for sm-linearization); each distinct system is solved
-    once, since a repeat could only give x already yielded.  Each system's
-    candidates come out in sort_key order, the models' in schedule order.
+    Models are built from payload terms.  The Gröbner strategies first ask
+    the route rule (solve._lifted_x_block): a model with q^k <=
+    MODEL_LIFT_CAP over the k variables it uses, and with a constant term
+    (a homogeneous instance's models vanish at the origin and are left to
+    elimination), is lifted whole from the residue field, and its roots'
+    x blocks are the model's candidates.  Any
+    other model gives an x-only system (x_block_system's lex elimination
+    for the Gröbner strategies, macaulay_x_block for sm-linearization);
+    each distinct x-only system is solved once, since a repeat could only
+    give x already yielded.  A lifted model is solved afresh each time.
+    Each model's candidates come out in sort_key order, the models' in
+    schedule order.
 
-    The Gröbner strategies solve each model's x block from the lex basis of
-    the model's own equations.  The field equations F_m would add nothing:
+    Both Gröbner routes keep every solution that the model keeps: a lifted
+    model lists the x blocks of all its zeros, and the elimination ideal
+    vanishes on each of them.  The field equations F_m would add nothing:
     F_m vanishes at every point of R, so V_R(I) = V_R(I + F_m), and every
     x-only member of I already vanishes on the x block of each solution.
     """
@@ -326,16 +343,20 @@ def minrank_candidates(
     def groebner_x_block(model):
         return x_block_system(model.poly_ring, model.equations, model.x_vars)
 
-    x_system = macaulay_x_block if strategy == "sm-linearization" else groebner_x_block
+    linearize = strategy == "sm-linearization"
+    x_system = macaulay_x_block if linearize else groebner_x_block
     solved = set()
     seen = set()
     for model in models:
-        x_ring, polys = x_system(model)
-        key = frozenset(p._terms for p in polys)
-        if key in solved:
-            continue
-        solved.add(key)
-        for x in _x_only_solutions(x_ring, polys):
+        found = None if linearize else _lifted_x_block(model.poly_ring, model.equations, model.x_vars)
+        if found is None:
+            x_ring, polys = x_system(model)
+            key = frozenset(p._terms for p in polys)
+            if key in solved:
+                continue
+            solved.add(key)
+            found = _x_only_solutions(x_ring, polys)
+        for x in found:
             if x not in seen:
                 seen.add(x)
                 yield x

@@ -32,7 +32,7 @@ from .extension import (
 from .linalg import RingMatrix, hermite_form
 from .minrank import MinRankInstance, minrank_candidates
 from .polys import MultiPoly, PolyRing
-from .rings import RingElement, _int_field
+from .rings import Ring, RingElement, _as_list, _int_field
 from .solve import enumeration_budget, join_solutions, x_block_solutions
 
 
@@ -125,13 +125,21 @@ class RankDecodingInstance:
     def from_json(cls, obj) -> "RankDecodingInstance":
         ext = extension_from_json(obj["extension"])
         S = ext.ring if isinstance(ext, ProductExtension) else ext
-        gen = tuple(
-            tuple(S.element_from_json(v) for v in row) for row in obj["generator"]
-        )
-        rec = tuple(S.element_from_json(v) for v in obj["received"])
+        gen = generator_from_json(S, obj["generator"])
+        rec = word_from_json(S, obj["received"], "received")
         if "radius" not in obj:
             raise ParseError("instance needs the radius")
         return cls(ext, gen, rec, _int_field(obj, "radius"))
+
+
+def word_from_json(S: Ring, value, key: str) -> tuple[RingElement, ...]:
+    """A JSON list of elements of S; anything else is malformed input."""
+    return tuple(S.element_from_json(v) for v in _as_list(value, key))
+
+
+def generator_from_json(S: Ring, value) -> tuple[tuple[RingElement, ...], ...]:
+    """A generator matrix: a JSON list of rows, each a list of elements."""
+    return tuple(word_from_json(S, row, "generator") for row in _as_list(value, "generator"))
 
 
 # -- reduction to MinRank ---------------------------------------------------------

@@ -8,8 +8,10 @@ payloads, and extends it one π-adic level at a time by a residue-field
 linear solve on Teichmüller payloads; only the roots are boxed.  Within one
 call, back-substitution solves each distinct specialised system once and
 replays its partial solutions where it meets the system again.  The x-block
-tail that MinRank and decoding share combines the two routes: elimination
-gives the x-only system, and a small x block is lifted (_x_only_solutions).
+tail that MinRank and decoding share combines the two routes under one
+route rule (_lifts): a small model is lifted whole and projected onto x
+(_lifted_x_block); otherwise elimination gives the x-only system, and a
+small x block is lifted (_x_only_solutions).
 The system is solved as given: adjoining the field equations F_m, which
 vanish at every point of R, never changes a solution set.  The independent
 reference is oracles.brute_solve.  Product rings split through the CRT and
@@ -70,6 +72,12 @@ DESK_SCALE_RING_CAP = 1 << 16
 # instances it was as fast as elimination or faster up to q^k = 125 and
 # slower from q^k = 169 on (100× slower over Z251 with k = 2)
 LIFT_RESIDUE_CAP = 1 << 7
+# a whole model (z and x variables) is lifted instead of eliminated only if
+# Γ^k has at most this many points: on planted rank-1 3x3 KS models the lift
+# took 0.4-0.5× elimination's time at q^k = 16 (Z4, Z8), 0.06-0.2× at 32,
+# tied at 81 (Z9) and took 1.9× at 256 (GR(4,2)); on SM models 1.1-1.3× at
+# 16 and 0.4-0.9× at 32; on n = 6, k = 2 key-equation models 2.7× at 64
+MODEL_LIFT_CAP = 1 << 5
 
 
 def enumeration_budget() -> int:
@@ -78,6 +86,23 @@ def enumeration_budget() -> int:
         return int(os.environ.get("CHAINRING_BUDGET", ""))
     except ValueError:
         return 1 << 20
+
+
+def _lifts(R: Ring, k: int, residue_cap: int) -> bool:
+    """The route rule: a system in k variables over R is solved by the
+    residue-field lift (_lift_roots) rather than by elimination when R is a
+    chain ring, |R|^k <= DEFAULT_SOLUTION_CAP and q^k <= residue_cap and
+    enumeration_budget().  The lift tests every point of Γ^k, so its cost
+    grows with q^k where elimination's follows the system; residue_cap is
+    the measured crossover of the caller's kind of system (LIFT_RESIDUE_CAP
+    for x blocks, MODEL_LIFT_CAP for whole models).  Under the rule the lift
+    cannot hit its cap: a level-j branch is a distinct point mod π^(j+1),
+    so there are at most |R|^k of them."""
+    return (
+        isinstance(R, ChainRing)
+        and R.size**k <= DEFAULT_SOLUTION_CAP
+        and R.q**k <= min(residue_cap, enumeration_budget())
+    )
 
 
 @dataclass(frozen=True)
@@ -431,9 +456,48 @@ def join_solutions(
 def x_block_solutions(
     ring: PolyRing, equations: Sequence[MultiPoly], x_vars: Sequence[int]
 ) -> list[tuple]:
-    """Explicit solutions of the elimination ideal in the trailing x_vars,
-    in sort_key order (see x_block_system and _x_only_solutions)."""
-    return _x_only_solutions(*x_block_system(ring, equations, x_vars))
+    """Explicit x blocks of the equations' solutions, in sort_key order: by
+    the whole-model lift where the route rule takes it (_lifted_x_block),
+    else the solutions of the elimination ideal in the trailing x_vars
+    (x_block_system, then _x_only_solutions)."""
+    found = _lifted_x_block(ring, equations, x_vars)
+    if found is None:
+        found = _x_only_solutions(*x_block_system(ring, equations, x_vars))
+    return found
+
+
+def _lifted_x_block(
+    ring: PolyRing, equations: Sequence[MultiPoly], x_vars: Sequence[int]
+) -> list[tuple] | None:
+    """The distinct x blocks of the equations' solutions in sort_key order,
+    by lifting the whole system over the variables it uses and x_vars; None
+    when the route rule (_lifts, MODEL_LIFT_CAP) sends it to elimination.
+
+    Each x block listed is that of a solution, so the list is contained in
+    the solutions of the elimination ideal, which may hold more x; no
+    wanted x is lost, since every caller's completeness argument extends a
+    wanted x to a solution of the whole system.  A system with no nonzero
+    equation or with a constant one is left to x_block_system, which
+    answers it with no Buchberger run.  So is a system with no constant
+    term, which vanishes at the origin: in the bilinear models that reach
+    here (Kipnis-Shamir, Support-Minors, key equation) x = 0 then solves it
+    for every z, the lift lists at least |R|^(z count) roots, and on
+    homogeneous KS and SM models with q^k <= 32 it took 0.7-58×
+    elimination's time, more than elimination in 9 of 10 measured sets."""
+    R = ring.ring
+    work = [w for w in equations if not w.is_zero()]
+    if not work or any(w.is_constant() for w in work):
+        return None
+    if all(w._terms[-1][0] for w in work):  # terms descend, so a constant is last
+        return None
+    used = set(x_vars).union(*(w.vars_used() for w in work))
+    if not _lifts(R, len(used), MODEL_LIFT_CAP):
+        return None
+    variables = sorted(used)
+    at = [variables.index(v) for v in x_vars]
+    roots = _lift_roots(R, work, variables, DEFAULT_SOLUTION_CAP)
+    found = {tuple(c[i] for i in at) for c in roots}
+    return sorted(found, key=lambda x: tuple(R.sort_key(v) for v in x))
 
 
 def x_block_system(
@@ -527,15 +591,14 @@ def _x_only_solutions(x_ring: PolyRing, polys: Sequence[MultiPoly]) -> list[tupl
 
     This is the tail of the paper's combination: elimination has reduced
     the system to the k variables of the x block, and a small block is then
-    solved by the residue-field lift (_lift_roots) when R is a chain ring,
-    |R|^k <= DEFAULT_SOLUTION_CAP and q^k <= LIFT_RESIDUE_CAP and
-    enumeration_budget().  Under that rule neither route can hit its cap: a
-    level-j branch of the lift is a distinct point mod π^(j+1), so there are
-    at most |R|^k of them, and explicit() lists at most |R|^k tuples.  Both
-    are exact, so they give the same list; any other system is solved by
-    elimination (solve_system).  The q^k bound follows cost: the lift tests
-    every point of Γ^k, while elimination's back-substitution enumerates
-    only q residues per variable and branch."""
+    solved by the residue-field lift (_lift_roots) where the route rule
+    takes it (_lifts with LIFT_RESIDUE_CAP).  Under that rule neither route
+    can hit its cap: the lift makes at most |R|^k branches, and explicit()
+    lists at most |R|^k tuples.  Both are exact, so they give the same
+    list; any other system is solved by elimination (solve_system).  The
+    q^k bound follows cost: the lift tests every point of Γ^k, while
+    elimination's back-substitution enumerates only q residues per variable
+    and branch."""
     R = x_ring.ring
     k = x_ring.nvars
     if not polys:
@@ -545,11 +608,7 @@ def _x_only_solutions(x_ring: PolyRing, polys: Sequence[MultiPoly]) -> list[tupl
         return list(itertools.product(list(R.elements()), repeat=k))
     if any(p.is_constant() for p in polys):
         return []
-    if (
-        isinstance(R, ChainRing)
-        and R.size**k <= DEFAULT_SOLUTION_CAP
-        and R.q**k <= min(LIFT_RESIDUE_CAP, enumeration_budget())
-    ):
+    if _lifts(R, k, LIFT_RESIDUE_CAP):
         found = _lift_roots(R, polys, range(k), DEFAULT_SOLUTION_CAP)
     else:
         found = solve_system(polys).explicit()
@@ -603,15 +662,17 @@ def _lift_roots(
     D f(γ0) z = -(f(c)/π^j mod π), which makes f vanish mod π^{j+1}.  Every
     root's truncations are branches, and each final candidate is
     re-evaluated, so the result is exact.  The polynomials are compiled
-    once over the variables (polys.compile_poly), their Jacobian is
-    differentiated from that form, and the branches are tuples of payloads;
-    only roots are boxed.
+    once over the variables (polys.compile_poly), and the branches are
+    tuples of payloads; only roots are boxed.  The Jacobian is
+    differentiated from the compiled form only once a residue root
+    survives and ν > 1: a system with no residue root, or one over the
+    residue field itself, never needs it.
     """
     add, mul, neg = R._payload_add, R._payload_mul, R._payload_neg
     digit, quo_pi = R._payload_digit, R._payload_quo_pi
     zero = R._zero_data
     fs = [compile_poly(p, variables) for p in polys]
-    jac = [[differentiate_compiled(R, f, i) for i in range(len(variables))] for f in fs]
+    jac = None  # differentiated once a residue root survives, if ν > 1
     gamma = [g.data for g in R.teichmuller_set()]
     solutions = set()
     # level 0 tests every point of Γ^k, so a system whose residue-field
@@ -619,7 +680,10 @@ def _lift_roots(
     for g0 in itertools.product(gamma, repeat=len(variables)):
         if any(digit(evaluate_compiled(R, f, g0)) != zero for f in fs):
             continue
-        rows = [[digit(evaluate_compiled(R, d, g0)) for d in row] for row in jac]
+        if R.nu > 1:
+            if jac is None:
+                jac = [[differentiate_compiled(R, f, i) for i in range(len(variables))] for f in fs]
+            rows = [[digit(evaluate_compiled(R, d, g0)) for d in row] for row in jac]
         branches = [g0]
         for j in range(1, R.nu):
             pi_j = R._payload_pi_power(j)

@@ -215,6 +215,29 @@ def test_verify_malformed_solutions_is_a_parse_error(capsys, tmp_path, golden_na
     assert json.loads(out) == {"error": {"message": message, "type": "ParseError"}}
 
 
+@pytest.mark.parametrize(
+    "golden_name, path, value, message",
+    [
+        ("gb_exgb", ("result", "basis"), None, "field 'basis' must be a list, got None"),
+        ("rank_decode", ("result", "solutions", 0, "x"), None, "field 'x' must be a list, got None"),
+        ("rank_decode", ("result", "solutions"), [5], "field 'solutions' must hold objects, got 5"),
+        ("rank_decode", ("input", "extension"), 5, "extension descriptor must be an object, got 5"),
+    ],
+    ids=["gb-basis-null", "decode-x-null", "decode-solution-number", "decode-extension-number"],
+)
+def test_verify_malformed_envelope_is_a_parse_error(capsys, tmp_path, golden_name, path, value, message):
+    # each ended in a TypeError traceback in _verify_dispatch or in
+    # extension_from_json
+    envelope = json.loads((Path(__file__).resolve().parent / "goldens" / f"{golden_name}.json").read_text())
+    target = envelope
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    code, out = run_cli(capsys, "verify", write(tmp_path, "envelope.json", envelope))
+    assert code == 2
+    assert json.loads(out) == {"error": {"message": message, "type": "ParseError"}}
+
+
 def test_inline_ring_spec_missing_field_is_a_parse_error(capsys, tmp_path):
     path = write(tmp_path, "sys.json", {"vars": ["x"], "polys": ["x"]})
     code, out = run_cli(capsys, "solve", "--text", "--ring", '{"kind":"zpk","p":2}', path)
@@ -293,6 +316,27 @@ def run_rank_decode(capsys, tmp_path, ext):
         flag, value = DECODE_ARGS[i : i + 2]
         argv += [flag, value if isinstance(value, str) else write(tmp_path, f"{flag[2:]}.json", value)]
     return run_cli(capsys, *argv)
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--generator", [None], "field 'generator' must be a list, got None"),
+        ("--generator", 5, "field 'generator' must be a list, got 5"),
+        ("--received", None, "field 'received' must be a list, got None"),
+    ],
+    ids=["generator-null-row", "generator-number", "received-null"],
+)
+def test_rank_decode_malformed_word_is_a_parse_error(capsys, tmp_path, flag, value, message):
+    # a generator of [null] ended in a TypeError traceback
+    argv = ["rank-decode", "--extension", write(tmp_path, "ext.json", {"base": Z4, "m": 2})]
+    for i in range(0, len(DECODE_ARGS), 2):
+        name, arg = DECODE_ARGS[i : i + 2]
+        arg = value if name == flag else arg
+        argv += [name, arg if isinstance(arg, str) else write(tmp_path, f"{name[2:]}.json", arg)]
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(out) == {"error": {"message": message, "type": "ParseError"}}
 
 
 @pytest.mark.parametrize("modulus", ["x", 7, [1, "a", 1], [1, [1], 1]])
@@ -689,12 +733,13 @@ def run_python(*argv):
 
 def test_solve_local_runaway_basis_prints_one_envelope(tmp_path, runaway_local_polynomial):
     # buchberger's term cap through the CLI: one error envelope on stdout,
-    # exit 1, nothing on stderr
+    # exit 1, nothing on stderr; a budget below the expanded system's 2^6
+    # residue points refuses the lift fallback
     P = runaway_local_polynomial.ring
     system = {"ring": P.ring.to_json(), "vars": list(P.variables), "polys": [P.poly_to_json(runaway_local_polynomial)]}
     path = write(tmp_path, "runaway.json", system)
     src = str(Path(chainring.__file__).resolve().parents[1])
-    env = dict(os.environ)
+    env = dict(os.environ, CHAINRING_BUDGET="63")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     done = subprocess.run(
         [sys.executable, "-m", "chainring.cli", "solve-local", path],

@@ -197,11 +197,40 @@ def test_solve_local_cubic(paper_ring):
         assert paper_ring.is_zero(cubic.evaluate([r]))
 
 
-def test_runaway_expanded_basis_hits_the_term_cap(runaway_local_polynomial):
+def test_runaway_expanded_basis_hits_the_term_cap(runaway_local_polynomial, monkeypatch):
+    # the expanded system has q^k = 2^6 residue points: a budget of 63
+    # refuses the lift fallback, so buchberger's cap error comes through
+    monkeypatch.setenv("CHAINRING_BUDGET", "63")
     start = time.perf_counter()
     with pytest.raises(ResourceExceeded, match=r"exceeds the cap of \d+ \(\d+ pairs processed, basis of \d+"):
         solve_local_system([runaway_local_polynomial])
     assert time.perf_counter() - start < 20
+
+
+def test_runaway_expanded_basis_falls_back_to_the_lift(runaway_local_polynomial, monkeypatch):
+    # elimination gives up on the expanded system (six variables over Z4,
+    # q^k = 64 within the budget), so the lift solves it; the answer is
+    # the enumeration's
+    from chainring import solve
+
+    lifting = solve.solve_system_lifting
+    calls = []
+
+    def spy(polys, *args, **kwargs):
+        calls.append(len(polys))
+        return lifting(polys, *args, **kwargs)
+
+    monkeypatch.setattr(solve, "solve_system_lifting", spy)
+    f = runaway_local_polynomial
+    R = f.ring.ring
+    got = solve_local_system([f])
+    expected = {
+        point
+        for point in itertools.product(list(R.elements()), repeat=2)
+        if R.is_zero(f.evaluate(list(point)))
+    }
+    assert calls == [3]
+    assert len(got) == 16 and got == frozenset(expected)
 
 
 def test_exactness_against_enumeration(paper_ring):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import chainring
-from chainring import groebner, solve
+from chainring import groebner, minrank, solve
 from chainring.errors import DomainError, Inconclusive, WrongOrder
 from chainring.extension import build_extension
 from chainring.groebner import buchberger, elimination_subbasis
@@ -27,9 +27,9 @@ from chainring.minrank import (
     solve_minrank,
     transpose_instance,
 )
-from chainring.oracles import brute_minrank
+from chainring.oracles import brute_decode_set, brute_minrank
 from chainring.polys import MultiPoly, PolyRing, strong_reduce
-from chainring.rankdecode import RankDecodingInstance, key_equation_model, to_minrank
+from chainring.rankdecode import RankDecodingInstance, decode, key_equation_model, to_minrank
 from chainring.rings import RingElement, Zpk, galois_ring, integer_ring
 from chainring.solve import x_block_solutions, x_block_system
 
@@ -509,18 +509,31 @@ def spy_x_only_routes(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("strategy", ["ks", "sm-linearization"])
-def test_each_distinct_x_only_system_is_solved_once(strategy, monkeypatch):
-    # the candidates as found when every model's x block was solved afresh
-    instances = golden_instances()
-    expected = {
+# the candidates as found when every model's x block was solved afresh; the
+# ks instances' models all lie above MODEL_LIFT_CAP, so each is eliminated
+SOLVED_ONCE = {
+    "sm-linearization": {
         "decode-seed1-1-ambiguous": [[0, 0], [0, 2], [1, 1], [1, 2], [3, 0], [3, 1]],
         "minrank_rank1": [[0, 0, 0], [0, 0, 4], [4, 4, 2], [4, 4, 6]],
         "z8-r1-affine": [],
-    }
+    },
+    "ks": {
+        "minrank_rank1": [[0, 0, 0], [0, 0, 4], [4, 4, 2], [4, 4, 6]],
+        "z8-r2-affine": [[3, 6], [7, 6], [6, 2], [6, 6]],
+        "z25-r2-homogeneous": [[0, 0], [5, 0], [10, 0], [15, 0], [20, 0]],
+    },
+}
+
+
+@pytest.mark.parametrize("strategy", ["ks", "sm-linearization"])
+def test_each_distinct_x_only_system_is_solved_once(strategy, monkeypatch):
+    instances = golden_instances()
     calls = spy_x_only_routes(monkeypatch)
-    for name, candidates in expected.items():
+    for name, candidates in SOLVED_ONCE[strategy].items():
         inst = instances[name]
+        if strategy == "ks":
+            for _, _, model in every_model(inst):
+                assert model_lift_size(model) > solve.MODEL_LIFT_CAP, name
         calls.clear()
         found = [[v.data for v in x] for x in minrank_candidates(inst, strategy)]
         assert found == candidates, name
@@ -530,6 +543,12 @@ def test_each_distinct_x_only_system_is_solved_once(strategy, monkeypatch):
     # the decode word's three models share one x-only system
     keys = [system_key(polys) for _, polys in x_only_systems(instances["decode-seed1-1-ambiguous"], strategy)]
     assert len(keys) == 3 and len(set(keys)) == 1
+
+
+def model_lift_size(model):
+    """q^k over the k variables that the whole-model lift would enumerate."""
+    used = set(model.x_vars).union(*(e.vars_used() for e in model.equations))
+    return model.poly_ring.ring.q ** len(used)
 
 
 def in_sort_key_order(R, points):
@@ -767,6 +786,121 @@ def test_x_block_system_makes_fewer_s_polynomials(monkeypatch):
     assert counts == {"raw": 7653, "x_block_system": 5646}
 
 
+def spy_model_routes(monkeypatch):
+    """A list that receives ("lift", equations) for each model that the
+    whole-model lift solves and ("elimination", equations) for each model
+    that reaches x_block_system, from minrank_candidates or
+    x_block_solutions."""
+    lifted_x_block, eliminate = solve._lifted_x_block, solve.x_block_system
+    routes = []
+
+    def lift_spy(ring, equations, x_vars):
+        found = lifted_x_block(ring, equations, x_vars)
+        if found is not None:
+            routes.append(("lift", tuple(equations)))
+        return found
+
+    def elimination_spy(ring, equations, x_vars):
+        routes.append(("elimination", tuple(equations)))
+        return eliminate(ring, equations, x_vars)
+
+    for module in (solve, minrank):
+        monkeypatch.setattr(module, "_lifted_x_block", lift_spy)
+        monkeypatch.setattr(module, "x_block_system", elimination_spy)
+    return routes
+
+
+def expected_route(model):
+    """The route rule for a model: the lift at q^k <= MODEL_LIFT_CAP, unless
+    x_block_system answers it with no Buchberger run (a constant) or no
+    equation has a constant term (the model vanishes at the origin)."""
+    equations = [e for e in model.equations if not e.is_zero()]
+    if (
+        any(e.is_constant() for e in equations)
+        or all(e._terms[-1][0] for e in equations)
+        or model_lift_size(model) > solve.MODEL_LIFT_CAP
+    ):
+        return "elimination"
+    return "lift"
+
+
+def test_small_models_are_lifted_whole_and_match_brute(monkeypatch):
+    # seeded planted rank-1 instances on both sides of MODEL_LIFT_CAP for
+    # each ring, by the number of variables the lift would enumerate: 3x3
+    # with K = 2 over Z4 and Z8 (q^k = 16) and K = 3 (32), and 2x2 with
+    # K = 1 over Z9 (9), Z25 (25) and GR(4,2) (16), are lifted whole and
+    # never reach x_block_system; 3x3 with K = 4 over Z4 (64), K = 2 over
+    # Z9 (81) and K = 1 over Z25 (125) and GR(4,2) (64) are eliminated, and
+    # so are homogeneous instances (M0 = 0) of the small shapes, whose
+    # models vanish at the origin; every answer of ks and sm-groebner is
+    # brute force's
+    cases = [
+        (Zpk(2, 2), 3, 2, "lift"),
+        (Zpk(2, 2), 3, 3, "lift"),
+        (Zpk(2, 2), 3, 4, "elimination"),
+        (Zpk(2, 3), 3, 2, "lift"),
+        (Zpk(2, 3), 3, 3, "lift"),
+        (Zpk(3, 2), 2, 1, "lift"),
+        (Zpk(3, 2), 3, 2, "elimination"),
+        (Zpk(5, 2), 2, 1, "lift"),
+        (Zpk(5, 2), 3, 1, "elimination"),
+        (galois_ring(2, 2, 2), 2, 1, "lift"),
+        (galois_ring(2, 2, 2), 3, 1, "elimination"),
+        (Zpk(2, 3), 3, 2, "homogeneous"),
+        (Zpk(3, 2), 2, 1, "homogeneous"),
+    ]
+    routes = spy_model_routes(monkeypatch)
+    rng = random.Random(2626)
+    for R, n, k, kind in cases:
+        route = "elimination" if kind == "homogeneous" else kind
+        for _ in range(2):
+            inst, x = planted_rank_one(rng, R, m=n, n=n, k=k)
+            if kind == "homogeneous":
+                inst, x = MinRankInstance(R, inst.matrices, 1), (R.zero,) * k
+            expected = brute_minrank(inst)
+            assert x in expected
+            for strategy in ("ks", "sm-groebner"):
+                routes.clear()
+                assert solve_minrank(inst, strategy) == expected, (R.short_name(), n, k, strategy)
+                models = [m for kind, _, m in every_model(inst) if kind == strategy[:2]]
+                assert routes == [(expected_route(m), m.equations) for m in models]
+                assert {r for r, _ in routes} == {route}, (R.short_name(), n, k, strategy)
+
+
+def ambiguous_golden_words():
+    """The ten ambiguous decode words of minrank_models.json, rebuilt over
+    GR(4,2) with the decode workload's code g = (1, a, 1 + 2a) from M0 =
+    rep(-y) and checked against their MinRank instances."""
+    S = build_extension(Zpk(2, 2), 2)
+    a = S.alpha
+    g = (S.one, a, S.add(S.one, S.add(a, a)))
+    words = {}
+    for name, inst in golden_instances().items():
+        if name.endswith("-ambiguous"):
+            m0 = inst.m0.rows
+            y = tuple(S.neg(S.element([m0[0][j], m0[1][j]])) for j in range(3))
+            rd = RankDecodingInstance(S, (g,), y, 1)
+            assert to_minrank(rd) == inst, name
+            words[name] = rd
+    assert len(words) == 10
+    return words
+
+
+def test_decoding_groebner_and_minrank_ks_lift_the_ambiguous_golden_words(monkeypatch):
+    # both routes' models have 4 variables over Z4 (q^k = 16), so they are
+    # lifted whole; each route lists exactly brute_decode_set
+    routes = spy_model_routes(monkeypatch)
+    for name, rd in ambiguous_golden_words().items():
+        truth = set(brute_decode_set(rd))
+        for strategy in ("groebner", "minrank-ks"):
+            routes.clear()
+            got = decode(rd, strategy)
+            assert got.strategy_used == strategy
+            xs = [x for x, _, _ in got.solutions]
+            assert len(xs) == len(truth) and set(xs) == truth, (name, strategy)
+            assert routes and {r for r, _ in routes} == {"lift"}, (name, strategy)
+
+
 MACAULAY_GOLDEN = Path(__file__).resolve().parent / "goldens" / "macaulay_x_blocks.json"
 
 
@@ -823,4 +957,5 @@ def test_candidate_order_does_not_depend_on_the_hash_seed():
         done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
         outputs.append(json.loads(done.stdout))
     assert outputs[0] == outputs[1]
-    assert outputs[0][0] == [[0, 0], [0, 2], [1, 1], [1, 2], [3, 0], [3, 1]]
+    # the decode word's KS models are lifted whole, model by model
+    assert outputs[0][0] == [[0, 0], [0, 2], [1, 2], [3, 0], [1, 1], [3, 1]]

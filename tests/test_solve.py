@@ -636,3 +636,28 @@ def test_solve_sets_match_golden():
     # eight rings, byte for byte as recorded before solve_system memoised
     # its branches and the lift moved to payloads
     assert render_solve_golden() == SOLVE_GOLDEN.read_text()
+
+
+def test_lift_differentiates_only_once_a_residue_root_survives(monkeypatch):
+    # the Jacobian is needed to lift past level 0 only: none is built for a
+    # system with no residue root or over a field, one per call otherwise
+    from chainring import solve
+
+    differentiate = solve.differentiate_compiled
+    calls = []
+
+    def spy(*args):
+        calls.append(args[2])
+        return differentiate(*args)
+
+    monkeypatch.setattr(solve, "differentiate_compiled", spy)
+    for R, text, roots, built in (
+        (Zpk(2, 2), "x^2 + x + 1", [], False),  # no root mod 2
+        (Zpk(5, 1), "x^2 - 1", [1, 4], False),  # a field: nu = 1
+        (Zpk(2, 3), "x^2 - 1", [1, 3, 5, 7], True),
+    ):
+        P = PolyRing(R, ("x",), "lex")
+        calls.clear()
+        got = solve._lift_roots(R, [P.parse(text)], [0], solve.DEFAULT_SOLUTION_CAP)
+        assert sorted(c.data for (c,) in got) == roots
+        assert calls == ([0] if built else [])
