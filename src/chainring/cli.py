@@ -111,6 +111,8 @@ def _system_from_json(
         else:
             priority = range(len(variables))
         order = MonomialOrder(kind, priority)
+    elif "order" in obj:
+        order = _order_from_json(obj["order"], len(variables))
     else:
         order = "lex"
     pring = PolyRing(ring, variables, order)
@@ -125,6 +127,24 @@ def _system_from_json(
     if not polys:
         raise ParseError("empty system")
     return pring, polys
+
+
+def _order_from_json(value, nvars: int) -> MonomialOrder:
+    """A system file's "order" object, as _system_to_json writes it: a kind
+    and a priority listing each variable index once, highest first."""
+    if not isinstance(value, dict):
+        raise ParseError(f"field 'order' must be an object, got {value!r}")
+    kind = value.get("kind")
+    if kind not in ("lex", "degrevlex"):
+        raise ParseError(f"field 'order.kind' must be 'lex' or 'degrevlex', got {kind!r}")
+    priority = value.get("priority")
+    if not (
+        isinstance(priority, list)
+        and all(type(i) is int for i in priority)  # bool is a subclass of int
+        and sorted(priority) == list(range(nvars))
+    ):
+        raise ParseError(f"field 'order.priority' must list each variable index once, got {priority!r}")
+    return MonomialOrder(kind, priority)
 
 
 def _system_to_json(pring: PolyRing, polys) -> dict:

@@ -354,8 +354,8 @@ def expand_system(system: Sequence[MultiPoly]) -> ExpandedSystem:
     A symbolic element of R is a vector of gamma polynomials over R0, each a
     dict from packed monomial to nonzero payload, multiplied by the same
     structure-constant rule as the ring's own elements.  The vector of
-    x_i^e is built once per variable and exponent; each equation is
-    collected once."""
+    x_i^e is built once per variable and exponent, by squaring the cached
+    vectors of lower powers; each equation is collected once."""
     system = list(system)
     if not system:
         raise DomainError("empty system")
@@ -390,7 +390,14 @@ def expand_system(system: Sequence[MultiPoly]) -> ExpandedSystem:
     def power(i: int, e: int) -> list:
         vec = powers.get((i, e))
         if vec is None:
-            vec = powers[i, e] = x_vecs[i] if e == 1 else product(power(i, e - 1), x_vecs[i])
+            if e == 1:
+                vec = x_vecs[i]
+            else:
+                half = power(i, e // 2)
+                vec = product(half, half)
+                if e % 2:
+                    vec = product(vec, x_vecs[i])
+            powers[i, e] = vec
         return vec
 
     scales = [base._payload_pi_power(base.nu - s) for s in pres.ann_exponents]

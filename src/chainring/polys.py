@@ -537,41 +537,24 @@ class MultiPoly:
 
 # -- compiled evaluation ----------------------------------------------------------
 # The solver evaluates each polynomial at many points.  It reads the
-# polynomial once into a compiled form over a list of variables and runs
-# evaluate_compiled on payload points.  MultiPoly.evaluate stays a separate
-# loop: the oracles and the CLI's verify use it, so the reference shares no
-# evaluation code with the solver.
+# polynomial once into a compiled form over a list of variables and hands it
+# to its ring's kernels, _payload_evaluate and _payload_gradient (rings.Ring,
+# overridden in Zpk), on payload points.  MultiPoly.evaluate stays a separate loop: the oracles
+# and the CLI's verify use it, so the reference shares no evaluation code
+# with the solver.
 
 
 def compile_poly(f: MultiPoly, variables: Sequence[int]) -> list[tuple]:
     """f's terms as (payload, ((position, exponent), ...)), where position
     indexes variables and zero exponents are dropped; f uses no variable
-    outside variables."""
+    outside variables.  This is the format of the ring kernels
+    _payload_evaluate and _payload_gradient, which read a point as a
+    sequence of payloads indexed by position."""
     shifts = [f.ring._shifts[v] for v in variables]
     return [
         (c, tuple((i, e) for i, s in enumerate(shifts) if (e := (m >> s) & MAX_EXPONENT)))
         for m, c in f._terms
     ]
-
-
-def differentiate_compiled(R: Ring, terms: list[tuple], i: int) -> list[tuple]:
-    """The compiled form of the derivative in the variable at position i;
-    each distinct exponent's payload is built once."""
-    mul, zero = R._payload_mul, R._zero_data
-    ints: dict = {}
-    out = []
-    for c, factors in terms:
-        for j, (pos, e) in enumerate(factors):
-            if pos == i:
-                k = ints.get(e)
-                if k is None:
-                    k = ints[e] = R.from_int(e).data
-                v = mul(k, c)
-                if v != zero:
-                    lower = ((i, e - 1),) if e > 1 else ()
-                    out.append((v, factors[:j] + lower + factors[j + 1 :]))
-                break
-    return out
 
 
 def split_compiled(terms: list[tuple], free) -> Iterable[list[tuple]]:
@@ -583,18 +566,6 @@ def split_compiled(terms: list[tuple], free) -> Iterable[list[tuple]]:
         key = tuple(f for f in factors if f[0] in free)
         groups.setdefault(key, []).append((c, tuple(f for f in factors if f[0] not in free)))
     return groups.values()
-
-
-def evaluate_compiled(R: Ring, terms, point):
-    """The payload value of compiled terms at point, a sequence of payloads
-    indexed by position."""
-    add, mul, power = R._payload_add, R._payload_mul, R._payload_pow
-    total = R._zero_data
-    for v, factors in terms:
-        for i, e in factors:
-            v = mul(v, point[i] if e == 1 else power(point[i], e))
-        total = add(total, v)
-    return total
 
 
 def _overflow() -> ExponentOverflow:

@@ -167,6 +167,40 @@ class Ring:
                 x = self._payload_mul(x, x)
         return result
 
+    # The evaluation kernels of the solver's lift and re-verification.  A
+    # compiled polynomial (polys.compile_poly) is a list of terms (payload,
+    # ((position, exponent), ...)); a point is a sequence of payloads indexed
+    # by position.  Zpk overrides both with native-int arithmetic.
+
+    def _payload_evaluate(self, terms, point):
+        """The payload value of compiled terms at point."""
+        add, mul, power = self._payload_add, self._payload_mul, self._payload_pow
+        total = self._zero_data
+        for v, factors in terms:
+            for i, e in factors:
+                v = mul(v, point[i] if e == 1 else power(point[i], e))
+            total = add(total, v)
+        return total
+
+    def _payload_gradient(self, terms, point, k: int) -> list:
+        """The payload values at point of the partial derivatives of
+        compiled terms in positions 0..k-1, in one pass over the terms."""
+        add, mul, power = self._payload_add, self._payload_mul, self._payload_pow
+        grad = [self._zero_data] * k
+        for c, factors in terms:
+            # a factor's value is needed only in the derivatives of the others
+            if len(factors) > 1:
+                values = [point[i] if e == 1 else power(point[i], e) for i, e in factors]
+            else:
+                values = ()
+            for j, (i, e) in enumerate(factors):
+                d = c if e == 1 else mul(mul(self.from_int(e).data, c), power(point[i], e - 1))
+                for other, v in enumerate(values):
+                    if other != j:
+                        d = mul(d, v)
+                grad[i] = add(grad[i], d)
+        return grad
+
     def __eq__(self, other):
         # rings compare structurally (kind + descriptor), so a JSON round-trip
         # or a Frobenius-aware subclass still matches the plain ring
@@ -477,6 +511,32 @@ class Zpk(ChainRing):
 
     def _payload_pow(self, x, e):
         return pow(x, e, self.modulus)
+
+    def _payload_evaluate(self, terms, point):
+        M = self.modulus
+        total = 0
+        for v, factors in terms:
+            for i, e in factors:
+                v *= point[i] if e == 1 else pow(point[i], e, M)
+            total += v
+        return total % M
+
+    def _payload_gradient(self, terms, point, k):
+        M = self.modulus
+        grad = [0] * k
+        for c, factors in terms:
+            if len(factors) == 1:
+                ((i, e),) = factors
+                grad[i] += c if e == 1 else c * e * pow(point[i], e - 1, M)
+                continue
+            values = [point[i] if e == 1 else pow(point[i], e, M) for i, e in factors]
+            for j, (i, e) in enumerate(factors):
+                d = c if e == 1 else c * e * pow(point[i], e - 1, M)
+                for other, v in enumerate(values):
+                    if other != j:
+                        d *= v
+                grad[i] += d
+        return [g % M for g in grad]
 
     def _payload_scale(self, u, row):
         M = self.modulus

@@ -5,13 +5,15 @@ lexicographic elimination with back-substitution, whose univariate roots are
 lifted from the residue field, and direct multivariate lifting of the whole
 system.  The lift carries each branch as a point c of R^k, a tuple of ring
 payloads, and extends it one π-adic level at a time by a residue-field
-linear solve on Teichmüller payloads; only the roots are boxed.  Within one
-call, back-substitution solves each distinct specialised system once and
-replays its partial solutions where it meets the system again.  The x-block
-tail that MinRank and decoding share combines the two routes under one
-route rule (_lifts): a small model is lifted whole and projected onto x
-(_lifted_x_block); otherwise elimination gives the x-only system, and a
-small x block is lifted (_x_only_solutions).
+linear solve on Teichmüller payloads; only the roots are boxed.  Every
+point is evaluated by the ring's kernels (_payload_evaluate, and
+_payload_gradient for the Jacobian), which Zpk runs on native ints.
+Within one call, back-substitution solves each distinct specialised system
+once and replays its partial solutions where it meets the system again.
+The x-block tail that MinRank and decoding share combines the two routes
+under one route rule (_lifts): a small model is lifted whole and projected
+onto x (_lifted_x_block); otherwise elimination gives the x-only system,
+and a small x block is lifted (_x_only_solutions).
 The system is solved as given: adjoining the field equations F_m, which
 vanish at every point of R, never changes a solution set.  The independent
 reference is oracles.brute_solve.  Product rings split through the CRT and
@@ -41,8 +43,6 @@ from .polys import (
     PolyRing,
     _univariate_var,
     compile_poly,
-    differentiate_compiled,
-    evaluate_compiled,
     macaulay_rows,
     split_compiled,
 )
@@ -69,14 +69,18 @@ DEFAULT_SOLUTION_CAP = 1 << 16
 DESK_SCALE_RING_CAP = 1 << 16
 # the x-only tail lifts a block only if Γ^k has at most this many points:
 # the lift tests each of them, and on the KS x blocks of planted MinRank
-# instances it was as fast as elimination or faster up to q^k = 125 and
-# slower from q^k = 169 on (100× slower over Z251 with k = 2)
+# instances it took 0.16-0.77× elimination's time up to q^k = 343, tied at
+# 289 (Z17) and was slower from q^k = 529 on (75× over Z251 with k = 2);
+# the cap sits below every measured crossover
 LIFT_RESIDUE_CAP = 1 << 7
 # a whole model (z and x variables) is lifted instead of eliminated only if
 # Γ^k has at most this many points: on planted rank-1 3x3 KS models the lift
-# took 0.4-0.5× elimination's time at q^k = 16 (Z4, Z8), 0.06-0.2× at 32,
-# tied at 81 (Z9) and took 1.9× at 256 (GR(4,2)); on SM models 1.1-1.3× at
-# 16 and 0.4-0.9× at 32; on n = 6, k = 2 key-equation models 2.7× at 64
+# took 0.3-0.7× elimination's time at q^k = 16 (Z4, Z8), 0.07-0.15× at 32
+# and 0.5× at 81 (Z9), on SM models 0.6-0.8× at 16, on n = 3, k = 1
+# key-equation models 0.85× at 16; before the ring kernels it took 1.9× at
+# 256 (GR(4,2)) and 2.7× on n = 6, k = 2 key-equation models at 64.  At 81
+# every Z9 model of the minrank benchmark would be lifted and none would
+# reach Buchberger
 MODEL_LIFT_CAP = 1 << 5
 
 
@@ -380,21 +384,21 @@ def _verify_solutions(ring: PolyRing, original: list[MultiPoly], solutions):
     sum to zero (polys.split_compiled), as substituting the fixed
     coordinates must leave the zero polynomial."""
     R = ring.ring
-    zero = R._zero_data
+    evaluate, zero = R._payload_evaluate, R._zero_data
     system = [compile_poly(p, range(ring.nvars)) for p in original]
     parts_by_free: dict = {}  # free positions -> the fixed parts to sum
     for sol in solutions:
         point = [None if x is ALL_OF_RING else x.data for x in sol]
         if None not in point:
             for f in system:
-                if evaluate_compiled(R, f, point) != zero:
+                if evaluate(f, point) != zero:
                     raise InternalInvariant("solver emitted a non-solution")
             continue
         free = frozenset(i for i, x in enumerate(point) if x is None)
         parts = parts_by_free.get(free)
         if parts is None:
             parts = parts_by_free[free] = [part for f in system for part in split_compiled(f, free)]
-        if any(evaluate_compiled(R, part, point) != zero for part in parts):
+        if any(evaluate(part, point) != zero for part in parts):
             raise InternalInvariant("free coordinates must satisfy the system identically")
 
 
@@ -663,40 +667,50 @@ def _lift_roots(
     root's truncations are branches, and each final candidate is
     re-evaluated, so the result is exact.  The polynomials are compiled
     once over the variables (polys.compile_poly), and the branches are
-    tuples of payloads; only roots are boxed.  The Jacobian is
-    differentiated from the compiled form only once a residue root
-    survives and ν > 1: a system with no residue root, or one over the
-    residue field itself, never needs it.
+    tuples of payloads evaluated by the ring's kernels: _payload_evaluate
+    tests level 0, and a residue root γ0 that survives it, when ν > 1,
+    takes its Jacobian rows D f(γ0) from one _payload_gradient call per
+    polynomial and its level-1 right-hand side from its level-0 values.
+    Only roots are boxed.
     """
     add, mul, neg = R._payload_add, R._payload_mul, R._payload_neg
     digit, quo_pi = R._payload_digit, R._payload_quo_pi
+    evaluate, gradient = R._payload_evaluate, R._payload_gradient
+    residue = R._payload_residue
     zero = R._zero_data
+    zero_residue = residue(zero)
+    k = len(variables)
     fs = [compile_poly(p, variables) for p in polys]
-    jac = None  # differentiated once a residue root survives, if ν > 1
     gamma = [g.data for g in R.teichmuller_set()]
     solutions = set()
     # level 0 tests every point of Γ^k, so a system whose residue-field
     # projection vanishes identically needs no special case
-    for g0 in itertools.product(gamma, repeat=len(variables)):
-        if any(digit(evaluate_compiled(R, f, g0)) != zero for f in fs):
+    for g0 in itertools.product(gamma, repeat=k):
+        values = []
+        for f in fs:
+            v = evaluate(f, g0)
+            if residue(v) != zero_residue:
+                break
+            values.append(v)
+        if len(values) < len(fs):
             continue
         if R.nu > 1:
-            if jac is None:
-                jac = [[differentiate_compiled(R, f, i) for i in range(len(variables))] for f in fs]
-            rows = [[digit(evaluate_compiled(R, d, g0)) for d in row] for row in jac]
+            rows = [[digit(d) for d in gradient(f, g0, k)] for f in fs]
         branches = [g0]
         for j in range(1, R.nu):
             pi_j = R._payload_pi_power(j)
             next_branches = []
             for c in branches:
-                rhs = [digit(neg(quo_pi(evaluate_compiled(R, f, c), j))) for f in fs]
+                # the only level-1 branch is g0, whose values level 0 kept
+                at_c = values if j == 1 else [evaluate(f, c) for f in fs]
+                rhs = [digit(neg(quo_pi(v, j))) for v in at_c]
                 for z in _residue_solutions(R, gamma, rows, rhs):
                     next_branches.append(tuple(add(x, mul(pi_j, y)) for x, y in zip(c, z)))
                     if len(next_branches) > max_solutions:
                         raise ResourceExceeded("lifting branch count exceeds cap")
             branches = next_branches
         for c in branches:
-            if all(evaluate_compiled(R, f, c) == zero for f in fs):
+            if all(evaluate(f, c) == zero for f in fs):
                 solutions.add(tuple(RingElement(R, x) for x in c))
     return solutions
 

@@ -722,6 +722,51 @@ def test_order_flag(capsys, tmp_path):
 REPO = Path(__file__).resolve().parents[1]
 
 
+def verify_envelope(capsys, tmp_path, envelope: dict):
+    return run_cli(capsys, "verify", write(tmp_path, "envelope.json", envelope))
+
+
+@pytest.mark.parametrize("order", ["lex:y,x", "degrevlex"])
+def test_verify_reads_the_order_of_a_gb_envelope(capsys, tmp_path, monkeypatch, order):
+    # verify rebuilt every system in lex x > y, so the correct lex y > x
+    # basis failed the S/A-polynomial conditions (exit 1)
+    monkeypatch.chdir(REPO)
+    code, out = run_cli(capsys, "gb", "instances/exgb.json", "--text", "--order", order)
+    assert code == 0
+    envelope = json.loads(out)
+    code, out = verify_envelope(capsys, tmp_path, envelope)
+    assert (code, json.loads(out)["checks"]) == (0, ["groebner-conditions", "ideal-equality"])
+    bad = [json.loads(json.dumps(envelope))]
+    bad[0]["result"]["basis"].pop()  # a basis missing a member
+    if order == "lex:y,x":  # the basis read in lex x > y, as verify did
+        bad.append(json.loads(json.dumps(envelope)))
+        bad[1]["input"]["order"] = {"kind": "lex", "priority": [0, 1]}
+    for envelope in bad:
+        code, out = verify_envelope(capsys, tmp_path, envelope)
+        assert code == 1 and json.loads(out)["error"]["type"] == "ChainRingError"
+
+
+@pytest.mark.parametrize(
+    "order, message",
+    [
+        ("lex", "field 'order' must be an object, got 'lex'"),
+        ({"priority": [0, 1]}, "field 'order.kind' must be 'lex' or 'degrevlex', got None"),
+        ({"kind": "grevlex", "priority": [0, 1]}, "field 'order.kind' must be 'lex' or 'degrevlex', got 'grevlex'"),
+        ({"kind": "lex"}, "field 'order.priority' must list each variable index once, got None"),
+        ({"kind": "lex", "priority": [0, 0]}, "field 'order.priority' must list each variable index once, got [0, 0]"),
+        ({"kind": "lex", "priority": [0]}, "field 'order.priority' must list each variable index once, got [0]"),
+        ({"kind": "lex", "priority": [0, True]}, "field 'order.priority' must list each variable index once, got [0, True]"),
+        ({"kind": "lex", "priority": "0,1"}, "field 'order.priority' must list each variable index once, got '0,1'"),
+    ],
+    ids=["string", "no-kind", "unknown-kind", "no-priority", "repeated", "short", "bool", "string-priority"],
+)
+def test_malformed_order_is_a_parse_error(capsys, tmp_path, order, message):
+    envelope = json.loads(golden("gb_exgb"))
+    envelope["input"]["order"] = order
+    code, out = verify_envelope(capsys, tmp_path, envelope)
+    assert (code, json.loads(out)) == (2, {"error": {"message": message, "type": "ParseError"}})
+
+
 def run_python(*argv):
     src = str(Path(chainring.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -839,6 +884,13 @@ def test_cli_matches_golden(name, capsys, monkeypatch):
 @pytest.mark.parametrize("name", OPTIMIZED)
 def test_cli_matches_golden_under_optimize_flag(name):
     assert run_python("-O", "-m", "chainring.cli", *CASES[name]) == golden(name)
+
+
+@pytest.mark.parametrize("name", sorted(n for n, argv in CASES.items() if argv[0] != "verify"))
+def test_cli_golden_envelopes_verify(name, capsys, monkeypatch):
+    monkeypatch.chdir(REPO)
+    code, out = run_cli(capsys, "verify", str(GOLDENS / f"{name}.json"))
+    assert code == 0 and json.loads(out)["verified"] is True
 
 
 def test_minrank_ks_with_target_rank_above_n(capsys, tmp_path, z4):

@@ -1,12 +1,16 @@
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import chainring
 from chainring.errors import ChainRingError, NotARing, ResourceExceeded
 from chainring.localring import (
     LocalRingPresentation,
@@ -16,6 +20,7 @@ from chainring.localring import (
     quotient_presentation,
     solve_local_system,
 )
+from chainring.oracles import brute_solve
 from chainring.polys import MultiPoly, PolyRing
 from chainring.rings import Zpk
 from chainring.solve import ALL_OF_RING, SolutionSet, solve_system
@@ -231,6 +236,31 @@ def test_runaway_expanded_basis_falls_back_to_the_lift(runaway_local_polynomial,
     }
     assert calls == [3]
     assert len(got) == 16 and got == frozenset(expected)
+
+
+@pytest.mark.parametrize("exponent", [1500, 1 << 20])
+def test_high_powers_expand_by_squaring(exponent):
+    # x^e was expanded one factor at a time, recursing once per step: at e
+    # >= 1000 the CLI printed a RecursionError traceback.  The cubic of
+    # local_cubic.json with its x^3 raised to x^e solves to the roots that
+    # enumeration finds, and stdout is one envelope
+    system = json.loads(LOCAL_CUBIC.read_text())
+    system["polys"][0][0][1] = [exponent]
+    R = presentation_from_json(system["ring"])
+    P = PolyRing(R, system["vars"], "lex")
+    f = P.poly_from_json(system["polys"][0])
+    expected = brute_solve([f]).explicit()
+    assert solve_local_system([f]) == frozenset(expected)
+    done = subprocess.run(
+        [sys.executable, "-m", "chainring.cli", "solve-local", "-"],
+        input=json.dumps(system),
+        env=dict(os.environ, PYTHONPATH=str(Path(chainring.__file__).resolve().parents[1])),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0 and done.stderr == ""
+    (line,) = done.stdout.splitlines()
+    solutions = json.loads(line)["result"]["solutions"]
+    assert sorted(solutions) == sorted([R.element_to_json(x) for x in t] for t in expected)
 
 
 def test_exactness_against_enumeration(paper_ring):

@@ -16,14 +16,12 @@ from chainring.polys import (
     MonomialOrder,
     PolyRing,
     compile_poly,
-    differentiate_compiled,
-    evaluate_compiled,
     split_compiled,
     strong_reduce,
     strong_reduce_with_witness,
     term_divides,
 )
-from chainring.rings import ChainRing, Zpk, galois_ring, integer_ring
+from chainring.rings import ChainRing, RingElement, Zpk, galois_ring, integer_ring
 
 
 @pytest.fixture
@@ -261,8 +259,8 @@ def boxed_horner(f, point):
 
 def test_evaluate_matches_boxed_horner():
     # evaluate reads the packed terms and brute_solve enumerates with it;
-    # the solver's compiled evaluation lifts roots and re-verifies every
-    # emitted tuple: both are checked against boxed arithmetic at every
+    # the ring's compiled evaluation kernel lifts roots and re-verifies
+    # every emitted tuple: both are checked against boxed arithmetic at every
     # point of Z8 and GR(4,2) and at seeded points of Z12 and a local ring,
     # under lex and degrevlex
     rings = poly_golden_rings()
@@ -281,13 +279,14 @@ def test_evaluate_matches_boxed_horner():
                 for point in points:
                     expected = boxed_horner(f, point)
                     assert f.evaluate(point) == expected
-                    assert evaluate_compiled(R, compiled, [x.data for x in point]) == expected.data
+                    assert R._payload_evaluate(compiled, [x.data for x in point]) == expected.data
 
 
 @pytest.mark.parametrize("order", ["lex", MonomialOrder("degrevlex", (2, 0, 1))])
 def test_compiled_form_differentiates_and_splits_like_the_polynomial(z8, gr42, order):
-    # the lift differentiates the compiled form, and re-verification splits
-    # it by the free coordinates' monomials; both agree with MultiPoly
+    # the lift takes its Jacobian rows from the gradient kernel on the
+    # compiled form, and re-verification splits the form by the free
+    # coordinates' monomials; both agree with MultiPoly
     rng = random.Random(22)
     for R in (z8, gr42):
         P = PolyRing(R, ("x", "y", "z"), order)
@@ -296,13 +295,59 @@ def test_compiled_form_differentiates_and_splits_like_the_polynomial(z8, gr42, o
             f = P.poly({tuple(rng.randrange(4) for _ in range(3)): rng.choice(elems) for _ in range(5)})
             compiled = compile_poly(f, range(3))
             var, value = rng.randrange(3), rng.choice(elems)
-            assert differentiate_compiled(R, compiled, var) == compile_poly(f.derivative(var), range(3))
+            at = [rng.choice(elems) for _ in range(3)]
+            gradient = R._payload_gradient(compiled, [x.data for x in at], 3)
+            assert gradient[var] == f.derivative(var).evaluate(at).data
             point = [None] * 3
             point[var] = value.data
             parts = split_compiled(compiled, set(range(3)) - {var})
-            sums = [evaluate_compiled(R, part, point) for part in parts]
+            sums = [R._payload_evaluate(part, point) for part in parts]
             substituted = f.substitute(var, value)
             assert sorted(v for v in sums if v != R._zero_data) == sorted(c for _, c in substituted._terms)
+
+
+KERNEL_RINGS = {
+    "z4": Zpk(2, 2),
+    "z8": Zpk(2, 3),
+    "z9": Zpk(3, 2),
+    "z25": Zpk(5, 2),
+    "z27": Zpk(3, 3),
+    "gr42": galois_ring(2, 2, 2),
+    # 512 elements: above the operation-table cap, so the coordinate code
+    "gr83": galois_ring(2, 3, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_RINGS))
+def test_evaluation_kernels_match_the_polynomial(name):
+    # _payload_evaluate is MultiPoly.evaluate, each entry of
+    # _payload_gradient is the derivative's value, and Zpk's native-int
+    # overrides equal the generic methods, on seeded polynomials in 1-3
+    # variables with exponents up to 2^20 and constant terms
+    R = KERNEL_RINGS[name]
+    rng = random.Random(f"kernels:{name}")
+
+    def draw():
+        return RingElement(R, rng.randrange(R.size))
+
+    exponents = [0, 1, 2, 3, 5, 9, R.q, R.size, 1000, (1 << 20) - 1, 1 << 20]
+    for _ in range(40):
+        k = rng.randint(1, 3)
+        P = PolyRing(R, ("x", "y", "z")[:k], "lex")
+        terms = {tuple(rng.choice(exponents) for _ in range(k)): draw() for _ in range(rng.randint(1, 5))}
+        terms[(0,) * k] = draw()
+        f = P.poly(terms)
+        compiled = compile_poly(f, range(k))
+        for _ in range(4):
+            point = [draw() for _ in range(k)]
+            data = [x.data for x in point]
+            value = R._payload_evaluate(compiled, data)
+            gradient = R._payload_gradient(compiled, data, k)
+            assert value == f.evaluate(point).data
+            assert gradient == [f.derivative(v).evaluate(point).data for v in range(k)]
+            if isinstance(R, Zpk):
+                assert value == ChainRing._payload_evaluate(R, compiled, data)
+                assert gradient == ChainRing._payload_gradient(R, compiled, data, k)
 
 
 POLY_GOLDEN = Path(__file__).resolve().parent / "goldens" / "poly_ops.json"

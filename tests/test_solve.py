@@ -13,7 +13,7 @@ from chainring.errors import (
     TooLarge,
 )
 from chainring.groebner import buchberger
-from chainring.localring import presentation_from_json, solve_local_system
+from chainring.localring import presentation_from_json, quotient_presentation, solve_local_system
 from chainring.oracles import brute_solve, brute_vanishing_poly
 from chainring.polys import MonomialOrder, PolyRing
 from chainring.rings import Zpk, galois_ring, integer_ring
@@ -639,25 +639,82 @@ def test_solve_sets_match_golden():
 
 
 def test_lift_differentiates_only_once_a_residue_root_survives(monkeypatch):
-    # the Jacobian is needed to lift past level 0 only: none is built for a
-    # system with no residue root or over a field, one per call otherwise
+    # the Jacobian is needed to lift past level 0 only: no gradient is
+    # evaluated for a system with no residue root or over a field, and one
+    # per polynomial at each surviving residue root otherwise
     from chainring import solve
 
-    differentiate = solve.differentiate_compiled
     calls = []
-
-    def spy(*args):
-        calls.append(args[2])
-        return differentiate(*args)
-
-    monkeypatch.setattr(solve, "differentiate_compiled", spy)
-    for R, text, roots, built in (
-        (Zpk(2, 2), "x^2 + x + 1", [], False),  # no root mod 2
-        (Zpk(5, 1), "x^2 - 1", [1, 4], False),  # a field: nu = 1
-        (Zpk(2, 3), "x^2 - 1", [1, 3, 5, 7], True),
+    for R, texts, roots, residue_roots in (
+        (Zpk(2, 2), ["x^2 + x + 1"], [], []),  # no root mod 2
+        (Zpk(5, 1), ["x^2 - 1", "x^3 - x"], [1, 4], []),  # a field: nu = 1
+        (Zpk(2, 3), ["x^2 - 1"], [1, 3, 5, 7], [1]),
+        (Zpk(3, 2), ["x^2 - 1", "x^3 - x"], [1, 8], [1, 8]),  # Γ = {0, 1, 8}
     ):
         P = PolyRing(R, ("x",), "lex")
+        polys = [P.parse(t) for t in texts]
+        gradient = R._payload_gradient
+
+        def spy(terms, point, k, gradient=gradient):
+            calls.append(point)
+            return gradient(terms, point, k)
+
+        monkeypatch.setattr(R, "_payload_gradient", spy)
         calls.clear()
-        got = solve._lift_roots(R, [P.parse(text)], [0], solve.DEFAULT_SOLUTION_CAP)
+        got = solve._lift_roots(R, polys, [0], solve.DEFAULT_SOLUTION_CAP)
         assert sorted(c.data for (c,) in got) == roots
-        assert calls == ([0] if built else [])
+        assert calls == [(g,) for g in residue_roots for _ in polys]
+
+
+ROUTE_RINGS = {
+    "z4": Zpk(2, 2),
+    "z8": Zpk(2, 3),
+    "z25": Zpk(5, 2),
+    "gr42": galois_ring(2, 2, 2),
+    "local_cubic": presentation_from_json(json.loads(LOCAL_CUBIC.read_text())["ring"]),
+    # the ring of the PR 22 instance whose elimination gives up
+    "local_z4": quotient_presentation(2, 2, [2, 0, 0, 1], 1),
+}
+
+
+def seeded_route_systems(name: str, count: int = 40):
+    """count seeded systems of 1-3 polynomials over ROUTE_RINGS[name]: total
+    degree <= 3 in 1-2 variables and <= 2 in three (degree 3 in three
+    variables has a tail of 1-37 s), and 1-2 variables of degree <= 2 over
+    the local rings."""
+    ring = ROUTE_RINGS[name]
+    local = name.startswith("local")
+    nonzero = sorted(ring.elements(), key=ring.sort_key)[1:]
+    rng = random.Random(f"routes:{name}")
+    for _ in range(count):
+        nvars = rng.randint(1, 2 if local else 3)
+        degree = 2 if local or nvars == 3 else 3
+        P = PolyRing(ring, ("x", "y", "z")[:nvars], "lex")
+        polys = []
+        for _ in range(rng.randint(1, 3)):
+            terms = []
+            for _ in range(rng.randint(1, 4)):
+                exps = [0] * nvars
+                for _ in range(rng.randint(0, degree)):
+                    exps[rng.randrange(nvars)] += 1
+                terms.append((tuple(exps), rng.choice(nonzero)))
+            polys.append(P.poly(terms))
+        yield polys
+
+
+@pytest.mark.parametrize("name", ["z4", "z8", "z25", "gr42"])
+def test_every_route_equals_enumeration(name):
+    # elimination (back-substitution's univariate roots are lifted) and the
+    # whole-system lift both run on the ring's evaluation kernels
+    for polys in seeded_route_systems(name):
+        expected = brute_solve(polys).explicit()
+        assert solve_system(polys).explicit() == expected
+        assert solve_system_lifting(polys).explicit() == expected
+
+
+@pytest.mark.parametrize("name", ["local_cubic", "local_z4"])
+def test_every_local_route_equals_enumeration(name):
+    # solve_local_system eliminates over the Galois subring and falls back
+    # to the lift where elimination gives up
+    for polys in seeded_route_systems(name):
+        assert solve_local_system(polys) == brute_solve(polys).explicit()
