@@ -13,7 +13,7 @@ import sys
 
 from . import localring as localring_mod
 from .errors import ChainRingError, ParseError
-from .extension import ProductExtension, extension_from_json
+from .extension import extension_from_json
 from .groebner import buchberger, verify_groebner
 from .linalg import RingMatrix, rank, rank_profile, smith_normal_form
 from .minrank import MinRankInstance, solve_minrank, transpose_instance
@@ -247,10 +247,9 @@ def _cmd_minrank(args) -> int:
 
 
 def _cmd_rank_decode(args) -> int:
-    ext = extension_from_json(_load_json(args.extension))
-    S = ext.ring if isinstance(ext, ProductExtension) else ext
+    S = extension_from_json(_load_json(args.extension))
     rd = RankDecodingInstance(
-        ext,
+        S,
         generator_from_json(S, _load_json(args.generator)),
         word_from_json(S, _load_json(args.received), "received"),
         args.radius,
@@ -347,7 +346,7 @@ def _verify_dispatch(command: str, inp, res, budget: OracleBudget) -> list[str]:
             checks.append("brute-force-equality")
     elif command == "rank-decode":
         rd = RankDecodingInstance.from_json(inp)
-        S = rd._ring()
+        S = rd.ext
         xs = []
         for sol in _as_list(res["solutions"], "solutions"):
             if not isinstance(sol, dict):

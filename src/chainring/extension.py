@@ -24,6 +24,8 @@ from .rings import (
     _int_field,
     _modulus_from_json,
     _of_degree,
+    crt_joined,
+    crt_parts,
     ring_from_json,
 )
 
@@ -241,23 +243,20 @@ def plucker_coordinates(B: RingMatrix) -> PluckerCoordinates:
 # -- product extensions (PIR support) --------------------------------------------
 
 
-class ProductExtension:
-    """Componentwise Galois extensions of a product of chain rings."""
+class ProductExtension(ProductRing):
+    """Componentwise Galois extensions of a product of chain rings: the
+    product ring of the extensions, of their common degree over the product
+    of their bases."""
 
     def __init__(self, components: Sequence[GaloisExtension]):
-        if not components:
-            raise DomainError("need at least one component")
-        degrees = {c.degree for c in components}
-        if len(degrees) != 1:
+        super().__init__(components)
+        if len({c.degree for c in self.components}) != 1:
             raise DomainError("components must share the extension degree")
-        self.components = tuple(components)
-        self.degree = components[0].degree
-        self.ring = ProductRing([c for c in components])
-        self.base_ring = ProductRing([c.base for c in components])
+        self.degree = self.components[0].degree
+        self.base_ring = ProductRing([c.base for c in self.components])
 
     def frobenius(self, x: RingElement, l: int = 1) -> RingElement:
-        parts = [c.frobenius(p, l) for c, p in zip(self.components, x.data)]
-        return RingElement(self.ring, tuple(parts))
+        return RingElement(self, tuple(c.frobenius(p, l) for c, p in zip(self.components, x.data)))
 
     def to_json(self):
         return {
@@ -277,21 +276,17 @@ def extension_from_json(obj):
         raise ParseError(f"extension descriptor must be an object, got {obj!r}")
     if "base" not in obj or "m" not in obj:
         raise ParseError("extension descriptor needs base and m")
-    base = ring_from_json(obj["base"])
+    base = ring_from_json(obj["base"])  # a chain ring or a product of them
     m = _int_field(obj, "m")
-    if isinstance(base, ProductRing):
-        mods = obj.get("modulus")
-        if mods is not None and not (isinstance(mods, list) and len(mods) == len(base.components)):
+    comps = crt_parts(base, base, lambda idx, C: C)
+    mods = obj.get("modulus")
+    if mods is not None and isinstance(base, ProductRing):
+        if not (isinstance(mods, list) and len(mods) == len(comps)):
             raise ParseError("field 'modulus' of a product extension must list one modulus per component")
-        comps = []
-        for idx, comp in enumerate(base.components):
-            if mods is None:
-                comps.append(build_extension(comp, m))
-            else:
-                comps.append(_of_degree(GaloisExtension(comp, _modulus_from_json(mods[idx], comp)), "m", m))
-        return ProductExtension(comps)
-    if not isinstance(base, ChainRing):
-        raise ParseError("extension base must be a chain ring or product")
-    if obj.get("modulus") is None:
-        return build_extension(base, m)
-    return _of_degree(GaloisExtension(base, _modulus_from_json(obj["modulus"], base)), "m", m)
+    else:
+        mods = [mods] * len(comps)
+    exts = [
+        build_extension(C, m) if mod is None else _of_degree(GaloisExtension(C, _modulus_from_json(mod, C)), "m", m)
+        for C, mod in zip(comps, mods)
+    ]
+    return crt_joined(base, exts, ProductExtension)

@@ -3,7 +3,7 @@
 Smith and Hermite (reduced row echelon) decompositions with the
 minimal-valuation pivot rule, kernels, free envelopes, parity-check
 matrices, and the standard-form decomposition of Lemma-5.4 type.  Product
-rings are handled componentwise through the CRT and recombined.
+rings split into CRT components and join (split_matrix, join_matrices).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import (
     ParseError,
     RankTooLarge,
 )
-from .rings import ChainRing, ProductRing, Ring, RingElement, ring_from_json
+from .rings import ChainRing, ProductRing, Ring, RingElement, crt_apply, crt_joined, crt_parts, ring_from_json
 from . import _unipoly as up
 
 
@@ -367,11 +367,11 @@ def _reduce_rows(R, d, ops, rows, t, c, v):
 def smith_normal_form(A: RingMatrix) -> SmithDecomposition:
     """A = U @ D @ V with D diagonal pi^{e_1} | pi^{e_2} | ...; pivots chosen
     at minimal valuation; componentwise over PIRs."""
-    if isinstance(A.ring, ProductRing):
-        return _recombine_smith(A)
+    return crt_apply(A.ring, split_matrix(A), smith_normal_form, _join_smith, _chain_smith)
+
+
+def _chain_smith(A: RingMatrix) -> SmithDecomposition:
     R = A.ring
-    if not isinstance(R, ChainRing):
-        raise NotChainRing("Smith form requires a chain ring or product of them")
     d = _payloads(A)
     row_ops: list[tuple] = []
     col_ops: list[tuple] = []
@@ -427,52 +427,45 @@ def payload_smith(
     return min(len(d), n)
 
 
-def _recombine_smith(A: RingMatrix) -> SmithDecomposition:
-    ring: ProductRing = A.ring
-    decs = [smith_normal_form(c) for c in split_matrix(A)]
+def _joined_transforms(ring: ProductRing, decs: list) -> Callable[[], tuple[RingMatrix, ...]]:
+    """The transforms of the decomposition over ring whose CRT parts are
+    decs, joined from theirs on first read."""
+    return lambda: tuple(join_matrices(ring, mats) for mats in zip(*(dc._built for dc in decs)))
 
-    def transforms():
-        return tuple(
-            join_matrices(ring, [dc._built[i] for dc in decs]) for i in range(4)
-        )
 
+def _join_smith(ring: ProductRing, decs) -> SmithDecomposition:
+    decs = list(decs)
     diag = tuple(RingElement(ring, parts) for parts in zip(*(dc.diag for dc in decs)))
-    return SmithDecomposition(ring, (A.m, A.n), diag, transforms)
+    return SmithDecomposition(ring, decs[0].shape, diag, _joined_transforms(ring, decs))
+
+
+def _join_hermite(ring: ProductRing, decs) -> HermiteDecomposition:
+    decs = list(decs)
+    return HermiteDecomposition(join_matrices(ring, [dc.t for dc in decs]), _joined_transforms(ring, decs))
 
 
 def split_matrix(A: RingMatrix) -> list[RingMatrix]:
-    ring: ProductRing = A.ring
-    out = []
-    for idx, comp in enumerate(ring.components):
-        out.append(
-            RingMatrix(comp, [[x.data[idx] for x in row] for row in A.rows])
-        )
-    return out
+    """A's image in each CRT component of its ring; [A] over a chain ring."""
+    return crt_parts(A.ring, A, lambda idx, C: RingMatrix(C, [[x.data[idx] for x in row] for row in A.rows]))
 
 
-def join_matrices(ring: ProductRing, mats: Sequence[RingMatrix]) -> RingMatrix:
-    m, n = mats[0].m, mats[0].n
-    rows = []
-    for i in range(m):
-        row = []
-        for j in range(n):
-            row.append(RingElement(ring, tuple(M.rows[i][j] for M in mats)))
-        rows.append(row)
-    return RingMatrix(ring, rows)
+def join_matrices(ring: Ring, mats: Sequence[RingMatrix]) -> RingMatrix:
+    """The matrix over ring whose CRT parts are mats; over a chain ring, mats[0]."""
+
+    def join(mats):
+        return RingMatrix(ring, [[RingElement(ring, x) for x in zip(*rows)] for rows in zip(*(M.rows for M in mats))])
+
+    return crt_joined(ring, mats, join)
 
 
 def rank(A: RingMatrix) -> int:
     """Minimal number of generators of row(A); max over CRT components."""
-    if isinstance(A.ring, ProductRing):
-        return max(rank(c) for c in split_matrix(A))
-    return _chain_rank(A)
+    return max(rank_profile(A))
 
 
 def rank_profile(A: RingMatrix) -> tuple[int, ...]:
     """Per-component ranks over a PIR (a single entry for a chain ring)."""
-    if isinstance(A.ring, ProductRing):
-        return tuple(rank(c) for c in split_matrix(A))
-    return (_chain_rank(A),)
+    return tuple(_chain_rank(c) for c in split_matrix(A))
 
 
 def _chain_rank(A: RingMatrix) -> int:
@@ -518,17 +511,10 @@ def hermite_form(A: RingMatrix) -> HermiteDecomposition:
     """A = P @ T with T the reduced row echelon form under the
     minimal-valuation pivot rule: pivots pi^e, zeros below, entries above
     reduced to canonical representatives mod pi^e."""
-    if isinstance(A.ring, ProductRing):
-        comps = [hermite_form(c) for c in split_matrix(A)]
-        ring = A.ring
+    return crt_apply(A.ring, split_matrix(A), hermite_form, _join_hermite, _chain_hermite)
 
-        def transforms():
-            return (
-                join_matrices(ring, [c.p for c in comps]),
-                join_matrices(ring, [c.p_inv for c in comps]),
-            )
 
-        return HermiteDecomposition(join_matrices(ring, [c.t for c in comps]), transforms)
+def _chain_hermite(A: RingMatrix) -> HermiteDecomposition:
     R = A.ring
     d = _payloads(A)
     ops: list[tuple] = []
@@ -548,20 +534,22 @@ def reduced_row_echelon(A: RingMatrix) -> RingMatrix:
 
 
 def kernel(A: RingMatrix) -> list[tuple[RingElement, ...]]:
-    """Generators of {u : A @ u = 0}."""
-    if isinstance(A.ring, ProductRing):
-        ring = A.ring
-        gens = []
-        comps = split_matrix(A)
-        for idx, comp_mat in enumerate(comps):
-            for g in kernel(comp_mat):
-                vec = []
-                for j in range(A.n):
-                    parts = [c.zero for c in ring.components]
-                    parts[idx] = g[j]
-                    vec.append(RingElement(ring, tuple(parts)))
-                gens.append(tuple(vec))
-        return gens
+    """Generators of {u : A @ u = 0}; over a PIR, each CRT component's
+    generators, zero in the other components."""
+    ring = A.ring
+
+    def join(parts):
+        zeros = [C.zero for C in ring.components]
+        return [
+            tuple(RingElement(ring, (*zeros[:idx], x, *zeros[idx + 1 :])) for x in g)
+            for idx, gens in enumerate(parts)
+            for g in gens
+        ]
+
+    return crt_joined(ring, [_chain_kernel(c) for c in split_matrix(A)], join)
+
+
+def _chain_kernel(A: RingMatrix) -> list[tuple[RingElement, ...]]:
     R = A.ring
     dec = smith_normal_form(A)
     nu = R.nu
@@ -581,14 +569,13 @@ def kernel(A: RingMatrix) -> list[tuple[RingElement, ...]]:
 
 
 def row_membership(B: RingMatrix, y: Sequence[RingElement]) -> bool:
-    """Is y in the row span of B?"""
+    """Is y in the row span of B?  Over a PIR, in every CRT component."""
+    ys = crt_parts(B.ring, y, lambda idx, C: [x.data[idx] for x in y])
+    return all(_chain_row_membership(c, y) for c, y in zip(split_matrix(B), ys))
+
+
+def _chain_row_membership(B: RingMatrix, y: Sequence[RingElement]) -> bool:
     R = B.ring
-    if isinstance(R, ProductRing):
-        comps = split_matrix(B)
-        for idx, comp_mat in enumerate(comps):
-            if not row_membership(comp_mat, [x.data[idx] for x in y]):
-                return False
-        return True
     dec = smith_normal_form(B)
     w = dec.v_inv.vector_mul(y)  # y @ v_inv
     for i in range(B.n):
@@ -614,12 +601,13 @@ def free_envelope(A: RingMatrix, r: int) -> RingMatrix:
 
     Construction: the first r rows of V from A = U D V, canonicalized by
     reduced row echelon.  Among the generally-many valid envelopes this is
-    the deterministic choice.
+    the deterministic choice.  Over a PIR, per CRT component.
     """
+    return join_matrices(A.ring, [_chain_free_envelope(c, r) for c in split_matrix(A)])
+
+
+def _chain_free_envelope(A: RingMatrix, r: int) -> RingMatrix:
     R = A.ring
-    if isinstance(R, ProductRing):
-        comps = [free_envelope(c, r) for c in split_matrix(A)]
-        return join_matrices(R, comps)
     rk = _chain_rank(A)
     if not (rk <= r <= A.n):
         raise RankTooLarge(f"need rank(A) = {rk} <= r <= {A.n}, got r = {r}")
@@ -643,12 +631,9 @@ def parity_check(B: RingMatrix) -> RingMatrix:
 def standard_form(Z: RingMatrix):
     """Z = P @ vstack(I, Z') @ Q over a chain ring (P permutation, Q invertible)."""
     R = Z.ring
-    if isinstance(R, ProductRing):
-        raise NotChainRing(
-            "standard form only exists over chain rings (Z_6-type counterexample)"
-        )
     if not isinstance(R, ChainRing):
-        raise NotChainRing("standard form requires a chain ring")
+        # no CRT answer: over Z6 the free column (2, 3) has no unit entry
+        raise NotChainRing("standard form only exists over chain rings (Z_6-type counterexample)")
     n, w = Z.m, Z.n
     if not is_free_cols(Z):
         raise NotFree("columns of Z are linearly dependent")

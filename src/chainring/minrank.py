@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 from .errors import DomainError, Inconclusive, ParseError
 from .linalg import RingMatrix, payload_echelon, rank, split_matrix
 from .polys import MultiPoly, PolyRing, macaulay_rows
-from .rings import ProductRing, Ring, RingElement, _as_list, _int_field, ring_from_json
+from .rings import Ring, RingElement, _as_list, _int_field, crt_apply, crt_parts, ring_from_json
 from .solve import (
     _lifted_x_block,
     _to_x_ring,
@@ -282,14 +282,12 @@ def sm_linearization_matrix(inst: MinRankInstance):
 
 
 def split_instance(inst: MinRankInstance) -> list[MinRankInstance]:
-    """CRT components of a product-ring instance."""
-    comps = inst.ring.components
-    mats = zip(*(split_matrix(M) for M in inst.matrices))
-    m0s = split_matrix(inst.m0) if inst.m0 is not None else [None] * len(comps)
-    return [
-        MinRankInstance(comp, comp_mats, inst.r, m0)
-        for comp, comp_mats, m0 in zip(comps, mats, m0s)
-    ]
+    """The instance in each CRT component of its ring; [inst] over a chain ring."""
+    mats = [split_matrix(M) for M in inst.matrices]
+    m0s = None if inst.m0 is None else split_matrix(inst.m0)
+    return crt_parts(
+        inst.ring, inst, lambda i, C: MinRankInstance(C, tuple(M[i] for M in mats), inst.r, m0s and m0s[i])
+    )
 
 
 def solve_minrank(inst: MinRankInstance, strategy: str = "ks") -> list[tuple[RingElement, ...]]:
@@ -298,12 +296,12 @@ def solve_minrank(inst: MinRankInstance, strategy: str = "ks") -> list[tuple[Rin
     the component solutions recombine by cartesian product (rank over a PIR
     is the max over components)."""
     R = inst.ring
-    if isinstance(R, ProductRing):
-        parts = split_instance(inst)
-        found = join_solutions(R, [solve_minrank(c, strategy) for c in parts])
-    else:
-        found = filter(inst.is_solution, minrank_candidates(inst, strategy))
+    found = crt_apply(R, split_instance(inst), solve_minrank, join_solutions, _chain_candidates, strategy)
     return sorted(found, key=lambda x: tuple(R.sort_key(v) for v in x))
+
+
+def _chain_candidates(inst: MinRankInstance, strategy: str) -> Iterator[tuple[RingElement, ...]]:
+    return filter(inst.is_solution, minrank_candidates(inst, strategy))
 
 
 def minrank_candidates(

@@ -419,8 +419,7 @@ def brute_decode_set(rd, budget: OracleBudget = DEFAULT_BUDGET):
     """All x in S^k whose error has rank weight <= r (independent of the
     decoding strategies); over a product extension the weight is the
     largest of the components'."""
-    ext = rd.ext
-    S = rd._ring()
+    ext = S = rd.ext
     budget.check(S.size**rd.k, "decoding enumeration")
     if isinstance(ext, ProductExtension):
         comps = list(enumerate(ext.components))

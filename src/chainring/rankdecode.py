@@ -6,7 +6,7 @@ over the base ring, and the reduction to MinRank solved by Kipnis-Shamir or
 by Support-Minors.  Support-Minors has one model, minrank.sm_model: decoding
 reduces to MinRank, splits on a unit Plücker coordinate there and solves
 each split by the x-only rows of its Macaulay matrix (sm-linearization).
-Product extensions split through the CRT.
+A product extension is a product ring, split through the CRT.
 
 Every route returns the sorted list of rank-verified x.  The complete
 routes (sm, groebner, minrank-ks) return an empty list when no x lies within
@@ -32,7 +32,7 @@ from .extension import (
 from .linalg import RingMatrix, hermite_form
 from .minrank import MinRankInstance, minrank_candidates
 from .polys import MultiPoly, PolyRing
-from .rings import Ring, RingElement, _as_list, _int_field
+from .rings import Ring, RingElement, _as_list, _int_field, crt_apply, crt_parts
 from .solve import enumeration_budget, join_solutions, x_block_solutions
 
 
@@ -54,9 +54,6 @@ class RankDecodingInstance:
         if self.radius < 0:
             raise DomainError("radius must be >= 0")
 
-    def _ring(self):
-        return self.ext.ring if isinstance(self.ext, ProductExtension) else self.ext
-
     @property
     def k(self) -> int:
         return len(self.generator)
@@ -66,16 +63,14 @@ class RankDecodingInstance:
         return len(self.received)
 
     def codeword(self, x: Sequence[RingElement]) -> tuple[RingElement, ...]:
-        S = self._ring()
-        return tuple(RingElement(S, c) for c in self._codeword_data(x))
+        return tuple(RingElement(self.ext, c) for c in self._codeword_data(x))
 
     def error_of(self, x: Sequence[RingElement]) -> tuple[RingElement, ...]:
-        S = self._ring()
-        return tuple(RingElement(S, e) for e in self._error_data(self._codeword_data(x)))
+        return tuple(RingElement(self.ext, e) for e in self._error_data(self._codeword_data(x)))
 
     def _codeword_data(self, x: Sequence[RingElement]) -> list:
         """The payloads of the codeword xG."""
-        S = self._ring()
+        S = self.ext
         add, mul = S._payload_add, S._payload_mul
         zero = S._zero_data
         x = [S.coerce(v).data for v in x]
@@ -90,13 +85,13 @@ class RankDecodingInstance:
 
     def _error_data(self, c: list) -> list:
         """The payloads of y - c for the payloads c of a codeword."""
-        S = self._ring()
+        S = self.ext
         add, neg = S._payload_add, S._payload_neg
         return [add(y.data, neg(cj)) for y, cj in zip(self.received, c)]
 
     def _solution(self, x: Sequence[RingElement]) -> tuple:
         """(x, c, e) with c = xG and e = y - c."""
-        S = self._ring()
+        S = self.ext
         c = self._codeword_data(x)
         e = self._error_data(c)
         return (x, tuple(RingElement(S, v) for v in c), tuple(RingElement(S, v) for v in e))
@@ -104,16 +99,13 @@ class RankDecodingInstance:
     def check(self, x: Sequence[RingElement]) -> bool:
         """rank(y - xG) <= radius, on payloads; over a product extension, in
         every CRT component."""
+        S = self.ext
         e = self._error_data(self._codeword_data(x))
-        if isinstance(self.ext, ProductExtension):
-            return all(
-                payload_vector_rank(comp, [v[idx].data for v in e]) <= self.radius
-                for idx, comp in enumerate(self.ext.components)
-            )
-        return payload_vector_rank(self.ext, e) <= self.radius
+        parts = crt_parts(S, (S, e), lambda idx, C: (C, [v[idx].data for v in e]))
+        return all(payload_vector_rank(C, part) <= self.radius for C, part in parts)
 
     def to_json(self):
-        S = self._ring()
+        S = self.ext
         return {
             "extension": self.ext.to_json(),
             "generator": [[S.element_to_json(v) for v in row] for row in self.generator],
@@ -123,13 +115,12 @@ class RankDecodingInstance:
 
     @classmethod
     def from_json(cls, obj) -> "RankDecodingInstance":
-        ext = extension_from_json(obj["extension"])
-        S = ext.ring if isinstance(ext, ProductExtension) else ext
+        S = extension_from_json(obj["extension"])
         gen = generator_from_json(S, obj["generator"])
         rec = word_from_json(S, obj["received"], "received")
         if "radius" not in obj:
             raise ParseError("instance needs the radius")
-        return cls(ext, gen, rec, _int_field(obj, "radius"))
+        return cls(S, gen, rec, _int_field(obj, "radius"))
 
 
 def word_from_json(S: Ring, value, key: str) -> tuple[RingElement, ...]:
@@ -148,10 +139,9 @@ def generator_from_json(S: Ring, value) -> tuple[tuple[RingElement, ...], ...]:
 def to_minrank(rd: RankDecodingInstance) -> MinRankInstance:
     """M0 = rep(-y), M_(i,u) = rep(alpha^u * g_i); x-coordinates recombine as
     x_i = sum_u x_(i,u) alpha^u."""
-    ext = rd.ext
-    if isinstance(ext, ProductExtension):
+    S = rd.ext
+    if isinstance(S, ProductExtension):
         raise DomainError("split product instances before the MinRank reduction")
-    S = ext
     base = S.base
     m = S.degree
     mats = []
@@ -418,8 +408,18 @@ def decode(rd: RankDecodingInstance, strategy: str = "auto") -> DecodeResult:
     recombination; NoSolution only after brute-force confirmation."""
     if strategy != "auto" and strategy not in ROUTES:
         raise DomainError(f"unknown strategy {strategy!r}")
-    if isinstance(rd.ext, ProductExtension):
-        return _decode_product(rd, strategy)
+
+    def join(S, results):
+        """The decoding over a product extension from its components'."""
+        results = list(results)
+        xs = join_solutions(S, [[sol[0] for sol in res.solutions] for res in results])
+        strategies = ",".join(sorted({res.strategy_used for res in results}))
+        return DecodeResult(tuple(rd._solution(x) for x in xs), strategies)
+
+    return crt_apply(rd.ext, split_decoding(rd), decode, join, _decode_chain, strategy)
+
+
+def _decode_chain(rd: RankDecodingInstance, strategy: str) -> DecodeResult:
     order = _AUTO_ORDER if strategy == "auto" else (strategy,)
     errors = []
     for strat in order:
@@ -448,17 +448,11 @@ def _confirm_empty(rd: RankDecodingInstance):
             )
 
 
-def _decode_product(rd: RankDecodingInstance, strategy: str) -> DecodeResult:
-    ext: ProductExtension = rd.ext
-    results = []
-    for idx, comp in enumerate(ext.components):
-        gen = tuple(
-            tuple(v.data[idx] for v in row) for row in rd.generator
-        )
-        rec = tuple(v.data[idx] for v in rd.received)
-        sub = RankDecodingInstance(comp, gen, rec, rd.radius)
-        results.append(decode(sub, strategy))
-    xs = join_solutions(ext.ring, [[sol[0] for sol in res.solutions] for res in results])
-    combined = tuple(rd._solution(x) for x in xs)
-    strategies = ",".join(sorted({res.strategy_used for res in results}))
-    return DecodeResult(combined, strategies)
+def split_decoding(rd: RankDecodingInstance) -> list[RankDecodingInstance]:
+    """The instance in each CRT component of its extension; [rd] over a chain ring."""
+
+    def part(idx, C):
+        gen = tuple(tuple(v.data[idx] for v in row) for row in rd.generator)
+        return RankDecodingInstance(C, gen, tuple(v.data[idx] for v in rd.received), rd.radius)
+
+    return crt_parts(rd.ext, rd, part)

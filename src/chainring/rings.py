@@ -2,14 +2,14 @@
 
 Elements are immutable values tied to a ring descriptor.  Chain rings expose
 the valuation/Teichmüller machinery (valuation, unit_part, π-adic digits);
-product rings only have componentwise arithmetic plus crt_split/crt_join.
+product rings have componentwise arithmetic and the CRT layer at the end.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BadGenerator,
@@ -969,22 +969,6 @@ class ProductRing(Ring):
             key += c.sort_key(x)
         return key
 
-    def to_integer(self, a: RingElement) -> int:
-        """CRT recombination for products of pairwise-coprime Z_{p^k}."""
-        moduli = []
-        residues = []
-        for c, x in zip(self.components, a.data):
-            if not isinstance(c, Zpk):
-                raise DomainError("integer form only defined for products of Z_{p^k}")
-            moduli.append(c.modulus)
-            residues.append(x.data)
-        n, m = residues[0], moduli[0]
-        for r2, m2 in zip(residues[1:], moduli[1:]):
-            t = ((r2 - n) * pow(m, -1, m2)) % m2
-            n += m * t
-            m *= m2
-        return n % m
-
     def format_element(self, a):
         return "(" + ", ".join(
             c.format_element(x) for c, x in zip(self.components, a.data)
@@ -1037,28 +1021,53 @@ def integer_ring(n: int) -> Ring:
     return ProductRing([Zpk(p, k) for p, k in factors])
 
 
+# -- the CRT layer -------------------------------------------------------------
+# A finite PIR is a product of chain rings, so each chain-ring method carries
+# over to it by a CRT split of its input and a join of the component answers:
+# each input type has one split, built on crt_parts, each result type one
+# join, built on crt_joined, and crt_apply routes an entry point's call.  A
+# chain ring is a product of one component, whose one part is the input.
+
+
+def crt_parts(R: Ring, x, part) -> list:
+    """x, a value over R, in each CRT component of R: part(idx, C) for the
+    component C at index idx of a product ring, and [x] over a chain ring."""
+    if isinstance(R, ProductRing):
+        return [part(idx, C) for idx, C in enumerate(R.components)]
+    return [x]
+
+
+def crt_joined(R: Ring, parts: Iterable, join):
+    """The value over R whose CRT parts are parts: join(parts) over a
+    product ring, and the one part itself over a chain ring."""
+    if isinstance(R, ProductRing):
+        return join(parts)
+    (x,) = parts
+    return x
+
+
+def crt_apply(R: Ring, parts: list, each, join, chain, *args):
+    """A method's answer over R: chain(x, *args) over a chain ring, whose one
+    part is the input x; over a product ring join(R, answers), the answers
+    each(part, *args) computed lazily in order, so a join may stop early."""
+    if isinstance(R, ProductRing):
+        return join(R, (each(part, *args) for part in parts))
+    if not isinstance(R, ChainRing):
+        raise NotChainRing(f"{R} is no chain ring or product of them; solve_local_system solves over a local ring")
+    return chain(parts[0], *args)
+
+
 def crt_split(x: RingElement) -> list[RingElement]:
     """Components of x; a chain-ring element is its own single component."""
-    if isinstance(x.ring, ProductRing):
-        return list(x.data)
-    return [x]
+    return crt_parts(x.ring, x, lambda idx, C: x.data[idx])
 
 
 def crt_join(parts: Sequence[RingElement], ring: Ring) -> RingElement:
     """Inverse of crt_split against the given ring."""
     parts = list(parts)
-    if isinstance(ring, ProductRing):
-        if len(parts) != len(ring.components):
-            raise ComponentMismatch(
-                f"expected {len(ring.components)} components, got {len(parts)}"
-            )
-        for c, x in zip(ring.components, parts):
-            if x.ring != c:
-                raise ComponentMismatch(f"component {x!r} does not belong to {c}")
-        return RingElement(ring, tuple(parts))
-    if len(parts) != 1 or parts[0].ring != ring:
-        raise ComponentMismatch("chain ring join expects exactly its own element")
-    return parts[0]
+    if [x.ring for x in parts] != crt_parts(ring, ring, lambda idx, C: C):
+        raise ComponentMismatch(f"{parts!r} are not the CRT components of an element of {ring}")
+    return crt_joined(ring, parts, lambda parts: RingElement(ring, tuple(parts)))
 
 
 def _as_list(value, key: str) -> list:
@@ -1122,8 +1131,7 @@ def ring_from_json(obj) -> Ring:
             base = Zpk(p, k)
         return _of_degree(ExtensionChainRing(base, _modulus_from_json(obj["modulus"], base)), "r", r)
     if kind == "product":
-        comps = [ring_from_json(c) for c in obj["components"]]
-        return ProductRing(comps)
+        return ProductRing([ring_from_json(c) for c in _as_list(obj["components"], "components")])
     raise ParseError(f"unknown ring kind {kind!r}")
 
 

@@ -16,14 +16,13 @@ onto x (_lifted_x_block); otherwise elimination gives the x-only system,
 and a small x block is lifted (_x_only_solutions).
 The system is solved as given: adjoining the field equations F_m, which
 vanish at every point of R, never changes a solution set.  The independent
-reference is oracles.brute_solve.  Product rings split through the CRT and
-recombine with join_solutions.
+reference is oracles.brute_solve.  A product ring's system splits into its
+CRT components, whose answers join (rings.crt_apply, join_solutions).
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -46,7 +45,7 @@ from .polys import (
     macaulay_rows,
     split_compiled,
 )
-from .rings import ChainRing, ProductRing, Ring, RingElement
+from .rings import ChainRing, Ring, RingElement, crt_apply, crt_joined, crt_parts
 
 
 class _AllOfRing:
@@ -260,17 +259,21 @@ def univariate_roots(polys: Sequence[MultiPoly], var: int | None = None):
     ring = polys[0].ring
     var = _univariate_var(polys, var)
     R = ring.ring
-    if isinstance(R, ProductRing):
-        parts = []
-        for part in _split_polys(polys):
-            roots = univariate_roots(part, var)
-            parts.append([(ALL_OF_RING,)] if roots is ALL_OF_RING else [(r,) for r in roots])
-        # some component's image is nonzero, so no joined root stays free
-        roots = [r for (r,) in join_solutions(R, parts)]
-    else:
-        roots = [c for (c,) in _lift_roots(R, polys, (var,), DEFAULT_SOLUTION_CAP)]
+    roots = crt_apply(R, _split_polys(polys), univariate_roots, _join_roots, _chain_roots, var)
     roots.sort(key=R.sort_key)
     return roots
+
+
+def _chain_roots(polys: list[MultiPoly], var: int) -> list:
+    return [c for (c,) in _lift_roots(polys[0].ring.ring, polys, (var,), DEFAULT_SOLUTION_CAP)]
+
+
+def _join_roots(R: Ring, parts: Iterable) -> list:
+    """The roots over R from its CRT components' root lists (ALL_OF_RING
+    where a component's image is zero); some component's image is nonzero,
+    so no joined root stays free."""
+    parts = ([(ALL_OF_RING,)] if roots is ALL_OF_RING else [(r,) for r in roots] for roots in parts)
+    return [r for (r,) in join_solutions(R, parts)]
 
 
 def solve_univariate(polys: Sequence[MultiPoly], var: int | None = None) -> SolutionSet:
@@ -296,15 +299,14 @@ def solve_univariate(polys: Sequence[MultiPoly], var: int | None = None) -> Solu
 def solve_system(
     polys: Sequence[MultiPoly], max_solutions: int = DEFAULT_SOLUTION_CAP
 ) -> SolutionSet:
-    """Exact solution set via lex Gröbner elimination and back-substitution."""
-    polys = list(polys)
-    if not polys:
-        raise DomainError("empty system")
+    """Exact solution set via lex Gröbner elimination and back-substitution;
+    truncated once it passes max_solutions."""
+    return _by_components(polys, max_solutions, solve_system, _eliminate)
+
+
+def _eliminate(polys: list[MultiPoly], max_solutions: int) -> SolutionSet:
+    """solve_system over a chain ring."""
     ring = polys[0].ring
-    if any(p.ring != ring for p in polys):
-        raise DomainError("mixed polynomial rings")
-    if isinstance(ring.ring, ProductRing):
-        return _solve_product(polys, ring, max_solutions)
     if ring.order.kind != "lex":
         raise WrongOrder("solve_system requires a lex order")
     R: ChainRing = ring.ring
@@ -402,40 +404,59 @@ def _verify_solutions(ring: PolyRing, original: list[MultiPoly], solutions):
             raise InternalInvariant("free coordinates must satisfy the system identically")
 
 
-def _solve_product(polys, ring: PolyRing, max_solutions) -> SolutionSet:
-    """CRT split, solve per chain component, cartesian recombination."""
-    product: ProductRing = ring.ring
-    comp_sets = [solve_system(part, max_solutions) for part in _split_polys(polys)]
-    ordered = [
-        sorted(s.solutions, key=lambda t: tuple(repr(x) for x in t)) for s in comp_sets
-    ]
-    sols = list(itertools.islice(join_solutions(product, ordered), max_solutions + 1))
-    truncated = len(sols) > max_solutions or any(s.truncated for s in comp_sets)
-    return SolutionSet(product, ring.variables, frozenset(sols), truncated, max_solutions)
+def _by_components(polys: Sequence[MultiPoly], max_solutions: int, solver, chain) -> SolutionSet:
+    """The solution set of a system over a chain ring, chain(polys,
+    max_solutions); over a product ring, each CRT component's system solved
+    by solver at the same cap, and the sets joined."""
+    polys = list(polys)
+    if not polys:
+        raise DomainError("empty system")
+    ring = polys[0].ring
+    if any(p.ring != ring for p in polys):
+        raise DomainError("mixed polynomial rings")
+
+    def join(R, sets):
+        """The components' sets are solved in turn, and an empty, complete
+        one leaves the product empty and complete and the later ones
+        unsolved.  Otherwise the first max_solutions + 1 joined tuples,
+        truncated if there are more or a component's set is truncated."""
+        done = []
+        for s in sets:
+            if not (s.solutions or s.truncated):
+                return SolutionSet(R, ring.variables, frozenset(), False, max_solutions)
+            done.append(s)
+        ordered = [sorted(s.solutions, key=lambda t: tuple(repr(x) for x in t)) for s in done]
+        sols = list(itertools.islice(join_solutions(R, ordered), max_solutions + 1))
+        truncated = len(sols) > max_solutions or any(s.truncated for s in done)
+        return SolutionSet(R, ring.variables, frozenset(sols), truncated, max_solutions)
+
+    return crt_apply(ring.ring, _split_polys(polys), solver, join, chain, max_solutions)
 
 
 def _split_polys(polys: Sequence[MultiPoly]) -> list[list[MultiPoly]]:
-    """The system's image in each CRT component of its product ring."""
+    """The system in each CRT component of its ring; [polys] over a chain ring."""
     ring = polys[0].ring
-    out = []
-    for idx, comp in enumerate(ring.ring.components):
-        comp_ring = PolyRing(comp, ring.variables, ring.order)
+
+    def part(idx, C):
+        comp_ring = PolyRing(C, ring.variables, ring.order)
         # equal variables and order pack monomials alike
-        out.append(
-            [comp_ring._collect([(m, c[idx].data) for m, c in p._terms]) for p in polys]
-        )
-    return out
+        return [comp_ring._collect([(m, c[idx].data) for m, c in p._terms]) for p in polys]
+
+    return crt_parts(ring.ring, polys, part)
 
 
-def join_solutions(
-    product: ProductRing, parts: Sequence[Iterable[tuple]]
-) -> Iterator[tuple]:
-    """Cartesian recombination of per-component solution tuples, lazily and
-    in the order of parts.
+def join_solutions(R: Ring, parts: Iterable[Iterable[tuple]]) -> Iterable[tuple]:
+    """The solution tuples over R whose CRT parts are drawn from parts, one
+    iterable of tuples per component: their cartesian recombination,
+    lazily and in the order of parts; over a chain ring the one part itself.
 
     A coordinate stays ALL_OF_RING only when it is free in every component;
     a coordinate free in some components and fixed in others is expanded.
     """
+    return crt_joined(R, parts, lambda parts: _joined_tuples(R, parts))
+
+
+def _joined_tuples(product, parts) -> Iterator[tuple]:
     for combo in itertools.product(*parts):
         slots = []
         for coord in zip(*combo):
@@ -630,16 +651,15 @@ def solve_system_lifting(
     but shares the lift with univariate_roots and with the x-block tail of
     the elimination route (_x_only_solutions), so brute_solve, not the
     elimination route, is its independent check."""
-    polys = list(polys)
-    if not polys:
-        raise DomainError("empty system")
+    found = _by_components(polys, max_solutions, solve_system_lifting, _lift_system)
+    if found.truncated:  # only a product's join truncates
+        raise ResourceExceeded(f"product solution set larger than cap {max_solutions}")
+    return found
+
+
+def _lift_system(polys: list[MultiPoly], max_solutions: int) -> SolutionSet:
+    """solve_system_lifting over a chain ring."""
     ring = polys[0].ring
-    if isinstance(ring.ring, ProductRing):
-        parts = [solve_system_lifting(part, max_solutions) for part in _split_polys(polys)]
-        if math.prod(s.count() for s in parts) > max_solutions:
-            raise ResourceExceeded(f"product solution set larger than cap {max_solutions}")
-        joined = join_solutions(ring.ring, [s.explicit() for s in parts])
-        return SolutionSet(ring.ring, ring.variables, frozenset(joined))
     R: ChainRing = ring.ring
     k = ring.nvars
     work = [p for p in polys if not p.is_zero()]

@@ -238,6 +238,28 @@ def test_verify_malformed_envelope_is_a_parse_error(capsys, tmp_path, golden_nam
     assert json.loads(out) == {"error": {"message": message, "type": "ParseError"}}
 
 
+@pytest.mark.parametrize(
+    "command, in_file",
+    [(["solve", "--text"], True), (["solve", "--text", "--ring"], False), (["rank", "--ring"], False)],
+    ids=["solve-file", "solve-flag", "rank-flag"],
+)
+@pytest.mark.parametrize("components", [5, None, "z6"], ids=["int", "null", "string"])
+def test_product_components_that_are_not_a_list_are_a_parse_error(capsys, tmp_path, command, in_file, components):
+    # "components": 5 ended in a TypeError traceback ("'int' object is not
+    # iterable") and a string was read one character at a time
+    ring = {"kind": "product", "components": components}
+    if command[0] == "rank":
+        argv = [*command, json.dumps(ring), write(tmp_path, "matrix.json", {"data": [[1]]})]
+    elif in_file:
+        argv = [*command, write(tmp_path, "sys.json", {"ring": ring, "vars": ["x"], "polys": ["x"]})]
+    else:
+        argv = [*command, json.dumps(ring), write(tmp_path, "sys.json", {"vars": ["x"], "polys": ["x"]})]
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    message = f"field 'components' must be a list, got {components!r}"
+    assert out == json.dumps({"error": {"message": message, "type": "ParseError"}}, separators=(",", ":")) + "\n"
+
+
 def test_inline_ring_spec_missing_field_is_a_parse_error(capsys, tmp_path):
     path = write(tmp_path, "sys.json", {"vars": ["x"], "polys": ["x"]})
     code, out = run_cli(capsys, "solve", "--text", "--ring", '{"kind":"zpk","p":2}', path)

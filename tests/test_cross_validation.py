@@ -75,7 +75,7 @@ def test_product_extension_decode_with_errors():
     z6 = integer_ring(6)
     comps = [build_extension(c, 2) for c in z6.components]
     pe = ProductExtension(comps)
-    S = pe.ring
+    S = pe
     rng = random.Random(58)
     elems = list(S.elements())
     done = 0

@@ -175,9 +175,9 @@ def test_product_extension_componentwise():
     z6 = integer_ring(6)
     comps = [build_extension(c, 2) for c in z6.components]
     pe = ProductExtension(comps)
-    x = pe.ring.element([c.alpha for c in comps])
+    x = pe.element([c.alpha for c in comps])
     fx = pe.frobenius(x)
     for idx, comp in enumerate(comps):
         assert fx.data[idx] == comp.frobenius(comp.alpha)
     clone = extension_from_json(pe.to_json())
-    assert clone.ring == pe.ring
+    assert clone == pe

@@ -296,13 +296,7 @@ def test_product_ring_instance():
         for _ in range(1)
     )
     inst = MinRankInstance(z6, mats, 1)
-    assert as_ints_product(z6, solve_minrank(inst, "ks")) == as_ints_product(
-        z6, brute_minrank(inst)
-    )
-
-
-def as_ints_product(ring, solutions):
-    return sorted([ring.to_integer(v) for v in x] for x in solutions)
+    assert solve_minrank(inst, "ks") == brute_minrank(inst)
 
 
 def test_minrank_json_roundtrip(affine_minrank_z8):

@@ -395,7 +395,7 @@ def test_decode_product_extension():
     z6 = integer_ring(6)
     comps = [build_extension(c, 2) for c in z6.components]
     pe = ProductExtension(comps)
-    S = pe.ring
+    S = pe
     rng = random.Random(9)
     elems = list(S.elements())
     g = (S.one, rng.choice(elems), rng.choice(elems))
@@ -412,7 +412,7 @@ def seeded_words(rng, ext, count, n=3, radius=1):
     """k = 1 words y = x0 g + e: the first without an error, the others
     with a random e of rank <= 1 over a chain ring, and at random over a
     product extension."""
-    S = ext.ring if isinstance(ext, ProductExtension) else ext
+    S = ext
     elems = list(S.elements())
     for i in range(count):
         g = tuple(rng.choice(elems) for _ in range(n))
@@ -446,7 +446,7 @@ def test_payload_vector_rank_equals_the_boxed_rank_and_the_oracle(ext42, ext83):
                 seen.add((S.size, rk))
     pe = ProductExtension([build_extension(c, 2) for c in integer_ring(12).components])
     for rd in seeded_words(random.Random(2412), pe, 2):
-        for x in pe.ring.elements():
+        for x in pe.elements():
             e = rd.error_of((x,))
             comp_ranks = []
             for idx, comp in enumerate(pe.components):

@@ -183,9 +183,12 @@ def test_crt_join_mismatch():
 
 
 def test_integer_encoding_roundtrip():
+    # from_int is the CRT isomorphism Z6 -> Z2 x Z3
     z6 = integer_ring(6)
-    for n in range(6):
-        assert z6.to_integer(z6.from_int(n)) == n
+    assert len({z6.from_int(n) for n in range(6)}) == 6
+    for n in range(-6, 12):
+        assert crt_split(z6.from_int(n)) == [C.from_int(n) for C in z6.components]
+        assert z6.from_int(n) == z6.from_int(n % 6)
 
 
 def test_ring_json_roundtrip(z8, ext83, gr42):

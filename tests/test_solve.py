@@ -9,6 +9,7 @@ from chainring.errors import (
     ChainRingError,
     DomainError,
     InternalInvariant,
+    NotChainRing,
     ResourceExceeded,
     TooLarge,
 )
@@ -337,13 +338,9 @@ def test_product_ring_solving():
     P = PolyRing(z6, ("x",), "lex")
     # x^2 - x = 0 over Z6: idempotents 0, 1, 3, 4
     sol = solve_system([P.parse("x^2 - x")])
-    values = {z6.to_integer(x) for (x,) in sol.explicit()}
-    assert values == {0, 1, 3, 4}
-    brute = {
-        z6.to_integer(x)
-        for (x,) in brute_solve([P.parse("x^2 - x")]).explicit()
-    }
-    assert values == brute
+    values = {x for (x,) in sol.explicit()}
+    assert values == {z6.from_int(n) for n in (0, 1, 3, 4)}
+    assert values == {x for (x,) in brute_solve([P.parse("x^2 - x")]).explicit()}
 
 
 PRODUCT_SOLVE_GOLDENS = {
@@ -391,12 +388,55 @@ def test_product_ring_lifting_respects_the_cap():
     z6 = integer_ring(6)
     P = PolyRing(z6, ("x", "y", "z", "u"), "lex")
     polys = [P.parse("3*x")]
-    # 8 solutions mod 2 times 81 mod 3: the join is refused before it is built
+    # 8 solutions mod 2 times 81 mod 3: the join is refused once it passes the cap
     with pytest.raises(ResourceExceeded):
         solve_system_lifting(polys, max_solutions=100)
     lifting = solve_system_lifting(polys)
     assert lifting.count() == 648
     assert lifting.explicit() == brute_solve(polys).explicit()
+
+
+@pytest.mark.parametrize(
+    "variables, terms",
+    [
+        (("x",), [[[3, 2], [2]], [[3, 1], [1]], [[3, 0], [0]]]),  # (3,2)*x^2 + (3,1)*x + (3,0)
+        (("x", "y"), [[[0, 1], [1, 2]], [[3, 2], [0, 0]]]),  # (0,1)*x*y^2 + (3,2)
+    ],
+)
+def test_product_solve_is_empty_and_complete_when_a_component_is(monkeypatch, variables, terms):
+    # each system has no solution mod 4, so none over Z12 = Z4 x Z3: at
+    # every cap both routes say so, complete, and the Z3 part is never
+    # solved (at cap 1 elimination reported a truncated set of unknown size)
+    from chainring import solve
+
+    z12 = integer_ring(12)
+    P = PolyRing(z12, variables, "lex")
+    polys = [P.poly_from_json(terms)]
+    assert brute_solve(polys).count() == 0
+    rings = []
+    for name in ("solve_system", "solve_system_lifting"):
+
+        def spy(polys, cap, real=getattr(solve, name)):
+            rings.append(polys[0].ring.ring)
+            return real(polys, cap)
+
+        monkeypatch.setattr(solve, name, spy)
+    empty = {"variables": list(variables), "solutions": [], "truncated": False, "count": 0}
+    for cap in (1, 10, 100):
+        assert solve.solve_system(polys, cap).to_json() == empty
+        assert solve.solve_system_lifting(polys, cap).to_json() == empty
+    assert rings == [z12, z12.components[0]] * 6
+
+
+def test_chain_ring_solvers_refuse_a_local_ring():
+    # they ended in AttributeError (_payload_digit, q) on the local ring
+    R = quotient_presentation(2, 2, [2, 0, 0, 1], 1)
+    P = PolyRing(R, ("x",), "lex")
+    polys = [P.parse("x^2 + 1")]
+    for solver in (solve_system, solve_system_lifting, univariate_roots):
+        with pytest.raises(NotChainRing, match="solve_local_system"):
+            solver(polys)
+    assert solve_local_system(polys) == brute_solve(polys).explicit()
 
 
 def test_product_ring_truncation_lists_cap_plus_one():
