@@ -20,13 +20,10 @@ from .rings import (
     ExtensionChainRing,
     ProductRing,
     RingElement,
+    _extension_ring,
     _factor,
-    _int_field,
     _modulus_from_json,
     _of_degree,
-    crt_joined,
-    crt_parts,
-    ring_from_json,
 )
 
 
@@ -121,6 +118,10 @@ class GaloisExtension(ExtensionChainRing):
         for _ in range(1, m):
             # sigma of alpha^i coordinates, one more application
             self._sigma_mats.append([self._apply(mat, row) for row in self._sigma_mats[-1]])
+        # a ring with operation tables keeps a table of sigma^l per l in
+        # 1..m-1 too, indexed by payload, each entry None until first asked
+        # for: decoding applies sigma to the same few elements again and again
+        self._frobenius_tables = None if self._mul_table is None else [[None] * self.size for _ in range(1, m)]
 
     def _apply(self, mat, cs: list) -> list:
         """The coordinate payloads of sum_i cs[i] * mat[i]."""
@@ -135,15 +136,24 @@ class GaloisExtension(ExtensionChainRing):
                 out[t] = add(out[t], mul(c, r))
         return out
 
-    def frobenius_from_mat(self, mat, x: RingElement) -> RingElement:
-        return RingElement(self, self._from_coords(self._apply(mat, self._coords(x.data))))
-
-    def frobenius(self, x: RingElement, l: int = 1) -> RingElement:
-        """sigma^l(x); negative l wraps around the cyclic Galois group."""
+    def _payload_frobenius(self, x, l: int):
+        """The payload of sigma^l of the payload x; negative l wraps around
+        the cyclic Galois group."""
         l %= self.degree
         if l == 0:
             return x
-        return self.frobenius_from_mat(self._sigma_mats[l - 1], x)
+        tables = self._frobenius_tables
+        if tables is None:
+            return self._from_coords(self._apply(self._sigma_mats[l - 1], self._coords(x)))
+        table = tables[l - 1]
+        z = table[x]
+        if z is None:
+            z = table[x] = self._from_coords(self._apply(self._sigma_mats[l - 1], self._coords(x)))
+        return z
+
+    def frobenius(self, x: RingElement, l: int = 1) -> RingElement:
+        """sigma^l(x); negative l wraps around the cyclic Galois group."""
+        return RingElement(self, self._payload_frobenius(x.data, l))
 
     def to_json(self):
         return {
@@ -276,17 +286,10 @@ def extension_from_json(obj):
         raise ParseError(f"extension descriptor must be an object, got {obj!r}")
     if "base" not in obj or "m" not in obj:
         raise ParseError("extension descriptor needs base and m")
-    base = ring_from_json(obj["base"])  # a chain ring or a product of them
-    m = _int_field(obj, "m")
-    comps = crt_parts(base, base, lambda idx, C: C)
-    mods = obj.get("modulus")
-    if mods is not None and isinstance(base, ProductRing):
-        if not (isinstance(mods, list) and len(mods) == len(comps)):
-            raise ParseError("field 'modulus' of a product extension must list one modulus per component")
-    else:
-        mods = [mods] * len(comps)
-    exts = [
-        build_extension(C, m) if mod is None else _of_degree(GaloisExtension(C, _modulus_from_json(mod, C)), "m", m)
-        for C, mod in zip(comps, mods)
-    ]
-    return crt_joined(base, exts, ProductExtension)
+
+    def extend(C, mod, m):
+        if mod is None:
+            return build_extension(C, m)
+        return _of_degree(GaloisExtension(C, _modulus_from_json(mod, C)), "m", m)
+
+    return _extension_ring(obj, extend, ProductExtension)

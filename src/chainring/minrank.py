@@ -3,14 +3,18 @@ Support-Minors modelings and solvers.
 
 All three strategies share one loop over models: ks over its Z'
 placements, sm-groebner and sm-linearization over the unit Plücker
-coordinate of sm_model.  Both models are built from payload terms.  The
-Gröbner strategies lift a model whole from the residue field and project
-its roots onto x where the route rule takes it (q^k <= MODEL_LIFT_CAP and
-a constant term, as an affine instance gives); otherwise, and always for sm-linearization, a model gives an x-only system
-(lex elimination, or the x-only rows of the Macaulay matrix), and each
-distinct x-only system is solved once.  Every candidate is re-verified
-with an actual rank computation, so
-a modeling can lose completeness but never soundness.  The unit split loses
+coordinate of sm_model.  Both models are built from payload terms, every
+model of an instance from one table of M_x entry terms, which
+minrank_candidates reads once per call (_mx_table), in a lex ring
+interned on the coefficient ring (polys.lex_ring).  The Gröbner
+strategies lift a model whole from the residue field and project its
+roots onto x where the route rule takes it (q^k <= MODEL_LIFT_CAP and a
+constant term, as an affine instance gives); otherwise, and always for
+sm-linearization, a model gives an x-only system (lex elimination, or the
+x-only rows of the Macaulay matrix, whose degree-2 matrix reuses the
+degree-1 products), and each distinct x-only system is solved once.
+Every candidate is re-verified with an actual rank computation, so a
+modeling can lose completeness but never soundness.  The unit split loses
 no solution; the ks schedule's completeness is checked against the
 brute-force oracle in the tests (the paper leaves a selection rule open).
 """
@@ -19,11 +23,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .errors import DomainError, Inconclusive, ParseError
 from .linalg import RingMatrix, payload_echelon, rank, split_matrix
-from .polys import MultiPoly, PolyRing, macaulay_rows
+from .polys import MultiPoly, PolyRing, _add_terms, lex_ring, macaulay_matrix, macaulay_rows
 from .rings import Ring, RingElement, _as_list, _int_field, crt_apply, crt_parts, ring_from_json
 from .solve import (
     _lifted_x_block,
@@ -130,32 +135,56 @@ def _x_names(k: int) -> list[str]:
     return [f"x{l + 1}" for l in range(k)]
 
 
-def _mx_entry(inst: MinRankInstance, ring: PolyRing, x_vars, i: int, t: int) -> list:
-    """Entry (i, t) of M_x as (packed x-monomial, payload) terms in ring."""
-    terms = [(0, inst.m0.rows[i][t].data)] if inst.m0 is not None else []
-    gens = ring._gens
-    for l, M in enumerate(inst.matrices):
-        terms.append((gens[x_vars[l]], M.rows[i][t].data))
-    return terms
+def _mx_table(inst: MinRankInstance) -> list[list[list]]:
+    """The M_x table: entry (i, t) of M_x as (packed x-monomial, payload)
+    terms, zero payloads left out, each entry's terms descending (x1 first,
+    M0's last).  The x variables are the lowest lex fields of every model
+    ring and of the lex ring in x alone, so their packed monomials are the
+    same in all of them, and one table serves every model of the
+    instance."""
+    zero = inst.ring._zero_data
+    x_gens = lex_ring(inst.ring, _x_names(inst.k))._gens
+    mats = list(inst.matrices) + ([inst.m0] if inst.m0 is not None else [])
+    monos = list(x_gens) + ([0] if inst.m0 is not None else [])
+    m, n = inst.shape
+    return [
+        [[(xm, c) for xm, M in zip(monos, mats) if (c := M.rows[i][t].data) != zero] for t in range(n)]
+        for i in range(m)
+    ]
+
+
+# the M_x tables that running minrank_candidates calls lend the models of
+# their instances, by id(instance); a call holds its instance while the
+# entry lives, so the id names no other instance
+_lent_tables: dict[int, list] = {}
+
+
+def _mx_terms(inst: MinRankInstance) -> list[list[list]]:
+    """The M_x table that minrank_candidates lent inst for its call, else
+    one read now."""
+    table = _lent_tables.get(id(inst))
+    return _mx_table(inst) if table is None else table
 
 
 def _bilinear(ring: PolyRing, products) -> MultiPoly:
     """The sum of ±entry * z over products, (entry terms, packed z-monomial,
-    negated) triples, collected once: zero payloads and cancelled terms drop
-    out in ring._collect."""
+    negated) triples.  The z-monomials of one equation are distinct (z_J for
+    distinct J, or z_(pos, j) for distinct pos, and the empty one at most
+    once) and lie above every x field, and an entry's terms are nonzero and
+    descend (_mx_table): so no two terms share a monomial, and the entries'
+    terms, shifted, in descending z order, are the canonical term list."""
     neg = ring.ring._payload_neg
-    return ring._collect(
-        (xm + zm, neg(c) if negated else c)
-        for entry, zm, negated in products
-        for xm, c in entry
-    )
+    terms = []
+    for entry, zm, negated in sorted(products, key=itemgetter(1), reverse=True):
+        terms += [(xm + zm, neg(c)) for xm, c in entry] if negated else [(xm + zm, c) for xm, c in entry]
+    return MultiPoly(ring, tuple(terms))
 
 
 def ks_model(inst: MinRankInstance, zprime_rows: Sequence[int] | None = None) -> KSModel:
     """Bilinear system M_x @ Z = 0 with Z = P (I; Z'); zprime_rows are the
     rows of Z holding Z' (default: the bottom r rows, the identity placement).
     A target rank above n is read as n."""
-    m, n = inst.shape
+    n = inst.shape[1]
     r = min(inst.r, n)
     k = inst.k
     R = inst.ring
@@ -168,16 +197,14 @@ def ks_model(inst: MinRankInstance, zprime_rows: Sequence[int] | None = None) ->
         z_names = [f"z{j + 1}" for j in range(n - r)]
     else:
         z_names = [f"z{i + 1}_{j + 1}" for i in range(r) for j in range(n - r)]
-    names = z_names + _x_names(k)
-    ring = PolyRing(R, names, "lex")
+    ring = lex_ring(R, z_names + _x_names(k))
     nz = len(z_names)
     z_vars = tuple(range(nz))
     x_vars = tuple(range(nz, nz + k))
 
     ident_rows = [i for i in range(n) if i not in zprime_rows]
     equations = []
-    for i in range(m):
-        row = [_mx_entry(inst, ring, x_vars, i, t) for t in range(n)]
+    for row in _mx_terms(inst):
         for j in range(n - r):
             # column j of Z: 1 (the empty monomial) in row ident_rows[j], and
             # z_(pos, j) in row zprime_rows[pos]
@@ -222,14 +249,13 @@ def sm_model(inst: MinRankInstance, unit_subset: Sequence[int]) -> SMModel:
     every r-subset therefore loses no solution.  The unit coordinate's
     variable stays in the ring.  A target rank above n is read as n.
     """
-    m, n = inst.shape
+    n = inst.shape[1]
     r = min(inst.r, n)
     k = inst.k
     R = inst.ring
     subsets = tuple(itertools.combinations(range(n), r))
     z_names = [_z_subset_name(s) for s in subsets]
-    names = z_names + _x_names(k)
-    ring = PolyRing(R, names, "lex")
+    ring = lex_ring(R, z_names + _x_names(k))
     z_index = {s: i for i, s in enumerate(subsets)}
     z_vars = tuple(range(len(subsets)))
     x_vars = tuple(range(len(subsets), len(subsets) + k))
@@ -238,7 +264,7 @@ def sm_model(inst: MinRankInstance, unit_subset: Sequence[int]) -> SMModel:
         raise DomainError("unit_subset must be r increasing column indices")
     # z_J as a packed monomial; the unit coordinate is the empty one
     z = {s: 0 if s == unit_subset else ring._gens[i] for s, i in z_index.items()}
-    entries = [[_mx_entry(inst, ring, x_vars, i, j) for j in range(n)] for i in range(m)]
+    entries = _mx_terms(inst)
 
     equations = []
     for bigset in itertools.combinations(range(n), r + 1):
@@ -310,7 +336,9 @@ def minrank_candidates(
     """The distinct x-block solutions of every model of a chain-ring
     instance, unverified: a superset of the solutions the strategy finds.
 
-    Models are built from payload terms.  The Gröbner strategies first ask
+    Models are built from payload terms, all of them from one M_x table
+    read once per call and lent to the models until the call ends.  The
+    Gröbner strategies first ask
     the route rule (solve._lifted_x_block): a model with q^k <=
     MODEL_LIFT_CAP over the k variables it uses, and with a constant term
     (a homogeneous instance's models vanish at the origin and are left to
@@ -345,19 +373,25 @@ def minrank_candidates(
     x_system = macaulay_x_block if linearize else groebner_x_block
     solved = set()
     seen = set()
-    for model in models:
-        found = None if linearize else _lifted_x_block(model.poly_ring, model.equations, model.x_vars)
-        if found is None:
-            x_ring, polys = x_system(model)
-            key = frozenset(p._terms for p in polys)
-            if key in solved:
-                continue
-            solved.add(key)
-            found = _x_only_solutions(x_ring, polys)
-        for x in found:
-            if x not in seen:
-                seen.add(x)
-                yield x
+    # every model of the call reads one M_x table (_mx_terms), lent for the
+    # call only: an instance its caller keeps keeps no table
+    _lent_tables[id(inst)] = _mx_table(inst)
+    try:
+        for model in models:
+            found = None if linearize else _lifted_x_block(model.poly_ring, model.equations, model.x_vars)
+            if found is None:
+                x_ring, polys = x_system(model)
+                key = frozenset(p._terms for p in polys)
+                if key in solved:
+                    continue
+                solved.add(key)
+                found = _x_only_solutions(x_ring, polys)
+            for x in found:
+                if x not in seen:
+                    seen.add(x)
+                    yield x
+    finally:
+        _lent_tables.pop(id(inst), None)
 
 
 def macaulay_x_block(model: SMModel) -> tuple[PolyRing, list[MultiPoly]]:
@@ -370,18 +404,24 @@ def macaulay_x_block(model: SMModel) -> tuple[PolyRing, list[MultiPoly]]:
     zero on every z column are polynomials in x alone.  Each such row is an
     R-combination of the equations, so the x block of every zero of the
     model solves it (Bardet et al., ASIACRYPT 2020).  b = 2 is tried only
-    when b = 1 gives no x-only row.  The matrix and its echelon form stay on
-    sparse payload rows throughout: nothing is boxed, and no row operation
-    is logged.
+    when b = 1 gives no x-only row; its matrix reuses the degree-1 products
+    (the equations' own terms) and adds each equation times each x
+    variable, in macaulay_rows' shift-major order.  The model's equations
+    come from one M_x table per minrank_candidates call (_mx_table).
+    The matrix and its echelon form stay on sparse payload rows throughout:
+    nothing is boxed, and no row operation is logged.
     """
     ring = model.poly_ring
     z_support = ring._support(sum(ring._gens[v] for v in model.z_vars))
-    shifts = [0]
+    products = [f._terms for f in model.equations]
     for b in (1, 2):
         if b == 2:
-            shifts += [ring._gens[v] for v in model.x_vars]
-        monos, rows = macaulay_rows(model.equations, shifts)
-        nz = sum(1 for mono in monos if ring._support(mono) & z_support)
+            products += [
+                _add_terms(ring, (), f._terms, ring._gens[v], None) for v in model.x_vars for f in model.equations
+            ]
+        monos, rows = macaulay_matrix(products)
+        # the z columns come first: nz is the first x-only column
+        nz = next((j for j, mono in enumerate(monos) if not ring._support(mono) & z_support), len(monos))
         payload_echelon(ring.ring, rows, reduce_from=nz)
         # a row's columns ascend, so its monomials descend, as terms do
         x_rows = [

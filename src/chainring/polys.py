@@ -293,6 +293,20 @@ class PolyRing:
         return self.poly(terms)
 
 
+def lex_ring(ring: Ring, variables: Sequence[str]) -> PolyRing:
+    """The lex PolyRing over ring in variables, interned on ring: the models
+    of one MinRank instance, and their x blocks, are built over one
+    coefficient ring with the same names again and again, and share one
+    ring each.  A PolyRing never changes, so a race only builds an equal
+    one twice."""
+    key = tuple(variables)
+    interned = ring.__dict__.setdefault("_lex_rings", {})
+    P = interned.get(key)
+    if P is None:
+        P = interned[key] = PolyRing(ring, key, "lex")
+    return P
+
+
 class MultiPoly:
     """Immutable polynomial; terms strictly descending under the ring order.
 
@@ -632,7 +646,12 @@ def macaulay_rows(polys: Sequence[MultiPoly], shifts: Sequence[int]) -> tuple[li
     if not polys:
         return [], []
     ring = polys[0].ring
-    products = [_add_terms(ring, (), f._terms, s, None) for s in shifts for f in polys]
+    return macaulay_matrix([_add_terms(ring, (), f._terms, s, None) for s in shifts for f in polys])
+
+
+def macaulay_matrix(products: Sequence) -> tuple[list, list]:
+    """(columns, rows) as macaulay_rows gives them, for the term lists of
+    the products themselves, one row each in order."""
     # a packed monomial is its own order key
     columns = sorted({m for terms in products for m, _ in terms}, reverse=True)
     index = {m: j for j, m in enumerate(columns)}

@@ -26,7 +26,6 @@ from .extension import (
     GaloisExtension,
     ProductExtension,
     extension_from_json,
-    matrix_representation,
     payload_vector_rank,
 )
 from .linalg import RingMatrix, hermite_form
@@ -137,36 +136,34 @@ def generator_from_json(S: Ring, value) -> tuple[tuple[RingElement, ...], ...]:
 
 
 def to_minrank(rd: RankDecodingInstance) -> MinRankInstance:
-    """M0 = rep(-y), M_(i,u) = rep(alpha^u * g_i); x-coordinates recombine as
-    x_i = sum_u x_(i,u) alpha^u."""
+    """M0 = rep(-y), M_(i,u) = rep(alpha^u * g_i), with rep the
+    coordinate matrix of matrix_representation; x-coordinates recombine as
+    x_i = sum_u x_(i,u) alpha^u.  Computed on payloads and boxed once, as
+    the matrices are built."""
     S = rd.ext
     if isinstance(S, ProductExtension):
         raise DomainError("split product instances before the MinRank reduction")
     base = S.base
-    m = S.degree
-    mats = []
-    for i in range(rd.k):
-        for u in range(m):
-            scaled = tuple(S.mul(S.pow(S.alpha, u), g) for g in rd.generator[i])
-            mats.append(matrix_representation(S, scaled))
-    neg_y = tuple(S.neg(v) for v in rd.received)
-    m0 = matrix_representation(S, neg_y)
-    return MinRankInstance(base, tuple(mats), max(rd.radius, 0), m0)
+    mul, coords = S._payload_mul, S._coords
+    alpha_pows = [S._payload_pow(S.alpha.data, u) for u in range(S.degree)]
+
+    def rep(payloads) -> RingMatrix:
+        cols = [coords(v) for v in payloads]
+        return RingMatrix(base, [[RingElement(base, c[t]) for c in cols] for t in range(S.degree)])
+
+    mats = tuple(rep([mul(a, g.data) for g in row]) for row in rd.generator for a in alpha_pows)
+    m0 = rep([S._payload_neg(v.data) for v in rd.received])
+    return MinRankInstance(base, mats, max(rd.radius, 0), m0)
 
 
 def minrank_x_to_codeword_x(
     rd: RankDecodingInstance, x_flat: Sequence[RingElement]
 ) -> tuple[RingElement, ...]:
+    """x_i = sum_u x_(i,u) alpha^u.  The powers alpha^u with u < m are the
+    coordinate basis of S, so the x_(i,u) are x_i's coordinates."""
     S = rd.ext
     m = S.degree
-    out = []
-    for i in range(rd.k):
-        coords = x_flat[i * m : (i + 1) * m]
-        acc = S.zero
-        for u, c in enumerate(coords):
-            acc = S.add(acc, S.scalar_mul(c, S.pow(S.alpha, u)))
-        out.append(acc)
-    return tuple(out)
+    return tuple(S.element(x_flat[i * m : (i + 1) * m]) for i in range(rd.k))
 
 
 # -- key-equation expansion helpers ------------------------------------------------
@@ -308,18 +305,19 @@ def key_equation_model(rd: RankDecodingInstance) -> KeyEquationSystem:
 
 def linearization_matrix(rd: RankDecodingInstance) -> RingMatrix:
     """Columns -sigma^0(y^T) .. -sigma^(r-1)(y^T) | sigma^0(G^T) ..
-    sigma^r(G^T) | -sigma^r(y^T), one row per code position."""
+    sigma^r(G^T) | -sigma^r(y^T), one row per code position.  Computed on
+    payloads (Frobenius through the ring's sigma matrices) and boxed once."""
     S: GaloisExtension = rd.ext
     r = rd.radius
-    cols: list[tuple[RingElement, ...]] = []
-    for l in range(r):
-        cols.append(tuple(S.neg(S.frobenius(v, l)) for v in rd.received))
-    for l in range(r + 1):
-        for i in range(rd.k):
-            cols.append(tuple(S.frobenius(v, l) for v in rd.generator[i]))
-    cols.append(tuple(S.neg(S.frobenius(v, r)) for v in rd.received))
-    rows = [[cols[c][j] for c in range(len(cols))] for j in range(rd.n)]
-    return RingMatrix(S, rows)
+    frob, neg = S._payload_frobenius, S._payload_neg
+
+    def neg_y(l):
+        return [neg(frob(v.data, l)) for v in rd.received]
+
+    cols = [neg_y(l) for l in range(r)]
+    cols += [[frob(v.data, l) for v in row] for l in range(r + 1) for row in rd.generator]
+    cols.append(neg_y(r))
+    return RingMatrix(S, [[RingElement(S, col[j]) for col in cols] for j in range(rd.n)])
 
 
 def solve_key_linearization(rd: RankDecodingInstance) -> tuple[RingElement, ...]:

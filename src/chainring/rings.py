@@ -1106,13 +1106,33 @@ def _of_degree(ring: ExtensionChainRing, key: str, degree: int | None) -> Extens
     return ring
 
 
+def _extension_ring(obj, extend, join) -> Ring:
+    """The ring an extension descriptor {"base": ring, "m": int?,
+    "modulus": coeffs?} names: extend(C, modulus, m) over each CRT
+    component C of the base, joined by join over a product base.  modulus
+    is C's JSON modulus (a product base lists one per component) and m the
+    "m" field, each None where absent."""
+    base = ring_from_json(obj["base"])  # a chain ring or a product of them
+    m = _int_field(obj, "m") if "m" in obj else None
+    comps = crt_parts(base, base, lambda idx, C: C)
+    mods = obj.get("modulus")
+    if mods is not None and isinstance(base, ProductRing):
+        if not (isinstance(mods, list) and len(mods) == len(comps)):
+            raise ParseError("field 'modulus' of a product extension must list one modulus per component")
+    else:
+        mods = [mods] * len(comps)
+    return crt_joined(base, [extend(C, mod, m) for C, mod in zip(comps, mods)], join)
+
+
 def ring_from_json(obj) -> Ring:
     if isinstance(obj, dict) and "kind" not in obj and "base" in obj and "modulus" in obj:
-        # extension descriptor used as a plain ring
-        base = ring_from_json(obj["base"])
-        if not isinstance(base, ChainRing):
-            raise ParseError("extension base must be a chain ring")
-        return ExtensionChainRing(base, _modulus_from_json(obj["modulus"], base))
+        # extension descriptor used as a plain ring: over a product base, the
+        # product of the components' extensions
+        return _extension_ring(
+            obj,
+            lambda C, mod, m: _of_degree(ExtensionChainRing(C, _modulus_from_json(mod, C)), "m", m),
+            ProductRing,
+        )
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError(f"bad ring descriptor: {obj!r}")
     kind = obj["kind"]

@@ -42,6 +42,7 @@ from .polys import (
     PolyRing,
     _univariate_var,
     compile_poly,
+    lex_ring,
     macaulay_rows,
     split_compiled,
 )
@@ -601,9 +602,13 @@ def _echelon_rows(ring: PolyRing, polys: Sequence[MultiPoly]) -> list[MultiPoly]
 def _to_x_ring(
     ring: PolyRing, polys: Sequence[MultiPoly], x_vars: Sequence[int]
 ) -> tuple[PolyRing, list[MultiPoly]]:
-    """A lex ring in x_vars alone and polys, which use no other variable of
-    ring, mapped into it."""
-    x_ring = PolyRing(ring.ring, [ring.variables[v] for v in x_vars], "lex")
+    """The lex ring in x_vars alone (interned, polys.lex_ring) and polys,
+    which use no other variable of ring, mapped into it.  Where x_vars are
+    the lowest fields of a lex ring, as in every model's ring, a poly packs
+    alike in both rings and keeps its terms."""
+    x_ring = lex_ring(ring.ring, [ring.variables[v] for v in x_vars])
+    if not ring._weighted and [ring._shifts[v] for v in x_vars] == list(x_ring._shifts):
+        return x_ring, [MultiPoly(x_ring, g._terms) for g in polys]
     index = {v: i for i, v in enumerate(x_vars)}
     var_map = [index.get(i, 0) for i in range(ring.nvars)]
     return x_ring, [g.map_to(x_ring, var_map) for g in polys]

@@ -171,6 +171,20 @@ def test_extension_json_roundtrip(ext83):
     assert clone.frobenius(clone.alpha) == clone.pow(clone.alpha, 2)
 
 
+def test_matrix_over_an_extension_json_roundtrip(ext83):
+    # a RingMatrix over a Galois extension or a product extension reads
+    # back from its JSON; the product's ring is the product of the
+    # components' extensions
+    pe = extension_from_json({"base": integer_ring(6).to_json(), "m": 2})
+    alpha = pe.element([c.alpha for c in pe.components])
+    for M in (
+        RingMatrix(ext83, [[ext83.one, ext83.alpha], [ext83.zero, ext83.pow(ext83.alpha, 5)]]),
+        RingMatrix(pe, [[pe.one]]),
+        RingMatrix(pe, [[pe.one, alpha], [pe.mul(alpha, alpha), pe.zero]]),
+    ):
+        assert RingMatrix.from_json(M.to_json()) == M
+
+
 def test_product_extension_componentwise():
     z6 = integer_ring(6)
     comps = [build_extension(c, 2) for c in z6.components]

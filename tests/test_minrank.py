@@ -455,6 +455,65 @@ def test_models_build_no_boxed_polynomial_arithmetic(monkeypatch):
             assert model.equations == expected[name, kind, tuple(sub)]
 
 
+def model_bytes(model):
+    P = model.poly_ring
+    return P.variables, model.x_vars, model.z_vars, [e._terms for e in model.equations]
+
+
+def test_minrank_candidates_builds_one_mx_table_per_instance(monkeypatch):
+    # each strategy builds every model of an instance from one M_x table,
+    # read once per call; each model it builds is byte for byte the model that
+    # ks_model or sm_model builds from a fresh copy of the instance, with
+    # that copy's own table.  No model is solved here.
+    builds = []
+    build_table = minrank._mx_table
+    monkeypatch.setattr(minrank, "_mx_table", lambda inst: builds.append(inst) or build_table(inst))
+    built = []
+    for name in ("ks_model", "sm_model"):
+
+        def spy(inst, sub, make=getattr(minrank, name)):
+            model = make(inst, sub)
+            built.append((make, sub, model))
+            return model
+
+        monkeypatch.setattr(minrank, name, spy)
+    monkeypatch.setattr(minrank, "_lifted_x_block", lambda *args: [])
+    monkeypatch.setattr(minrank, "macaulay_x_block", lambda model: (model.poly_ring, []))
+    monkeypatch.setattr(minrank, "_x_only_solutions", lambda x_ring, polys: [])
+    instances = golden_instances()
+    assert len(instances) == 39
+    models = 0
+    for name, inst in instances.items():
+        n = inst.shape[1]
+        r = min(inst.r, n)
+        for strategy in ("ks", "sm-groebner", "sm-linearization"):
+            fresh = MinRankInstance.from_json(inst.to_json())
+            builds.clear()
+            built.clear()
+            assert list(minrank_candidates(fresh, strategy)) == []
+            assert len(builds) == 1 and builds[0] is fresh, (name, strategy)
+            assert minrank._lent_tables == {}  # the table was lent for the call only
+            subsets = ks_permutation_schedule(n, r) if strategy == "ks" else list(itertools.combinations(range(n), r))
+            assert [sub for _, sub, _ in built] == subsets
+            for make, sub, model in built:
+                copy = MinRankInstance.from_json(inst.to_json())
+                assert model_bytes(model) == model_bytes(make(copy, sub)), (name, strategy, sub)
+                models += 1
+    # the 300 models of minrank_models.json, its 150 SM models twice
+    assert models == 300 + 150
+
+
+def test_solve_minrank_builds_one_mx_table_per_instance(affine_minrank_z8, monkeypatch):
+    builds = []
+    build_table = minrank._mx_table
+    monkeypatch.setattr(minrank, "_mx_table", lambda inst: builds.append(inst) or build_table(inst))
+    for strategy in ("ks", "sm-groebner", "sm-linearization"):
+        builds.clear()
+        fresh = MinRankInstance.from_json(affine_minrank_z8.to_json())
+        assert as_ints(solve_minrank(fresh, strategy)) == [[1, 3, 6]]
+        assert len(builds) == 1 and builds[0] is fresh, strategy
+
+
 def x_only_systems(inst, strategy):
     """Each model's x-only system as (x_ring, polys), for the models that
     need a solve: no polys are enumerated, a constant has no zero."""

@@ -6,7 +6,7 @@ import pytest
 from chainring.errors import DomainError, Inconclusive, NoSolution
 from chainring.extension import ProductExtension, build_extension, matrix_representation, vector_rank
 from chainring.groebner import buchberger
-from chainring.linalg import hermite_form, rank
+from chainring.linalg import RingMatrix, hermite_form, rank
 from chainring.minrank import sm_model, solve_minrank
 from chainring.oracles import brute_decode_set, brute_vector_rank
 from chainring.rankdecode import (
@@ -89,6 +89,62 @@ def test_linearization_matrix_layout(decoding_instance, ext83):
         assert A.rows[j][1] == g[j]
         assert A.rows[j][2] == S.frobenius(g[j])
         assert A.rows[j][3] == S.neg(S.frobenius(y[j]))
+
+
+CONVERSION_RINGS = {
+    "GR(4,2)": (2, 2, 2),
+    "GR(4,3)": (2, 2, 3),  # tabled, with two powers of sigma besides 1
+    "GR(8,3)": (2, 3, 3),  # 512 elements: no operation tables
+    "GR(9,2)": (3, 2, 2),
+}
+
+
+def defined_frobenius(S, v, l):
+    """sigma^l(v) by its definition: alpha goes to alpha^(q^l), the base
+    coordinates stay."""
+    q = S.base.q
+    return S.sum(S.scalar_mul(c, S.pow(S.alpha, i * q**l)) for i, c in enumerate(S.coords(v)))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("name", sorted(CONVERSION_RINGS))
+def test_payload_conversions_match_their_boxed_definitions(name, k):
+    # to_minrank, minrank_x_to_codeword_x and linearization_matrix compute
+    # on payloads; each equals its definition in boxed element arithmetic
+    p, e, m = CONVERSION_RINGS[name]
+    base = Zpk(p, e)
+    S = build_extension(base, m)
+    assert (S.size > 256) == (name == "GR(8,3)")
+    rng = random.Random(f"{name}/{k}")
+
+    def el():
+        return S.element([rng.randrange(base.size) for _ in range(m)])
+
+    for radius in (1, 2):
+        n = 4
+        gen = tuple(tuple(el() for _ in range(n)) for _ in range(k))
+        rd = RankDecodingInstance(S, gen, tuple(el() for _ in range(n)), radius)
+        inst = to_minrank(rd)
+        mats = tuple(
+            matrix_representation(S, [S.mul(S.pow(S.alpha, u), g) for g in row]) for row in gen for u in range(m)
+        )
+        assert inst.matrices == mats
+        assert inst.m0 == matrix_representation(S, [S.neg(v) for v in rd.received])
+        assert (inst.ring, inst.r) == (base, radius)
+        for _ in range(5):
+            flat = tuple(base.element(rng.randrange(base.size)) for _ in range(k * m))
+            want = tuple(
+                S.sum(S.scalar_mul(c, S.pow(S.alpha, u)) for u, c in enumerate(flat[i * m : (i + 1) * m]))
+                for i in range(k)
+            )
+            assert minrank_x_to_codeword_x(rd, flat) == want
+        cols = [[S.neg(S.frobenius(v, l)) for v in rd.received] for l in range(radius)]
+        cols += [[S.frobenius(v, l) for v in row] for l in range(radius + 1) for row in gen]
+        cols.append([S.neg(S.frobenius(v, radius)) for v in rd.received])
+        assert linearization_matrix(rd) == RingMatrix(S, [[col[j] for col in cols] for j in range(n)])
+        for v in rd.received + gen[0]:
+            for l in range(-1, radius + 1):
+                assert S.frobenius(v, l) == defined_frobenius(S, v, l % m)
 
 
 def test_linearization_hermite_golden(decoding_instance, ext83):
