@@ -352,3 +352,58 @@ def test_local_expansions_match_golden():
     # the expansion and the contracted answers of 80 seeded local systems,
     # byte for byte as the boxed expansion and contraction produced them
     assert render_local_golden() == LOCAL_GOLDEN.read_text()
+
+
+LOCAL_OPS_GOLDEN = Path(__file__).resolve().parent / "goldens" / "local_ring_ops.json"
+
+
+def local_ops_rings() -> dict:
+    """The rings of local_ring_ops.json.  The last has 128 elements and a
+    payload span of 32^2 = 1,024, above rings._OP_TABLE_CAP, so it computes
+    without operation tables."""
+    return {
+        "local_cubic": presentation_from_json(json.loads(LOCAL_CUBIC.read_text())["ring"]),
+        "z4_cubic": quotient_presentation(2, 2, [2, 0, 0, 1], 1),
+        "z8_paper": quotient_presentation(2, 3, [4, 0, 1], 1),
+        "z32_square": quotient_presentation(2, 5, [0, 0, 1], 2),
+    }
+
+
+def local_ring_ops_records(name, R) -> list[str]:
+    """The golden's lines for one local ring: the element order, sort keys,
+    formats, JSON and descriptor, the add, sub, mul and neg tables over every
+    element (pair) and the inverse of every unit, one SHA-256 each."""
+    js = R.element_to_json
+    elems = list(R.elements())
+    pairs = [(a, b) for a in elems for b in elems]
+    tables = {
+        "elements": [js(a) for a in elems],
+        "sort_key": [list(R.sort_key(a)) for a in elems],
+        "format": [R.format_element(a) for a in elems],
+        "to_json": R.to_json(),
+        "descriptor": repr(R.descriptor()),
+        "add": [js(R.add(a, b)) for a, b in pairs],
+        "sub": [js(R.sub(a, b)) for a, b in pairs],
+        "mul": [js(R.mul(a, b)) for a, b in pairs],
+        "neg": [js(R.neg(a)) for a in elems],
+        "invert": [[js(a), js(R.invert(a))] for a in elems if R.is_unit(a)],
+    }
+    lines = []
+    for op, table in tables.items():
+        text = json.dumps(table, separators=(",", ":"))
+        record = {"ring": name, "op": op, "size": len(elems), "sha256": hashlib.sha256(text.encode()).hexdigest()}
+        lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
+    return lines
+
+
+def render_local_ops_golden() -> str:
+    lines = []
+    for name, R in local_ops_rings().items():
+        lines += local_ring_ops_records(name, R)
+    return "[\n" + ",\n".join(lines) + "\n]\n"
+
+
+def test_local_ring_ops_match_golden():
+    # every element method of four local rings, byte for byte as the boxed
+    # coordinate tuples computed them
+    assert render_local_ops_golden() == LOCAL_OPS_GOLDEN.read_text()

@@ -1,5 +1,8 @@
+import hashlib
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -546,3 +549,45 @@ def test_rd_json_roundtrip(decoding_instance):
     assert clone.generator == decoding_instance.generator
     assert clone.received == decoding_instance.received
     assert clone.radius == decoding_instance.radius
+
+
+KEY_EQUATION_GOLDEN = Path(__file__).resolve().parent / "goldens" / "key_equation_models.json"
+KEY_EQUATION_RINGS = {
+    "GR(4,2)": (2, 2, 2),
+    "GR(8,3)": (2, 3, 3),  # 512 elements: no operation tables
+    "GR(9,2)": (3, 2, 2),
+}
+KEY_EQUATION_CELLS = ((3, 1, 1), (4, 2, 1), (4, 1, 2))  # (n, k, radius)
+
+
+def key_equation_records():
+    """key_equation_model of three seeded words per (ring, n, k, radius)
+    cell: the s and r variables and equation payload terms, as SHA-256
+    digests."""
+    rng = random.Random(7)
+    for name, (p, e, m) in KEY_EQUATION_RINGS.items():
+        S = build_extension(Zpk(p, e), m)
+        elems = list(S.elements())
+        for n, k, radius in KEY_EQUATION_CELLS:
+            for _ in range(3):
+                gen = tuple(tuple(rng.choice(elems) for _ in range(n)) for _ in range(k))
+                rd = RankDecodingInstance(S, gen, tuple(rng.choice(elems) for _ in range(n)), radius)
+                model = key_equation_model(rd)
+                record = {"ring": name, "n": n, "k": k, "radius": radius, "word": rd.to_json()}
+                for form, ring, equations in (
+                    ("s", model.s_ring, model.s_equations),
+                    ("r", model.r_ring, model.r_equations),
+                ):
+                    blob = repr((ring.variables, model.z_vars, model.x_vars, tuple(f._terms for f in equations)))
+                    record[form] = hashlib.sha256(blob.encode()).hexdigest()
+                yield json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def render_key_equation_golden() -> str:
+    return "[\n" + ",\n".join(key_equation_records()) + "\n]\n"
+
+
+def test_key_equation_models_match_golden():
+    # 27 models over GR(4,2), GR(8,3) and GR(9,2), byte for byte as the
+    # boxed polynomial arithmetic built them
+    assert render_key_equation_golden() == KEY_EQUATION_GOLDEN.read_text()
