@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import _unipoly as up
-from .errors import DomainError, NotFree, ParseError
+from .errors import DomainError, NotFree, ParseError, TooLarge
 from .linalg import RingMatrix, determinant, is_free_rows, payload_smith, reduced_row_echelon
 from .rings import (
     ChainRing,
@@ -24,7 +24,17 @@ from .rings import (
     _factor,
     _modulus_from_json,
     _of_degree,
+    _power_exceeds,
 )
+
+# a Galois extension's check builds X^(q^m - 1) - 1 densely, over a residue
+# field of at most this many elements
+_EXTENSION_RESIDUE_CAP = 1 << 10
+
+
+def _check_residue_field(base: ChainRing, m: int):
+    if _power_exceeds(base.q, m, _EXTENSION_RESIDUE_CAP):
+        raise TooLarge(f"the degree-{m} extension of {base.short_name()} has a residue field above 2^10 elements")
 
 
 def _residue_xgcd(R: ChainRing, f, g):
@@ -98,6 +108,7 @@ class GaloisExtension(ExtensionChainRing):
 
     def __init__(self, base: ChainRing, modulus: Sequence[RingElement]):
         super().__init__(base, modulus)
+        _check_residue_field(base, self.degree)
         Q = self.q  # residue size of S = q_base^m
         _, rem = up.divmod_monic(base, up.x_power_minus_one(base, Q - 1), list(self.modulus_poly))
         if rem:
@@ -167,6 +178,7 @@ def build_extension(base: ChainRing, m: int) -> GaloisExtension:
     """Degree-m Galois extension with the deterministic primitive modulus."""
     if m < 1:
         raise DomainError("extension degree must be >= 1")
+    _check_residue_field(base, m)
     gamma = base.teichmuller_set()
     # coefficient-lex smallest primitive polynomial: minimize
     # (c_{m-1}, ..., c_1, c_0) by canonical representative order

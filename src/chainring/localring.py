@@ -15,15 +15,15 @@ from typing import Sequence
 
 from .errors import DomainError, NotARing, ParseError, ResourceExceeded
 from .polys import MultiPoly, PolyRing
-from .rings import ChainRing, Ring, RingElement, Zpk, _int_field, ring_from_json
+from .rings import ChainRing, CoordinateRing, RingElement, Zpk, _int_field, ring_from_json
 
 
-class LocalRingPresentation(Ring):
+class LocalRingPresentation(CoordinateRing):
     """R = R0*theta_1 + ... + R0*theta_gamma with p^{s_j} R0 = Ann(theta_j).
 
-    Elements are coordinate vectors over R0, coordinate j reduced modulo
-    p^{s_j} (the unique representative of Lemma-4.1 type).  Multiplication
-    routes through the structure-constants tensor.
+    Elements are coordinate vectors over R0 (CoordinateRing), coordinate j
+    reduced modulo p^{s_j} (the unique representative of Lemma-4.1 type).
+    Multiplication routes through the structure-constants tensor.
     """
 
     kind = "local"
@@ -35,7 +35,6 @@ class LocalRingPresentation(Ring):
         structure_constants,
         unity: Sequence,
     ):
-        self.base = base
         self.gamma_count = len(ann_exponents)
         if self.gamma_count < 1:
             raise DomainError("need at least one basis element")
@@ -43,30 +42,20 @@ class LocalRingPresentation(Ring):
         if any(not (1 <= s <= base.nu) for s in self.ann_exponents):
             raise DomainError("annihilator exponents must lie in [1, nu]")
         g = self.gamma_count
+        self._lay_out(base, g)
         self.structure = tuple(
-            tuple(
-                tuple(base.coerce(c) for c in structure_constants[i][j])
-                for j in range(g)
-            )
-            for i in range(g)
+            tuple(tuple(base.coerce(c) for c in structure_constants[i][j]) for j in range(g)) for i in range(g)
         )
-        for i in range(g):
-            for j in range(g):
-                if len(self.structure[i][j]) != g:
-                    raise DomainError("structure tensor has wrong shape")
+        if any(len(row) != g for plane in self.structure for row in plane):
+            raise DomainError("structure tensor has wrong shape")
         # theta_i theta_j as its nonzero (s, payload) coordinates
         self._products = tuple(
-            tuple(
-                tuple((s, c.data) for s, c in enumerate(self.structure[i][j]) if not c.is_zero())
-                for j in range(g)
-            )
-            for i in range(g)
+            tuple(tuple((s, c.data) for s, c in enumerate(row) if not c.is_zero()) for row in plane)
+            for plane in self.structure
         )
         self.size = 1
         for s in self.ann_exponents:
             self.size *= base.q ** (s * _residue_degree(base))
-        self.zero = RingElement(self, (base.zero,) * g)
-        self._zero_data = self.zero.data
         self.one = self.element(unity)
         problem = self.first_violation()
         if problem is not None:
@@ -74,15 +63,10 @@ class LocalRingPresentation(Ring):
 
     # -- ring protocol --------------------------------------------------------
 
-    def _reduce(self, coords):
-        base = self.base
-        return tuple(
-            RingElement(base, x) for x in self._reduce_payloads([c.data for c in coords])
-        )
-
-    def _reduce_payloads(self, coords) -> tuple:
-        """Base payloads of coordinates, coordinate j reduced mod p^{s_j}."""
-        return tuple(map(self._mod_pi_power, coords, self.ann_exponents))
+    def _reduced(self, coords) -> int:
+        """The payload of base-payload coordinates, coordinate j reduced mod
+        p^{s_j}."""
+        return self._from_coords(map(self._mod_pi_power, coords, self.ann_exponents))
 
     def _mod_pi_power(self, x, s: int):
         """The base payload x reduced mod p^s: x - quo_pi(x, s) * pi^s."""
@@ -90,40 +74,31 @@ class LocalRingPresentation(Ring):
         q = base._payload_mul(base._payload_quo_pi(x, s), base._payload_pi_power(s))
         return base._payload_add(x, base._payload_neg(q))
 
-    def element(self, coords) -> RingElement:
-        coords = [self.base.coerce(c) for c in coords]
-        if len(coords) != self.gamma_count:
-            raise DomainError(f"expected {self.gamma_count} coordinates")
-        return RingElement(self, self._reduce(coords))
-
-    def from_int(self, n: int) -> RingElement:
-        return self.mul_scalar(self.base.from_int(n), self.one)
-
-    def add(self, a, b):
-        return RingElement(
-            self,
-            self._reduce([self.base.add(x, y) for x, y in zip(a.data, b.data)]),
-        )
-
-    def neg(self, a):
-        return RingElement(self, self._reduce([self.base.neg(x) for x in a.data]))
-
-    def mul(self, a, b):
+    def _coord_mul(self, x, y):
         base = self.base
         add, mul = base._payload_add, base._payload_mul
         out = _structure_product(
-            self._products,
-            [x.data for x in a.data],
-            [x.data for x in b.data],
-            base._zero_data,
-            mul,
-            lambda acc, t, c: add(acc, mul(t, c)),
+            self._products, self._coords(x), self._coords(y), base._zero_data, mul, lambda acc, t, c: add(acc, mul(t, c))
         )
-        return RingElement(self, tuple(RingElement(base, x) for x in self._reduce_payloads(out)))
+        return self._reduced(out)
 
-    def mul_scalar(self, c: RingElement, a: RingElement) -> RingElement:
-        c = self.base.coerce(c)
-        return RingElement(self, self._reduce([self.base.mul(c, x) for x in a.data]))
+    def element(self, coords) -> RingElement:
+        coords = [self.base.coerce(c).data for c in coords]
+        if len(coords) != self.gamma_count:
+            raise DomainError(f"expected {self.gamma_count} coordinates")
+        return RingElement(self, self._reduced(coords))
+
+    def from_int(self, n: int) -> RingElement:
+        return self.scalar_mul(self.base.from_int(n), self.one)
+
+    def add(self, a, b):
+        return RingElement(self, self._payload_add(a.data, b.data))
+
+    def neg(self, a):
+        return RingElement(self, self._payload_neg(a.data))
+
+    def mul(self, a, b):
+        return RingElement(self, self._payload_mul(a.data, b.data))
 
     def is_unit(self, a):
         return any(self.mul(a, b) == self.one for b in self.elements())
@@ -135,19 +110,10 @@ class LocalRingPresentation(Ring):
         raise DomainError(f"{a!r} is not a unit")
 
     def elements(self):
-        slots = []
-        for s in self.ann_exponents:
-            slots.append(
-                [x for x in self.base.elements() if self.base.reduce_mod_pi_power(x, s) == x]
-            )
+        base = self.base
+        slots = [[x.data for x in base.elements() if base.reduce_mod_pi_power(x, s) == x] for s in self.ann_exponents]
         for combo in itertools.product(*slots):
-            yield RingElement(self, tuple(combo))
-
-    def sort_key(self, a):
-        key = ()
-        for x in a.data:
-            key += self.base.sort_key(x)
-        return key
+            yield RingElement(self, self._from_coords(combo))
 
     def descriptor(self):
         return (
@@ -157,7 +123,7 @@ class LocalRingPresentation(Ring):
                 tuple(tuple(c.data for c in row) for row in plane)
                 for plane in self.structure
             ),
-            tuple(c.data for c in self.one.data),
+            tuple(self._coords(self.one.data)),
         )
 
     def short_name(self):
@@ -165,16 +131,13 @@ class LocalRingPresentation(Ring):
 
     def format_element(self, a):
         parts = []
-        for j, c in enumerate(a.data):
+        for j, c in enumerate(self.coords(a)):
             if c.is_zero():
                 continue
             cs = self.base.format_element(c)
             name = f"t{j + 1}"
             parts.append(f"{cs}*{name}" if cs != "1" else name)
         return " + ".join(parts) if parts else "0"
-
-    def element_to_json(self, a):
-        return [self.base.element_to_json(x) for x in a.data]
 
     def element_from_json(self, obj):
         if not isinstance(obj, list):
@@ -193,7 +156,7 @@ class LocalRingPresentation(Ring):
                 [[self.base.element_to_json(c) for c in row] for row in plane]
                 for plane in self.structure
             ],
-            "one": [self.base.element_to_json(c) for c in self.one.data],
+            "one": self.element_to_json(self.one),
         }
 
     # -- validation -------------------------------------------------------------
@@ -201,7 +164,7 @@ class LocalRingPresentation(Ring):
     def basis_element(self, j: int) -> RingElement:
         coords = [self.base.zero] * self.gamma_count
         coords[j] = self.base.one
-        return RingElement(self, self._reduce(coords))
+        return self.element(coords)
 
     def first_violation(self):
         """None if the presentation satisfies the ring axioms, else a message
@@ -229,7 +192,7 @@ class LocalRingPresentation(Ring):
         p_elt = self.base.pi_element
         for i in range(g):
             for j in range(g):
-                scaled = self.mul_scalar(
+                scaled = self.scalar_mul(
                     self.base.pow(p_elt, self.ann_exponents[j]),
                     self.mul(thetas[i], thetas[j]),
                 )
@@ -240,7 +203,7 @@ class LocalRingPresentation(Ring):
     def is_zero(self, u: RingElement) -> bool:
         """Condition (c): p^{nu - s_j} u_j = 0 for every coordinate."""
         base = self.base
-        for s, c in zip(self.ann_exponents, u.data):
+        for s, c in zip(self.ann_exponents, self.coords(u)):
             if not base.mul(base.pow(base.pi_element, base.nu - s), c).is_zero():
                 return False
         return True
@@ -405,7 +368,7 @@ def expand_system(system: Sequence[MultiPoly]) -> ExpandedSystem:
     for f in system:
         coords: list[list] = [[] for _ in range(g)]
         for exps, coeff in f.terms:
-            vec = [{0: x.data} if not x.is_zero() else {} for x in coeff.data]
+            vec = [{0: x} if x != zero else {} for x in pres._coords(coeff.data)]
             for i, e in enumerate(exps):
                 if e:
                     vec = product(vec, power(i, e))
@@ -421,7 +384,7 @@ def contract_solutions(expanded: ExpandedSystem, solutions) -> frozenset:
     """Map solutions over R0^{k*gamma} back to R^k, reducing coordinate j
     modulo p^{s_j} and deduplicating.  A coordinate may be ALL_OF_RING: it
     then takes each residue mod p^{s_j} once.  The points are deduplicated
-    as payload tuples and boxed once each."""
+    as tuples of payloads over R and boxed once each."""
     from .solve import ALL_OF_RING
 
     pres = expanded.presentation
@@ -430,14 +393,14 @@ def contract_solutions(expanded: ExpandedSystem, solutions) -> frozenset:
     k = expanded.source_ring.nvars
     ann = pres.ann_exponents
     mod = pres._mod_pi_power
-    reduced: dict = {}  # a block of coordinate payloads -> reduced
+    reduced: dict = {}  # a block of coordinate payloads -> its payload over R
     residues: dict = {}  # s -> the payloads of R0 mod p^s
 
-    def reduce(block) -> tuple:
+    def reduce(block) -> int:
         key = tuple(x.data for x in block)
         r = reduced.get(key)
         if r is None:
-            r = reduced[key] = pres._reduce_payloads(key)
+            r = reduced[key] = pres._reduced(key)
         return r
 
     def options(j: int, x) -> list:
@@ -455,12 +418,9 @@ def contract_solutions(expanded: ExpandedSystem, solutions) -> frozenset:
         if ALL_OF_RING not in sol:
             seen.add(tuple(map(reduce, blocks)))
             continue
-        slots = [list(itertools.product(*map(options, range(g), block))) for block in blocks]
+        slots = [list(map(pres._from_coords, itertools.product(*map(options, range(g), block)))) for block in blocks]
         seen.update(itertools.product(*slots))
-    return frozenset(
-        tuple(RingElement(pres, tuple(RingElement(base, x) for x in coords)) for coords in point)
-        for point in seen
-    )
+    return frozenset(tuple(RingElement(pres, x) for x in point) for point in seen)
 
 
 def solve_local_system(system: Sequence[MultiPoly]):

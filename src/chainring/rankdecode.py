@@ -29,7 +29,7 @@ from .extension import (
     payload_vector_rank,
 )
 from .linalg import RingMatrix, hermite_form
-from .minrank import MinRankInstance, minrank_candidates
+from .minrank import MinRankInstance, _bilinear, minrank_candidates
 from .polys import MultiPoly, PolyRing
 from .rings import Ring, RingElement, _as_list, _int_field, crt_apply, crt_parts
 from .solve import enumeration_budget, join_solutions, x_block_solutions
@@ -166,7 +166,7 @@ def minrank_x_to_codeword_x(
     return tuple(S.element(x_flat[i * m : (i + 1) * m]) for i in range(rd.k))
 
 
-# -- key-equation expansion helpers ------------------------------------------------
+# -- key-equation variable names ---------------------------------------------------
 
 
 def _x_names(k: int, m: int) -> list[str]:
@@ -179,19 +179,6 @@ def _z_tilde_names(r: int, m: int) -> list[str]:
     if r == 1:
         return [f"t{v}" for v in range(m)]
     return [f"z{l}_{v}" for l in range(r) for v in range(m)]
-
-
-def expand_to_base(poly: MultiPoly, target: PolyRing) -> list[MultiPoly]:
-    """Coordinate polynomials of an S-coefficient polynomial whose variables
-    are R-valued, in the alpha basis."""
-    ext: GaloisExtension = poly.ring.ring
-    m = ext.degree
-    coords = [[] for _ in range(m)]
-    for exps, coeff in poly.terms:
-        for t, c in enumerate(ext.coords(coeff)):
-            if not c.is_zero():
-                coords[t].append((exps, c))
-    return [target.poly(terms) for terms in coords]
 
 
 # -- Support-Minors through the MinRank reduction ----------------------------------
@@ -245,13 +232,17 @@ class KeyEquationSystem:
 
 
 def key_equation_model(rd: RankDecodingInstance) -> KeyEquationSystem:
+    """Equation j is sum_l z_l sigma^l(x g_j - y_j), built from payload
+    terms as minrank's models are (_bilinear): entry alpha^v sigma^l(x g_j -
+    y_j) times z_(l,v) for l < r, and sigma^r(x g_j - y_j) alone, its x_(i,u)
+    coefficients alpha^v sigma^l(g_ij) sigma^l(alpha^u), zeros dropped.  The
+    R form splits each S term into its coordinates, in the same order."""
     if isinstance(rd.ext, ProductExtension):
         raise DomainError("split product instances before modeling")
     S: GaloisExtension = rd.ext
     base = S.base
     m = S.degree
     r = rd.radius
-    n = rd.n
     k = rd.k
     z_names = _z_tilde_names(r, m)
     x_names = _x_names(k, m)
@@ -260,47 +251,41 @@ def key_equation_model(rd: RankDecodingInstance) -> KeyEquationSystem:
     r_ring = PolyRing(base, names, "lex")
     z_vars = tuple(range(len(z_names)))
     x_vars = tuple(range(len(z_names), len(names)))
-    alpha_pows = [S.pow(S.alpha, u) for u in range(m)]
+    mul, neg, frob, zero = S._payload_mul, S._payload_neg, S._payload_frobenius, S._zero_data
+    alpha_pows = [S._payload_pow(S.alpha.data, u) for u in range(m)]
+    x_monos = [s_ring._gens[v] for v in x_vars]
 
-    def sigma_x_poly(i: int, l: int):
-        """sigma^l(x_i) as an S-linear combination of the x coordinates."""
-        acc = s_ring.zero
-        for u in range(m):
-            acc = acc + s_ring.gen(x_vars[i * m + u]).scale(S.frobenius(alpha_pows[u], l))
-        return acc
-
-    def z_poly(l: int):
-        if l == r:
-            return s_ring.one
-        acc = s_ring.zero
-        for v in range(m):
-            acc = acc + s_ring.gen(z_vars[l * m + v]).scale(alpha_pows[v])
-        return acc
+    def entry(w: list, a) -> list:
+        """The nonzero terms of a * w, for w's (monomial, payload) terms."""
+        return [(xm, x) for xm, c in w if (x := mul(a, c)) != zero]
 
     s_equations = []
-    for j in range(n):
-        eq = s_ring.zero
+    for j in range(rd.n):
+        products = []
         for l in range(r + 1):
-            inner = s_ring.constant(S.neg(S.frobenius(rd.received[j], l)))
-            for i in range(k):
-                gl = S.frobenius(rd.generator[i][j], l)
-                if not gl.is_zero():
-                    inner = inner + sigma_x_poly(i, l).scale(gl)
-            eq = eq + z_poly(l) * inner
-        s_equations.append(eq)
+            # sigma^l(x g_j - y_j), its x terms descending, the constant last
+            sigma_alpha = [frob(a, l) for a in alpha_pows]
+            w = []
+            for i, row in enumerate(rd.generator):
+                g = frob(row[j].data, l)
+                w += [(x_monos[i * m + u], mul(g, a)) for u, a in enumerate(sigma_alpha)]
+            w.append((0, neg(frob(rd.received[j].data, l))))
+            if l == r:
+                products.append(([(xm, c) for xm, c in w if c != zero], 0, False))
+            else:
+                products += [(entry(w, a), s_ring._gens[z_vars[l * m + v]], False) for v, a in enumerate(alpha_pows)]
+        s_equations.append(_bilinear(s_ring, products))
+    coords, base_zero = S._coords, base._zero_data
     r_equations = []
     for eq in s_equations:
-        r_equations.extend(expand_to_base(eq, r_ring))
+        split = [[] for _ in range(m)]
+        for mono, c in eq._terms:
+            for t, x in enumerate(coords(c)):
+                if x != base_zero:
+                    split[t].append((mono, x))
+        r_equations += [MultiPoly(r_ring, tuple(terms)) for terms in split]
 
-    return KeyEquationSystem(
-        rd,
-        s_ring,
-        tuple(s_equations),
-        r_ring,
-        tuple(r_equations),
-        z_vars,
-        x_vars,
-    )
+    return KeyEquationSystem(rd, s_ring, tuple(s_equations), r_ring, tuple(r_equations), z_vars, x_vars)
 
 
 def linearization_matrix(rd: RankDecodingInstance) -> RingMatrix:
@@ -332,13 +317,12 @@ def solve_key_linearization(rd: RankDecodingInstance) -> tuple[RingElement, ...]
     width = (k + 1) * (r + 1)
     if A.n != width or T.m < top + k:
         raise Inconclusive("not enough rows for the block shape")
-    ident = RingMatrix.identity(S, k)
     for i in range(k):
         row = T.rows[top + i]
         if any(not v.is_zero() for v in row[:top]):
             raise Inconclusive("T3 block not isolated")
         for j in range(k):
-            if row[top + j] != ident.rows[i][j]:
+            if row[top + j] != (S.one if i == j else S.zero):
                 raise Inconclusive("T3 block is not (I | b)")
     for i in range(top + k, T.m):
         if any(not v.is_zero() for v in T.rows[i]):

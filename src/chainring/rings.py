@@ -19,22 +19,27 @@ from .errors import (
     NotAUnit,
     NotChainRing,
     ParseError,
+    TooLarge,
     ZeroElement,
 )
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+# Desk-scale bounds on a ring descriptor, checked before the work they bound:
+# trial division of p and n (up to 2^20 steps), p^k as an int, and the
+# trial divisions over a Galois ring's residue field
+_PRIME_CAP = 1 << 40
+_MODULUS_BITS = 4096
+_RESIDUE_FIELD_CAP = 1 << 14
+
+
+def _power_exceeds(b: int, e: int, cap: int) -> bool:
+    """b^e > cap, for b >= 2 and e >= 0; the power is computed only for e
+    below cap's bit length, since 2^e > cap from there on."""
+    return e >= cap.bit_length() or b**e > cap
 
 
 def _factor(n: int) -> list[tuple[int, int]]:
+    """The prime factorization of n by trial division; [] for n < 2."""
     out = []
     d = 2
     while d * d <= n:
@@ -139,22 +144,13 @@ class Ring:
 
     # -- payload arithmetic ---------------------------------------------------
     # polys and linalg compute on RingElement.data and box only at their
-    # boundary.  Chain rings compute on payloads: their _payload_* methods are
-    # their arithmetic, and their element methods box the results.  A chain
-    # ring's payload is an int: a residue mod p^k over Zpk, and over a Galois
-    # ring the base payloads of its coordinates as digits of one int, with
-    # flat operation tables for rings of at most _OP_TABLE_CAP elements.
-    # Product and local rings box through their element methods with these
-    # defaults.  Zero is _zero_data.
-
-    def _payload_add(self, x, y):
-        return self.add(RingElement(self, x), RingElement(self, y)).data
-
-    def _payload_mul(self, x, y):
-        return self.mul(RingElement(self, x), RingElement(self, y)).data
-
-    def _payload_neg(self, x):
-        return self.neg(RingElement(self, x)).data
+    # boundary.  Every ring's _payload_add, _payload_mul and _payload_neg are
+    # its arithmetic, and its element methods box the results.  A payload is
+    # an int over Zpk, and over a coordinate ring (a Galois ring or a local
+    # ring) the base payloads of its coordinates as digits of one int, with
+    # flat operation tables below _OP_TABLE_CAP (CoordinateRing); over a
+    # product ring it is the tuple of the components' elements.  Zero is
+    # _zero_data.
 
     def _payload_pow(self, x, e: int):
         """x^e for e >= 0."""
@@ -225,9 +221,115 @@ class Ring:
 
 # rings with at most this many elements keep a table of unit inverses
 _INVERSE_TABLE_CAP = 1 << 10
-# Galois rings with at most this many elements keep flat operation tables;
-# the add and mul tables have size^2 entries, 1 MB for both at the cap
+# coordinate rings with a span of at most this many payloads keep flat
+# operation tables; the add and mul tables have span^2 entries, 1 MB for
+# both at the cap
 _OP_TABLE_CAP = 1 << 8
+
+
+class CoordinateRing(Ring):
+    """A ring whose elements are coordinate vectors over a chain ring base:
+    the Galois rings (ExtensionChainRing) and the local rings
+    (localring.LocalRingPresentation).  A payload is an int whose digits in
+    base |base| are the coordinates' base payloads, coordinate 0 the most
+    significant; _coords and _from_coords alone know this layout.  A ring
+    whose span of |base|^dim payloads is at most _OP_TABLE_CAP keeps flat
+    add, mul and neg tables, each entry computed by the coordinate code when
+    first asked for.  A subclass calls _lay_out and supplies _coord_mul;
+    _reduced(coords) is the payload of coordinates not yet canonical.
+    """
+
+    def _lay_out(self, base: "ChainRing", dim: int):
+        self.base = base
+        B = base.size
+        # the place value of each coordinate's digit in a payload
+        self._places = tuple(B ** (dim - 1 - i) for i in range(dim))
+        self._span = span = B**dim
+        self._zero_data = 0
+        self.zero = RingElement(self, 0)
+        if span > _OP_TABLE_CAP:
+            self._add_table = self._mul_table = self._neg_table = None
+        else:
+            # flat x * span + y for add and mul; None until first computed
+            self._add_table, self._mul_table, self._neg_table = [None] * (span * span), [None] * (span * span), [None] * span
+
+    # -- coordinates ------------------------------------------------------------
+
+    def _coords(self, x) -> list:
+        """The base payloads of a payload's coordinates."""
+        B = self.base.size
+        return [x // place % B for place in self._places]
+
+    def _from_coords(self, cs) -> int:
+        x = 0
+        B = self.base.size
+        for c in cs:
+            x = x * B + c
+        return x
+
+    _reduced = _from_coords
+
+    def coords(self, a: RingElement) -> tuple[RingElement, ...]:
+        """The coordinates of a over the base."""
+        base = self.base
+        return tuple(RingElement(base, c) for c in self._coords(a.data))
+
+    # -- payload arithmetic: table lookups, or the coordinate code above the cap
+
+    def _payload_add(self, x, y):
+        table = self._add_table
+        if table is None:
+            return self._coord_add(x, y)
+        i = x * self._span + y
+        z = table[i]
+        if z is None:
+            z = table[i] = self._coord_add(x, y)
+        return z
+
+    def _payload_mul(self, x, y):
+        table = self._mul_table
+        if table is None:
+            return self._coord_mul(x, y)
+        i = x * self._span + y
+        z = table[i]
+        if z is None:
+            z = table[i] = self._coord_mul(x, y)
+        return z
+
+    def _payload_neg(self, x):
+        table = self._neg_table
+        if table is None:
+            return self._coord_neg(x)
+        z = table[x]
+        if z is None:
+            z = table[x] = self._coord_neg(x)
+        return z
+
+    def _coord_add(self, x, y):
+        add = self.base._payload_add
+        return self._reduced([add(a, b) for a, b in zip(self._coords(x), self._coords(y))])
+
+    def _coord_neg(self, x):
+        neg = self.base._payload_neg
+        return self._reduced([neg(a) for a in self._coords(x)])
+
+    # -- element methods on coordinates -------------------------------------------
+
+    def scalar_mul(self, c: RingElement, a: RingElement) -> RingElement:
+        """Multiply by a base-ring scalar."""
+        base = self.base
+        c = base.coerce(c).data
+        mul = base._payload_mul
+        return RingElement(self, self._reduced([mul(c, x) for x in self._coords(a.data)]))
+
+    def sort_key(self, a):
+        key = ()
+        for x in self.coords(a):
+            key += self.base.sort_key(x)
+        return key
+
+    def element_to_json(self, a):
+        return [self.base.element_to_json(x) for x in self.coords(a)]
 
 
 class ChainRing(Ring):
@@ -451,10 +553,14 @@ class Zpk(ChainRing):
     kind = "zpk"
 
     def __init__(self, p: int, k: int):
-        if not _is_prime(p):
+        if p >= _PRIME_CAP:
+            raise TooLarge(f"p = {p} is not below 2^40")
+        if _factor(p) != [(p, 1)]:
             raise DomainError(f"p = {p} is not prime")
         if k < 1:
             raise DomainError("k must be >= 1")
+        if _power_exceeds(p, k, (1 << _MODULUS_BITS) - 1):
+            raise TooLarge(f"p^k = {p}^{k} has more than {_MODULUS_BITS} bits")
         super().__init__()
         self.p = p
         self.k = k
@@ -583,17 +689,14 @@ class Zpk(ChainRing):
         return {"kind": "zpk", "p": self.p, "k": self.k}
 
 
-class ExtensionChainRing(ChainRing):
+class ExtensionChainRing(ChainRing, CoordinateRing):
     """base[X]/(h) for h monic of degree m, irreducible modulo pi.
 
-    With base = Z_{p^k} this is the Galois ring GR(p^k, m).  Element payload:
-    an int in [0, size) whose digits in base |base| are the base payloads of
-    the coordinates (coefficients of 1, alpha, ..., alpha^{m-1}), coordinate
-    0 the most significant, so ascending ints follow elements() and sort_key.
-    _coords and _from_coords are the only code that knows this layout.  A
-    ring of at most _OP_TABLE_CAP elements keeps flat operation tables whose
-    entries the coordinate code fills as they are first asked for; a larger
-    one runs that code on every call.
+    With base = Z_{p^k} this is the Galois ring GR(p^k, m).  Its coordinates
+    (CoordinateRing) are the coefficients of 1, alpha, ..., alpha^{m-1}; its
+    payloads are the ints in [0, size), so ascending ints follow elements()
+    and sort_key.  A tabled ring keeps valuation, residue and pi-quotient
+    tables beside the operation tables.
     """
 
     kind = "gr"
@@ -602,7 +705,6 @@ class ExtensionChainRing(ChainRing):
         if not isinstance(base, ChainRing):
             raise NotChainRing("extension base must be a chain ring")
         super().__init__()
-        self.base = base
         mod = [base.coerce(c) for c in modulus]
         while mod and mod[-1].is_zero():
             mod.pop()
@@ -611,31 +713,28 @@ class ExtensionChainRing(ChainRing):
         self.modulus_poly = tuple(mod)
         self.degree = len(mod) - 1
         m = self.degree
+        if _power_exceeds(base.q, m, _RESIDUE_FIELD_CAP):
+            # the irreducibility check and galois_ring's modulus search
+            # are trial divisions over the residue field
+            raise TooLarge(f"GR over {base.short_name()} of degree {m} has a residue field above 2^14 elements")
+        self._lay_out(base, m)
         self.p = base.p
         self.nu = base.nu
         self.k = base.nu
         self.q = base.q**m
         self.size = base.size**m
         self.char = base.char
-        # the place value of each coordinate's digit in a payload
-        self._places = tuple(base.size ** (m - 1 - i) for i in range(m))
-        self._zero_data = 0
-        self.zero = RingElement(self, 0)
         self.one = self.from_int(1)
         self.pi_element = self.from_int(base.p)
         self._alpha_powers = self._reduction_table()
         if not _residue_irreducible(base, self.modulus_poly):
             raise DomainError("modulus is not irreducible modulo pi")
-        # operation tables, indexed by payload (flat x * size + y for add and
-        # mul, one quotient table per v in 0..nu); an entry is None until the
-        # coordinate code first computes it
+        # a tabled ring keeps one quotient table per v in 0..nu
         n = self.size
-        if n > _OP_TABLE_CAP:
-            self._add_table = self._mul_table = self._neg_table = None
+        if self._mul_table is None:
             self._valuation_table = self._residue_table = self._quo_tables = None
         else:
-            self._add_table, self._mul_table = [None] * (n * n), [None] * (n * n)
-            self._neg_table, self._valuation_table, self._residue_table = [None] * n, [None] * n, [None] * n
+            self._valuation_table, self._residue_table = [None] * n, [None] * n
             self._quo_tables = [[None] * n for _ in range(self.nu + 1)]
 
     def _reduction_table(self):
@@ -658,25 +757,6 @@ class ExtensionChainRing(ChainRing):
     def short_name(self):
         return f"GR({self.base.char},{self.degree * _total_degree(self.base)})"
 
-    # -- coordinates ------------------------------------------------------------
-
-    def _coords(self, x) -> list:
-        """The base payloads of a payload's coordinates."""
-        B = self.base.size
-        return [x // place % B for place in self._places]
-
-    def _from_coords(self, cs) -> int:
-        x = 0
-        B = self.base.size
-        for c in cs:
-            x = x * B + c
-        return x
-
-    def coords(self, a: RingElement) -> tuple[RingElement, ...]:
-        """The coordinates of a (coefficients of 1, alpha, ..., alpha^{m-1})."""
-        base = self.base
-        return tuple(RingElement(base, c) for c in self._coords(a.data))
-
     @property
     def alpha(self) -> RingElement:
         if self.degree == 1:
@@ -695,36 +775,7 @@ class ExtensionChainRing(ChainRing):
     def from_int(self, n: int) -> RingElement:
         return RingElement(self, self.base.from_int(n).data * self._places[0])
 
-    # -- payload arithmetic: table lookups, or the coordinate code above the cap
-
-    def _payload_add(self, x, y):
-        table = self._add_table
-        if table is None:
-            return self._coord_add(x, y)
-        i = x * self.size + y
-        z = table[i]
-        if z is None:
-            z = table[i] = self._coord_add(x, y)
-        return z
-
-    def _payload_mul(self, x, y):
-        table = self._mul_table
-        if table is None:
-            return self._coord_mul(x, y)
-        i = x * self.size + y
-        z = table[i]
-        if z is None:
-            z = table[i] = self._coord_mul(x, y)
-        return z
-
-    def _payload_neg(self, x):
-        table = self._neg_table
-        if table is None:
-            return self._coord_neg(x)
-        z = table[x]
-        if z is None:
-            z = table[x] = self._coord_neg(x)
-        return z
+    # -- chain-ring payload methods: table lookups, or the coordinate code
 
     def _payload_valuation(self, x) -> int:
         table = self._valuation_table
@@ -756,14 +807,6 @@ class ExtensionChainRing(ChainRing):
         return z
 
     # the coordinate code: loops over the base payloads of the coordinates
-
-    def _coord_add(self, x, y):
-        add = self.base._payload_add
-        return self._from_coords([add(a, b) for a, b in zip(self._coords(x), self._coords(y))])
-
-    def _coord_neg(self, x):
-        neg = self.base._payload_neg
-        return self._from_coords([neg(a) for a in self._coords(x)])
 
     def _coord_mul(self, x, y):
         m = self.degree
@@ -803,13 +846,6 @@ class ExtensionChainRing(ChainRing):
 
     # -- element methods on coordinates -------------------------------------------
 
-    def scalar_mul(self, c: RingElement, a: RingElement) -> RingElement:
-        """Multiply by a base-ring scalar."""
-        base = self.base
-        c = base.coerce(c).data
-        mul = base._payload_mul
-        return RingElement(self, self._from_coords([mul(c, x) for x in self._coords(a.data)]))
-
     def reduce_mod_pi_power(self, a, e):
         base = self.base
         return self.element([base.reduce_mod_pi_power(x, e) for x in self.coords(a)])
@@ -823,12 +859,6 @@ class ExtensionChainRing(ChainRing):
         for x in range(self.size):
             yield RingElement(self, x)
 
-    def sort_key(self, a):
-        key = ()
-        for x in self.coords(a):
-            key += self.base.sort_key(x)
-        return key
-
     def format_element(self, a):
         parts = []
         for i, c in enumerate(self.coords(a)):
@@ -841,9 +871,6 @@ class ExtensionChainRing(ChainRing):
                 mono = "a" if i == 1 else f"a^{i}"
                 parts.append(mono if cs == "1" else f"{cs}*{mono}")
         return " + ".join(parts) if parts else "0"
-
-    def element_to_json(self, a):
-        return [self.base.element_to_json(x) for x in self.coords(a)]
 
     def element_from_json(self, obj):
         if not isinstance(obj, list):
@@ -934,22 +961,25 @@ class ProductRing(Ring):
     def from_int(self, n: int) -> RingElement:
         return RingElement(self, tuple(c.from_int(n) for c in self.components))
 
+    # -- payload arithmetic, componentwise; the element methods box it
+
+    def _payload_add(self, x, y):
+        return tuple(RingElement(c, c._payload_add(a.data, b.data)) for c, a, b in zip(self.components, x, y))
+
+    def _payload_mul(self, x, y):
+        return tuple(RingElement(c, c._payload_mul(a.data, b.data)) for c, a, b in zip(self.components, x, y))
+
+    def _payload_neg(self, x):
+        return tuple(RingElement(c, c._payload_neg(a.data)) for c, a in zip(self.components, x))
+
     def add(self, a, b):
-        return RingElement(
-            self,
-            tuple(c.add(x, y) for c, x, y in zip(self.components, a.data, b.data)),
-        )
+        return RingElement(self, self._payload_add(a.data, b.data))
 
     def neg(self, a):
-        return RingElement(
-            self, tuple(c.neg(x) for c, x in zip(self.components, a.data))
-        )
+        return RingElement(self, self._payload_neg(a.data))
 
     def mul(self, a, b):
-        return RingElement(
-            self,
-            tuple(c.mul(x, y) for c, x, y in zip(self.components, a.data, b.data)),
-        )
+        return RingElement(self, self._payload_mul(a.data, b.data))
 
     def is_unit(self, a):
         return all(c.is_unit(x) for c, x in zip(self.components, a.data))
@@ -1014,6 +1044,8 @@ def galois_ring(p: int, k: int, r: int, modulus: Sequence[int] | None = None) ->
 
 def integer_ring(n: int) -> Ring:
     """Z_n as a chain ring (prime power) or an explicit product of them."""
+    if n >= _PRIME_CAP:
+        raise TooLarge(f"n = {n} is not below 2^40")
     factors = _factor(n)
     if len(factors) == 1:
         p, k = factors[0]

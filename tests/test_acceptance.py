@@ -110,7 +110,7 @@ def test_criterion_3_solver_goldens(z8, z25):
             [((3,), pres.from_int(1)), ((1,), pres.from_int(2)), ((0,), pres.from_int(4))]
         )
         roots = solve_local_system([cubic])
-        coords = {tuple(c.data for c in r.data) for (r,) in roots}
+        coords = {tuple(c.data for c in pres.coords(r)) for (r,) in roots}
         assert coords == {(2, 0), (6, 0), (2, 1), (6, 1)}  # 2, 6, 2+theta, 6+theta
 
 

@@ -928,3 +928,51 @@ def test_minrank_ks_with_target_rank_above_n(capsys, tmp_path, z4):
     code, out = run_cli(capsys, "minrank", "--instance", path, "--strategy", "ks")
     assert code == 0
     assert len(json.loads(out)["result"]["solutions"]) == 16
+
+
+def cli_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(chainring.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+BIG = 10**30
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (json.dumps({"kind": "zpk", "p": 2, "k": BIG}), f"p^k = 2^{BIG} has more than 4096 bits"),
+        (json.dumps({"kind": "zpk", "p": BIG + 57, "k": 1}), f"p = {BIG + 57} is not below 2^40"),
+        (f"zn:{BIG + 57}", f"n = {BIG + 57} is not below 2^40"),
+        ("gr:2:1:60", "GR over Z2 of degree 60 has a residue field above 2^14 elements"),
+    ],
+    ids=["zpk-huge-k", "zpk-huge-p", "zn-huge-n", "gr-huge-r"],
+)
+def test_an_oversized_ring_spec_is_refused_at_once(spec, message):
+    # p^k was computed outright (MemoryError), p and n were trial-divided
+    # and the gr modulus search ran over 2^60 residues: each hung or died
+    done = subprocess.run(
+        [sys.executable, "-m", "chainring.cli", "rank", "instances/rank_example.json", "--ring", spec],
+        cwd=REPO, env=cli_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (1, "")
+    assert json.loads(done.stdout) == {"error": {"message": message, "type": "TooLarge"}}
+
+
+def test_an_oversized_extension_is_refused_at_once(tmp_path):
+    # the degree-64 extension of Z4 built X^(4^64 - 1) - 1 densely and
+    # ended in an OverflowError traceback
+    ext = write(tmp_path, "ext.json", {"base": {"kind": "zpk", "p": 2, "k": 2}, "m": 64})
+    gen = write(tmp_path, "gen.json", [[[1, 0], [0, 1]]])
+    rec = write(tmp_path, "rec.json", [[1, 0], [0, 1]])
+    done = subprocess.run(
+        [sys.executable, "-m", "chainring.cli", "rank-decode", "--extension", ext,
+         "--generator", gen, "--received", rec, "--radius", "1"],
+        cwd=REPO, env=cli_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (1, "")
+    message = "the degree-64 extension of Z4 has a residue field above 2^10 elements"
+    assert json.loads(done.stdout) == {"error": {"message": message, "type": "TooLarge"}}

@@ -75,7 +75,7 @@ def test_is_zero_cross_check(paper_ring):
         a = u == paper_ring.zero
         # (b): theta_j * u_j = 0 for all j
         b = all(
-            paper_ring.mul_scalar(c, thetas[j]) == paper_ring.zero
+            paper_ring.scalar_mul(c, thetas[j]) == paper_ring.zero
             for j, c in enumerate(coords)
         )
         # (c): p^(nu - s_j) u_j = 0
@@ -407,3 +407,18 @@ def test_local_ring_ops_match_golden():
     # every element method of four local rings, byte for byte as the boxed
     # coordinate tuples computed them
     assert render_local_ops_golden() == LOCAL_OPS_GOLDEN.read_text()
+
+
+def test_local_payloads_are_ints_and_small_rings_are_tabled():
+    # a local ring lays its coordinates out as the Galois rings do: one int
+    # payload, and flat operation tables when its span of |R0|^gamma
+    # payloads is at most rings._OP_TABLE_CAP
+    rings = local_ops_rings()
+    for R in rings.values():
+        elems = list(R.elements())
+        assert all(type(a.data) is int for a in elems) and R.zero.data == 0
+        assert [a.data for a in elems] == sorted(a.data for a in elems)
+        assert all(R.element([c.data for c in R.coords(a)]) == a for a in elems)
+    small, large = rings["local_cubic"], rings["z32_square"]
+    assert (small._span, len(small._mul_table), len(small._neg_table)) == (64, 64**2, 64)
+    assert large._span == 1024 and large._mul_table is None and large._add_table is None

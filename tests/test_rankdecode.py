@@ -587,6 +587,18 @@ def render_key_equation_golden() -> str:
     return "[\n" + ",\n".join(key_equation_records()) + "\n]\n"
 
 
+def test_key_equation_model_builds_no_boxed_polynomial_arithmetic(monkeypatch):
+    # the model is built from payload terms: no MultiPoly operator runs
+    from chainring.polys import MultiPoly
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("boxed polynomial arithmetic")
+
+    for op in ("__add__", "__sub__", "__mul__", "__neg__", "scale"):
+        monkeypatch.setattr(MultiPoly, op, refuse)
+    assert render_key_equation_golden() == KEY_EQUATION_GOLDEN.read_text()
+
+
 def test_key_equation_models_match_golden():
     # 27 models over GR(4,2), GR(8,3) and GR(9,2), byte for byte as the
     # boxed polynomial arithmetic built them
