@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -17,9 +18,10 @@ from chainring.groebner import buchberger
 from chainring.localring import presentation_from_json, quotient_presentation, solve_local_system
 from chainring.oracles import brute_solve, brute_vanishing_poly
 from chainring.polys import MonomialOrder, PolyRing
-from chainring.rings import Zpk, galois_ring, integer_ring
+from chainring.rings import ChainRing, Zpk, galois_ring, integer_ring
 from chainring.solve import (
     ALL_OF_RING,
+    DEFAULT_SOLUTION_CAP,
     SolutionSet,
     _verify_solutions,
     ring_vanishing_polynomial,
@@ -758,3 +760,119 @@ def test_every_local_route_equals_enumeration(name):
     # to the lift where elimination gives up
     for polys in seeded_route_systems(name):
         assert solve_local_system(polys) == brute_solve(polys).explicit()
+
+
+BACKSUB_GOLDEN = Path(__file__).resolve().parent / "goldens" / "solve_backsub.json"
+BACKSUB_CAPS = (DEFAULT_SOLUTION_CAP, 100, 10, 1)
+
+
+def backsub_cases():
+    """Seeded systems as (stratum, polynomials), 10 per stratum, drawn as
+    perfbench's solve workload draws them: 1-3 polynomials of 2-4 terms of
+    total degree <= 3 in two variables (<= 2 in three) over Z4, Z8 and Z9
+    in two and three variables and over Z25, GR(4,2), Z6 and Z12 in two."""
+    rings = {
+        "z4": Zpk(2, 2),
+        "z8": Zpk(2, 3),
+        "z9": Zpk(3, 2),
+        "z25": Zpk(5, 2),
+        "gr42": galois_ring(2, 2, 2),
+        "z6": integer_ring(6),
+        "z12": integer_ring(12),
+    }
+    rng = random.Random(31)
+    for name, ring in rings.items():
+        nonzero = sorted(ring.elements(), key=ring.sort_key)[1:]
+        for nvars in (2, 3) if name in ("z4", "z8", "z9") else (2,):
+            degree = 3 if nvars == 2 else 2
+            P = PolyRing(ring, ("x", "y", "z")[:nvars], "lex")
+            for npolys in (1, 2, 3):
+                for _ in range(10):
+                    polys = []
+                    for _ in range(npolys):
+                        terms = []
+                        for _ in range(rng.randint(2, 4)):
+                            exps = [0] * nvars
+                            for _ in range(rng.randint(0, degree)):
+                                exps[rng.randrange(nvars)] += 1
+                            terms.append((tuple(exps), rng.choice(nonzero)))
+                        polys.append(P.poly(terms))
+                    yield f"{name}/{nvars}v/{npolys}p", polys
+
+
+UNIVARIATE_GOLDEN_RINGS = {
+    "z2": Zpk(2, 1),
+    "z4": Zpk(2, 2),
+    "z8": Zpk(2, 3),
+    "z27": Zpk(3, 3),
+    "z25": Zpk(5, 2),
+    "gr42": galois_ring(2, 2, 2),
+    "gr83": galois_ring(2, 3, 3),
+    "z12": integer_ring(12),
+}
+
+
+def univariate_member(rng: random.Random, P: PolyRing, elems: list):
+    """One seeded univariate polynomial: random of degree <= 5, one with a
+    double root (its derivative vanishes there), a multiple of p (its
+    derivative vanishes mod pi everywhere), zero, or a constant."""
+    R = P.ring
+    x = P.gen(0)
+    kind = rng.choice(("random", "random", "double", "p_multiple", "zero", "constant"))
+    if kind == "zero":
+        return P.zero
+    if kind == "constant":
+        return P.constant(rng.choice(elems))
+    f = P.poly({(rng.randrange(6),): rng.choice(elems) for _ in range(rng.randint(1, 4))})
+    if kind == "double":
+        return (x - rng.choice(elems)) ** 2 * (x - rng.choice(elems)) * f
+    if kind == "p_multiple":
+        # over the product ring Z12 = Z4 x Z3, 2 and 3 are pi in one
+        # component and a unit in the other, and 6 is pi in both
+        p = R.p if isinstance(R, ChainRing) else rng.choice((2, 3, 6))
+        return f.scale(R.from_int(p)) + P.constant(R.from_int(p * rng.randrange(3)))
+    return f
+
+
+def univariate_cases():
+    """Seeded systems of 1-3 polynomials in x as (ring name, polynomials),
+    15 per ring and system size."""
+    rng = random.Random(31)
+    for name, ring in UNIVARIATE_GOLDEN_RINGS.items():
+        P = PolyRing(ring, ("x",), "lex")
+        elems = sorted(ring.elements(), key=ring.sort_key)
+        for npolys in (1, 2, 3):
+            for _ in range(15):
+                yield f"{name}/{npolys}p", [univariate_member(rng, P, elems) for _ in range(npolys)]
+
+
+def _digest_lines(groups: dict) -> list[str]:
+    lines = []
+    for label, outcomes in groups.items():
+        text = json.dumps(outcomes, sort_keys=True, separators=(",", ":"))
+        record = {"case": label, "count": len(outcomes), "sha256": hashlib.sha256(text.encode()).hexdigest()}
+        lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
+    return lines
+
+
+def render_backsub_golden() -> str:
+    """One SHA-256 per stratum and cap of solve_system's to_json(), and one
+    per ring and system size of the systems and their univariate_roots."""
+    groups: dict = {}
+    for stratum, polys in backsub_cases():
+        for cap in BACKSUB_CAPS:
+            groups.setdefault(f"solve/{stratum}/cap{cap}", []).append(_solve_outcome(solve_system, polys, cap))
+    for label, polys in univariate_cases():
+        P = polys[0].ring
+        R = P.ring
+        roots = univariate_roots(polys, 0)
+        got = "*" if roots is ALL_OF_RING else [R.element_to_json(r) for r in roots]
+        groups.setdefault(f"roots/{label}", []).append([[P.poly_to_json(f) for f in polys], got])
+    return "[\n" + ",\n".join(_digest_lines(groups)) + "\n]\n"
+
+
+def test_backsub_and_univariate_roots_match_golden():
+    # back-substitution's answers at four caps (truncated ones list the
+    # same tuples) and the univariate roots, byte for byte as recorded
+    # before the last level and univariate_roots moved to dense payload lists
+    assert render_backsub_golden() == BACKSUB_GOLDEN.read_text()
