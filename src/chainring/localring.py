@@ -101,13 +101,33 @@ class LocalRingPresentation(CoordinateRing):
         return RingElement(self, self._payload_mul(a.data, b.data))
 
     def is_unit(self, a):
-        return any(self.mul(a, b) == self.one for b in self.elements())
+        return self._inverse(a.data) is not None
 
     def invert(self, a):
-        for b in self.elements():
-            if self.mul(a, b) == self.one:
-                return b
-        raise DomainError(f"{a!r} is not a unit")
+        inv = self._inverse(a.data)
+        if inv is None:
+            raise DomainError(f"{a!r} is not a unit")
+        return RingElement(self, inv)
+
+    def _inverse(self, x):
+        """The payload of x's inverse, None if x is no unit.
+
+        A nilpotent x is no unit, and x^t = 0 with t the bit length of |R|
+        exactly when x is nilpotent (the ideals x^i R shrink by half at
+        least until they reach 0).  In a local ring every other element is
+        a unit, and with residue field the base's F_q the unit group has
+        order |R|(1 - 1/q), so x^(|R*| - 1) inverts it, which one product
+        checks.  A presentation of another ring (a residue field larger
+        than q, or no local ring at all) fails that check and is answered
+        by a scan of the elements."""
+        pow_, mul = self._payload_pow, self._payload_mul
+        one = self.one.data
+        if pow_(x, self.size.bit_length()) == self._zero_data:
+            return None
+        y = pow_(x, self.size - self.size // self.base.q - 1)
+        if mul(x, y) == one:
+            return y
+        return next((b.data for b in self.elements() if mul(x, b.data) == one), None)
 
     def elements(self):
         base = self.base

@@ -1,15 +1,22 @@
 """Solution sets of polynomial systems over chain rings and PIRs.
 
-Two routes that differ in elimination and share one residue-field lift:
-lexicographic elimination with back-substitution, whose univariate roots are
-lifted from the residue field, and direct multivariate lifting of the whole
-system.  The lift carries each branch as a point c of R^k, a tuple of ring
-payloads, and extends it one π-adic level at a time by a residue-field
-linear solve on Teichmüller payloads; only the roots are boxed.  Every
-point is evaluated by the ring's kernels (_payload_evaluate, and
-_payload_gradient for the Jacobian), which Zpk runs on native ints.
-Within one call, back-substitution solves each distinct specialised system
-once and replays its partial solutions where it meets the system again.
+Two routes that differ in elimination: lexicographic elimination with
+back-substitution, and direct multivariate lifting of the whole system.
+Both lift residue-field solutions one π-adic digit at a time.  One variable
+goes through the univariate Hensel kernel (_hensel_roots), which evaluates
+dense payload coefficient lists by Horner's rule and lifts each residue
+root by one division where some member's derivative is a unit mod π.
+Several variables go through _lift_roots, which carries each branch as a
+point c of R^k, a tuple of ring payloads, and extends it one level at a
+time by a residue-field linear solve on Teichmüller payloads; only the
+roots are boxed.  Its points are evaluated by the ring's kernels
+(_payload_evaluate, and _payload_gradient for the Jacobian), which Zpk runs
+on native ints.  Back-substitution's univariate roots go through the
+kernel, and its last level runs on dense payload lists: each value of the
+next-to-last variable specialises the basis straight into coefficient lists
+in the last variable, whose roots are emitted as they are.  Within one
+call, back-substitution solves each distinct specialised system once and
+replays its solutions where it meets the system again.
 The x-block tail that MinRank and decoding share combines the two routes
 under one route rule (_lifts): a small model is lifted whole and projected
 onto x (_lifted_x_block); otherwise elimination gives the x-only system,
@@ -38,6 +45,7 @@ from .errors import (
 from .groebner import buchberger
 from .linalg import payload_echelon
 from .polys import (
+    MAX_EXPONENT,
     MultiPoly,
     PolyRing,
     _univariate_var,
@@ -250,8 +258,8 @@ def ring_vanishing_polynomial(
 def univariate_roots(polys: Sequence[MultiPoly], var: int | None = None):
     """All roots in R of a univariate system; ALL_OF_RING for the zero ideal.
 
-    The roots are lifted from the residue field in var's field of the
-    system's own ring, by the same loop as solve_system_lifting; over a
+    The roots are lifted from the residue field by the Hensel kernel on
+    the polynomials' dense payload lists in var (_hensel_roots); over a
     product ring each CRT component is solved and the roots are joined.
     """
     polys = [p for p in polys if not p.is_zero()]
@@ -266,7 +274,92 @@ def univariate_roots(polys: Sequence[MultiPoly], var: int | None = None):
 
 
 def _chain_roots(polys: list[MultiPoly], var: int) -> list:
-    return [c for (c,) in _lift_roots(polys[0].ring.ring, polys, (var,), DEFAULT_SOLUTION_CAP)]
+    R = polys[0].ring.ring
+    return [RingElement(R, x) for x in _hensel_roots(R, [_dense(p, var) for p in polys])]
+
+
+def _dense(p: MultiPoly, var: int) -> tuple:
+    """The payload coefficients of a nonzero p that uses no variable but
+    var, lowest degree first; the first term has the highest degree."""
+    s = p.ring._shifts[var]
+    out = [p.ring.ring._zero_data] * (((p._terms[0][0] >> s) & MAX_EXPONENT) + 1)
+    for m, c in p._terms:
+        out[(m >> s) & MAX_EXPONENT] = c
+    return tuple(out)
+
+
+def _hensel_roots(R: ChainRing, fs: Sequence[Sequence]) -> list:
+    """The common roots in R of dense payload polynomials fs (coefficient
+    lists, lowest degree first, none zero), as ascending payloads, which
+    is sort_key order.
+
+    The lift of _lift_roots in one variable: level 0 evaluates every member
+    by Horner at each γ0 in Γ.  A residue root γ0 is lifted one π-adic
+    digit per level, c -> c + π^j z, and z solves d_f z = -(f(c)/π^j mod π)
+    for every member f, where d_f is f'(γ0) mod π (f' is constant mod π on
+    the branch).  If some d_f is a unit the one candidate is z = rhs/d_f,
+    kept if the other members agree; if every d_f is ≡ 0, every z in Γ
+    when every right-hand side is ≡ 0, and none otherwise.  Each final
+    candidate is evaluated exactly, so the result is exact.
+    """
+    add, mul, neg = R._payload_add, R._payload_mul, R._payload_neg
+    digit, quo_pi, residue = R._payload_digit, R._payload_quo_pi, R._payload_residue
+    zero = R._zero_data
+    zero_residue = residue(zero)
+
+    def horner(f, x):
+        v = f[-1]
+        for i in range(len(f) - 2, -1, -1):
+            v = add(mul(v, x), f[i])
+        return v
+
+    def slope(f, x):
+        """f'(x), by Horner's rule carried along f's own."""
+        v, d = f[-1], zero
+        for i in range(len(f) - 2, -1, -1):
+            d = add(mul(d, x), v)
+            v = add(mul(v, x), f[i])
+        return d
+
+    gamma = [g.data for g in R.teichmuller_set()]
+    roots = []
+    for g0 in gamma:
+        values = []
+        for f in fs:
+            v = horner(f, g0)
+            if residue(v) != zero_residue:
+                break
+            values.append(v)
+        else:
+            if R.nu == 1:  # the values are exact
+                if all(v == zero for v in values):
+                    roots.append(g0)
+                continue
+            ds = [digit(slope(f, g0)) for f in fs]
+            pivot = next((i for i, d in enumerate(ds) if d != zero), None)
+            if pivot is not None:
+                inv = R._payload_pow(ds[pivot], R.q - 2)  # Γ* has order q - 1
+            branches = [g0]
+            for j in range(1, R.nu):
+                pi_j = R._payload_pi_power(j)
+                lifted = []
+                for c in branches:
+                    # the only level-1 branch is g0, whose values level 0 kept
+                    at_c = values if j == 1 else [horner(f, c) for f in fs]
+                    rhs = [digit(neg(quo_pi(v, j))) for v in at_c]
+                    if pivot is None:
+                        if all(b == zero for b in rhs):
+                            lifted += [add(c, mul(pi_j, z)) for z in gamma]
+                    else:
+                        z = mul(inv, rhs[pivot])
+                        if all(residue(add(b, neg(mul(d, z)))) == zero_residue for b, d in zip(rhs, ds)):
+                            lifted.append(add(c, mul(pi_j, z)))
+                    if len(lifted) > DEFAULT_SOLUTION_CAP:
+                        raise ResourceExceeded("lifting branch count exceeds cap")
+                branches = lifted
+            roots += [c for c in branches if all(horner(f, c) == zero for f in fs)]
+    roots.sort()
+    return roots
 
 
 def _join_roots(R: Ring, parts: Iterable) -> list:
@@ -318,18 +411,48 @@ def _eliminate(polys: list[MultiPoly], max_solutions: int) -> SolutionSet:
     # (system terms, len(remaining), is_basis) -> (the remaining variables'
     # values of each solution its subtree emitted, the number they stand for)
     memo: dict = {}
+    # a last level's dense system -> its roots
+    last_roots: dict = {}
 
     def emit(assignment: dict):
         sol = tuple(assignment[i] for i in range(ring.nvars))
         found.append(sol)
         emitted[0] += R.size ** sum(x is ALL_OF_RING for x in sol)
 
+    def last_level(system: tuple | None, var: int, assignment: dict):
+        """Emit the solutions whose last unassigned variable var is a root
+        of system, the nonzero dense payload lists in var that the branch
+        leaves (None: a nonzero constant, a dead branch)."""
+        if system is None:
+            return
+        if not system:
+            roots = [ALL_OF_RING]
+        else:
+            roots = last_roots.get(system)
+            # a replay past the cap solves the system again, as the memo
+            # of the levels above recurses there
+            if roots is not None:
+                fixed_free = sum(x is ALL_OF_RING for x in assignment.values())
+                if emitted[0] + len(roots) * R.size**fixed_free > max_solutions:
+                    roots = None
+            if roots is None:
+                roots = last_roots[system] = [RingElement(R, x) for x in _hensel_roots(R, system)]
+        for c in roots:
+            assignment[var] = c
+            emit(assignment)
+        assignment.pop(var, None)
+        if emitted[0] > max_solutions:
+            truncated[0] = True
+
     def rec(system: list[MultiPoly], remaining: list[int], assignment: dict, is_basis: bool):
         system = [p for p in system if not p.is_zero()]
         if any(p.is_constant() for p in system):
             return  # nonzero constant: dead branch
-        if not remaining:
-            emit(assignment)
+        if len(remaining) < 2:  # the first call only; lower levels end in last_level
+            if remaining:
+                last_level(tuple(_dense(p, remaining[0]) for p in system), remaining[0], assignment)
+            else:
+                emit(assignment)
             return
         # the subtree depends on nothing else, so an equal system met on
         # another branch replays its solutions, unless they would cross the
@@ -349,7 +472,7 @@ def _eliminate(polys: list[MultiPoly], max_solutions: int) -> SolutionSet:
                 return
         start = len(found)
         last = remaining[-1]
-        if len(remaining) > 1 and system and not is_basis:
+        if system and not is_basis:
             system = list(buchberger(system, ring).generators)
             is_basis = True
         if any(last in g.vars_used() for g in system):
@@ -358,18 +481,22 @@ def _eliminate(polys: list[MultiPoly], max_solutions: int) -> SolutionSet:
         else:
             # last is free: the basis holds for every value of it
             candidates = [ALL_OF_RING]
+        if len(remaining) == 2:
+            # one variable stays: each branch reads the basis as dense lists in it
+            var = remaining[0]
+            by_degree = [_by_degree(g, var, last) for g in system]
         for c in candidates:
             assignment[last] = c
-            if c is ALL_OF_RING:  # the basis is unchanged
+            if len(remaining) == 2:
+                last_level(_specialised(R, by_degree, c), var, assignment)
+            elif c is ALL_OF_RING:  # the basis is unchanged
                 rec(system, remaining[:-1], assignment, is_basis)
             else:
                 rec([g.substitute(last, c) for g in system], remaining[:-1], assignment, False)
             del assignment[last]
             if truncated[0]:
                 return
-        if len(remaining) == 1 and emitted[0] > max_solutions:
-            truncated[0] = True
-        if not truncated[0] and assignment:  # the root's system never recurs
+        if assignment:  # the root's system never recurs
             partials = [tuple(sol[v] for v in remaining) for sol in found[start:]]
             count = sum(R.size ** sum(x is ALL_OF_RING for x in p) for p in partials)
             memo[key] = (partials, count)
@@ -378,6 +505,38 @@ def _eliminate(polys: list[MultiPoly], max_solutions: int) -> SolutionSet:
     solutions = frozenset(found)
     _verify_solutions(ring, original, solutions)
     return SolutionSet(R, ring.variables, solutions, truncated[0], max_solutions)
+
+
+def _by_degree(g: MultiPoly, var: int, other: int) -> list[list]:
+    """g, which uses no variable but var and other, as one list of terms
+    per exponent of var, lowest first: each term compiled over other alone
+    (polys.compile_poly's format), so the ring's _payload_evaluate gives the
+    coefficient of that power of var at a value of other."""
+    s, t = g.ring._shifts[var], g.ring._shifts[other]
+    groups: list[list] = [[] for _ in range(g.degree_in(var) + 1)]
+    for m, c in g._terms:
+        e = (m >> t) & MAX_EXPONENT
+        groups[(m >> s) & MAX_EXPONENT].append((c, ((0, e),) if e else ()))
+    return groups
+
+
+def _specialised(R: ChainRing, by_degree: list[list], c) -> tuple | None:
+    """The dense payload lists in var of the polynomials that by_degree
+    (from _by_degree) holds, with other set to c, a ring element or
+    ALL_OF_RING where no polynomial uses other; zero lists dropped, and None
+    if one is a nonzero constant."""
+    evaluate, zero = R._payload_evaluate, R._zero_data
+    point = (zero if c is ALL_OF_RING else c.data,)
+    out = []
+    for groups in by_degree:
+        f = [evaluate(terms, point) for terms in groups]
+        while f and f[-1] == zero:
+            f.pop()
+        if len(f) == 1:
+            return None
+        if f:
+            out.append(tuple(f))
+    return tuple(out)
 
 
 def _verify_solutions(ring: PolyRing, original: list[MultiPoly], solutions):
@@ -653,9 +812,9 @@ def solve_system_lifting(
 ) -> SolutionSet:
     """Residue-field solutions lifted level by level through the linear
     congruences D f(γ0) z = -(f(c)/π^j mod π); exact.  It skips elimination
-    but shares the lift with univariate_roots and with the x-block tail of
-    the elimination route (_x_only_solutions), so brute_solve, not the
-    elimination route, is its independent check."""
+    but shares the lift with the x-block tail of the elimination route
+    (_x_only_solutions), so brute_solve, not the elimination route, is its
+    independent check."""
     found = _by_components(polys, max_solutions, solve_system_lifting, _lift_system)
     if found.truncated:  # only a product's join truncates
         raise ResourceExceeded(f"product solution set larger than cap {max_solutions}")

@@ -308,3 +308,15 @@ def test_criterion_9_standard_form_counterexample():
         Z = RingMatrix(z6, [[z6.from_int(2)], [z6.from_int(3)]])
         with pytest.raises(NotChainRing):
             standard_form(Z)
+
+
+def test_readme_quick_tour_runs():
+    # the python block under README's "Library quick tour" runs as written,
+    # its asserts kept under python -O too
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = readme.split("## Library quick tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "solve_system" in code and "sols.count() == 16" in code
+    exec(compile(code, "README.md", "exec", optimize=0), {})

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import chainring
-from chainring.errors import ChainRingError, NotARing, ResourceExceeded
+from chainring.errors import ChainRingError, DomainError, NotARing, ResourceExceeded
 from chainring.localring import (
     LocalRingPresentation,
     contract_solutions,
@@ -407,6 +407,32 @@ def test_local_ring_ops_match_golden():
     # every element method of four local rings, byte for byte as the boxed
     # coordinate tuples computed them
     assert render_local_ops_golden() == LOCAL_OPS_GOLDEN.read_text()
+
+
+UNIT_RINGS = {
+    **local_ops_rings(),
+    # residue field F_4 over Z4: |R*| = 12, not |R|(1 - 1/2) = 8
+    "gr42_presented": quotient_presentation(2, 2, [1, 1, 1], 2),
+    # F2[X]/(X^2 + X) = F2 x F2, no local ring: X is neither nilpotent nor a unit
+    "f2_times_f2": quotient_presentation(2, 1, [0, 1, 1], 1),
+}
+
+
+@pytest.mark.parametrize("name", list(UNIT_RINGS))
+def test_units_and_inverses_equal_a_scan(name):
+    # is_unit and invert find units by powers, not by multiplying with
+    # every element; a presentation outside the power rule's assumptions
+    # still gets the scan's answers
+    R = UNIT_RINGS[name]
+    elems = list(R.elements())
+    for a in elems:
+        inverses = [b for b in elems if R.mul(a, b) == R.one]
+        assert R.is_unit(a) == bool(inverses)
+        if inverses:
+            assert [R.invert(a)] == inverses
+        else:
+            with pytest.raises(DomainError):
+                R.invert(a)
 
 
 def test_local_payloads_are_ints_and_small_rings_are_tabled():

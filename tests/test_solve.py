@@ -494,22 +494,36 @@ def test_coordinate_absent_from_basis_stays_free(z8, monkeypatch):
 
 
 def _counting_solvers(monkeypatch):
-    """Record the input of every univariate_roots and buchberger call that
-    solve_system makes, as the tuple of its polynomials' terms."""
+    """Record the input of every univariate system and buchberger call that
+    solve_system makes: a univariate_roots call's as the tuple of its
+    polynomials' terms, a last level's as the tuple of the dense payload
+    lists it hands to _hensel_roots (the kernel's calls from within
+    univariate_roots are that call's)."""
     import chainring.solve as solve_module
 
-    calls = {"univariate_roots": [], "buchberger": []}
-    roots, basis = solve_module.univariate_roots, solve_module.buchberger
+    calls = {"univariate_roots": [], "last_level": [], "buchberger": []}
+    roots, kernel, basis = solve_module.univariate_roots, solve_module._hensel_roots, solve_module.buchberger
+    inside_roots = []
 
     def counting_roots(polys, var=None):
         calls["univariate_roots"].append(tuple(p._terms for p in polys))
-        return roots(polys, var)
+        inside_roots.append(True)
+        try:
+            return roots(polys, var)
+        finally:
+            inside_roots.pop()
+
+    def counting_kernel(R, fs):
+        if not inside_roots:
+            calls["last_level"].append(tuple(fs))
+        return kernel(R, fs)
 
     def counting_basis(polys, ring=None):
         calls["buchberger"].append(tuple(p._terms for p in polys))
         return basis(polys, ring)
 
     monkeypatch.setattr(solve_module, "univariate_roots", counting_roots)
+    monkeypatch.setattr(solve_module, "_hensel_roots", counting_kernel)
     monkeypatch.setattr(solve_module, "buchberger", counting_basis)
     return calls
 
@@ -526,12 +540,17 @@ def _counting_solvers(monkeypatch):
 def test_sibling_branches_that_specialise_alike_are_solved_once(
     z4, monkeypatch, variables, texts, roots_calls, basis_calls
 ):
+    # roots_calls counts the univariate systems solved: by univariate_roots
+    # above the last level and by the dense kernel on the last
     P = PolyRing(z4, variables, "lex")
     system = [P.parse(t) for t in texts]
     calls = _counting_solvers(monkeypatch)
     sol = solve_system(system)
-    for name, n in (("univariate_roots", roots_calls), ("buchberger", basis_calls)):
-        assert len(calls[name]) == len(set(calls[name])) == n
+    for name in calls:
+        assert len(calls[name]) == len(set(calls[name]))
+    assert calls["last_level"]
+    assert len(calls["univariate_roots"]) + len(calls["last_level"]) == roots_calls
+    assert len(calls["buchberger"]) == basis_calls
     assert not sol.truncated
     assert sol.explicit() == brute_solve(system).explicit()
 
@@ -558,8 +577,9 @@ def test_a_replay_past_the_cap_recurses_instead(z4, monkeypatch, variables, text
     sol = solve_system(system, max_solutions=cap)
     assert sol.truncated
     assert sol.to_json()["solutions"] == solutions
-    # the system met again is solved again, not replayed
-    assert len(calls["univariate_roots"]) == roots_calls > len(set(calls["univariate_roots"]))
+    # the system met again is solved again, not replayed: on the last level
+    assert len(calls["univariate_roots"]) + len(calls["last_level"]) == roots_calls
+    assert len(calls["last_level"]) > len(set(calls["last_level"]))
     assert SolutionSet(z4, sol.variables, sol.solutions).explicit() <= brute_solve(system).explicit()
 
 
@@ -746,8 +766,9 @@ def seeded_route_systems(name: str, count: int = 40):
 
 @pytest.mark.parametrize("name", ["z4", "z8", "z25", "gr42"])
 def test_every_route_equals_enumeration(name):
-    # elimination (back-substitution's univariate roots are lifted) and the
-    # whole-system lift both run on the ring's evaluation kernels
+    # elimination (back-substitution's roots come from the Hensel kernel on
+    # dense payload lists) and the whole-system lift (the ring's evaluation
+    # kernels) list the brute-force solutions
     for polys in seeded_route_systems(name):
         expected = brute_solve(polys).explicit()
         assert solve_system(polys).explicit() == expected
@@ -876,3 +897,33 @@ def test_backsub_and_univariate_roots_match_golden():
     # same tuples) and the univariate roots, byte for byte as recorded
     # before the last level and univariate_roots moved to dense payload lists
     assert render_backsub_golden() == BACKSUB_GOLDEN.read_text()
+
+
+@pytest.mark.parametrize("name", list(UNIVARIATE_GOLDEN_RINGS))
+def test_univariate_roots_equal_enumeration_property(name):
+    # seeded systems of one to three members, zero, constant, with double
+    # roots and multiples of p among them, over rings with nu = 1, 2 and 3
+    # and the product ring Z12 through the CRT layer: the Hensel kernel
+    # lists exactly the brute-force roots, in sort_key order
+    R = UNIVARIATE_GOLDEN_RINGS[name]
+    P = PolyRing(R, ("x",), "lex")
+    elems = sorted(R.elements(), key=R.sort_key)
+    rng = random.Random(f"kernel:{name}")
+    seen = set()
+    for _ in range(40):
+        system = [univariate_member(rng, P, elems) for _ in range(rng.randint(1, 3))]
+        roots = univariate_roots(system, 0)
+        expected = brute_solve(system).explicit()
+        if roots is ALL_OF_RING:
+            assert all(p.is_zero() for p in system) and len(expected) == R.size
+            continue
+        assert roots == sorted((x for (x,) in expected), key=R.sort_key)
+        seen |= {"zero" for p in system if p.is_zero()}
+        seen |= {"constant" for p in system if p.is_constant() and not p.is_zero()}
+        if isinstance(R, ChainRing):
+            live = [p for p in system if not p.is_zero()]
+            for g in R.teichmuller_set():
+                if all(R.valuation(p.evaluate([g])) > 0 for p in live):
+                    seen |= {"flat" for p in live if R.valuation(p.derivative(0).evaluate([g])) > 0}
+    assert {"zero", "constant"} <= seen
+    assert "flat" in seen or not isinstance(R, ChainRing)
