@@ -521,10 +521,10 @@ def _by_degree(g: MultiPoly, var: int, other: int) -> list[list]:
 
 
 def _specialised(R: ChainRing, by_degree: list[list], c) -> tuple | None:
-    """The dense payload lists in var of the polynomials that by_degree
-    (from _by_degree) holds, with other set to c, a ring element or
-    ALL_OF_RING where no polynomial uses other; zero lists dropped, and None
-    if one is a nonzero constant."""
+    """The polynomials that by_degree holds (one _by_degree list each) with
+    the other variable set to c, as dense payload lists in var; c is a ring
+    element, or ALL_OF_RING where no polynomial uses the other variable.
+    Zero lists are dropped, and None stands for a nonzero constant."""
     evaluate, zero = R._payload_evaluate, R._zero_data
     point = (zero if c is ALL_OF_RING else c.data,)
     out = []
