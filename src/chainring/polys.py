@@ -558,17 +558,28 @@ class MultiPoly:
 # with the solver.
 
 
-def compile_poly(f: MultiPoly, variables: Sequence[int]) -> list[tuple]:
-    """f's terms as (payload, ((position, exponent), ...)), where position
-    indexes variables and zero exponents are dropped; f uses no variable
-    outside variables.  This is the format of the ring kernels
-    _payload_evaluate and _payload_gradient, which read a point as a
-    sequence of payloads indexed by position."""
-    shifts = [f.ring._shifts[v] for v in variables]
-    return [
-        (c, tuple((i, e) for i, s in enumerate(shifts) if (e := (m >> s) & MAX_EXPONENT)))
-        for m, c in f._terms
-    ]
+def compile_polys(polys: Sequence[MultiPoly], variables: Sequence[int]) -> list[list[tuple]]:
+    """Each of polys' terms as (payload, ((position, exponent), ...)), where
+    position indexes variables and zero exponents are dropped; the polys
+    share one ring and use no variable outside variables.  This is the
+    format of the ring kernels _payload_evaluate and _payload_gradient,
+    which read a point as a sequence of payloads indexed by position.  One
+    table maps each monomial to its factors, so a monomial that several
+    polys share is read once."""
+    if not polys:
+        return []
+    shifts = list(enumerate(polys[0].ring._shifts[v] for v in variables))
+    table: dict = {}
+    out = []
+    for f in polys:
+        terms = []
+        for m, c in f._terms:
+            factors = table.get(m)
+            if factors is None:
+                factors = table[m] = tuple([(i, e) for i, s in shifts if (e := (m >> s) & MAX_EXPONENT)])
+            terms.append((c, factors))
+        out.append(terms)
+    return out
 
 
 def split_compiled(terms: list[tuple], free) -> Iterable[list[tuple]]:

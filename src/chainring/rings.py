@@ -164,7 +164,7 @@ class Ring:
         return result
 
     # The evaluation kernels of the solver's lift and re-verification.  A
-    # compiled polynomial (polys.compile_poly) is a list of terms (payload,
+    # compiled polynomial (polys.compile_polys) is a list of terms (payload,
     # ((position, exponent), ...)); a point is a sequence of payloads indexed
     # by position.  Zpk overrides both with native-int arithmetic.
 
@@ -494,12 +494,16 @@ class ChainRing(Ring):
             )
         return powers[v]
 
-    def _payload_digit(self, x):
-        """The payload of teichmuller_digit: the γ in Γ with x ≡ γ (mod pi)."""
+    def _teichmuller_digits(self) -> dict:
+        """The residue key of each γ in Γ -> γ's payload, in Γ's order."""
         table = self._digit_table
         if table is None:
             table = self._digit_table = {self.residue_key(g): g.data for g in self.teichmuller_set()}
-        return table[self._payload_residue(x)]
+        return table
+
+    def _payload_digit(self, x):
+        """The payload of teichmuller_digit: the γ in Γ with x ≡ γ (mod pi)."""
+        return (self._digit_table or self._teichmuller_digits())[self._payload_residue(x)]
 
     def _payload_quo_pi(self, x, v: int):
         """q with x = q * pi^v + reduce_mod_pi_power(x, v); for valuation(x)
@@ -519,6 +523,75 @@ class ChainRing(Ring):
         if inv is None:
             raise NotAUnit(f"{x!r} has positive valuation in {self.short_name()}")
         return inv
+
+    # The residue-field kernel of the solver's lift.  At a residue root γ0
+    # every branch above it solves D f(γ0) z ≡ b (mod π) for some right-hand
+    # side b, so the Jacobian is factored once and each b only replays the
+    # factoring.  Zpk overrides it with native ints mod p.
+
+    def _residue_solver(self, rows):
+        """The solver of the lift's linear congruences at one residue root:
+        rows (at least one) are the Jacobian rows D f(γ0), payloads read mod
+        π.  Gauss-Jordan over the residue field runs once, on Teichmüller
+        payloads (Γ is closed under multiplication, so only a sum needs its
+        digit taken), and logs its row operations per pivot: the row swapped
+        in, the pivot's inverse and the multiples subtracted from the other
+        rows.  The returned solve(values, j), for payloads values divisible
+        by π^j, replays the log on b = -(values/π^j) mod π and yields every
+        z in Γ^k with rows·z ≡ b (mod π), as Teichmüller payloads, the free
+        columns running through Γ's product in its order."""
+        add, mul, neg, digit = self._payload_add, self._payload_mul, self._payload_neg, self._payload_digit
+        quo_pi, zero = self._payload_quo_pi, self._zero_data
+        gamma = [g.data for g in self.teichmuller_set()]
+        a = [[digit(x) for x in row] for row in rows]
+        m, k = len(a), len(a[0])
+        log, pivots = [], []
+        for c in range(k):
+            r = len(pivots)
+            for s in range(r, m):
+                if a[s][c] != zero:
+                    break
+            else:
+                continue
+            row = a[s]
+            a[s] = a[r]
+            inv = self._payload_pow(row[c], self.q - 2)  # Γ* has order q - 1
+            a[r] = row = [mul(inv, x) for x in row]
+            eliminated = []
+            for i, other in enumerate(a):
+                f = other[c]
+                if f != zero and i != r:
+                    a[i] = [digit(add(x, neg(mul(f, y)))) for x, y in zip(other, row)]
+                    eliminated.append((i, f))
+            log.append((s, inv, eliminated))
+            pivots.append(c)
+        rank = len(pivots)
+        free = [c for c in range(k) if c not in pivots]
+        # each pivot variable is its row's right-hand side less its free terms
+        back = [(c, [(free.index(fc), a[r][fc]) for fc in free if a[r][fc] != zero]) for r, c in enumerate(pivots)]
+
+        def solve(values, j):
+            b = [digit(neg(quo_pi(v, j))) for v in values]
+            for r, (s, inv, eliminated) in enumerate(log):
+                b[r], b[s] = b[s], b[r]
+                x = b[r] = mul(inv, b[r])
+                if x != zero:
+                    for i, f in eliminated:
+                        b[i] = digit(add(b[i], neg(mul(f, x))))
+            if any(x != zero for x in b[rank:]):
+                return  # inconsistent
+            for combo in itertools.product(gamma, repeat=len(free)):
+                z = [zero] * k
+                for fc, g in zip(free, combo):
+                    z[fc] = g
+                for r, (c, terms) in enumerate(back):
+                    x = b[r]
+                    for t, f in terms:
+                        x = digit(add(x, neg(mul(f, combo[t]))))
+                    z[c] = x
+                yield tuple(z)
+
+        return solve
 
     # A sparse row maps each column of a nonzero entry to its payload.
 
@@ -631,10 +704,20 @@ class Zpk(ChainRing):
         M = self.modulus
         grad = [0] * k
         for c, factors in terms:
-            if len(factors) == 1:
+            n = len(factors)
+            if n == 2:
+                (i, e), (j, f) = factors
+                if e == 1 == f:
+                    # c·x_i·x_j, the shape of every term of the bilinear models
+                    grad[i] += c * point[j]
+                    grad[j] += c * point[i]
+                    continue
+            elif n == 1:
                 ((i, e),) = factors
                 grad[i] += c if e == 1 else c * e * pow(point[i], e - 1, M)
                 continue
+            elif not n:
+                continue  # a constant
             values = [point[i] if e == 1 else pow(point[i], e, M) for i, e in factors]
             for j, (i, e) in enumerate(factors):
                 d = c if e == 1 else c * e * pow(point[i], e - 1, M)
@@ -643,6 +726,65 @@ class Zpk(ChainRing):
                         d *= v
                 grad[i] += d
         return [g % M for g in grad]
+
+    def _residue_solver(self, rows):
+        # ChainRing's Gauss-Jordan and replay on residues, ints mod p; a
+        # residue becomes its Teichmüller payload only in a yielded z
+        p = self.p
+        teich = self._teichmuller_digits()
+        residues = list(teich)  # in Γ's order
+        a = [[x % p for x in row] for row in rows]
+        m, k = len(a), len(a[0])
+        log, pivots = [], []
+        for c in range(k):
+            r = len(pivots)
+            for s in range(r, m):
+                if a[s][c]:
+                    break
+            else:
+                continue
+            row = a[s]
+            a[s] = a[r]
+            inv = pow(row[c], -1, p)
+            if inv != 1:
+                row = [inv * x % p for x in row]
+            a[r] = row
+            eliminated = []
+            for i, other in enumerate(a):
+                f = other[c]
+                if f and i != r:
+                    a[i] = [(x - f * y) % p for x, y in zip(other, row)]
+                    eliminated.append((i, f))
+            log.append((s, inv, eliminated))
+            pivots.append(c)
+        rank = len(pivots)
+        free = [c for c in range(k) if c not in pivots]
+        back = [(c, [(free.index(fc), a[r][fc]) for fc in free if a[r][fc]]) for r, c in enumerate(pivots)]
+
+        def solve(values, j):
+            pj = p**j
+            b = [-(v // pj) for v in values]
+            # the entries stay unreduced until a pivot or the check reads them
+            for r, (s, inv, eliminated) in enumerate(log):
+                b[r], b[s] = b[s], b[r]
+                x = b[r] = b[r] * inv % p
+                if x:
+                    for i, f in eliminated:
+                        b[i] -= f * x
+            if any(x % p for x in b[rank:]):
+                return  # inconsistent
+            for combo in itertools.product(residues, repeat=len(free)):
+                z = [0] * k
+                for fc, x in zip(free, combo):
+                    z[fc] = teich[x]
+                for r, (c, terms) in enumerate(back):
+                    x = b[r]
+                    for t, f in terms:
+                        x -= f * combo[t]
+                    z[c] = teich[x % p]
+                yield tuple(z)
+
+        return solve
 
     def _payload_scale(self, u, row):
         M = self.modulus

@@ -8,15 +8,19 @@ dense payload coefficient lists by Horner's rule and lifts each residue
 root by one division where some member's derivative is a unit mod π.
 Several variables go through _lift_roots, which carries each branch as a
 point c of R^k, a tuple of ring payloads, and extends it one level at a
-time by a residue-field linear solve on Teichmüller payloads; only the
-roots are boxed.  Its points are evaluated by the ring's kernels
-(_payload_evaluate, and _payload_gradient for the Jacobian), which Zpk runs
-on native ints.  Back-substitution's univariate roots go through the
-kernel, and its last level runs on dense payload lists: each value of the
-next-to-last variable specialises the basis straight into coefficient lists
-in the last variable, whose roots are emitted as they are.  Within one
-call, back-substitution solves each distinct specialised system once and
-replays its solutions where it meets the system again.
+time by a residue-field linear solve; only the roots are boxed.  The
+system is compiled once, through one monomial table (polys.compile_polys),
+and its points are evaluated by the ring's kernels (_payload_evaluate, and
+_payload_gradient for the Jacobian).  Each surviving residue root's
+Jacobian is factored once by the ring's _residue_solver, whose log every
+branch at every level above the root replays on its right-hand side; Zpk
+runs all three kernels on native ints.  Back-substitution's univariate
+roots go through the Hensel kernel, and its last level runs on dense
+payload lists: each value of the next-to-last variable specialises the
+basis straight into coefficient lists in the last variable, whose roots
+are emitted as they are.  Within one call, back-substitution solves each
+distinct specialised system once and replays its solutions where it meets
+the system again.
 The x-block tail that MinRank and decoding share combines the two routes
 under one route rule (_lifts): a small model is lifted whole and projected
 onto x (_lifted_x_block); otherwise elimination gives the x-only system,
@@ -49,7 +53,7 @@ from .polys import (
     MultiPoly,
     PolyRing,
     _univariate_var,
-    compile_poly,
+    compile_polys,
     lex_ring,
     macaulay_rows,
     split_compiled,
@@ -510,7 +514,7 @@ def _eliminate(polys: list[MultiPoly], max_solutions: int) -> SolutionSet:
 def _by_degree(g: MultiPoly, var: int, other: int) -> list[list]:
     """g, which uses no variable but var and other, as one list of terms
     per exponent of var, lowest first: each term compiled over other alone
-    (polys.compile_poly's format), so the ring's _payload_evaluate gives the
+    (polys.compile_polys' format), so the ring's _payload_evaluate gives the
     coefficient of that power of var at a value of other."""
     s, t = g.ring._shifts[var], g.ring._shifts[other]
     groups: list[list] = [[] for _ in range(g.degree_in(var) + 1)]
@@ -547,7 +551,7 @@ def _verify_solutions(ring: PolyRing, original: list[MultiPoly], solutions):
     coordinates must leave the zero polynomial."""
     R = ring.ring
     evaluate, zero = R._payload_evaluate, R._zero_data
-    system = [compile_poly(p, range(ring.nvars)) for p in original]
+    system = compile_polys(original, range(ring.nvars))
     parts_by_free: dict = {}  # free positions -> the fixed parts to sum
     for sol in solutions:
         point = [None if x is ALL_OF_RING else x.data for x in sol]
@@ -850,21 +854,23 @@ def _lift_roots(
     D f(γ0) z = -(f(c)/π^j mod π), which makes f vanish mod π^{j+1}.  Every
     root's truncations are branches, and each final candidate is
     re-evaluated, so the result is exact.  The polynomials are compiled
-    once over the variables (polys.compile_poly), and the branches are
-    tuples of payloads evaluated by the ring's kernels: _payload_evaluate
-    tests level 0, and a residue root γ0 that survives it, when ν > 1,
-    takes its Jacobian rows D f(γ0) from one _payload_gradient call per
-    polynomial and its level-1 right-hand side from its level-0 values.
-    Only roots are boxed.
+    once over the variables, with one monomial table for the system
+    (polys.compile_polys), and the branches are tuples of payloads
+    evaluated by the ring's kernels: _payload_evaluate tests level 0, and a
+    residue root γ0 that survives it, when ν > 1, takes its Jacobian rows
+    D f(γ0) from one _payload_gradient call per polynomial.  D f(c) ≡
+    D f(γ0) (mod π) on every branch above γ0, so the rows are factored once
+    per residue root (the ring's _residue_solver), and each branch at each
+    level only replays the factoring on its right-hand side; the level-1
+    one comes from the level-0 values.  Only roots are boxed.
     """
-    add, mul, neg = R._payload_add, R._payload_mul, R._payload_neg
-    digit, quo_pi = R._payload_digit, R._payload_quo_pi
+    add, mul = R._payload_add, R._payload_mul
     evaluate, gradient = R._payload_evaluate, R._payload_gradient
     residue = R._payload_residue
     zero = R._zero_data
     zero_residue = residue(zero)
     k = len(variables)
-    fs = [compile_poly(p, variables) for p in polys]
+    fs = compile_polys(polys, variables)
     gamma = [g.data for g in R.teichmuller_set()]
     solutions = set()
     # level 0 tests every point of Γ^k, so a system whose residue-field
@@ -879,7 +885,7 @@ def _lift_roots(
         if len(values) < len(fs):
             continue
         if R.nu > 1:
-            rows = [[digit(d) for d in gradient(f, g0, k)] for f in fs]
+            solve = R._residue_solver([gradient(f, g0, k) for f in fs])
         branches = [g0]
         for j in range(1, R.nu):
             pi_j = R._payload_pi_power(j)
@@ -887,8 +893,7 @@ def _lift_roots(
             for c in branches:
                 # the only level-1 branch is g0, whose values level 0 kept
                 at_c = values if j == 1 else [evaluate(f, c) for f in fs]
-                rhs = [digit(neg(quo_pi(v, j))) for v in at_c]
-                for z in _residue_solutions(R, gamma, rows, rhs):
+                for z in solve(at_c, j):
                     next_branches.append(tuple(add(x, mul(pi_j, y)) for x, y in zip(c, z)))
                     if len(next_branches) > max_solutions:
                         raise ResourceExceeded("lifting branch count exceeds cap")
@@ -897,45 +902,3 @@ def _lift_roots(
             if all(evaluate(f, c) == zero for f in fs):
                 solutions.add(tuple(RingElement(R, x) for x in c))
     return solutions
-
-
-def _residue_solutions(R: ChainRing, gamma: list, rows: list[list], rhs: list) -> Iterator[tuple]:
-    """All z in Γ^k with rows · z = rhs over the residue field, on the
-    payloads of Teichmüller representatives (gamma holds Γ's).
-
-    Gauss-Jordan over Γ: Γ is closed under multiplication, so only a
-    difference needs its digit taken.
-    """
-    add, mul, neg, digit = R._payload_add, R._payload_mul, R._payload_neg, R._payload_digit
-    zero = R._zero_data
-    m = len(rows)
-    k = len(rows[0]) if rows else 0
-    aug = [row + [b] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(k):
-        pivot = next((i for i in range(r, m) if aug[i][c] != zero), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = R._payload_pow(aug[r][c], R.q - 2)
-        aug[r] = [mul(inv, x) for x in aug[r]]
-        for i in range(m):
-            f = aug[i][c]
-            if i != r and f != zero:
-                aug[i] = [digit(add(a, neg(mul(f, b)))) for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    if any(aug[i][k] != zero for i in range(r, m)):
-        return  # inconsistent
-    free = [c for c in range(k) if c not in pivots]
-    for combo in itertools.product(gamma, repeat=len(free)):
-        z = [zero] * k
-        for c, val in zip(free, combo):
-            z[c] = val
-        for row_idx, c in enumerate(pivots):
-            acc = aug[row_idx][k]
-            for fc, val in zip(free, combo):
-                acc = digit(add(acc, neg(mul(aug[row_idx][fc], val))))
-            z[c] = acc
-        yield tuple(z)

@@ -15,7 +15,7 @@ from chainring.polys import (
     MAX_EXPONENT,
     MonomialOrder,
     PolyRing,
-    compile_poly,
+    compile_polys,
     split_compiled,
     strong_reduce,
     strong_reduce_with_witness,
@@ -275,7 +275,7 @@ def test_evaluate_matches_boxed_horner():
                     points = [[a, b] for a in elems for b in elems]
                 else:
                     points = [[rng.choice(elems), rng.choice(elems)] for _ in range(60)]
-                compiled = compile_poly(f, range(2))
+                (compiled,) = compile_polys([f], range(2))
                 for point in points:
                     expected = boxed_horner(f, point)
                     assert f.evaluate(point) == expected
@@ -293,7 +293,7 @@ def test_compiled_form_differentiates_and_splits_like_the_polynomial(z8, gr42, o
         elems = list(R.elements())
         for _ in range(10):
             f = P.poly({tuple(rng.randrange(4) for _ in range(3)): rng.choice(elems) for _ in range(5)})
-            compiled = compile_poly(f, range(3))
+            (compiled,) = compile_polys([f], range(3))
             var, value = rng.randrange(3), rng.choice(elems)
             at = [rng.choice(elems) for _ in range(3)]
             gradient = R._payload_gradient(compiled, [x.data for x in at], 3)
@@ -337,7 +337,7 @@ def test_evaluation_kernels_match_the_polynomial(name):
         terms = {tuple(rng.choice(exponents) for _ in range(k)): draw() for _ in range(rng.randint(1, 5))}
         terms[(0,) * k] = draw()
         f = P.poly(terms)
-        compiled = compile_poly(f, range(k))
+        (compiled,) = compile_polys([f], range(k))
         for _ in range(4):
             point = [draw() for _ in range(k)]
             data = [x.data for x in point]
@@ -348,6 +348,65 @@ def test_evaluation_kernels_match_the_polynomial(name):
             if isinstance(R, Zpk):
                 assert value == ChainRing._payload_evaluate(R, compiled, data)
                 assert gradient == ChainRing._payload_gradient(R, compiled, data, k)
+
+
+@pytest.mark.parametrize("name", sorted(name for name, R in KERNEL_RINGS.items() if isinstance(R, Zpk)))
+def test_zpk_gradient_equals_the_generic_kernel_on_each_term_shape(name):
+    # Zpk's gradient has direct paths for one factor and for a two-factor
+    # multilinear term c·x_i·x_j (every term of the KS, Support-Minors and
+    # key-equation models); each shape, and two factors with an exponent
+    # above 1 and three factors, equals the generic Ring method on seeded
+    # compiled terms in four positions, and so does a mix of them
+    R = KERNEL_RINGS[name]
+    rng = random.Random(f"gradient-shapes:{name}")
+    k = 4
+
+    def factors(*exponents):
+        return tuple(sorted(zip(rng.sample(range(k), len(exponents)), exponents)))
+
+    def exponent():
+        return rng.choice((1, 2, 3, R.q))
+
+    shapes = {
+        "one": lambda: factors(exponent()),
+        "two multilinear": lambda: factors(1, 1),
+        "two with a power": lambda: factors(exponent(), rng.choice((2, 3, R.q))),
+        "three": lambda: factors(exponent(), exponent(), exponent()),
+    }
+    for shape, draw in shapes.items():
+        for _ in range(30):
+            terms = [(rng.randrange(R.size), draw()) for _ in range(rng.randint(1, 4))]
+            if rng.random() < 0.5:
+                terms.append((rng.randrange(R.size), ()))
+            point = [rng.randrange(R.size) for _ in range(k)]
+            assert R._payload_gradient(terms, point, k) == ChainRing._payload_gradient(R, terms, point, k), shape
+    for _ in range(30):
+        terms = [(rng.randrange(R.size), rng.choice(list(shapes.values()))()) for _ in range(6)]
+        point = [rng.randrange(R.size) for _ in range(k)]
+        assert R._payload_gradient(terms, point, k) == ChainRing._payload_gradient(R, terms, point, k)
+
+
+def test_compile_polys_equals_compiling_each_polynomial_alone(z8, gr42):
+    # compile_polys reads each monomial once into a table the whole system
+    # shares; the result is each polynomial compiled on its own, over every
+    # listed variable order (unused variables included)
+    rng = random.Random(32)
+    for R in (z8, gr42):
+        elems = list(R.elements())
+        P = PolyRing(R, ("x", "y", "z"), MonomialOrder("degrevlex", (2, 0, 1)))
+        monomials = [tuple(rng.randrange(3) for _ in range(3)) for _ in range(6)]
+        for _ in range(10):
+            polys = [P.poly({m: rng.choice(elems) for m in rng.sample(monomials, 3)}) for _ in range(rng.randint(1, 4))]
+            for variables in ((0, 1, 2), (2, 0, 1), (1, 2, 0)):
+                alone = [compile_polys([f], variables)[0] for f in polys]
+                assert compile_polys(polys, variables) == alone
+                for f, terms in zip(polys, alone):
+                    assert len(terms) == len(f._terms)
+                    assert all(
+                        dict(factors) == {i: e for i, v in enumerate(variables) if (e := m[v])}
+                        for (_, factors), (m, _) in zip(terms, f.terms)
+                    )
+    assert compile_polys([], range(2)) == []
 
 
 POLY_GOLDEN = Path(__file__).resolve().parent / "goldens" / "poly_ops.json"

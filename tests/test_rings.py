@@ -446,3 +446,104 @@ def test_coordinate_code_matches_the_tables(monkeypatch):
             checked += 1
         assert fresh._mul_table is None and fresh._quo_tables is None
     assert checked == 3 * 12 + 2 * 6
+
+
+RESIDUE_SOLVER_RINGS = {
+    "z4": Zpk(2, 2),
+    "z8": Zpk(2, 3),
+    "z9": Zpk(3, 2),
+    "z25": Zpk(5, 2),
+    "z27": Zpk(3, 3),
+    # Γ's payloads [0, 1, 18, 19, 30, 31, 48] do not ascend with their
+    # residues [0, 1, 4, 5, 2, 3, 6]
+    "z49": Zpk(7, 2),
+    "gr42": galois_ring(2, 2, 2),
+    "gr83": galois_ring(2, 3, 3),
+    "gr92": galois_ring(3, 2, 2),
+}
+
+
+def residue_systems(R, rng: random.Random):
+    """Seeded Jacobians (rows of payloads, read mod π) of 1-7 rows in 1-4
+    columns, q^k <= 512: random ones, rank-deficient ones (each row a
+    combination of two), all-zero ones (multiples of π) and overdetermined
+    ones."""
+    pi = R.pi_element.data
+    most = max(k for k in range(1, 5) if R.q**k <= 512)
+
+    def draw():
+        return rng.randrange(R.size)
+
+    for kind in ("random", "deficient", "zero", "overdetermined") * 6:
+        k = rng.randint(1, most)
+        m = rng.randint(k + 1, k + 3) if kind == "overdetermined" else rng.randint(1, 4)
+        if kind == "zero":
+            rows = [[R._payload_mul(pi, draw()) for _ in range(k)] for _ in range(m)]
+        elif kind == "deficient":
+            basis = [[draw() for _ in range(k)] for _ in range(2)]
+            rows = []
+            for _ in range(m):
+                a, b = draw(), draw()
+                rows.append([R._payload_add(R._payload_mul(a, u), R._payload_mul(b, v)) for u, v in zip(*basis)])
+        else:
+            rows = [[draw() for _ in range(k)] for _ in range(m)]
+        yield kind, rows
+
+
+def residue_right_hand_sides(R, rows, rng: random.Random):
+    """Level j and values divisible by π^j for three right-hand sides: one
+    planted at a point of Γ^k (consistent), one random (often inconsistent
+    where the rows are deficient) and zero; each value carries π^(j+1)
+    noise, which the solver must read past."""
+    gamma = [g.data for g in R.teichmuller_set()]
+    mul, add, neg = R._payload_mul, R._payload_add, R._payload_neg
+    k = len(rows[0])
+    j = rng.randrange(R.nu)
+    pj, pj1 = R._payload_pi_power(j), R._payload_pi_power(j + 1)
+    z = [rng.choice(gamma) for _ in range(k)]
+    planted = [neg(R.sum(RingElement(R, mul(a, b)) for a, b in zip(row, z)).data) for row in rows]
+    randoms = [rng.randrange(R.size) for _ in rows]
+    for b in (planted, randoms, [R._zero_data] * len(rows)):
+        yield j, [add(mul(pj, x), mul(pj1, rng.randrange(R.size))) for x in b]
+
+
+def brute_residue_solutions(R, rows, values, j):
+    """Every z in Γ^k with rows·z + values/π^j ≡ 0 (mod π), by enumeration."""
+    gamma = [g.data for g in R.teichmuller_set()]
+    add, mul, residue = R._payload_add, R._payload_mul, R._payload_residue
+    zero = residue(R._zero_data)
+    out = []
+    for z in itertools.product(gamma, repeat=len(rows[0])):
+        for row, v in zip(rows, values):
+            total = R._payload_quo_pi(v, j)
+            for a, x in zip(row, z):
+                total = add(total, mul(a, x))
+            if residue(total) != zero:
+                break
+        else:
+            out.append(z)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(RESIDUE_SOLVER_RINGS))
+def test_residue_solver_equals_enumeration(name):
+    # the lift factors each residue root's Jacobian once and replays the
+    # factoring on every right-hand side: Zpk's native-int override, the
+    # generic kernel on the same ring and enumeration of Γ^k give the same
+    # solutions, in the same order for the two kernels
+    R = RESIDUE_SOLVER_RINGS[name]
+    rng = random.Random(f"residue-solver:{name}")
+    if name == "z49":
+        assert [g.data for g in R.teichmuller_set()] == [0, 1, 18, 19, 30, 31, 48]
+    seen = {"empty": 0, "unique": 0, "several": 0}
+    for kind, rows in residue_systems(R, rng):
+        solvers = [R._residue_solver(rows)]
+        if isinstance(R, Zpk):
+            solvers.append(rings.ChainRing._residue_solver(R, rows))
+        for j, values in residue_right_hand_sides(R, rows, rng):
+            expected = brute_residue_solutions(R, rows, values, j)
+            answers = [list(solve(values, j)) for solve in solvers]
+            assert all(a == answers[0] for a in answers)
+            assert sorted(answers[0]) == expected
+            seen["empty" if not expected else "unique" if len(expected) == 1 else "several"] += 1
+    assert all(seen.values())

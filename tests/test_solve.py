@@ -703,10 +703,11 @@ def test_solve_sets_match_golden():
 def test_lift_differentiates_only_once_a_residue_root_survives(monkeypatch):
     # the Jacobian is needed to lift past level 0 only: no gradient is
     # evaluated for a system with no residue root or over a field, and one
-    # per polynomial at each surviving residue root otherwise
+    # per polynomial at each surviving residue root otherwise; each
+    # surviving root factors its Jacobian once, into one residue solver
     from chainring import solve
 
-    calls = []
+    calls, factored = [], []
     for R, texts, roots, residue_roots in (
         (Zpk(2, 2), ["x^2 + x + 1"], [], []),  # no root mod 2
         (Zpk(5, 1), ["x^2 - 1", "x^3 - x"], [1, 4], []),  # a field: nu = 1
@@ -721,11 +722,124 @@ def test_lift_differentiates_only_once_a_residue_root_survives(monkeypatch):
             calls.append(point)
             return gradient(terms, point, k)
 
+        def solver_spy(rows, residue_solver=R._residue_solver):
+            factored.append(rows)
+            return residue_solver(rows)
+
         monkeypatch.setattr(R, "_payload_gradient", spy)
+        monkeypatch.setattr(R, "_residue_solver", solver_spy)
         calls.clear()
+        factored.clear()
         got = solve._lift_roots(R, polys, [0], solve.DEFAULT_SOLUTION_CAP)
         assert sorted(c.data for (c,) in got) == roots
         assert calls == [(g,) for g in residue_roots for _ in polys]
+        assert len(factored) == len(residue_roots)
+
+
+LIFT_RINGS = {
+    "z8": Zpk(2, 3),
+    "z27": Zpk(3, 3),
+    "z49": Zpk(7, 2),
+    "gr83": galois_ring(2, 3, 3),
+}
+
+
+def bilinear_system(rng: random.Random, P: PolyRing, nx: int) -> list:
+    """1-4 seeded equations shaped like a Kipnis-Shamir model's in the x
+    variables (the first nx) and the z variables (the rest): each a sum of
+    terms c·x_l·z_j, c·z_j, c·x_l and a constant, planted to vanish at a
+    drawn point.  About one equation in three is a multiple of p, so its
+    Jacobian row vanishes mod π and the branches above a residue root
+    multiply."""
+    R = P.ring
+    elems = list(R.elements())
+    gens = P.gens()
+    xs, zs = gens[:nx], gens[nx:]
+    point = [rng.choice(elems) for _ in gens]
+    system = []
+    for _ in range(rng.randint(1, 4)):
+        f = P.zero
+        for term in [x * z for x in xs for z in zs] + list(zs) + list(xs):
+            if rng.random() < 0.7:
+                f = f + term.scale(rng.choice(elems))
+        if rng.random() < 1 / 3:
+            f = f.scale(R.from_int(R.p))
+        f = f - P.constant(f.evaluate(point))
+        if not f.is_zero():
+            system.append(f)
+    return system
+
+
+def general_system(rng: random.Random, P: PolyRing) -> list:
+    """1-3 seeded polynomials of 1-4 terms of total degree <= 3; half the
+    systems are planted to vanish at a drawn point."""
+    elems = sorted(P.ring.elements(), key=P.ring.sort_key)
+    nonzero = elems[1:]
+    point = [rng.choice(elems) for _ in range(P.nvars)] if rng.random() < 0.5 else None
+    system = []
+    for _ in range(rng.randint(1, 3)):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            exps = [0] * P.nvars
+            for _ in range(rng.randint(0, 3)):
+                exps[rng.randrange(P.nvars)] += 1
+            terms[tuple(exps)] = rng.choice(nonzero)
+        f = P.poly(terms)
+        if point is not None:
+            f = f - P.constant(f.evaluate(point))
+        if not f.is_zero():
+            system.append(f)
+    return system
+
+
+@pytest.mark.parametrize("name", sorted(LIFT_RINGS))
+def test_lift_equals_enumeration_and_reuses_each_factoring(name, monkeypatch):
+    # _lift_roots factors each surviving residue root's Jacobian once and
+    # replays the factoring for every branch at every level above it; on
+    # seeded KS-shaped bilinear systems and general ones its roots are the
+    # brute-force solutions.  Over GR(8,3) enumeration reaches one variable
+    # only (two take about 10 s a system), so its bilinear systems, in two,
+    # are checked against elimination, whose GR answers the route tests
+    # check against enumeration.  At ν = 3 some factoring serves more than
+    # one branch
+    from chainring import solve
+
+    R = LIFT_RINGS[name]
+    rng = random.Random(f"lift:{name}")
+    builds, replays = [0], [0]
+
+    def counting(rows, residue_solver=R._residue_solver):
+        builds[0] += 1
+        solve_at = residue_solver(rows)
+
+        def replay(values, j):
+            replays[0] += 1
+            return solve_at(values, j)
+
+        return replay
+
+    monkeypatch.setattr(R, "_residue_solver", counting)
+    # the most variables enumeration checks: |R|^k stays near 2^12-2^15
+    most = {"z8": 4, "z27": 3, "z49": 2, "gr83": 1}[name]
+    names = ("x1", "x2", "z1", "z2")
+    cases = []
+    for _ in range(10):
+        nx = rng.randint(1, 2 if most > 2 else 1)
+        nz = rng.randint(1, max(1, min(2, most - nx)))
+        P = PolyRing(R, names[:nx] + names[2 : 2 + nz], "lex")
+        cases.append(("bilinear", P, bilinear_system(rng, P, nx)))
+        P = PolyRing(R, names[:rng.randint(1, min(2, most))], "lex")
+        cases.append(("general", P, general_system(rng, P)))
+    for kind, P, system in cases:
+        if not system:
+            continue
+        got = solve._lift_roots(R, system, range(P.nvars), DEFAULT_SOLUTION_CAP)
+        if P.nvars <= most:
+            assert got == brute_solve(system).explicit(), kind
+        else:
+            assert got == solve_system(system).explicit(), kind
+    if R.nu > 2:
+        assert replays[0] > builds[0] > 0
 
 
 ROUTE_RINGS = {
