@@ -61,6 +61,7 @@ from .linalg import (
     rank,
     rank_profile,
     reduced_row_echelon,
+    row_membership,
     smith_normal_form,
     standard_form,
 )

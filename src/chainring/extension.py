@@ -196,10 +196,15 @@ def build_extension(base: ChainRing, m: int) -> GaloisExtension:
 
 def matrix_representation(ext: GaloisExtension, u: Sequence[RingElement]) -> RingMatrix:
     """m x n matrix over R whose column j holds the coordinates of u_j."""
-    base = ext.base
-    cols = [ext.coords(ext.coerce(x)) for x in u]
-    rows = [[cols[j][i] for j in range(len(cols))] for i in range(ext.degree)]
-    return RingMatrix(base, rows)
+    return RingMatrix._from_payloads(ext.base, _coordinate_rows(ext, [ext.coerce(x).data for x in u]), len(u))
+
+
+def _coordinate_rows(ext: GaloisExtension, u: Sequence) -> list[dict]:
+    """The sparse payload rows of matrix_representation(ext, u) for payloads
+    u: row i holds coordinate i of each entry."""
+    zero = ext.base._zero_data
+    cols = [ext._coords(x) for x in u]
+    return [{j: c[i] for j, c in enumerate(cols) if c[i] != zero} for i in range(ext.degree)]
 
 
 def vector_rank(ext: GaloisExtension, u: Sequence[RingElement]) -> int:
@@ -210,10 +215,7 @@ def payload_vector_rank(ext: GaloisExtension, u: Sequence) -> int:
     """The rank of matrix_representation(ext, u) for payloads u, counted as
     the Smith pivots of its sparse payload rows (linalg.payload_smith):
     nothing is boxed and no operation is logged."""
-    zero = ext.base._zero_data
-    cols = [ext._coords(x) for x in u]
-    rows = [{j: c[i] for j, c in enumerate(cols) if c[i] != zero} for i in range(ext.degree)]
-    return payload_smith(ext.base, rows, len(cols))
+    return payload_smith(ext.base, _coordinate_rows(ext, u), len(u))
 
 
 def vector_support(ext: GaloisExtension, u: Sequence[RingElement]) -> list[RingElement]:

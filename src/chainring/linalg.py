@@ -4,12 +4,17 @@ Smith and Hermite (reduced row echelon) decompositions with the
 minimal-valuation pivot rule, kernels, free envelopes, parity-check
 matrices, and the standard-form decomposition of Lemma-5.4 type.  Product
 rings split into CRT components and join (split_matrix, join_matrices).
+
+A RingMatrix stores sparse payload rows, the form the elimination kernels
+(payload_echelon, payload_smith) work on, and boxes entries only at its
+public edge; the kernels work in place on a copy of a matrix's rows, and
+their results are matrices on the rows they leave.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 from .errors import (
@@ -22,39 +27,56 @@ from .errors import (
     RankTooLarge,
 )
 from .rings import ChainRing, ProductRing, Ring, RingElement, crt_apply, crt_joined, crt_parts, ring_from_json
-from . import _unipoly as up
 
 
 class RingMatrix:
-    """Dense immutable matrix over a Ring."""
+    """Immutable m x n matrix over a Ring.
 
-    __slots__ = ("ring", "m", "n", "rows")
+    _rows holds one sparse payload row per row, a dict from the column of
+    each nonzero entry to its payload: the form payload_echelon and
+    payload_smith work on, in place, so a kernel copies the rows it is
+    given.  rows is their boxed view, tuples of RingElements, built on
+    first read (or kept from the constructor, which is given it).
+    """
+
+    __slots__ = ("ring", "m", "n", "_rows", "_boxed")
 
     def __init__(self, ring: Ring, rows: Sequence[Sequence[RingElement]]):
-        self.ring = ring
         # an element of this very ring object needs no coercion
-        self.rows = tuple(
-            tuple(
-                x if isinstance(x, RingElement) and x.ring is ring else ring.coerce(x)
-                for x in row
-            )
-            for row in rows
+        boxed = tuple(
+            tuple(x if isinstance(x, RingElement) and x.ring is ring else ring.coerce(x) for x in row) for row in rows
         )
-        self.m = len(self.rows)
-        self.n = len(self.rows[0]) if self.rows else 0
-        if any(len(r) != self.n for r in self.rows):
+        n = len(boxed[0]) if boxed else 0
+        if any(len(r) != n for r in boxed):
             raise DomainError("ragged matrix")
+        self.ring, self.m, self.n, self._boxed = ring, len(boxed), n, boxed
+        self._rows = tuple(_sparse(row) for row in boxed)
+
+    @classmethod
+    def _from_payloads(cls, ring: Ring, rows: Sequence[dict], n: int) -> "RingMatrix":
+        """The matrix of sparse payload rows of width n, which it takes over."""
+        A = cls.__new__(cls)
+        A.ring, A._rows, A.m, A.n, A._boxed = ring, tuple(rows), len(rows), n, None
+        return A
+
+    @property
+    def rows(self) -> tuple[tuple[RingElement, ...], ...]:
+        boxed = self._boxed
+        if boxed is None:
+            R, n = self.ring, self.n
+            zero = R.zero
+            boxed = self._boxed = tuple(
+                tuple(RingElement(R, row[j]) if j in row else zero for j in range(n)) for row in self._rows
+            )
+        return boxed
 
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "RingMatrix":
-        return cls(
-            ring,
-            [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)],
-        )
+        return cls._from_payloads(ring, [{i: ring.one.data} for i in range(n)], n)
 
     @classmethod
     def zeros(cls, ring: Ring, m: int, n: int) -> "RingMatrix":
-        return cls(ring, [[ring.zero] * n for _ in range(m)])
+        return cls._from_payloads(ring, [{} for _ in range(m)], n)
 
     def __getitem__(self, idx):
         i, j = idx
@@ -63,69 +85,56 @@ class RingMatrix:
     def __eq__(self, other):
         if not isinstance(other, RingMatrix):
             return NotImplemented
-        return self.ring == other.ring and self.rows == other.rows
+        return self.ring == other.ring and (self.m, self.n, self._rows) == (other.m, other.n, other._rows)
 
     def __hash__(self):
-        return hash((self.ring, self.rows))
+        return hash((self.ring, self.m, self.n, tuple(frozenset(row.items()) for row in self._rows)))
 
     def __add__(self, other):
-        return self._entrywise(self.ring.add, other)
+        return self._addmul(self.ring.one.data, other)
 
     def __sub__(self, other):
-        return self._entrywise(self.ring.sub, other)
+        return self._addmul(self.ring._payload_neg(self.ring.one.data), other)
 
-    def _entrywise(self, op, other: "RingMatrix") -> "RingMatrix":
+    def _addmul(self, c, other: "RingMatrix") -> "RingMatrix":
+        """self + c * other for a payload c."""
         self._check(other)
-        rows = zip(self.rows, other.rows)
-        return RingMatrix(self.ring, [[op(a, b) for a, b in zip(r1, r2)] for r1, r2 in rows])
+        addmul = self.ring._payload_addmul
+        return RingMatrix._from_payloads(self.ring, [addmul(a, c, b) for a, b in zip(self._rows, other._rows)], self.n)
 
     def __neg__(self):
-        R = self.ring
-        return RingMatrix(R, [[R.neg(a) for a in row] for row in self.rows])
+        neg = self.ring._payload_neg
+        return RingMatrix._from_payloads(self.ring, [{j: neg(x) for j, x in row.items()} for row in self._rows], self.n)
 
     def scale(self, c) -> "RingMatrix":
         R = self.ring
-        c = R.coerce(c)
-        return RingMatrix(R, [[R.mul(c, a) for a in row] for row in self.rows])
+        c = R.coerce(c).data
+        return RingMatrix._from_payloads(R, [R._payload_scale(c, row) for row in self._rows], self.n)
 
     def __matmul__(self, other: "RingMatrix") -> "RingMatrix":
         if other.ring != self.ring or self.n != other.m:
             raise DomainError("matmul shape/ring mismatch")
         R = self.ring
-        out = []
-        for i in range(self.m):
-            row = []
-            for j in range(other.n):
-                acc = R.zero
-                for t in range(self.n):
-                    acc = R.add(acc, R.mul(self.rows[i][t], other.rows[t][j]))
-                row.append(acc)
-            out.append(row)
-        return RingMatrix(R, out)
+        return RingMatrix._from_payloads(R, [_vector_times(R, row, other._rows) for row in self._rows], other.n)
 
     def transpose(self) -> "RingMatrix":
-        return RingMatrix(self.ring, list(zip(*self.rows)) if self.rows else [])
+        return RingMatrix._from_payloads(self.ring, _transposed(self._rows, self.n), self.m)
 
     def submatrix(self, rows, cols) -> "RingMatrix":
-        return RingMatrix(
-            self.ring, [[self.rows[i][j] for j in cols] for i in rows]
+        cols = [range(self.n)[j] for j in cols]
+        picked = [self._rows[i] for i in rows]
+        return RingMatrix._from_payloads(
+            self.ring, [{k: row[j] for k, j in enumerate(cols) if j in row} for row in picked], len(cols)
         )
 
     def vstack(self, other: "RingMatrix") -> "RingMatrix":
         if other.n != self.n:
             raise DomainError("vstack width mismatch")
-        return RingMatrix(self.ring, self.rows + other.rows)
+        return RingMatrix._from_payloads(self.ring, self._rows + other._rows, self.n)
 
     def mul_vector(self, v: Sequence[RingElement]) -> tuple[RingElement, ...]:
         """A @ v for a length-n column vector."""
-        R = self.ring
-        v = [R.coerce(x) for x in v]
-        if len(v) != self.n:
-            raise DomainError("vector length mismatch")
-        return tuple(
-            R.sum(R.mul(self.rows[i][t], v[t]) for t in range(self.n))
-            for i in range(self.m)
-        )
+        return self.transpose().vector_mul(v)
 
     def vector_mul(self, v: Sequence[RingElement]) -> tuple[RingElement, ...]:
         """v @ A for a length-m row vector."""
@@ -133,13 +142,11 @@ class RingMatrix:
         v = [R.coerce(x) for x in v]
         if len(v) != self.m:
             raise DomainError("vector length mismatch")
-        return tuple(
-            R.sum(R.mul(v[t], self.rows[t][j]) for t in range(self.m))
-            for j in range(self.n)
-        )
+        w = _vector_times(R, _sparse(v), self._rows)
+        return tuple(RingElement(R, w[j]) if j in w else R.zero for j in range(self.n))
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self.rows for x in row)
+        return not any(self._rows)
 
     def _check(self, other):
         if not isinstance(other, RingMatrix) or other.ring != self.ring:
@@ -148,10 +155,7 @@ class RingMatrix:
             raise DomainError("matrix shape mismatch")
 
     def __repr__(self):
-        body = "; ".join(
-            " ".join(self.ring.format_element(x) for x in row) for row in self.rows
-        )
-        return f"[{body}]"
+        return "[" + "; ".join(" ".join(map(self.ring.format_element, row)) for row in self.rows) + "]"
 
     def to_json(self):
         return {
@@ -215,10 +219,11 @@ class SmithDecomposition(_LazyTransforms):
     @cached_property
     def d(self) -> RingMatrix:
         m, n = self.shape
-        rows = [[self.ring.zero] * n for _ in range(m)]
+        rows = [{} for _ in range(m)]
         for i, x in enumerate(self.diag):
-            rows[i][i] = x
-        return RingMatrix(self.ring, rows)
+            if not x.is_zero():
+                rows[i][i] = x.data
+        return RingMatrix._from_payloads(self.ring, rows, n)
 
     def diagonal(self) -> tuple[RingElement, ...]:
         return self.diag
@@ -234,28 +239,18 @@ class HermiteDecomposition(_LazyTransforms):
     p_inv = _transform(1)
 
 
-def _payloads(A: RingMatrix) -> list[dict]:
-    """A's rows as sparse payload rows: column -> nonzero payload."""
-    zero = A.ring._zero_data
-    out = []
-    for row in A.rows:
-        d = {}
-        for j, e in enumerate(row):
-            if e.data != zero:
-                d[j] = e.data
-        out.append(d)
+def _sparse(v: Sequence[RingElement]) -> dict:
+    """The sparse payload row of the elements v."""
+    return {j: x.data for j, x in enumerate(v) if not x.is_zero()}
+
+
+def _vector_times(R: Ring, v: dict, rows: Sequence[dict]) -> dict:
+    """The sparse payload row v @ M for the sparse payload rows of M."""
+    addmul = R._payload_addmul
+    out: dict = {}
+    for t, c in v.items():
+        out = addmul(out, c, rows[t])
     return out
-
-
-def _boxed(R: ChainRing, rows: list[dict], n: int) -> RingMatrix:
-    """The m x n matrix of the sparse payload rows."""
-    out = []
-    for row in rows:
-        boxed = [R.zero] * n
-        for j, x in row.items():
-            boxed[j] = RingElement(R, x)
-        out.append(boxed)
-    return RingMatrix(R, out)
 
 
 def _transposed(rows: list[dict], n: int) -> list[dict]:
@@ -372,7 +367,7 @@ def smith_normal_form(A: RingMatrix) -> SmithDecomposition:
 
 def _chain_smith(A: RingMatrix) -> SmithDecomposition:
     R = A.ring
-    d = _payloads(A)
+    d = [dict(row) for row in A._rows]
     row_ops: list[tuple] = []
     col_ops: list[tuple] = []
     payload_smith(R, d, A.n, row_ops, col_ops)
@@ -381,10 +376,10 @@ def _chain_smith(A: RingMatrix) -> SmithDecomposition:
         u_t, u_inv = _row_transforms(R, row_ops, A.m)
         v_mat, v_inv_t = _row_transforms(R, col_ops, A.n)
         return (
-            _boxed(R, _transposed(u_t, A.m), A.m),
-            _boxed(R, v_mat, A.n),
-            _boxed(R, u_inv, A.m),
-            _boxed(R, _transposed(v_inv_t, A.n), A.n),
+            RingMatrix._from_payloads(R, _transposed(u_t, A.m), A.m),
+            RingMatrix._from_payloads(R, v_mat, A.n),
+            RingMatrix._from_payloads(R, u_inv, A.m),
+            RingMatrix._from_payloads(R, _transposed(v_inv_t, A.n), A.n),
         )
 
     diag = tuple(RingElement(R, d[i][i]) if i in d[i] else R.zero for i in range(min(A.m, A.n)))
@@ -446,14 +441,26 @@ def _join_hermite(ring: ProductRing, decs) -> HermiteDecomposition:
 
 def split_matrix(A: RingMatrix) -> list[RingMatrix]:
     """A's image in each CRT component of its ring; [A] over a chain ring."""
-    return crt_parts(A.ring, A, lambda idx, C: RingMatrix(C, [[x.data[idx] for x in row] for row in A.rows]))
+
+    def part(idx, C):
+        rows = [{j: x[idx].data for j, x in row.items() if not x[idx].is_zero()} for row in A._rows]
+        return RingMatrix._from_payloads(C, rows, A.n)
+
+    return crt_parts(A.ring, A, part)
 
 
 def join_matrices(ring: Ring, mats: Sequence[RingMatrix]) -> RingMatrix:
     """The matrix over ring whose CRT parts are mats; over a chain ring, mats[0]."""
 
     def join(mats):
-        return RingMatrix(ring, [[RingElement(ring, x) for x in zip(*rows)] for rows in zip(*(M.rows for M in mats))])
+        zeros = ring._zero_data  # the components' zero elements
+        rows = []
+        for parts in zip(*(M._rows for M in mats)):
+            row = {}
+            for j in sorted(set().union(*parts)):
+                row[j] = tuple(RingElement(C, p[j]) if j in p else z for C, p, z in zip(ring.components, parts, zeros))
+            rows.append(row)
+        return RingMatrix._from_payloads(ring, rows, mats[0].n)
 
     return crt_joined(ring, mats, join)
 
@@ -516,21 +523,21 @@ def hermite_form(A: RingMatrix) -> HermiteDecomposition:
 
 def _chain_hermite(A: RingMatrix) -> HermiteDecomposition:
     R = A.ring
-    d = _payloads(A)
+    d = [dict(row) for row in A._rows]
     ops: list[tuple] = []
     payload_echelon(R, d, ops)
 
     def transforms():
         p_t, p_inv = _row_transforms(R, ops, A.m)
-        return _boxed(R, _transposed(p_t, A.m), A.m), _boxed(R, p_inv, A.m)
+        return RingMatrix._from_payloads(R, _transposed(p_t, A.m), A.m), RingMatrix._from_payloads(R, p_inv, A.m)
 
-    return HermiteDecomposition(_boxed(R, d, A.n), transforms)
+    return HermiteDecomposition(RingMatrix._from_payloads(R, d, A.n), transforms)
 
 
 def reduced_row_echelon(A: RingMatrix) -> RingMatrix:
     """The echelon matrix with zero rows trimmed."""
     T = hermite_form(A).t
-    return RingMatrix(A.ring, [row for row in T.rows if any(not x.is_zero() for x in row)])
+    return RingMatrix._from_payloads(A.ring, [row for row in T._rows if row], A.n)
 
 
 def kernel(A: RingMatrix) -> list[tuple[RingElement, ...]]:
@@ -562,30 +569,28 @@ def _chain_kernel(A: RingMatrix) -> list[tuple[RingElement, ...]]:
             w = R.pow(R.pi_element, nu - e)
         else:
             w = R.one
-        vec = [R.zero] * A.n
-        vec[i] = w
-        gens.append(dec.v_inv.mul_vector(vec))
+        gens.append(dec.v_inv.mul_vector([w if j == i else R.zero for j in range(A.n)]))
     return gens
 
 
 def row_membership(B: RingMatrix, y: Sequence[RingElement]) -> bool:
     """Is y in the row span of B?  Over a PIR, in every CRT component."""
-    ys = crt_parts(B.ring, y, lambda idx, C: [x.data[idx] for x in y])
-    return all(_chain_row_membership(c, y) for c, y in zip(split_matrix(B), ys))
+    R = B.ring
+    y = [R.coerce(x) for x in y]
+    if len(y) != B.n:
+        raise DomainError("vector length mismatch")
+    ys = crt_parts(R, y, lambda idx, C: [x.data[idx] for x in y])
+    return all(_chain_row_membership(c, _sparse(y)) for c, y in zip(split_matrix(B), ys))
 
 
-def _chain_row_membership(B: RingMatrix, y: Sequence[RingElement]) -> bool:
+def _chain_row_membership(B: RingMatrix, y: dict) -> bool:
+    """Is the sparse payload row y in the row span of B?"""
     R = B.ring
     dec = smith_normal_form(B)
-    w = dec.v_inv.vector_mul(y)  # y @ v_inv
-    for i in range(B.n):
-        if i < min(B.m, B.n):
-            e = R.valuation(dec.diag[i])
-            if R.valuation(w[i]) < e:
-                return False
-        else:
-            if not w[i].is_zero():
-                return False
+    w = _vector_times(R, y, dec.v_inv._rows)  # y @ v_inv
+    for i, x in w.items():
+        if i >= min(B.m, B.n) or R._payload_valuation(x) < R.valuation(dec.diag[i]):
+            return False
     return True
 
 
@@ -612,9 +617,8 @@ def _chain_free_envelope(A: RingMatrix, r: int) -> RingMatrix:
     if not (rk <= r <= A.n):
         raise RankTooLarge(f"need rank(A) = {rk} <= r <= {A.n}, got r = {r}")
     dec = smith_normal_form(A)
-    B = RingMatrix(R, dec.v.rows[:r])
-    B = reduced_row_echelon(B)
-    if not (B.m == r and all(row_membership(B, row) for row in A.rows)):
+    B = reduced_row_echelon(RingMatrix._from_payloads(R, dec.v._rows[:r], A.n))
+    if not (B.m == r and all(_chain_row_membership(B, row) for row in A._rows)):
         raise InternalInvariant("free envelope does not contain row(A)")
     return B
 
@@ -637,42 +641,29 @@ def standard_form(Z: RingMatrix):
     n, w = Z.m, Z.n
     if not is_free_cols(Z):
         raise NotFree("columns of Z are linearly dependent")
-    # pick w rows whose submatrix is invertible: Gaussian pivoting mod pi
-    digits = [[R.teichmuller_digit(x) for x in row] for row in Z.rows]
+    # pick w rows whose submatrix is invertible: Gaussian pivoting mod pi,
+    # on Teichmüller payloads (Γ is closed under multiplication)
+    digit, add, mul, neg, zero = R._payload_digit, R._payload_add, R._payload_mul, R._payload_neg, R._zero_data
+    work = [[digit(row.get(c, zero)) for c in range(w)] for row in Z._rows]
     selected: list[int] = []
-    work = [row[:] for row in digits]
     for c in range(w):
-        pivot_row = None
-        for i in range(n):
-            if i in selected:
-                continue
-            if not work[i][c].is_zero():
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(n) if i not in selected and work[i][c] != zero), None)
         if pivot_row is None:
             raise NotFree("columns became dependent modulo pi")
         selected.append(pivot_row)
-        inv = up.residue_inv(R, work[pivot_row][c])
+        inv = R._payload_pow(work[pivot_row][c], R.q - 2)  # Γ* has order q - 1
         for i in range(n):
-            if i == pivot_row or work[i][c].is_zero():
-                continue
-            factor = R.mul(work[i][c], inv)
-            work[i] = [
-                up.residue_sub(R, a, R.mul(factor, b))
-                for a, b in zip(work[i], work[pivot_row])
-            ]
+            f = work[i][c]
+            if i != pivot_row and f != zero:
+                factor = mul(f, inv)
+                work[i] = [digit(add(a, neg(mul(factor, b)))) for a, b in zip(work[i], work[pivot_row])]
     selected_sorted = sorted(selected)
     rest = [i for i in range(n) if i not in selected]
     Q = Z.submatrix(selected_sorted, range(w))
     Q_inv = inverse(Q)
     Zp = Z.submatrix(rest, range(w)) @ Q_inv
-    perm_rows = []
     order = selected_sorted + rest
-    for i in range(n):
-        row = [R.zero] * n
-        row[order.index(i)] = R.one
-        perm_rows.append(row)
-    P = RingMatrix(R, perm_rows)
+    P = RingMatrix._from_payloads(R, [{order.index(i): R.one.data} for i in range(n)], n)
     return P, Zp, Q
 
 
@@ -694,25 +685,24 @@ def determinant(A: RingMatrix) -> RingElement:
     if A.m != A.n:
         raise DomainError("determinant of a non-square matrix")
     R = A.ring
-    n = A.n
-    from functools import lru_cache
+    add, mul, neg = R._payload_add, R._payload_mul, R._payload_neg
 
     @lru_cache(maxsize=None)
-    def minor(row: int, cols: tuple[int, ...]) -> RingElement:
+    def minor(row: int, cols: tuple[int, ...]):
+        """The payload of the minor of rows row.. in columns cols."""
         if not cols:
-            return R.one
-        acc = R.zero
+            return R.one.data
+        acc = R._zero_data
         sign = 1
         for idx, c in enumerate(cols):
-            entry = A.rows[row][c]
-            if not entry.is_zero():
-                sub = minor(row + 1, cols[:idx] + cols[idx + 1 :])
-                term = R.mul(entry, sub)
-                acc = R.add(acc, term if sign > 0 else R.neg(term))
+            entry = A._rows[row].get(c)
+            if entry is not None:
+                term = mul(entry, minor(row + 1, cols[:idx] + cols[idx + 1 :]))
+                acc = add(acc, term if sign > 0 else neg(term))
             sign = -sign
         return acc
 
-    return minor(0, tuple(range(n)))
+    return RingElement(R, minor(0, tuple(range(A.n))))
 
 
 def rank_distance(A: RingMatrix, B: RingMatrix) -> int:

@@ -74,26 +74,25 @@ class MinRankInstance:
         return self.m0 is None or self.m0.is_zero()
 
     def mx(self, x: Sequence[RingElement]) -> RingMatrix:
+        """M0 + sum x_l M_l, summed on the matrices' payload rows."""
         R = self.ring
-        x = [R.coerce(v) for v in x]
+        x = [R.coerce(v).data for v in x]
         if len(x) != self.k:
             raise DomainError("wrong number of coefficients")
-        acc = self.m0 if self.m0 is not None else RingMatrix.zeros(R, *self.shape)
+        m, n = self.shape
+        rows = list(self.m0._rows) if self.m0 is not None else [{}] * m
         for v, M in zip(x, self.matrices):
-            acc = acc + M.scale(v)
-        return acc
+            rows = [R._payload_addmul(a, v, b) for a, b in zip(rows, M._rows)]
+        return RingMatrix._from_payloads(R, rows, n)
 
     def is_solution(self, x: Sequence[RingElement]) -> bool:
         return rank(self.mx(x)) <= self.r
 
     def to_json(self):
-        def rows(M: RingMatrix):
-            return [[self.ring.element_to_json(v) for v in row] for row in M.rows]
-
-        matrices = [rows(M) for M in self.matrices]
+        matrices = [M.to_json()["data"] for M in self.matrices]
         out = {"ring": self.ring.to_json(), "r": self.r, "matrices": matrices}
         if self.m0 is not None:
-            out["m0"] = rows(self.m0)
+            out["m0"] = self.m0.to_json()["data"]
         return out
 
     @classmethod
@@ -142,13 +141,12 @@ def _mx_table(inst: MinRankInstance) -> list[list[list]]:
     ring and of the lex ring in x alone, so their packed monomials are the
     same in all of them, and one table serves every model of the
     instance."""
-    zero = inst.ring._zero_data
     x_gens = lex_ring(inst.ring, _x_names(inst.k))._gens
     mats = list(inst.matrices) + ([inst.m0] if inst.m0 is not None else [])
     monos = list(x_gens) + ([0] if inst.m0 is not None else [])
     m, n = inst.shape
     return [
-        [[(xm, c) for xm, M in zip(monos, mats) if (c := M.rows[i][t].data) != zero] for t in range(n)]
+        [[(xm, c) for xm, M in zip(monos, mats) if (c := M._rows[i].get(t)) is not None] for t in range(n)]
         for i in range(m)
     ]
 
@@ -295,13 +293,13 @@ def sm_linearization_matrix(inst: MinRankInstance):
         col.update({z + gens[x]: J * k + l for l, x in enumerate(model.x_vars)})
     monos, rows = macaulay_rows(model.equations, [0])
     width = k * len(subsets) + (0 if inst.homogeneous else len(subsets))
-    out = [[R.zero] * width for _ in rows]
+    out = [{} for _ in rows]
     for e, payloads in enumerate(rows):
         b, i = divmod(e, m)  # the model's rows run over ((r+1)-subset b, row i)
         row = out[i * (len(rows) // m) + b]
         for j, c in payloads.items():
-            row[col[monos[j]]] = RingElement(R, c)
-    return RingMatrix(R, out), subsets
+            row[col[monos[j]]] = c
+    return RingMatrix._from_payloads(R, out, width), subsets
 
 
 # -- solvers ---------------------------------------------------------------------

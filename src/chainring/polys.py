@@ -44,9 +44,6 @@ class MonomialOrder:
         total = sum(exps)
         return (total,) + tuple(-exps[i] for i in reversed(self.priority))
 
-    def greater(self, a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-        return self.key(a) > self.key(b)
-
     def __eq__(self, other):
         return (
             isinstance(other, MonomialOrder)

@@ -25,6 +25,7 @@ from .errors import DomainError, Inconclusive, NoSolution, ParseError, ResourceE
 from .extension import (
     GaloisExtension,
     ProductExtension,
+    _coordinate_rows,
     extension_from_json,
     payload_vector_rank,
 )
@@ -138,18 +139,16 @@ def generator_from_json(S: Ring, value) -> tuple[tuple[RingElement, ...], ...]:
 def to_minrank(rd: RankDecodingInstance) -> MinRankInstance:
     """M0 = rep(-y), M_(i,u) = rep(alpha^u * g_i), with rep the
     coordinate matrix of matrix_representation; x-coordinates recombine as
-    x_i = sum_u x_(i,u) alpha^u.  Computed on payloads and boxed once, as
-    the matrices are built."""
+    x_i = sum_u x_(i,u) alpha^u.  Computed on payloads; nothing is boxed."""
     S = rd.ext
     if isinstance(S, ProductExtension):
         raise DomainError("split product instances before the MinRank reduction")
     base = S.base
-    mul, coords = S._payload_mul, S._coords
+    mul = S._payload_mul
     alpha_pows = [S._payload_pow(S.alpha.data, u) for u in range(S.degree)]
 
     def rep(payloads) -> RingMatrix:
-        cols = [coords(v) for v in payloads]
-        return RingMatrix(base, [[RingElement(base, c[t]) for c in cols] for t in range(S.degree)])
+        return RingMatrix._from_payloads(base, _coordinate_rows(S, payloads), len(payloads))
 
     mats = tuple(rep([mul(a, g.data) for g in row]) for row in rd.generator for a in alpha_pows)
     m0 = rep([S._payload_neg(v.data) for v in rd.received])
@@ -291,7 +290,7 @@ def key_equation_model(rd: RankDecodingInstance) -> KeyEquationSystem:
 def linearization_matrix(rd: RankDecodingInstance) -> RingMatrix:
     """Columns -sigma^0(y^T) .. -sigma^(r-1)(y^T) | sigma^0(G^T) ..
     sigma^r(G^T) | -sigma^r(y^T), one row per code position.  Computed on
-    payloads (Frobenius through the ring's sigma matrices) and boxed once."""
+    payloads (Frobenius through the ring's sigma matrices); nothing is boxed."""
     S: GaloisExtension = rd.ext
     r = rd.radius
     frob, neg = S._payload_frobenius, S._payload_neg
@@ -302,7 +301,9 @@ def linearization_matrix(rd: RankDecodingInstance) -> RingMatrix:
     cols = [neg_y(l) for l in range(r)]
     cols += [[frob(v.data, l) for v in row] for l in range(r + 1) for row in rd.generator]
     cols.append(neg_y(r))
-    return RingMatrix(S, [[RingElement(S, col[j]) for col in cols] for j in range(rd.n)])
+    zero = S._zero_data
+    rows = [{c: col[j] for c, col in enumerate(cols) if col[j] != zero} for j in range(rd.n)]
+    return RingMatrix._from_payloads(S, rows, len(cols))
 
 
 def solve_key_linearization(rd: RankDecodingInstance) -> tuple[RingElement, ...]:
@@ -312,22 +313,20 @@ def solve_key_linearization(rd: RankDecodingInstance) -> tuple[RingElement, ...]
     r = rd.radius
     k = rd.k
     A = linearization_matrix(rd)
-    T = hermite_form(A).t
+    T = hermite_form(A).t._rows
     top = r * (k + 1)
     width = (k + 1) * (r + 1)
-    if A.n != width or T.m < top + k:
+    if A.n != width or len(T) < top + k:
         raise Inconclusive("not enough rows for the block shape")
     for i in range(k):
-        row = T.rows[top + i]
-        if any(not v.is_zero() for v in row[:top]):
+        row = T[top + i]
+        if min(row, default=top) < top:
             raise Inconclusive("T3 block not isolated")
-        for j in range(k):
-            if row[top + j] != (S.one if i == j else S.zero):
-                raise Inconclusive("T3 block is not (I | b)")
-    for i in range(top + k, T.m):
-        if any(not v.is_zero() for v in T.rows[i]):
-            raise Inconclusive("nonzero rows below the block")
-    b = [T.rows[top + i][width - 1] for i in range(k)]
+        if {j: v for j, v in row.items() if j < top + k} != {top + i: S.one.data}:
+            raise Inconclusive("T3 block is not (I | b)")
+    if any(T[top + k :]):
+        raise Inconclusive("nonzero rows below the block")
+    b = [RingElement(S, T[top + i].get(width - 1, S._zero_data)) for i in range(k)]
     x = tuple(S.neg(S.frobenius(v, -r)) for v in b)
     if not rd.check(x):
         raise Inconclusive("linearization candidate fails the rank bound")

@@ -143,14 +143,15 @@ class Ring:
         raise NotImplementedError
 
     # -- payload arithmetic ---------------------------------------------------
-    # polys and linalg compute on RingElement.data and box only at their
-    # boundary.  Every ring's _payload_add, _payload_mul and _payload_neg are
-    # its arithmetic, and its element methods box the results.  A payload is
-    # an int over Zpk, and over a coordinate ring (a Galois ring or a local
-    # ring) the base payloads of its coordinates as digits of one int, with
-    # flat operation tables below _OP_TABLE_CAP (CoordinateRing); over a
-    # product ring it is the tuple of the components' elements.  Zero is
-    # _zero_data.
+    # polys and linalg compute on RingElement.data: a polynomial
+    # (polys.MultiPoly) stores payload terms and a matrix (linalg.RingMatrix)
+    # sparse payload rows, and each boxes only at its public edge.  Every
+    # ring's _payload_add, _payload_mul and _payload_neg are its arithmetic,
+    # and its element methods box the results.  A payload is an int over Zpk,
+    # and over a coordinate ring (a Galois ring or a local ring) the base
+    # payloads of its coordinates as digits of one int, with flat operation
+    # tables below _OP_TABLE_CAP (CoordinateRing); over a product ring it is
+    # the tuple of the components' elements.  Zero is _zero_data.
 
     def _payload_pow(self, x, e: int):
         """x^e for e >= 0."""
@@ -162,6 +163,34 @@ class Ring:
             if e:
                 x = self._payload_mul(x, x)
         return result
+
+    # A sparse row maps each column of a nonzero entry to its payload.  These
+    # row operations serve the matrices over every ring; Zpk overrides them
+    # with native ints.
+
+    def _payload_scale(self, u, row: dict) -> dict:
+        """u * row, as a new sparse row."""
+        mul, zero = self._payload_mul, self._zero_data
+        out = {}
+        for j, a in row.items():
+            x = mul(u, a)
+            if x != zero:
+                out[j] = x
+        return out
+
+    def _payload_addmul(self, row_i: dict, c, row_j: dict) -> dict:
+        """row_i + c * row_j, as a new sparse row; the loop walks row_j's
+        entries only."""
+        add, mul, zero = self._payload_add, self._payload_mul, self._zero_data
+        out = dict(row_i)
+        get = out.get
+        for j, b in row_j.items():
+            x = add(get(j, zero), mul(c, b))
+            if x != zero:
+                out[j] = x
+            else:
+                out.pop(j, None)
+        return out
 
     # The evaluation kernels of the solver's lift and re-verification.  A
     # compiled polynomial (polys.compile_polys) is a list of terms (payload,
@@ -592,32 +621,6 @@ class ChainRing(Ring):
                 yield tuple(z)
 
         return solve
-
-    # A sparse row maps each column of a nonzero entry to its payload.
-
-    def _payload_scale(self, u, row: dict) -> dict:
-        """u * row, as a new sparse row."""
-        mul, zero = self._payload_mul, self._zero_data
-        out = {}
-        for j, a in row.items():
-            x = mul(u, a)
-            if x != zero:
-                out[j] = x
-        return out
-
-    def _payload_addmul(self, row_i: dict, c, row_j: dict) -> dict:
-        """row_i + c * row_j, as a new sparse row; the loop walks row_j's
-        entries only."""
-        add, mul, zero = self._payload_add, self._payload_mul, self._zero_data
-        out = dict(row_i)
-        get = out.get
-        for j, b in row_j.items():
-            x = add(get(j, zero), mul(c, b))
-            if x != zero:
-                out[j] = x
-            else:
-                out.pop(j, None)
-        return out
 
 
 class Zpk(ChainRing):

@@ -516,13 +516,13 @@ def test_echelon_reads_no_zero_entry(z8, gr42, monkeypatch):
         monkeypatch.setattr(ring, "_payload_addmul", counted_addmul)
         for m, n, density in ((12, 10, 0.15), (8, 14, 0.3), (5, 5, 0.9)):
             A = sparse_matrix(ring, m, n, density, rng)
-            d = linalg._payloads(A)
+            d = [dict(row) for row in A._rows]
             ops = []
             updates.clear()
             linalg.payload_echelon(ring, d, ops)
             assert all(zero not in row.values() for row in d)
             assert len(updates) == sum(1 for _, j, c in ops if j is not None and c is not None)
-            assert linalg._boxed(ring, d, n) == hermite_form(A).t
+            assert RingMatrix._from_payloads(ring, d, n) == hermite_form(A).t
         monkeypatch.undo()
 
 
@@ -535,10 +535,130 @@ def test_echelon_reduce_from_changes_only_earlier_pivot_rows(z8, gr42):
     for ring in (z8, gr42):
         for m, n, density in ((12, 10, 0.2), (9, 12, 0.35), (6, 6, 0.8)):
             A = sparse_matrix(ring, m, n, density, rng)
-            full = linalg._payloads(A)
+            full = [dict(row) for row in A._rows]
             linalg.payload_echelon(ring, full)
             for k in range(n + 1):
-                part = linalg._payloads(A)
+                part = [dict(row) for row in A._rows]
                 linalg.payload_echelon(ring, part, reduce_from=k)
                 assert [min(r, default=None) for r in part] == [min(r, default=None) for r in full]
                 assert [r for r in part if r and min(r) >= k] == [r for r in full if r and min(r) >= k]
+
+
+# -- the payload-row storage against its boxed definitions ----------------------------
+
+LOCAL_CUBIC = Path(__file__).resolve().parent.parent / "instances" / "local_cubic.json"
+
+
+def storage_ring(name):
+    from chainring.localring import presentation_from_json
+
+    if name == "local":
+        return presentation_from_json(json.loads(LOCAL_CUBIC.read_text())["ring"])
+    if name.startswith("gr"):
+        return galois_ring(2, *{"gr42": (2, 2), "gr83": (3, 3)}[name])
+    return integer_ring(int(name[1:]))
+
+
+STORAGE_RINGS = ("z4", "z8", "z9", "gr42", "gr83", "z6", "z12", "local")
+
+
+def test_storage_rings_cover_a_ring_without_operation_tables():
+    assert storage_ring("gr83")._mul_table is None and storage_ring("gr42")._mul_table is not None
+
+
+def boxed_matrix(R, m, n, rng, elems):
+    """An m x n matrix with about half its entries zero, and its entries."""
+    rows = [[rng.choice(elems) if rng.random() < 0.5 else R.zero for _ in range(n)] for _ in range(m)]
+    A = RingMatrix(R, rows) if m else RingMatrix.zeros(R, 0, n)
+    return A, rows
+
+
+def assert_matrix(M, R, rows, m, n):
+    assert (M.ring, M.m, M.n) == (R, m, n)
+    assert [list(row) for row in M.rows] == rows
+    assert all(M[i, j] == rows[i][j] for i in range(m) for j in range(n))
+
+
+@pytest.mark.parametrize("name", STORAGE_RINGS)
+def test_matrix_operations_match_their_boxed_definitions(name):
+    R = storage_ring(name)
+    rng = random.Random(STORAGE_RINGS.index(name))
+    elems = [x for x in R.elements() if not x.is_zero()]
+    if len(elems) > 64:
+        elems = rng.sample(elems, 64)
+    for _ in range(40):
+        m, n, p = (rng.randrange(4) for _ in range(3))
+        A, a = boxed_matrix(R, m, n, rng, elems)
+        B, b = boxed_matrix(R, m, n, rng, elems)
+        C, c = boxed_matrix(R, n, p, rng, elems)
+        D, d = boxed_matrix(R, rng.randrange(3), n, rng, elems)
+        s = rng.choice(elems)
+        for op, M in ((R.add, A + B), (R.sub, A - B)):
+            assert_matrix(M, R, [[op(x, y) for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)], m, n)
+        assert_matrix(-A, R, [[R.neg(x) for x in row] for row in a], m, n)
+        assert_matrix(A.scale(s), R, [[R.mul(s, x) for x in row] for row in a], m, n)
+        product = [[R.sum(R.mul(a[i][t], c[t][j]) for t in range(n)) for j in range(p)] for i in range(m)]
+        assert_matrix(A @ C, R, product, m, p)
+        assert_matrix(A.transpose(), R, [[a[i][j] for i in range(m)] for j in range(n)], n, m)
+        assert A.transpose().transpose() == A
+        picked_rows = [rng.randrange(m) for _ in range(rng.randrange(3))] if m else []
+        picked_cols = [rng.randrange(n) for _ in range(rng.randrange(3))] if n else []
+        sub = [[a[i][j] for j in picked_cols] for i in picked_rows]
+        assert_matrix(A.submatrix(picked_rows, picked_cols), R, sub, len(picked_rows), len(picked_cols))
+        assert_matrix(A.vstack(D), R, a + d, m + D.m, n)
+        u = [rng.choice(elems) for _ in range(n)]
+        w = [rng.choice(elems) for _ in range(m)]
+        assert A.mul_vector(u) == tuple(R.sum(R.mul(a[i][t], u[t]) for t in range(n)) for i in range(m))
+        assert A.vector_mul(w) == tuple(R.sum(R.mul(w[t], a[t][j]) for t in range(m)) for j in range(n))
+        assert A.is_zero() == all(x.is_zero() for row in a for x in row)
+        assert (A == B) == (a == b)
+        # equal matrices built by other routes are equal and hash alike
+        for twin in (A + RingMatrix.zeros(R, m, n), A.scale(1), -(-A)):
+            assert twin == A and hash(twin) == hash(A)
+        if m:
+            assert RingMatrix(R, A.rows) == A and hash(RingMatrix(R, A.rows)) == hash(A)
+        assert (RingMatrix.zeros(R, m, n + 1) == RingMatrix.zeros(R, m, n)) is False
+
+
+@pytest.mark.parametrize("name", STORAGE_RINGS)
+def test_matrix_json_roundtrip_over_every_ring_kind(name):
+    R = storage_ring(name)
+    rng = random.Random(70 + STORAGE_RINGS.index(name))
+    elems = list(R.elements())
+    for m, n in ((1, 1), (2, 3), (3, 2), (2, 0)):
+        A = RingMatrix(R, [[rng.choice(elems) for _ in range(n)] for _ in range(m)])
+        # the local ring's descriptor names no ring kind ring_from_json reads
+        ring = R if name == "local" else None
+        assert RingMatrix.from_json(json.loads(json.dumps(A.to_json())), ring) == A
+
+
+@pytest.mark.parametrize("name", [name for name in STORAGE_RINGS if name != "local"])
+def test_kernels_leave_their_input_rows_unchanged(name):
+    R = storage_ring(name)
+    rng = random.Random(90 + STORAGE_RINGS.index(name))
+    elems = [x for x in R.elements() if not x.is_zero()]
+    if len(elems) > 64:
+        elems = rng.sample(elems, 64)
+    for _ in range(12):
+        m, n = rng.randrange(1, 5), rng.randrange(1, 5)
+        A, _ = boxed_matrix(R, m, n, rng, elems)
+        before = [dict(row) for row in A._rows]
+        dec, herm = smith_normal_form(A), hermite_form(A)
+        # the transforms replay the logged operations on fresh rows
+        assert dec.u @ dec.d @ dec.v == A and herm.p @ herm.t == A
+        kernel(A)
+        free_envelope(A, rank(A))
+        assert list(A._rows) == before
+
+
+def test_empty_dimensions_keep_their_shape(z8):
+    assert (RingMatrix.zeros(z8, 0, 3).m, RingMatrix.zeros(z8, 0, 3).n) == (0, 3)
+    assert (RingMatrix(z8, []).m, RingMatrix(z8, []).n) == (0, 0)
+    # the transpose of a square free B's 3 x 0 parity check is 0 x 3
+    Z = parity_check(RingMatrix.identity(z8, 3))
+    assert ((Z.m, Z.n), (Z.transpose().m, Z.transpose().n)) == ((3, 0), (0, 3))
+    assert RingMatrix.zeros(z8, 2, 0) != RingMatrix.zeros(z8, 2, 3)
+    for m, k, n in itertools.product(range(3), repeat=3):
+        A = RingMatrix.zeros(z8, m, k)
+        assert A.transpose().transpose() == A and (A.transpose().m, A.transpose().n) == (k, m)
+        assert A @ RingMatrix.zeros(z8, k, n) == RingMatrix.zeros(z8, m, n)
