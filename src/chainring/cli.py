@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import localring as localring_mod
-from .errors import ChainRingError, ParseError
+from .errors import ChainRingError, NotChainRing, ParseError
 from .extension import extension_from_json
 from .groebner import buchberger, verify_groebner
 from .linalg import RingMatrix, rank, rank_profile, smith_normal_form
@@ -98,6 +98,8 @@ def _system_from_json(
         ring = ring_from_json(obj["ring"])
     else:
         raise ParseError("no ring given (use --ring or a 'ring' field)")
+    if isinstance(ring, localring_mod.LocalRingPresentation):
+        raise NotChainRing(f"{ring} is a local ring, not a chain ring or product of them: use solve-local")
     variables = vars_spec.split(",") if vars_spec else _names(obj.get("vars", []), "vars")
     if not variables:
         raise ParseError("system file needs a 'vars' list (or pass --vars)")

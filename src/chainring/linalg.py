@@ -7,8 +7,12 @@ rings split into CRT components and join (split_matrix, join_matrices).
 
 A RingMatrix stores sparse payload rows, the form the elimination kernels
 (payload_echelon, payload_smith) work on, and boxes entries only at its
-public edge; the kernels work in place on a copy of a matrix's rows, and
-their results are matrices on the rows they leave.
+public edge.  The kernels work in place: they may update the row dicts
+they are given as well as the list, so a caller passes rows it owns.  The
+decompositions run them on a copy of a matrix's rows, and their results
+are matrices on the rows they leave.  Each ring kind runs its own kernels
+(ChainRing's on payload operations, Zpk's on native ints; see
+_elimination), with the same pivots and operation logs.
 """
 
 from __future__ import annotations
@@ -26,7 +30,17 @@ from .errors import (
     ParseError,
     RankTooLarge,
 )
-from .rings import ChainRing, ProductRing, Ring, RingElement, crt_apply, crt_joined, crt_parts, ring_from_json
+from .rings import (
+    ChainRing,
+    ProductRing,
+    Ring,
+    RingElement,
+    _int_field,
+    crt_apply,
+    crt_joined,
+    crt_parts,
+    ring_from_json,
+)
 
 
 class RingMatrix:
@@ -34,8 +48,8 @@ class RingMatrix:
 
     _rows holds one sparse payload row per row, a dict from the column of
     each nonzero entry to its payload: the form payload_echelon and
-    payload_smith work on, in place, so a kernel copies the rows it is
-    given.  rows is their boxed view, tuples of RingElements, built on
+    payload_smith work on, in place, so a decomposition runs them on a
+    copy.  rows is their boxed view, tuples of RingElements, built on
     first read (or kept from the constructor, which is given it).
     """
 
@@ -180,6 +194,12 @@ class RingMatrix:
         if ring is None:
             ring = ring_from_json(obj["ring"])
         mat = cls.from_json_rows(ring, obj["data"], "data")
+        if not mat.m and "cols" in obj:
+            # no row to read the width from
+            n = _int_field(obj, "cols")
+            if n < 0:
+                raise ParseError(f"field 'cols' must not be negative, got {n}")
+            mat = cls.zeros(ring, 0, n)
         if "rows" in obj and (mat.m, mat.n) != (obj["rows"], obj["cols"]):
             raise ParseError("matrix shape does not match declared rows/cols")
         return mat
@@ -287,78 +307,6 @@ def _row_transforms(R: ChainRing, ops: list[tuple], m: int) -> tuple[list[dict],
     return left_out_t, left
 
 
-def _min_valuation_row(R, d, t, c):
-    """(v, i) with i the first row from t on whose entry in column c has
-    the least valuation v, or None if none of them holds column c."""
-    val = R._payload_valuation
-    best = None
-    for i in range(t, len(d)):
-        x = d[i].get(c)
-        if x is not None:
-            v = val(x)
-            if v == 0:
-                return (0, i)
-            if best is None or v < best[0]:
-                best = (v, i)
-    return best
-
-
-def _min_valuation_entry(R, d, t):
-    """(v, i, j) minimal over the entries d[i][j] with i, j >= t, or None
-    if there are none."""
-    val = R._payload_valuation
-    best = None
-    for i in range(t, len(d)):
-        for j, x in d[i].items():
-            if j >= t:
-                key = (val(x), i, j)
-                if key == (0, i, t):
-                    return key  # the first row to hold a unit holds it first
-                if best is None or key < best:
-                    best = key
-        if best is not None and best[0] == 0:
-            return best  # no later row beats a unit
-    return best
-
-
-def _swap(rows, ops, i, j):
-    if i != j:
-        rows[i], rows[j] = rows[j], rows[i]
-        if ops is not None:
-            ops.append((i, j, None))
-
-
-def _make_pivot(R, d, ops, t, c, v):
-    """Scale row t so that d[t][c], of valuation v, becomes pi^v, and clear
-    the column below it; every entry of those rows has valuation >= v."""
-    u = R._payload_invert(R._payload_quo_pi(d[t][c], v))
-    if u != R.one.data:
-        d[t] = R._payload_scale(u, d[t])
-        if ops is not None:
-            ops.append((t, None, u))
-    if t + 1 < len(d):
-        _reduce_rows(R, d, ops, range(t + 1, len(d)), t, c, v)
-
-
-def _reduce_rows(R, d, ops, rows, t, c, v):
-    """Subtract from each row i in rows that holds column c the multiple of
-    the pivot row t (pivot pi^v in column c) that leaves d[i][c] at its
-    canonical residue mod pi^v, which is zero when d[i][c] has valuation
-    >= v.  A row without column c is not touched."""
-    quo, neg, addmul, zero = R._payload_quo_pi, R._payload_neg, R._payload_addmul, R._zero_data
-    pivot = d[t]
-    for i in rows:
-        x = d[i].get(c)
-        if x is None:
-            continue
-        q = quo(x, v)
-        if q != zero:
-            coeff = neg(q)
-            d[i] = addmul(d[i], coeff, pivot)
-            if ops is not None:
-                ops.append((i, t, coeff))
-
-
 def smith_normal_form(A: RingMatrix) -> SmithDecomposition:
     """A = U @ D @ V with D diagonal pi^{e_1} | pi^{e_2} | ...; pivots chosen
     at minimal valuation; componentwise over PIRs."""
@@ -394,32 +342,13 @@ def payload_smith(
     the number of nonzero diagonal entries: the rank.  Given lists, append
     the row operations to row_ops and the column operations to col_ops,
     each logged as the row operation it is on d's transpose, so that
-    replaying col_ops gives V and the transpose of V^-1."""
-    for t in range(min(len(d), n)):
-        found = _min_valuation_entry(R, d, t)
-        if found is None:
-            return t
-        v, i, j = found
-        _swap(d, row_ops, t, i)
-        if t != j:
-            # a row above t holds only its own pivot column
-            for row in d[t:]:
-                a, b = row.pop(t, None), row.pop(j, None)
-                if b is not None:
-                    row[t] = b
-                if a is not None:
-                    row[j] = a
-            if col_ops is not None:
-                col_ops.append((t, j, None))
-        _make_pivot(R, d, row_ops, t, t, v)
-        # column t is now pi^v at row t and zero elsewhere, and row t is zero
-        # before it, so adding c * column t to column j only clears d[t][j]
-        if col_ops is not None:
-            for j2 in sorted(d[t]):
-                if j2 != t:
-                    col_ops.append((j2, t, R._payload_neg(R._payload_quo_pi(d[t][j2], v))))
-        d[t] = {t: d[t][t]}
-    return min(len(d), n)
+    replaying col_ops gives V and the transpose of V^-1.
+
+    The kernel may update the row dicts of d as well as the list, so a
+    caller passes rows it owns."""
+    if not isinstance(R, ChainRing):
+        raise NotChainRing("Smith form requires a chain ring or product of them")
+    return R._payload_smith(d, n, row_ops, col_ops)
 
 
 def _joined_transforms(ring: ProductRing, decs: list) -> Callable[[], tuple[RingMatrix, ...]]:
@@ -486,6 +415,9 @@ def payload_echelon(R: Ring, d: list[dict], ops: list | None = None, reduce_from
     a list ops, append to it the row operations that did so, logged as
     _row_transforms reads them.
 
+    The kernel may update the row dicts of d as well as the list, so a
+    caller passes rows it owns.
+
     Only nonzero entries are touched: the pivot search reads the rows that
     hold the column, a pivot clears only the rows with a nonzero entry in
     its column, and a row update walks the pivot row's entries.
@@ -496,22 +428,7 @@ def payload_echelon(R: Ring, d: list[dict], ops: list | None = None, reduce_from
     that column on (the x-only rows of a Macaulay matrix) skips that work."""
     if not isinstance(R, ChainRing):
         raise NotChainRing("Hermite form requires a chain ring or product of them")
-    t = top = 0
-    # fill-in only reaches columns the pivot row holds, so no other appears
-    for c in sorted({j for row in d for j in row}):
-        found = _min_valuation_row(R, d, t, c)
-        if found is None:
-            continue
-        v, i = found
-        _swap(d, ops, t, i)
-        _make_pivot(R, d, ops, t, c, v)
-        if c < reduce_from:
-            top = t + 1
-        elif top < t:
-            _reduce_rows(R, d, ops, range(top, t), t, c, v)
-        t += 1
-        if t == len(d):
-            break
+    R._payload_echelon(d, ops, reduce_from)
 
 
 def hermite_form(A: RingMatrix) -> HermiteDecomposition:

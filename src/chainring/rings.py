@@ -11,6 +11,7 @@ import itertools
 import math
 from typing import Iterable, Iterator, Sequence
 
+from . import _elimination
 from .errors import (
     BadGenerator,
     ComponentMismatch,
@@ -622,6 +623,12 @@ class ChainRing(Ring):
 
         return solve
 
+    # The sparse elimination kernels behind linalg.payload_echelon and
+    # linalg.payload_smith, which state their contract; Zpk overrides both
+    # with native ints mod p^k (see _elimination).
+    _payload_echelon = _elimination.echelon
+    _payload_smith = _elimination.smith
+
 
 class Zpk(ChainRing):
     """The ring of integers modulo p^k.  Element payload: int in [0, p^k)."""
@@ -804,6 +811,9 @@ class Zpk(ChainRing):
             else:
                 out.pop(j, None)
         return out
+
+    _payload_echelon = _elimination.zpk_echelon
+    _payload_smith = _elimination.zpk_smith
 
     def reduce_mod_pi_power(self, a, e):
         return RingElement(self, a.data % self.p**e)
@@ -1289,7 +1299,9 @@ def _extension_ring(obj, extend, join) -> Ring:
     component C of the base, joined by join over a product base.  modulus
     is C's JSON modulus (a product base lists one per component) and m the
     "m" field, each None where absent."""
-    base = ring_from_json(obj["base"])  # a chain ring or a product of them
+    base = ring_from_json(obj["base"])
+    if not isinstance(base, (ChainRing, ProductRing)):
+        raise ParseError(f"an extension base must be a chain ring or a product of them, got {base}")
     m = _int_field(obj, "m") if "m" in obj else None
     comps = crt_parts(base, base, lambda idx, C: C)
     mods = obj.get("modulus")
@@ -1329,6 +1341,10 @@ def ring_from_json(obj) -> Ring:
         return _of_degree(ExtensionChainRing(base, _modulus_from_json(obj["modulus"], base)), "r", r)
     if kind == "product":
         return ProductRing([ring_from_json(c) for c in _as_list(obj["components"], "components")])
+    if kind == "local":
+        from .localring import presentation_from_json  # localring imports this module
+
+        return presentation_from_json(obj)
     raise ParseError(f"unknown ring kind {kind!r}")
 
 

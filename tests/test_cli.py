@@ -976,3 +976,26 @@ def test_an_oversized_extension_is_refused_at_once(tmp_path):
     assert (done.returncode, done.stderr) == (1, "")
     message = "the degree-64 extension of Z4 has a residue field above 2^10 elements"
     assert json.loads(done.stdout) == {"error": {"message": message, "type": "TooLarge"}}
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["gb"], ["solve", "--method", "lifting"]], ids=["solve", "gb", "lifting"])
+def test_a_local_ring_system_is_pointed_to_solve_local(argv):
+    # the local kind was refused as an unknown ring kind; it is read now,
+    # and the chain-ring commands name the command that solves over it
+    done = subprocess.run(
+        [sys.executable, "-m", "chainring.cli", *argv, "instances/local_cubic.json"],
+        cwd=REPO, env=cli_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (1, "")
+    error = json.loads(done.stdout)["error"]
+    assert error["type"] == "NotChainRing" and "solve-local" in error["message"]
+
+
+def test_a_local_ring_is_no_extension_base(capsys, tmp_path):
+    # a local base reached the extension's constructor, an AttributeError
+    ext = write(tmp_path, "ext.json", {"base": LOCAL, "m": 2})
+    gen = write(tmp_path, "gen.json", [[[1, 0], [0, 1]]])
+    rec = write(tmp_path, "rec.json", [[1, 0], [0, 1]])
+    code, out = run_cli(capsys, "rank-decode", "--extension", ext, "--generator", gen, "--received", rec, "--radius", "1")
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ParseError"

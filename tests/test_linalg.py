@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from chainring.errors import DomainError, NotChainRing, NotFree, NotInvertible, RankTooLarge
+from chainring.errors import DomainError, NotChainRing, NotFree, NotInvertible, ParseError, RankTooLarge
 from chainring.linalg import (
     RingMatrix,
     determinant,
@@ -25,7 +25,7 @@ from chainring.linalg import (
     standard_form,
 )
 from chainring.oracles import brute_rank, module_elements
-from chainring.rings import Zpk, galois_ring, integer_ring
+from chainring.rings import ChainRing, Zpk, galois_ring, integer_ring
 
 
 def rand_matrix(ring, m, n, rng):
@@ -493,9 +493,10 @@ def sparse_matrix(ring, m, n, density, rng):
 
 
 def test_echelon_reads_no_zero_entry(z8, gr42, monkeypatch):
-    """The sparse kernel takes no quotient of a zero entry, so no row is
-    reduced for a zero pivot-column entry, and it logs one operation per
-    row update; its rows agree with hermite_form's T."""
+    """ChainRing's sparse kernel takes no quotient of a zero entry, so no
+    row is reduced for a zero pivot-column entry, and it logs one operation
+    per row update; its rows agree with hermite_form's T.  Zpk's native
+    kernel, which calls no payload operation, leaves the same rows and log."""
     import chainring.linalg as linalg
 
     rng = random.Random(41)
@@ -519,10 +520,13 @@ def test_echelon_reads_no_zero_entry(z8, gr42, monkeypatch):
             d = [dict(row) for row in A._rows]
             ops = []
             updates.clear()
-            linalg.payload_echelon(ring, d, ops)
+            ChainRing._payload_echelon(ring, d, ops)
             assert all(zero not in row.values() for row in d)
             assert len(updates) == sum(1 for _, j, c in ops if j is not None and c is not None)
             assert RingMatrix._from_payloads(ring, d, n) == hermite_form(A).t
+            own, own_ops = [dict(row) for row in A._rows], []
+            linalg.payload_echelon(ring, own, own_ops)
+            assert (own, own_ops) == (d, ops)
         monkeypatch.undo()
 
 
@@ -542,6 +546,56 @@ def test_echelon_reduce_from_changes_only_earlier_pivot_rows(z8, gr42):
                 linalg.payload_echelon(ring, part, reduce_from=k)
                 assert [min(r, default=None) for r in part] == [min(r, default=None) for r in full]
                 assert [r for r in part if r and min(r) >= k] == [r for r in full if r and min(r) >= k]
+
+
+# Z4, Z8, Z9, Z25, Z27 and Z49
+KERNEL_RINGS = ((2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2))
+
+
+def kernel_rows(R, rng):
+    """Seeded sparse payload rows of 0-12 rows and columns, sparse or dense,
+    their entries units and nonzero multiples of p alike, and the width."""
+    m, n = rng.randrange(13), rng.randrange(13)
+    density = rng.choice((0.15, 0.5, 0.95))
+    M, p = R.modulus, R.p
+
+    def entry():
+        return rng.randrange(1, M) if rng.random() < 0.5 else p * rng.randrange(1, M // p)
+
+    return [{j: entry() for j in range(n) if rng.random() < density} for _ in range(m)], n
+
+
+@pytest.mark.parametrize("p, k", KERNEL_RINGS, ids=[f"z{p**k}" for p, k in KERNEL_RINGS])
+def test_zpk_kernels_match_the_generic_ones(p, k):
+    """Zpk's native kernels, run through the linalg entry points, against
+    ChainRing's on the same ring: the same rows (in the same dict order),
+    operation logs and return values, with and without the logs."""
+    import chainring.linalg as linalg
+
+    R = Zpk(p, k)
+    assert type(R)._payload_echelon is not ChainRing._payload_echelon
+    assert type(R)._payload_smith is not ChainRing._payload_smith
+    rng = random.Random(p**k)
+
+    def echelon(kernel, rows, logged, reduce_from):
+        d, ops = [dict(row) for row in rows], [] if logged else None
+        out = kernel(R, d, ops, reduce_from)
+        return [list(row.items()) for row in d], ops, out
+
+    def smith(kernel, rows, n, row_logged, col_logged):
+        d = [dict(row) for row in rows]
+        row_ops, col_ops = [] if row_logged else None, [] if col_logged else None
+        out = kernel(R, d, n, row_ops, col_ops)
+        return [list(row.items()) for row in d], row_ops, col_ops, out
+
+    for _ in range(60):
+        rows, n = kernel_rows(R, rng)
+        for logged in (True, False):
+            for reduce_from in (0, n // 2, n):
+                native = echelon(linalg.payload_echelon, rows, logged, reduce_from)
+                assert native == echelon(ChainRing._payload_echelon, rows, logged, reduce_from)
+        for logs in ((True, True), (False, False), (True, False), (False, True)):
+            assert smith(linalg.payload_smith, rows, n, *logs) == smith(ChainRing._payload_smith, rows, n, *logs)
 
 
 # -- the payload-row storage against its boxed definitions ----------------------------
@@ -625,11 +679,29 @@ def test_matrix_json_roundtrip_over_every_ring_kind(name):
     R = storage_ring(name)
     rng = random.Random(70 + STORAGE_RINGS.index(name))
     elems = list(R.elements())
-    for m, n in ((1, 1), (2, 3), (3, 2), (2, 0)):
-        A = RingMatrix(R, [[rng.choice(elems) for _ in range(n)] for _ in range(m)])
-        # the local ring's descriptor names no ring kind ring_from_json reads
-        ring = R if name == "local" else None
-        assert RingMatrix.from_json(json.loads(json.dumps(A.to_json())), ring) == A
+    mats = [
+        RingMatrix(R, [[rng.choice(elems) for _ in range(n)] for _ in range(m)])
+        for m, n in ((1, 1), (2, 3), (3, 2), (2, 0))
+    ]
+    # the empty shapes: a 0 x n matrix has no row to carry its width
+    mats += [RingMatrix.zeros(R, m, n) for m, n in ((0, 3), (3, 0), (0, 0))]
+    if name != "local":  # free_envelope needs a chain ring or a product of them
+        envelope = free_envelope(RingMatrix.zeros(R, 2, 3), 0)
+        assert (envelope.m, envelope.n) == (0, 3)
+        mats.append(envelope)
+    for A in mats:
+        B = RingMatrix.from_json(json.loads(json.dumps(A.to_json())))
+        assert B == A and (B.m, B.n) == (A.m, A.n)
+        assert RingMatrix.from_json(A.to_json(), R) == A
+
+
+def test_matrix_json_width_of_no_rows_is_checked(z8):
+    obj = RingMatrix.zeros(z8, 0, 3).to_json()
+    for cols, message in ((-1, "must not be negative"), ("3", "must be an integer"), (True, "must be an integer")):
+        with pytest.raises(ParseError, match=message):
+            RingMatrix.from_json(dict(obj, cols=cols))
+    with pytest.raises(ParseError, match="does not match"):
+        RingMatrix.from_json(dict(obj, rows=1))
 
 
 @pytest.mark.parametrize("name", [name for name in STORAGE_RINGS if name != "local"])
