@@ -17,17 +17,16 @@ largest module, sets the peak memory of importing the package.
 from __future__ import annotations
 
 
-def echelon(R, d: list[dict], ops: list | None = None, reduce_from: int = 0) -> None:
+def echelon(R, d: list[dict], ops: list | None = None, last: range | None = None) -> None:
     t = top = 0
-    # fill-in only reaches columns the pivot row holds, so no other appears
-    for c in sorted({j for row in d for j in row}):
+    for c in _pivot_order(d, last):
         found = _min_valuation_row(R, d, t, c)
         if found is None:
             continue
         v, i = found
         _swap(d, ops, t, i)
         _make_pivot(R, d, ops, t, c, v)
-        if c < reduce_from:
+        if last is not None and c not in last:
             top = t + 1
         elif top < t:
             _reduce_rows(R, d, ops, range(top, t), t, c, v)
@@ -54,6 +53,16 @@ def smith(R, d: list[dict], n: int, row_ops: list | None = None, col_ops: list |
                     col_ops.append((j2, t, R._payload_neg(R._payload_quo_pi(d[t][j2], v))))
         d[t] = {t: d[t][t]}
     return min(len(d), n)
+
+
+def _pivot_order(d, last):
+    """The columns the rows hold, ascending, with those in last after the
+    others; fill-in only reaches columns the pivot row holds, so no other
+    appears."""
+    columns = sorted({j for row in d for j in row})
+    if last is None:
+        return columns
+    return [c for c in columns if c not in last] + [c for c in columns if c in last]
 
 
 def _min_valuation_row(R, d, t, c):
@@ -144,10 +153,10 @@ def _reduce_rows(R, d, ops, rows, t, c, v):
 # -- Zpk: the same steps on ints mod p^k, each row updated in place ------------
 
 
-def zpk_echelon(R, d: list[dict], ops: list | None = None, reduce_from: int = 0) -> None:
+def zpk_echelon(R, d: list[dict], ops: list | None = None, last: range | None = None) -> None:
     p, m = R.p, len(d)
     t = top = 0
-    for c in sorted({j for row in d for j in row}):
+    for c in _pivot_order(d, last):
         # _min_valuation_row, inline: it runs once per column
         i = v = None
         for s in range(t, m):
@@ -162,9 +171,9 @@ def zpk_echelon(R, d: list[dict], ops: list | None = None, reduce_from: int = 0)
         if i is None:
             continue
         _swap(d, ops, t, i)
-        # clear column c below the pivot, then above it unless c < reduce_from
+        # clear column c below the pivot, then above it if c is in last
         rows = range(t + 1, m)
-        if c < reduce_from:
+        if last is not None and c not in last:
             top = t + 1
         elif top < t:
             rows = [*rows, *range(top, t)]

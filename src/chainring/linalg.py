@@ -409,7 +409,7 @@ def _chain_rank(A: RingMatrix) -> int:
     return sum(1 for x in dec.diagonal() if not x.is_zero())
 
 
-def payload_echelon(R: Ring, d: list[dict], ops: list | None = None, reduce_from: int = 0) -> None:
+def payload_echelon(R: Ring, d: list[dict], ops: list | None = None, last: range | None = None) -> None:
     """Bring the sparse payload rows d of a matrix over the chain ring R to
     reduced row echelon form in place, as hermite_form describes it.  Given
     a list ops, append to it the row operations that did so, logged as
@@ -422,13 +422,16 @@ def payload_echelon(R: Ring, d: list[dict], ops: list | None = None, reduce_from
     hold the column, a pivot clears only the rows with a nonzero entry in
     its column, and a row update walks the pivot row's entries.
 
-    A row pivoted in a column before reduce_from keeps its entries above
-    later pivots unreduced.  No other row changes: a row above the pivot
-    is never read again, so a caller that reads only the rows pivoted from
-    that column on (the x-only rows of a Macaulay matrix) skips that work."""
+    Given last, a range of columns, the columns in it are pivoted after
+    every other column, as if moved to the end, and a row pivoted in a
+    column outside it keeps its entries above later pivots unreduced.  No
+    other row changes: a row above the pivot is never read again, so a
+    caller that reads only the rows pivoted in last (the x-only rows of a
+    Macaulay matrix) skips that work, and a caller that wants last's
+    columns moved to the end needs no relabelled copy of the rows."""
     if not isinstance(R, ChainRing):
         raise NotChainRing("Hermite form requires a chain ring or product of them")
-    R._payload_echelon(d, ops, reduce_from)
+    R._payload_echelon(d, ops, last)
 
 
 def hermite_form(A: RingMatrix) -> HermiteDecomposition:

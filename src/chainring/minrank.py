@@ -6,29 +6,34 @@ placements, sm-groebner and sm-linearization over the unit Plücker
 coordinate of sm_model.  Both models are built from payload terms, every
 model of an instance from one table of M_x entry terms, which
 minrank_candidates reads once per call (_mx_table), in a lex ring
-interned on the coefficient ring (polys.lex_ring).  The Gröbner
-strategies lift a model whole from the residue field and project its
-roots onto x where the route rule takes it (q^k <= MODEL_LIFT_CAP and a
-constant term, as an affine instance gives); otherwise, and always for
+interned on the coefficient ring (polys.lex_ring).  The Support-Minors
+equations are built once per instance too, homogeneous, with every z_J a
+variable (_SupportMinors), and so are their degree-1 and degree-2
+Macaulay matrices: each unit subset's model relabels those equations, and
+its Macaulay matrix is the homogeneous one with its columns permuted.  The
+Gröbner strategies lift a model whole from the residue field and project
+its roots onto x where the route rule takes it (q^k <= MODEL_LIFT_CAP and
+a constant term, as an affine instance gives); otherwise, and always for
 sm-linearization, a model gives an x-only system (lex elimination, or the
-x-only rows of the Macaulay matrix, whose degree-2 matrix reuses the
-degree-1 products), and each distinct x-only system is solved once.
-Every candidate is re-verified with an actual rank computation, so a
-modeling can lose completeness but never soundness.  The unit split loses
-no solution; the ks schedule's completeness is checked against the
-brute-force oracle in the tests (the paper leaves a selection rule open).
+x-only rows of the Macaulay matrix), and each distinct x-only system is
+solved once.  Every candidate is re-verified with an actual rank
+computation, so a modeling can lose completeness but never soundness.
+The unit split loses no solution; the ks schedule's completeness is
+checked against the brute-force oracle in the tests (the paper leaves a
+selection rule open).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .errors import DomainError, Inconclusive, ParseError
 from .linalg import RingMatrix, payload_echelon, rank, split_matrix
-from .polys import MultiPoly, PolyRing, _add_terms, lex_ring, macaulay_matrix, macaulay_rows
+from .polys import MultiPoly, PolyRing, lex_ring, macaulay_matrix
 from .rings import Ring, RingElement, _as_list, _int_field, crt_apply, crt_parts, ring_from_json
 from .solve import (
     _lifted_x_block,
@@ -151,17 +156,18 @@ def _mx_table(inst: MinRankInstance) -> list[list[list]]:
     ]
 
 
-# the M_x tables that running minrank_candidates calls lend the models of
-# their instances, by id(instance); a call holds its instance while the
-# entry lives, so the id names no other instance
+# what running minrank_candidates calls lend the models of their
+# instances, by id(instance): [M_x table, Support-Minors equations or None
+# until first built]; a call holds its instance while the entry lives, so
+# the id names no other instance
 _lent_tables: dict[int, list] = {}
 
 
 def _mx_terms(inst: MinRankInstance) -> list[list[list]]:
     """The M_x table that minrank_candidates lent inst for its call, else
     one read now."""
-    table = _lent_tables.get(id(inst))
-    return _mx_table(inst) if table is None else table
+    lent = _lent_tables.get(id(inst))
+    return _mx_table(inst) if lent is None else lent[0]
 
 
 def _bilinear(ring: PolyRing, products) -> MultiPoly:
@@ -223,17 +229,100 @@ def ks_permutation_schedule(n: int, r: int) -> list[tuple[int, ...]]:
 # -- Support-Minors modeling -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SMModel:
-    poly_ring: PolyRing
-    equations: tuple[MultiPoly, ...]
-    subsets: tuple[tuple[int, ...], ...]  # r-subsets indexing the z variables
-    x_vars: tuple[int, ...]
-    z_vars: tuple[int, ...]
-
-
 def _z_subset_name(subset: tuple[int, ...]) -> str:
     return "z" + "_".join(str(j + 1) for j in subset)
+
+
+class _SupportMinors:
+    """The Support-Minors equations of an instance with every Plücker
+    coordinate z_J a variable, and their Macaulay matrices: built once per
+    instance and shared by the models of all its unit subsets (SMModel).
+
+    For every (r+1)-subset J' and row i of M_x, the equation is
+    sum_s (-1)^s M_x[i, j_s] z_(J' - j_s), with J' = (j_0 < ... < j_r), in
+    the order (J' lex, i) and as a descending term list.  Every term has
+    exactly one z factor, of degree 1: so setting z_J = 1 merges no two
+    terms, and lex, which puts every z variable above every x, groups the
+    columns of each Macaulay matrix by their z factor, in the order of the
+    subsets."""
+
+    def __init__(self, inst: MinRankInstance, entries: list[list[list]]):
+        n = inst.shape[1]
+        r = min(inst.r, n)
+        self.subsets = tuple(itertools.combinations(range(n), r))
+        nz = len(self.subsets)
+        ring = self.ring = lex_ring(inst.ring, [_z_subset_name(s) for s in self.subsets] + _x_names(inst.k))
+        self.z_vars = tuple(range(nz))
+        self.x_vars = tuple(range(nz, nz + inst.k))
+        z = dict(zip(self.subsets, ring._gens))
+        self.equations = [
+            _bilinear(ring, [(row[j], z[big[:s] + big[s + 1 :]], s % 2 == 1) for s, j in enumerate(big)])._terms
+            for big in itertools.combinations(range(n), r + 1)
+            for row in entries
+        ]
+        self._matrices: dict[int, tuple] = {}
+
+    def matrix(self, b: int) -> tuple[list, list, list]:
+        """The degree-b Macaulay matrix, built on first use: (columns, rows,
+        bounds) as macaulay_matrix gives them, plus bounds[u]:bounds[u + 1],
+        the columns of z_(subsets[u]).  Degree 1 holds the equations' own
+        terms; degree 2 adds each equation times each x variable, in
+        macaulay_rows' shift-major order.  The rows are shared: a caller
+        that updates rows copies them first."""
+        found = self._matrices.get(b)
+        if found is None:
+            gens = self.ring._gens
+            products = self.equations
+            if b == 2:
+                # an x exponent reaches 2 at most, so no field overflows
+                products = products + [[(m + gens[v], c) for m, c in f] for v in self.x_vars for f in self.equations]
+            monos, rows = macaulay_matrix(products)
+            # the columns descend, so z_J's are those left that are >= z_J
+            bounds = [0]
+            for v in self.z_vars:
+                j = bounds[-1]
+                while j < len(monos) and monos[j] >= gens[v]:
+                    j += 1
+                bounds.append(j)
+            found = self._matrices[b] = (monos, rows, bounds)
+        return found
+
+
+class SMModel:
+    """The Support-Minors model of an instance at one unit Plücker
+    coordinate: its shared equations (_SupportMinors) with z_J := 1 for J =
+    subsets[unit].  The unit coordinate's variable stays in the ring."""
+
+    def __init__(self, system: _SupportMinors, unit: int):
+        self.system = system
+        self.unit = unit
+        self.poly_ring: PolyRing = system.ring
+        self.subsets: tuple[tuple[int, ...], ...] = system.subsets  # r-subsets indexing the z variables
+        self.x_vars: tuple[int, ...] = system.x_vars
+        self.z_vars: tuple[int, ...] = system.z_vars
+
+    @cached_property
+    def equations(self) -> tuple[MultiPoly, ...]:
+        """The shared equations relabelled: each term with a z_J factor
+        drops it and moves to the end of its equation, which keeps the terms
+        descending (they are x-only now, and keep their order)."""
+        ring = self.poly_ring
+        g = ring._gens[self.z_vars[self.unit]]
+        return tuple(
+            MultiPoly(ring, tuple([t for t in terms if not t[0] & g] + [(m - g, c) for m, c in terms if m & g]))
+            for terms in self.system.equations
+        )
+
+
+def _support_minors(inst: MinRankInstance) -> _SupportMinors:
+    """The Support-Minors equations that minrank_candidates lent inst for
+    its call, built on first use, else built now from a table read now."""
+    lent = _lent_tables.get(id(inst))
+    if lent is None:
+        return _SupportMinors(inst, _mx_table(inst))
+    if lent[1] is None:
+        lent[1] = _SupportMinors(inst, lent[0])
+    return lent[1]
 
 
 def sm_model(inst: MinRankInstance, unit_subset: Sequence[int]) -> SMModel:
@@ -246,30 +335,18 @@ def sm_model(inst: MinRankInstance, unit_subset: Sequence[int]) -> SMModel:
     coordinates solve the model for J = that minor's columns.  Looping J over
     every r-subset therefore loses no solution.  The unit coordinate's
     variable stays in the ring.  A target rank above n is read as n.
-    """
-    n = inst.shape[1]
-    r = min(inst.r, n)
-    k = inst.k
-    R = inst.ring
-    subsets = tuple(itertools.combinations(range(n), r))
-    z_names = [_z_subset_name(s) for s in subsets]
-    ring = lex_ring(R, z_names + _x_names(k))
-    z_index = {s: i for i, s in enumerate(subsets)}
-    z_vars = tuple(range(len(subsets)))
-    x_vars = tuple(range(len(subsets), len(subsets) + k))
-    unit_subset = tuple(unit_subset)
-    if unit_subset not in z_index:
-        raise DomainError("unit_subset must be r increasing column indices")
-    # z_J as a packed monomial; the unit coordinate is the empty one
-    z = {s: 0 if s == unit_subset else ring._gens[i] for s, i in z_index.items()}
-    entries = _mx_terms(inst)
 
-    equations = []
-    for bigset in itertools.combinations(range(n), r + 1):
-        minors = [(j, z[bigset[:s] + bigset[s + 1 :]], s % 2 == 1) for s, j in enumerate(bigset)]
-        for row in entries:
-            equations.append(_bilinear(ring, [(row[j], zm, negated) for j, zm, negated in minors]))
-    return SMModel(ring, tuple(equations), subsets, x_vars, z_vars)
+    The equations are one homogeneous system per instance, with every z_J a
+    variable (_SupportMinors), relabelled for J when first read; the models
+    of one minrank_candidates call share it, and a call outside one builds
+    its own.
+    """
+    system = _support_minors(inst)
+    try:
+        unit = system.subsets.index(tuple(unit_subset))
+    except ValueError:
+        raise DomainError("unit_subset must be r increasing column indices") from None
+    return SMModel(system, unit)
 
 
 def sm_linearization_matrix(inst: MinRankInstance):
@@ -277,25 +354,26 @@ def sm_linearization_matrix(inst: MinRankInstance):
     by J, then l) followed by the plain z_J columns for inhomogeneous
     instances.  Equations ordered by (row, (r+1)-subset lex).
 
-    It is a re-indexed view of the Macaulay rows of sm_model(inst, J0) for
-    the first r-subset J0, where z_J0 = 1 stands for the unit column."""
+    It is a re-indexed view of the rows of the homogeneous degree-1
+    Macaulay matrix that every unit subset's macaulay_x_block permutes.
+    With r >= n there is no (r+1)-subset, so no equation: the matrix has
+    no row but keeps its width (none when r > n leaves no r-subset)."""
     m, n = inst.shape
     k, R = inst.k, inst.ring
     subsets = tuple(itertools.combinations(range(n), inst.r))
-    if inst.r >= n:  # no (r+1)-subset, so no equation
-        return RingMatrix(R, []), subsets
-    model = sm_model(inst, subsets[0])
-    gens = model.poly_ring._gens
-    z_monos = [0] + [gens[v] for v in model.z_vars[1:]]
-    col = {}
-    for J, z in enumerate(z_monos):
-        col[z] = k * len(subsets) + J
-        col.update({z + gens[x]: J * k + l for l, x in enumerate(model.x_vars)})
-    monos, rows = macaulay_rows(model.equations, [0])
     width = k * len(subsets) + (0 if inst.homogeneous else len(subsets))
+    if inst.r >= n:
+        return RingMatrix._from_payloads(R, [], width), subsets
+    system = _support_minors(inst)
+    gens = system.ring._gens
+    col = {}
+    for J, v in enumerate(system.z_vars):
+        col[gens[v]] = k * len(subsets) + J
+        col.update({gens[v] + gens[x]: J * k + l for l, x in enumerate(system.x_vars)})
+    monos, rows, _ = system.matrix(1)
     out = [{} for _ in rows]
     for e, payloads in enumerate(rows):
-        b, i = divmod(e, m)  # the model's rows run over ((r+1)-subset b, row i)
+        b, i = divmod(e, m)  # the rows run over ((r+1)-subset b, row i)
         row = out[i * (len(rows) // m) + b]
         for j, c in payloads.items():
             row[col[monos[j]]] = c
@@ -371,9 +449,11 @@ def minrank_candidates(
     x_system = macaulay_x_block if linearize else groebner_x_block
     solved = set()
     seen = set()
-    # every model of the call reads one M_x table (_mx_terms), lent for the
-    # call only: an instance its caller keeps keeps no table
-    _lent_tables[id(inst)] = _mx_table(inst)
+    # every model of the call reads one M_x table (_mx_terms), and the SM
+    # models one set of homogeneous equations and Macaulay matrices
+    # (_support_minors), lent for the call only: an instance its caller
+    # keeps keeps neither
+    _lent_tables[id(inst)] = [_mx_table(inst), None]
     try:
         for model in models:
             found = None if linearize else _lifted_x_block(model.poly_ring, model.equations, model.x_vars)
@@ -402,30 +482,36 @@ def macaulay_x_block(model: SMModel) -> tuple[PolyRing, list[MultiPoly]]:
     zero on every z column are polynomials in x alone.  Each such row is an
     R-combination of the equations, so the x block of every zero of the
     model solves it (Bardet et al., ASIACRYPT 2020).  b = 2 is tried only
-    when b = 1 gives no x-only row; its matrix reuses the degree-1 products
-    (the equations' own terms) and adds each equation times each x
-    variable, in macaulay_rows' shift-major order.  The model's equations
-    come from one M_x table per minrank_candidates call (_mx_table).
-    The matrix and its echelon form stay on sparse payload rows throughout:
-    nothing is boxed, and no row operation is logged.
+    when b = 1 gives no x-only row.
+
+    The matrix is the instance's homogeneous one (_SupportMinors.matrix,
+    built once per minrank_candidates call) with its columns permuted: z_J's
+    columns, J the unit subset, move after every other z column and are
+    read x-only, and no other column changes its relative order.  Setting
+    z_J = 1 merges no two terms and keeps the order among z_J's columns, so
+    these are the rows, in the order, that the model's own Macaulay matrix
+    has.  The echelon takes the permutation as its pivot order (z_J's
+    columns last), on a copy of the rows, since it updates them in place.
+    They stay sparse payload rows throughout: nothing is boxed, and no row
+    operation is logged.  A model with no nonzero equation (r >= n, or
+    M_x = 0) leaves the x block unconstrained: no x-only poly.
     """
     ring = model.poly_ring
-    z_support = ring._support(sum(ring._gens[v] for v in model.z_vars))
-    products = [f._terms for f in model.equations]
+    if not any(model.system.equations):
+        return _to_x_ring(ring, [], model.x_vars)
+    u = model.unit
+    g = ring._gens[model.z_vars[u]]
     for b in (1, 2):
-        if b == 2:
-            products += [
-                _add_terms(ring, (), f._terms, ring._gens[v], None) for v in model.x_vars for f in model.equations
-            ]
-        monos, rows = macaulay_matrix(products)
-        # the z columns come first: nz is the first x-only column
-        nz = next((j for j, mono in enumerate(monos) if not ring._support(mono) & z_support), len(monos))
-        payload_echelon(ring.ring, rows, reduce_from=nz)
+        monos, rows, bounds = model.system.matrix(b)
+        # z_J's columns, read x-only, are pivoted after the other z columns
+        x_cols = range(bounds[u], bounds[u + 1])
+        d = [dict(row) for row in rows]
+        payload_echelon(ring.ring, d, last=x_cols)
         # a row's columns ascend, so its monomials descend, as terms do
         x_rows = [
-            MultiPoly(ring, tuple((monos[j], row[j]) for j in sorted(row)))
-            for row in rows
-            if row and min(row) >= nz
+            MultiPoly(ring, tuple((monos[j] - g, row[j]) for j in sorted(row)))
+            for row in d
+            if row and min(row) in x_cols and max(row) in x_cols
         ]
         if x_rows:
             return _to_x_ring(ring, x_rows, model.x_vars)

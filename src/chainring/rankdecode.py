@@ -186,7 +186,9 @@ def _z_tilde_names(r: int, m: int) -> list[str]:
 def solve_sm_rd(rd: RankDecodingInstance) -> list[tuple[RingElement, ...]]:
     """All x within the radius, from the x-only rows of the degree-b
     Macaulay matrix of the Support-Minors model of to_minrank(rd), one unit
-    Plücker coordinate at a time (minrank.macaulay_x_block).
+    Plücker coordinate at a time (minrank.macaulay_x_block).  The matrices
+    are built once per word, homogeneous in the Plücker coordinates, and
+    each unit coordinate's matrix is a column permutation of them.
 
     Complete: if x is within the radius, rank(M_x) <= r, so row(M_x) lies in
     a free rank-r module with a unit maximal minor at some r-subset J, and
@@ -195,6 +197,8 @@ def solve_sm_rd(rd: RankDecodingInstance) -> list[tuple[RingElement, ...]]:
     x-only row is an R-combination of the model's equations times
     x-monomials, so every zero's x block satisfies it.  Sound: each candidate
     passes rd.check.  Inconclusive when some J leaves no x-only row at b = 2.
+    A radius >= n leaves no equation and every x qualifies: they are
+    enumerated within the budget.
     """
     return _verified_xs(rd, minrank_candidates(to_minrank(rd), "sm-linearization"))
 

@@ -530,9 +530,11 @@ def test_echelon_reads_no_zero_entry(z8, gr42, monkeypatch):
         monkeypatch.undo()
 
 
-def test_echelon_reduce_from_changes_only_earlier_pivot_rows(z8, gr42):
-    """With reduce_from = k, the rows pivoted in a column >= k come out as
-    in the full reduced form; the others keep their pivot column."""
+def test_echelon_last_columns_change_only_earlier_pivot_rows(z8, gr42):
+    """With last = range(k, n), the rows pivoted in a column >= k come out
+    as in the full reduced form; the others keep their pivot column.  With
+    last = range(lo, hi) the rows are those of a relabelled copy with the
+    columns lo..hi-1 moved to the end and last at the end."""
     import chainring.linalg as linalg
 
     rng = random.Random(43)
@@ -543,9 +545,17 @@ def test_echelon_reduce_from_changes_only_earlier_pivot_rows(z8, gr42):
             linalg.payload_echelon(ring, full)
             for k in range(n + 1):
                 part = [dict(row) for row in A._rows]
-                linalg.payload_echelon(ring, part, reduce_from=k)
+                linalg.payload_echelon(ring, part, last=range(k, n))
                 assert [min(r, default=None) for r in part] == [min(r, default=None) for r in full]
                 assert [r for r in part if r and min(r) >= k] == [r for r in full if r and min(r) >= k]
+            for lo, hi in ((0, n // 2), (n // 3, 2 * n // 3), (1, n - 1)):
+                end = n - (hi - lo)
+                perm = [*range(lo), *range(end, n), *range(lo, end)]
+                moved = [{perm[j]: c for j, c in row.items()} for row in A._rows]
+                linalg.payload_echelon(ring, moved, last=range(end, n))
+                part = [dict(row) for row in A._rows]
+                linalg.payload_echelon(ring, part, last=range(lo, hi))
+                assert [{perm[j]: c for j, c in row.items()} for row in part] == moved
 
 
 # Z4, Z8, Z9, Z25, Z27 and Z49
@@ -577,9 +587,9 @@ def test_zpk_kernels_match_the_generic_ones(p, k):
     assert type(R)._payload_smith is not ChainRing._payload_smith
     rng = random.Random(p**k)
 
-    def echelon(kernel, rows, logged, reduce_from):
+    def echelon(kernel, rows, logged, last):
         d, ops = [dict(row) for row in rows], [] if logged else None
-        out = kernel(R, d, ops, reduce_from)
+        out = kernel(R, d, ops, last)
         return [list(row.items()) for row in d], ops, out
 
     def smith(kernel, rows, n, row_logged, col_logged):
@@ -591,9 +601,9 @@ def test_zpk_kernels_match_the_generic_ones(p, k):
     for _ in range(60):
         rows, n = kernel_rows(R, rng)
         for logged in (True, False):
-            for reduce_from in (0, n // 2, n):
-                native = echelon(linalg.payload_echelon, rows, logged, reduce_from)
-                assert native == echelon(ChainRing._payload_echelon, rows, logged, reduce_from)
+            for last in (None, range(n // 2, n), range(n, n), range(n // 3, 2 * n // 3)):
+                native = echelon(linalg.payload_echelon, rows, logged, last)
+                assert native == echelon(ChainRing._payload_echelon, rows, logged, last)
         for logs in ((True, True), (False, False), (True, False), (False, True)):
             assert smith(linalg.payload_smith, rows, n, *logs) == smith(ChainRing._payload_smith, rows, n, *logs)
 

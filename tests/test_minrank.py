@@ -2,6 +2,7 @@ import collections
 import hashlib
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -15,7 +16,7 @@ from chainring import groebner, minrank, solve
 from chainring.errors import DomainError, Inconclusive, WrongOrder
 from chainring.extension import build_extension
 from chainring.groebner import buchberger, elimination_subbasis
-from chainring.linalg import RingMatrix, rank, reduced_row_echelon
+from chainring.linalg import RingMatrix, payload_echelon, rank, reduced_row_echelon
 from chainring.minrank import (
     MinRankInstance,
     ks_model,
@@ -28,7 +29,7 @@ from chainring.minrank import (
     transpose_instance,
 )
 from chainring.oracles import brute_decode_set, brute_minrank
-from chainring.polys import MultiPoly, PolyRing, strong_reduce
+from chainring.polys import MultiPoly, PolyRing, _add_terms, macaulay_matrix, strong_reduce
 from chainring.rankdecode import RankDecodingInstance, decode, key_equation_model, to_minrank
 from chainring.rings import RingElement, Zpk, galois_ring, integer_ring
 from chainring.solve import x_block_solutions, x_block_system
@@ -118,6 +119,18 @@ def test_sm_linearization_echelon_golden(homogeneous_minrank_z8, affine_minrank_
     ]
 
 
+def test_sm_linearization_matrix_shapes_without_equations(z4):
+    # r = n leaves no (r+1)-subset, so no row; the columns stay k * C(n, r),
+    # plus C(n, r) for M0; r > n leaves no r-subset, so no column either
+    I = RingMatrix.identity(z4, 2)
+    J = RingMatrix(z4, [[0, 1], [1, 0]])
+    for m0, width in ((None, 2), (RingMatrix(z4, [[1, 0], [0, 0]]), 3)):
+        A, subsets = sm_linearization_matrix(MinRankInstance(z4, (I, J), 2, m0))
+        assert subsets == ((0, 1),) and (A.m, A.n) == (0, width)
+        A, subsets = sm_linearization_matrix(MinRankInstance(z4, (I, J), 3, m0))
+        assert subsets == () and (A.m, A.n) == (0, 0)
+
+
 def test_affine_instance_identity_placement_fails(affine_minrank_z8):
     # the bottom-block Z' misses the solution; the sweep finds it anyway
     model = ks_model(affine_minrank_z8, (2,))
@@ -189,6 +202,9 @@ def test_all_zero_matrices(z8):
     inst = MinRankInstance(z8, (Z, Z), 1)
     sols = solve_minrank(inst, "ks")
     assert len(sols) == 64  # every x works
+    # every Support-Minors equation is zero, so the x block is unconstrained
+    for strategy in ("sm-groebner", "sm-linearization"):
+        assert solve_minrank(inst, strategy) == sols
 
 
 def test_single_matrix_annihilator_scalars(z4):
@@ -252,11 +268,18 @@ def test_affine_instance_sm_linearization(affine_minrank_z8):
     assert as_ints(solve_minrank(affine_minrank_z8, "sm-linearization")) == [[1, 3, 6]]
 
 
-def test_sm_linearization_without_x_only_rows_is_inconclusive(z8):
-    # r = n leaves no equations, so no Macaulay row involves x alone
-    inst = MinRankInstance(z8, (RingMatrix.identity(z8, 2),), 2)
-    with pytest.raises(Inconclusive):
-        solve_minrank(inst, "sm-linearization")
+def test_sm_linearization_without_equations_enumerates_the_x_block(z8):
+    # r >= n leaves no equations, so the x block is unconstrained: every x
+    # qualifies, as ks and sm-groebner find
+    for r in (2, 3):
+        inst = MinRankInstance(z8, (RingMatrix.identity(z8, 2),), r)
+        model = sm_model(inst, (0, 1))
+        x_ring, polys = macaulay_x_block(model)
+        assert polys == [] and x_ring.variables == ("x1",)
+        expected = brute_minrank(inst)
+        assert len(expected) == 8
+        for strategy in ("ks", "sm-groebner", "sm-linearization"):
+            assert solve_minrank(inst, strategy) == expected, (r, strategy)
 
 
 def test_ks_model_solutions_respect_rank_bound(homogeneous_minrank_z8, z8):
@@ -982,6 +1005,111 @@ def test_macaulay_x_blocks_match_golden():
             got.append(entry)
     assert len(got) == 162 and got == golden["blocks"]
 
+
+
+def reference_sm_equations(inst, sub):
+    """sm_model's equations built for one unit subset alone, as _bilinear
+    sums with z_J := 1 as the empty monomial: the per-subset model that the
+    shared homogeneous equations replace."""
+    n = inst.shape[1]
+    r = min(inst.r, n)
+    ring = sm_model(inst, sub).poly_ring
+    subsets = list(itertools.combinations(range(n), r))
+    z = {s: 0 if s == tuple(sub) else ring._gens[i] for i, s in enumerate(subsets)}
+    return [
+        minrank._bilinear(ring, [(row[j], z[big[:s] + big[s + 1 :]], s % 2 == 1) for s, j in enumerate(big)])._terms
+        for big in itertools.combinations(range(n), r + 1)
+        for row in minrank._mx_table(inst)
+    ]
+
+
+def reference_macaulay_x_rows(model):
+    """The x-only rows of the model's own Macaulay matrix, built from its
+    equations at b = 1, then at b = 2, echelonized and filtered; None where
+    neither degree gives one (macaulay_x_block raises Inconclusive)."""
+    ring = model.poly_ring
+    z_support = ring._support(sum(ring._gens[v] for v in model.z_vars))
+    products = [f._terms for f in model.equations]
+    for b in (1, 2):
+        if b == 2:
+            products += [_add_terms(ring, (), f._terms, ring._gens[v], None) for v in model.x_vars for f in model.equations]
+        monos, rows = macaulay_matrix(products)
+        nz = next((j for j, mono in enumerate(monos) if not ring._support(mono) & z_support), len(monos))
+        payload_echelon(ring.ring, rows, last=range(nz, len(monos)))
+        x_rows = [tuple((monos[j], row[j]) for j in sorted(row)) for row in rows if row and min(row) >= nz]
+        if x_rows:
+            return x_rows
+    return None
+
+
+def seeded_sm_instances():
+    """Seeded instances over Z4, Z8, Z9 and Z25 (r = 1 and 2, homogeneous
+    and affine, m x n up to 3 x 5 with n > r, K up to 3, some entries
+    zero) and to_minrank of random GR(4,2) words (radius 1 and 2)."""
+    rng = random.Random(35)
+
+    def matrix(R, m, n):
+        return RingMatrix(R, [[R.from_int(rng.randrange(R.modulus) if rng.random() < 0.7 else 0) for _ in range(n)] for _ in range(m)])
+
+    for R in (Zpk(2, 2), Zpk(2, 3), Zpk(3, 2), Zpk(5, 2)):
+        for r in (1, 2):
+            for affine in (False, True):
+                for _ in range(2):
+                    m, n, k = rng.randint(2, 3), rng.randint(r + 1, 5), rng.randint(1, 3)
+                    mats = tuple(matrix(R, m, n) for _ in range(k))
+                    yield MinRankInstance(R, mats, r, matrix(R, m, n) if affine else None)
+    S = build_extension(Zpk(2, 2), 2)
+    elems = sorted(S.elements(), key=S.sort_key)
+    for radius in (1, 2):
+        for n in (3, 4):
+            g = tuple(rng.choice(elems) for _ in range(n))
+            y = tuple(rng.choice(elems) for _ in range(n))
+            yield to_minrank(RankDecodingInstance(S, (g,), y, radius))
+
+
+def test_shared_sm_equations_and_matrices_match_per_subset_builds():
+    # every unit subset's model relabels the instance's homogeneous
+    # equations, and its x-only rows come from a column permutation of the
+    # homogeneous Macaulay matrices: both equal a build from that subset's
+    # own equations, Inconclusive included
+    blocks = inconclusive = 0
+    for inst in seeded_sm_instances():
+        n = inst.shape[1]
+        for sub in itertools.combinations(range(n), min(inst.r, n)):
+            model = sm_model(inst, sub)
+            assert [f._terms for f in model.equations] == reference_sm_equations(inst, sub)
+            expected = reference_macaulay_x_rows(sm_model(inst, sub))
+            if expected is None:
+                inconclusive += 1
+                with pytest.raises(Inconclusive):
+                    macaulay_x_block(model)
+            else:
+                x_ring, polys = macaulay_x_block(model)
+                assert x_ring.variables == tuple(model.poly_ring.variables[v] for v in model.x_vars)
+                assert [p._terms for p in polys] == expected
+            blocks += 1
+    assert blocks > 150 and 0 < inconclusive < blocks, (blocks, inconclusive)
+
+
+def test_sm_linearization_builds_each_homogeneous_matrix_at_most_once(affine_minrank_z8, monkeypatch):
+    # one minrank_candidates call builds one degree-1 Macaulay matrix, and
+    # a degree-2 one only when some unit subset needs it, for all its
+    # unit subsets together
+    sizes = []
+    build = minrank.macaulay_matrix
+    monkeypatch.setattr(minrank, "macaulay_matrix", lambda products: sizes.append(len(products)) or build(products))
+    list(minrank_candidates(affine_minrank_z8, "sm-linearization"))
+    m, n = affine_minrank_z8.shape
+    equations = m * math.comb(n, 2)  # rows times (r + 1)-subsets, r = 1
+    assert sizes == [equations, equations * (1 + affine_minrank_z8.k)]
+    for inst in golden_instances().values():
+        sizes.clear()
+        try:
+            list(minrank_candidates(inst, "sm-linearization"))
+        except Inconclusive:
+            pass
+        assert minrank._lent_tables == {}
+        assert sizes in ([sizes[0]], [sizes[0], sizes[0] * (1 + inst.k)])
 
 CANDIDATES_SCRIPT = """
 import json, sys

@@ -246,6 +246,23 @@ def test_sm_rd_empty_for_radius_n(ext83):
     assert sm_model(to_minrank(rd), (0, 1)).equations == ()
 
 
+def test_sm_rd_lists_every_x_at_radius_n_and_above(ext83):
+    # no equation leaves the x block unconstrained: every x of S is within
+    # the radius, and sm enumerates them, as groebner does; auto settles the
+    # word there
+    S = ext83
+    g = (S.one, S.alpha)
+    y = (S.zero, S.one)
+    for radius in (2, 3):
+        rd = RankDecodingInstance(S, (g,), y, radius)
+        truth = brute_decode_set(rd)
+        assert len(truth) == S.size
+        got = decode(rd, "sm")
+        assert [x for x, _, _ in got.solutions] == truth
+        assert solve_sm_rd(rd) == truth == solve_key_groebner(rd)
+        assert decode(rd).strategy_used == "sm"
+
+
 def test_sm_rd_solver(decoding_instance, decoded_x):
     xs = solve_sm_rd(decoding_instance)
     assert xs == [(decoded_x,)]
